@@ -53,7 +53,7 @@ from .simplicial import (
     TruncatedSimplicialGroupoid,
     check_axioms,
     is_culf,
-    principal_edges,
+    nondegenerate_simplices,
 )
 
 
@@ -357,12 +357,12 @@ def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
 
 def _stability_squares(B, full: bool, n_max: int):
     gb = B.grade_bound
-    jobs = [
-        lambda: is_pullback_square(
+    checks = [
+        is_pullback_square(
             p=B.hface(1, 1, 0), q=B.vface(1, 1, 0),
             f=B.vface(1, 0, 0), g=B.hface(0, 1, 0),
             grade_bound=gb, name="stability d_0/e_0 at (1,1)"),
-        lambda: is_pullback_square(
+        is_pullback_square(
             p=B.hface(1, 1, 1), q=B.vface(1, 1, 1),
             f=B.vface(1, 0, 1), g=B.hface(0, 1, 1),
             grade_bound=gb, name="stability d_1/e_1 at (1,1)"),
@@ -376,7 +376,7 @@ def _stability_squares(B, full: bool, n_max: int):
                     for l in range(i + 1):
                         if (k == 0 and l == i) or (k == j and l == 0):
                             continue  # d_bot along e_top / d_top along e_bot
-                        jobs.append(lambda i=i, j=j, k=k, l=l: is_pullback_square(
+                        checks.append(is_pullback_square(
                             p=B.hface(i, j, k), q=B.vface(i, j, l),
                             f=B.vface(i, j - 1, l), g=B.hface(i - 1, j, k),
                             grade_bound=gb,
@@ -385,7 +385,7 @@ def _stability_squares(B, full: bool, n_max: int):
             for j in range(0, top_j):
                 for k in range(j + 1):
                     for l in range(i + 1):
-                        jobs.append(lambda i=i, j=j, k=k, l=l: is_pullback_square(
+                        checks.append(is_pullback_square(
                             p=B.vface(i, j, l), q=B.hdegen(i, j, k),
                             f=B.hdegen(i - 1, j, k), g=B.vface(i, j + 1, l),
                             grade_bound=gb,
@@ -394,7 +394,7 @@ def _stability_squares(B, full: bool, n_max: int):
             for j in range(1, top_j + 1):
                 for k in range(j + 1):
                     for l in range(i + 1):
-                        jobs.append(lambda i=i, j=j, k=k, l=l: is_pullback_square(
+                        checks.append(is_pullback_square(
                             p=B.hface(i, j, k), q=B.vdegen(i, j, l),
                             f=B.vdegen(i, j - 1, l), g=B.hface(i + 1, j, k),
                             grade_bound=gb,
@@ -403,17 +403,16 @@ def _stability_squares(B, full: bool, n_max: int):
             for j in range(0, top_j):
                 for k in range(j + 1):
                     for l in range(i + 1):
-                        jobs.append(lambda i=i, j=j, k=k, l=l: is_pullback_square(
+                        checks.append(is_pullback_square(
                             p=B.vdegen(i, j, l), q=B.hdegen(i, j, k),
                             f=B.hdegen(i + 1, j, k), g=B.vdegen(i, j + 1, l),
                             grade_bound=gb,
                             name=f"stability s_{k}/t_{l} at ({i},{j})"))
-    return [job() for job in jobs]
+    return checks
 
 
 def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
-                           full_stability: bool = False,
-                           workers: Optional[int] = None) -> ConfigReport:
+                           full_stability: bool = False) -> ConfigReport:
     """Run the bicomodule-configuration checks at truncation n_max.
 
     The report covers: Segal in both directions, the two-square stability
@@ -427,14 +426,14 @@ def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
     sections: dict = {}
     seg_rows = AxiomReport(profile="rows segal")
     for i in range(0, min(B.max_i, n_max) + 1):
-        r = check_axioms(B.row(i), "segal", min(n_max, B.max_j - 1), workers=workers)
+        r = check_axioms(B.row(i), "segal", min(n_max, B.max_j - 1))
         for c in r.checks:
             seg_rows.checks.append(SquareResult(c.passed, c.witness,
                                                 f"row {i}: {c.name}"))
     sections["rows segal"] = seg_rows
     seg_cols = AxiomReport(profile="columns segal")
     for j in range(0, min(B.max_j, n_max) + 1):
-        r = check_axioms(B.column(j), "segal", min(n_max, B.max_i - 1), workers=workers)
+        r = check_axioms(B.column(j), "segal", min(n_max, B.max_i - 1))
         for c in r.checks:
             seg_cols.checks.append(SquareResult(c.passed, c.witness,
                                                 f"column {j}: {c.name}"))
@@ -446,17 +445,13 @@ def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
     stab.checks = _stability_squares(B, full_stability, n_max)
     sections["stability"] = stab
 
-    sections["culf u"] = is_culf(B.u_map(), min(n_max, B.u_map().max_level - 1),
-                                 workers=workers)
-    sections["culf v"] = is_culf(B.v_map(), min(n_max, B.v_map().max_level - 1),
-                                 workers=workers)
+    sections["culf u"] = is_culf(B.u_map(), min(n_max, B.u_map().max_level - 1))
+    sections["culf v"] = is_culf(B.v_map(), min(n_max, B.v_map().max_level - 1))
 
     x_n = max(0, min(n_max, B.max_i - 2))
     y_n = max(0, min(n_max, B.max_j - 2))
-    sections["border X decomposition"] = check_axioms(B.x_space(), "decomposition",
-                                                      x_n, workers=workers)
-    sections["border Y decomposition"] = check_axioms(B.y_space(), "decomposition",
-                                                      y_n, workers=workers)
+    sections["border X decomposition"] = check_axioms(B.x_space(), "decomposition", x_n)
+    sections["border Y decomposition"] = check_axioms(B.y_space(), "decomposition", y_n)
     sections["pointings"] = _section_identity_report(B)
     return ConfigReport(sections)
 
@@ -465,37 +460,19 @@ def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
 
 
 def coact(B: AugmentedBisimplicialGroupoid, side: str, m) -> WeightedTensorList:
-    """Weighted coaction decomposition of a class m of B_{0,0}.
+    """Weighted coaction decomposition of a class m of B_{0,0}, memoized per
+    class: `config_coact` of the right or the left comodule of B.
 
     Right side: terms (w, class in B_{0,0}, class in Y_1) from the fiber
     of d_0 : B_{0,1} -> B_{0,0}.  Left side: terms (w, class in X_1,
     class in B_{0,0}) from the fiber of e_1 : B_{1,0} -> B_{0,0}.
     """
-    b00 = B.cell(0, 0)
-    if not b00.has_object(m):
-        raise DomainError(f"{m!r} is not an object of B_{{0,0}}")
-    tab0 = b00.iso_classes()
-    memo_key = ("coact", side, tab0.class_of(m))
-    if memo_key in B._memo:
-        return B._memo[memo_key]
-    if side == "right":
-        leg = B.hface(0, 1, 0)
-        dtop = B.hface(0, 1, 1)
-        v1 = B.aug_v(1)
-        ytab = B.cell(-1, 1).iso_classes()
-        label = lambda rep: (tab0.class_of(dtop.ob(rep)), ytab.class_of(v1.ob(rep)))
-    elif side == "left":
-        leg = B.vface(1, 0, 1)
-        ebot = B.vface(1, 0, 0)
-        u1 = B.aug_u(1)
-        xtab = B.cell(1, -1).iso_classes()
-        label = lambda rep: (xtab.class_of(u1.ob(rep)), tab0.class_of(ebot.ob(rep)))
-    else:
+    if side not in ("right", "left"):
         raise DomainError("side must be 'right' or 'left'")
-    parts = weighted_fiber(leg, m, label)
-    terms = tuple(sorted(((w, l, r) for (l, r), w in parts.items()),
-                         key=lambda t: (repr(t[1]), repr(t[2]))))
-    B._memo[memo_key] = WeightedTensorList(terms)
+    memo_key = ("coact", side, B.cell(0, 0).iso_classes().class_of(m))
+    if memo_key not in B._memo:
+        config = right_comodule(B) if side == "right" else left_comodule(B)
+        B._memo[memo_key] = config_coact(config, m)
     return B._memo[memo_key]
 
 
@@ -601,44 +578,30 @@ def phi_comodule(config: ComoduleConfiguration, m, n: int) -> Fraction:
     tab0 = C0.iso_classes()
     if n == 0:
         return Fraction(1) if tab0.class_of(m) not in image else Fraction(0)
-    if not config.base.is_complete():
-        raise DomainError("base space is not complete")
     level = config.space.level(n)
     vertex = config.vertex_functor(n)
     fmap = config.base_map.level_map(n)
-    degen = config.base.degenerate_edge_classes()
-    btab = config.base.level(1).iso_classes()
-    keep = []
-    for sigma in level.objects:
-        if tab0.class_of(vertex.ob(sigma)) in image:
-            continue
-        edges = principal_edges(config.base, n, fmap.ob(sigma))
-        if all(btab.class_of(e) not in degen for e in edges):
-            keep.append(sigma)
+    nondegenerate = nondegenerate_simplices(config.base, n).groupoid
+    keep = [sigma for sigma in level.objects
+            if tab0.class_of(vertex.ob(sigma)) not in image
+            and nondegenerate.has_object(fmap.ob(sigma))]
     W = full_subgroupoid(level, keep, name=f"C_b{'a' * n}")
-    leg = config.leg_functor(n)
-    restricted = GroupoidFunctor(W, C0, leg.ob, leg.__call__)
-    return fiber_cardinality(restricted, m)
+    return fiber_cardinality(config.leg_functor(n).restrict(W), m)
 
 
 def config_coact(config: ComoduleConfiguration, m) -> WeightedTensorList:
     """The coaction of a configuration: fiber of the level-1 leg over m,
-    labelled by (C_0 class, base edge class) -- base label first on the
-    left side, mirroring `coact`."""
-    C0 = config.space.level(0)
-    tab0 = C0.iso_classes()
+    labelled by (C_0 class, base edge class), base label first on the
+    left side."""
+    tab0 = config.space.level(0).iso_classes()
     btab = config.base.level(1).iso_classes()
-    leg = config.leg_functor(1)
     vertex = config.vertex_functor(1)
     f1 = config.base_map.level_map(1)
     if config.side == "right":
         label = lambda rep: (tab0.class_of(vertex.ob(rep)), btab.class_of(f1.ob(rep)))
     else:
         label = lambda rep: (btab.class_of(f1.ob(rep)), tab0.class_of(vertex.ob(rep)))
-    parts = weighted_fiber(leg, m, label)
-    terms = tuple(sorted(((w, l, r) for (l, r), w in parts.items()),
-                         key=lambda t: (repr(t[1]), repr(t[2]))))
-    return WeightedTensorList(terms)
+    return WeightedTensorList.from_parts(weighted_fiber(config.leg_functor(1), m, label))
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Command-line surface: axiom checks, Mobius tables, Rota verdicts.
 
 Exit codes: 0 all checks pass, 1 a semantic check fails (axiom failure,
-inequality, refused certification), 2 unreadable or schema-invalid input.
+inequality, refused certification), 2 unreadable or schema-invalid input
+or an argument out of range.
 Builtin instances ship in-package so the headline computations run with
 zero assets:
 
@@ -11,13 +12,12 @@ zero assets:
 
 Instance files are UTF-8 JSON documents with a "kind" field: poset,
 category, adjunction or correspondence (see README for the schemas).
-The env var MOEBIUSKIT_THREADS caps the number of worker threads used for
-independent square checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -36,14 +36,6 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     pass
-
-
-def _workers():
-    raw = os.environ.get("MOEBIUSKIT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _load_json(path):
@@ -139,9 +131,9 @@ def emit_rows(rows, header, fmt):
     if fmt == "json":
         print(json.dumps([dict(zip(header, r)) for r in rows], default=str))
     elif fmt == "csv":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(x) for x in r))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h)
                   for i, h in enumerate(header)]
@@ -195,15 +187,19 @@ def _space_for_check(target, args):
 
 def cmd_check(args) -> int:
     space, grid = _space_for_check(args.target, args)
-    workers = _workers()
     if grid is not None:
-        report = bc.validate_configuration(grid, args.max_level, workers=workers)
-        lines = report.lines()
+        if args.profile not in (None, "configuration"):
+            raise InputError(f"profile {args.profile!r} does not apply to a "
+                             "bicomodule grid; grids take 'configuration'")
+        report = bc.validate_configuration(grid, args.max_level)
     else:
-        profile = args.profile if args.profile != "configuration" else "segal"
+        if args.profile == "configuration":
+            raise InputError("profile 'configuration' needs a bicomodule grid; "
+                             "spaces take identities, segal, decomposition or complete")
+        profile = args.profile or "segal"
         n_max = min(args.max_level, space.max_level - (3 if profile == "decomposition" else 1))
-        report = sp.check_axioms(space, profile, max(1, n_max), workers=workers)
-        lines = report.lines()
+        report = sp.check_axioms(space, profile, max(1, n_max))
+    lines = report.lines()
     if args.format == "json":
         print(json.dumps({"passed": report.passed, "report": lines}))
     else:
@@ -315,9 +311,10 @@ def build_parser():
 
     pc = sub.add_parser("check", help="run axiom or configuration checks")
     pc.add_argument("target")
-    pc.add_argument("--profile", default="segal",
+    pc.add_argument("--profile", default=None,
                     choices=["identities", "segal", "decomposition", "complete",
-                             "configuration"])
+                             "configuration"],
+                    help="default: segal on spaces, configuration on grids")
     pc.add_argument("--max-level", type=int, default=2)
     pc.add_argument("--grade", type=int, default=3)
     pc.add_argument("--format", default="text", choices=["text", "json", "csv"])
@@ -346,12 +343,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (sp.InsufficientLevelsError, inc.MobiusCertificateError) as e:
         print(f"refused: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except (InputError, DomainError, StructureError) as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout early; keep the exit-time flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
 
 

@@ -12,7 +12,7 @@ reduces to a handful of operations implemented here:
 Morphisms are identified by the triple (source, target, label); labels are
 opaque and compared by equality.  Composition is written `compose(g, f)`
 for "g after f".  All values are immutable after construction and every
-operation is a pure function, so independent checks may run in parallel.
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -340,6 +340,10 @@ class GroupoidFunctor:
     def __call__(self, m: Mor) -> Mor:
         return self._mor(m)
 
+    def restrict(self, W: FiniteGroupoid) -> "GroupoidFunctor":
+        """This functor on a full subgroupoid W of its source."""
+        return GroupoidFunctor(W, self.target, self._ob, self._mor, name=f"{self.name}|sub")
+
     @classmethod
     def identity(cls, G, name="id") -> "GroupoidFunctor":
         return cls(G, G, lambda a: a, lambda m: m, name=name)
@@ -462,22 +466,13 @@ def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:
 
 
 def fiber_cardinality(F: GroupoidFunctor, c) -> Fraction:
-    """|fiber(F, c)| computed class-wise: sum of |Aut c| / |Aut a| over the
-    source classes whose image is isomorphic to c.
+    """|fiber(F, c)| computed class-wise: the single part of `weighted_fiber`
+    under a constant label.
 
     This is the fast path; it agrees with cardinality(fiber(F, c)) and the
     two are cross-checked in the test suite.
     """
-    S, T = F.source, F.target
-    ttab = T.iso_classes()
-    cls_c = ttab.class_of(c)
-    aut_c = ttab.aut_orders[cls_c]
-    stab = S.iso_classes()
-    total = Fraction(0)
-    for rep in stab.reps:
-        if ttab.class_of(F.ob(rep)) == cls_c:
-            total += Fraction(aut_c, stab.aut_orders[rep])
-    return total
+    return weighted_fiber(F, c, lambda rep: None).get(None, Fraction(0))
 
 
 def weighted_fiber(F: GroupoidFunctor, c, label_fn) -> dict:
@@ -485,8 +480,8 @@ def weighted_fiber(F: GroupoidFunctor, c, label_fn) -> dict:
     iso-invariant label of the source class.
 
     Returns {label: weight} with weight = sum of |Aut c| / |Aut a| over the
-    contributing classes.  `label_fn` is applied to class representatives
-    and must be constant on iso classes.
+    source classes a whose image is isomorphic to c.  `label_fn` is applied
+    to class representatives and must be constant on iso classes.
     """
     S, T = F.source, F.target
     ttab = T.iso_classes()

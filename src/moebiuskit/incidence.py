@@ -90,6 +90,12 @@ class WeightedTensorList:
     def as_dict(self) -> dict:
         return {(l, r): w for w, l, r in self.terms}
 
+    @classmethod
+    def from_parts(cls, parts: dict) -> "WeightedTensorList":
+        """Terms from {(left, right): weight}, sorted by the classes' reprs."""
+        return cls(tuple(sorted(((w, l, r) for (l, r), w in parts.items()),
+                                key=lambda t: (repr(t[1]), repr(t[2])))))
+
 
 def _require_class(X: TruncatedSimplicialGroupoid, f):
     carrier = X.level(1)
@@ -109,10 +115,7 @@ def comultiply(X: TruncatedSimplicialGroupoid, f) -> WeightedTensorList:
     tab1 = X.level(1).iso_classes()
     d2, d0 = X.face(2, 2), X.face(2, 0)
     label = lambda rep: (tab1.class_of(d2.ob(rep)), tab1.class_of(d0.ob(rep)))
-    parts = weighted_fiber(X.face(2, 1), f, label)
-    terms = tuple(sorted(((w, l, r) for (l, r), w in parts.items()),
-                         key=lambda t: (repr(t[1]), repr(t[2]))))
-    return WeightedTensorList(terms)
+    return WeightedTensorList.from_parts(weighted_fiber(X.face(2, 1), f, label))
 
 
 def counit(X: TruncatedSimplicialGroupoid, f) -> Fraction:
@@ -160,8 +163,7 @@ def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
     F = GroupoidFunctor.identity(X.level(n))
     for m in range(n, 1, -1):
         F = GroupoidFunctor.compose(X.face(m, 1), F)
-    restricted = GroupoidFunctor(W, X.level(1), F.ob, F.__call__, name=f"d1^{n - 1}|nd")
-    return fiber_cardinality(restricted, f)
+    return fiber_cardinality(F.restrict(W), f)
 
 
 def grade_certificate(X: TruncatedSimplicialGroupoid, f,

@@ -16,7 +16,6 @@ maps (cartesian naturality squares on codegeneracies and inner cofaces).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,9 +52,6 @@ class TruncatedSimplicialGroupoid:
         level_fn(space, n)      -> FiniteGroupoid
         face_fn(space, n, i)    -> GroupoidFunctor level n -> n-1,  0 <= i <= n
         degen_fn(space, n, i)   -> GroupoidFunctor level n -> n+1,  0 <= i <= n
-
-    Memoization uses plain dict insertion, which is atomic under the GIL;
-    checks themselves are pure and may run in parallel per square.
     """
 
     def __init__(self, max_level: int, level_fn, face_fn, degen_fn,
@@ -301,15 +297,7 @@ class AxiomReport:
         return out
 
 
-def _run_checks(jobs, workers: Optional[int]):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
-
-
-def check_axioms(X: TruncatedSimplicialGroupoid, profile: str, n_max: int,
-                 workers: Optional[int] = None) -> AxiomReport:
+def check_axioms(X: TruncatedSimplicialGroupoid, profile: str, n_max: int) -> AxiomReport:
     """Verify an axiom profile at the stated truncation.
 
     Profiles:
@@ -338,13 +326,11 @@ def check_axioms(X: TruncatedSimplicialGroupoid, profile: str, n_max: int,
         if n_max + 1 > X.max_level:
             raise InsufficientLevelsError(n_max + 1, X.max_level, "segal profile")
         report = AxiomReport(profile="segal", note=f"n = 1..{n_max}")
-        jobs = []
         for n in range(1, n_max + 1):
-            jobs.append(lambda n=n: is_pullback_square(
+            report.checks.append(is_pullback_square(
                 p=X.face(n + 1, n + 1), q=X.face(n + 1, 0),
                 f=X.face(n, 0), g=X.face(n, n),
                 grade_bound=gb, name=f"segal square n={n}"))
-        report.checks = _run_checks(jobs, workers)
         return report
 
     if profile == "decomposition":
@@ -356,28 +342,26 @@ def check_axioms(X: TruncatedSimplicialGroupoid, profile: str, n_max: int,
             profile="decomposition",
             note=(f"degeneracy families n = 0..{n_max}; "
                   f"coface families n = 0..{d_n_max}"))
-        jobs = []
         for n in range(0, n_max + 1):
             for k in range(0, n + 1):
-                jobs.append(lambda n=n, k=k: is_pullback_square(
+                report.checks.append(is_pullback_square(
                     p=X.face(n + 1, 0), q=X.degeneracy(n + 1, k + 1),
                     f=X.degeneracy(n, k), g=X.face(n + 2, 0),
                     grade_bound=gb, name=f"s_{k + 1}/d_bot square n={n}"))
-                jobs.append(lambda n=n, k=k: is_pullback_square(
+                report.checks.append(is_pullback_square(
                     p=X.face(n + 1, n + 1), q=X.degeneracy(n + 1, k),
                     f=X.degeneracy(n, k), g=X.face(n + 2, n + 2),
                     grade_bound=gb, name=f"s_{k}/d_top square n={n}"))
         for n in range(0, d_n_max + 1):
             for k in range(0, n + 1):
-                jobs.append(lambda n=n, k=k: is_pullback_square(
+                report.checks.append(is_pullback_square(
                     p=X.face(n + 3, 0), q=X.face(n + 3, k + 2),
                     f=X.face(n + 2, k + 1), g=X.face(n + 2, 0),
                     grade_bound=gb, name=f"d_{k + 2}/d_bot square n={n}"))
-                jobs.append(lambda n=n, k=k: is_pullback_square(
+                report.checks.append(is_pullback_square(
                     p=X.face(n + 3, n + 3), q=X.face(n + 3, k + 1),
                     f=X.face(n + 2, k + 1), g=X.face(n + 2, n + 2),
                     grade_bound=gb, name=f"d_{k + 1}/d_top square n={n}"))
-        report.checks = _run_checks(jobs, workers)
         return report
 
     raise DomainError(f"unknown profile {profile!r}")
@@ -429,7 +413,7 @@ def _check_identities(X: TruncatedSimplicialGroupoid, n_max: int) -> AxiomReport
     return report
 
 
-def is_culf(f: SimplicialMap, n_max: int, workers: Optional[int] = None) -> AxiomReport:
+def is_culf(f: SimplicialMap, n_max: int) -> AxiomReport:
     """Cartesian on every codegeneracy and inner coface square up to n_max.
 
     Codegeneracy squares are checked for 0 <= i <= n <= n_max (they reach
@@ -446,20 +430,18 @@ def is_culf(f: SimplicialMap, n_max: int, workers: Optional[int] = None) -> Axio
         profile="culf",
         note=f"codegeneracies n = 0..{n_max}; inner cofaces n = 0..{d_n_max}")
     C, Y = f.source, f.target
-    jobs = []
     for n in range(0, n_max + 1):
         for i in range(n + 1):
-            jobs.append(lambda n=n, i=i: is_pullback_square(
+            report.checks.append(is_pullback_square(
                 p=f.level_map(n), q=C.degeneracy(n, i),
                 f=Y.degeneracy(n, i), g=f.level_map(n + 1),
                 grade_bound=gb, name=f"codegeneracy square s_{i} n={n}"))
     for n in range(0, d_n_max + 1):
         for i in range(n + 1):
-            jobs.append(lambda n=n, i=i: is_pullback_square(
+            report.checks.append(is_pullback_square(
                 p=f.level_map(n + 2), q=C.face(n + 2, i + 1),
                 f=Y.face(n + 2, i + 1), g=f.level_map(n + 1),
                 grade_bound=gb, name=f"inner coface square d_{i + 1} n={n}"))
-    report.checks = _run_checks(jobs, workers)
     return report
 
 

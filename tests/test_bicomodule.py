@@ -9,6 +9,7 @@ from moebiuskit.bicomodule import (
     coact,
     comodule_from_decalage,
     comodule_mobius_check,
+    config_coact,
     convolve_action,
     delta_functional,
     left_comodule,
@@ -35,9 +36,17 @@ from moebiuskit.examples import (
     sets_posets_bicomodule,
 )
 from moebiuskit.catposet import FinPoset
-from moebiuskit.groupoid import DomainError, full_subgroupoid, is_pullback_square
+from moebiuskit.groupoid import (
+    DomainError,
+    GroupoidFunctor,
+    cardinality,
+    fiber,
+    fiber_cardinality,
+    full_subgroupoid,
+    is_pullback_square,
+)
 from moebiuskit.incidence import Functional, comultiply, mobius_functional, zeta
-from moebiuskit.simplicial import decalage
+from moebiuskit.simplicial import decalage, principal_edges
 
 from conftest import seeded
 
@@ -166,6 +175,14 @@ def test_coact_total_decalage_matches_comultiply():
     assert {(l, r) for _w, l, r in terms} == {(l, r) for _w, l, r in delta_terms}
 
 
+def test_coact_is_config_coact_of_either_comodule():
+    grids = [sets_posets_bicomodule(3), adjunction_nerve()[0]]
+    for B in grids:
+        for m in B.cell(0, 0).iso_classes().reps:
+            assert coact(B, "right", m) == config_coact(right_comodule(B), m)
+            assert coact(B, "left", m) == config_coact(left_comodule(B), m)
+
+
 def test_convolve_action_unit_law():
     B = sets_posets_bicomodule(2, max_i=2, max_j=2)
     rc = right_comodule(B)
@@ -255,6 +272,39 @@ def test_phi_comodule_decalage_of_layered_posets_vs_oracle():
         for n in range(0, size + 1):
             # Phi^R_n counts surjective monotone (n+1)-layerings of P
             assert phi_comodule(config, m, n) == layerings_oracle(P, n + 1, True)
+
+
+def phi_comodule_oracle(config, m, n):
+    """Phi^side_n(m) with the principal edges of every simplex tested one by
+    one, and the pointing delta as the cardinality of the full fiber."""
+    if n == -1:
+        return cardinality(fiber(config.bottom_section(), m))
+    tab0 = config.space.level(0).iso_classes()
+    image = config.pointing_image_classes()
+    if n == 0:
+        return Fraction(int(tab0.class_of(m) not in image))
+    level = config.space.level(n)
+    vertex, leg = config.vertex_functor(n), config.leg_functor(n)
+    fmap = config.base_map.level_map(n)
+    btab = config.base.level(1).iso_classes()
+    degen = config.base.degenerate_edge_classes()
+    keep = [sigma for sigma in level.objects
+            if tab0.class_of(vertex.ob(sigma)) not in image
+            and all(btab.class_of(e) not in degen
+                    for e in principal_edges(config.base, n, fmap.ob(sigma)))]
+    W = full_subgroupoid(level, keep)
+    return fiber_cardinality(GroupoidFunctor(W, leg.target, leg.ob, leg.__call__), m)
+
+
+def test_phi_comodule_matches_principal_edge_oracle():
+    B = sets_posets_bicomodule(3)
+    configs = [right_comodule(B), left_comodule(B),
+               comodule_from_decalage(decalage(layered_posets(3, max_level=4), "bottom"))]
+    for config in configs:
+        for m in config.space.level(0).iso_classes().reps:
+            for n in range(-1, 3):
+                assert phi_comodule(config, m, n) == phi_comodule_oracle(config, m, n), \
+                    (config.name, m, n)
 
 
 def test_comodule_mobius_check_decalage():

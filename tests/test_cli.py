@@ -1,8 +1,19 @@
+import csv
+import inspect
+import io
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import moebiuskit
 from moebiuskit import cli
+from moebiuskit.bicomodule import validate_configuration
 from moebiuskit.catposet import FinPoset, divisor_poset
 from moebiuskit.examples import poset_key
+from moebiuskit.simplicial import check_axioms, is_culf
 
 
 def write(tmp_path, name, doc):
@@ -60,11 +71,53 @@ def test_check_builtin_layered_posets_decomposition_passes(capsys):
     assert code == 0
 
 
-def test_check_respects_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("MOEBIUSKIT_THREADS", "2")
-    code, out, _ = run(capsys, "check", "builtin:layered-sets",
-                       "--profile", "segal", "--grade", "2", "--max-level", "1")
+def test_checkers_take_no_workers():
+    # the checks run serially: a shared thread pool raced on the lazily
+    # built levels and faces
+    for fn in (check_axioms, is_culf, validate_configuration):
+        assert "workers" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("argv", [
+    ["mobius", "builtin:posets", "--n", "7"],
+    ["mobius", "builtin:posets", "--n", "-1"],
+    ["rota", "builtin:sets-posets", "--grade", "-1"],
+    ["check", "builtin:layered-posets", "--grade", "-2"],
+])
+def test_out_of_range_arguments_exit_2_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(moebiuskit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "moebiuskit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["mobius", "builtin:posets", "--n", "4"],
+    ["rota", "builtin:sets-posets", "--grade", "3"],
+])
+def test_csv_rows_have_header_width(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+
+
+def test_check_grid_rejects_space_profile(capsys):
+    code, _out, err = run(capsys, "check", "builtin:chain-adjunction",
+                          "--profile", "segal")
+    assert code == 2
+    assert "configuration" in err
+
+
+def test_check_space_rejects_configuration_profile(capsys):
+    code, _out, err = run(capsys, "check", "builtin:layered-sets",
+                          "--profile", "configuration", "--grade", "2")
+    assert code == 2
+    assert "configuration" in err
 
 
 def test_mobius_builtin_posets_table(capsys):
