@@ -22,7 +22,7 @@ Segal spaces; the full square family is available behind a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -30,6 +30,7 @@ from .groupoid import (
     DomainError,
     FiniteGroupoid,
     GroupoidFunctor,
+    Memo,
     SquareResult,
     fiber_cardinality,
     full_subgroupoid,
@@ -57,7 +58,7 @@ from .simplicial import (
 )
 
 
-class AugmentedBisimplicialGroupoid:
+class AugmentedBisimplicialGroupoid(Memo):
     """Generator-backed grid of finite groupoids with augmentations.
 
     Callback signatures (all produce memoized functors between memoized
@@ -75,12 +76,14 @@ class AugmentedBisimplicialGroupoid:
 
     Section callbacks may return None for levels where no pointing data
     exists (the layered sets/posets bicomodule only points the bottom of
-    its left side).
+    its left side).  Cells, operators, the row and column views and the
+    comodules and coactions of the grid live in its `_memo`.
     """
 
     def __init__(self, max_i, max_j, cell_fn, hface_fn, vface_fn, hdegen_fn,
                  vdegen_fn, u_fn, v_fn, right_section_fn=None,
                  left_section_fn=None, grade_bound=None, name=""):
+        super().__init__()
         self.max_i = max_i
         self.max_j = max_j
         self._cell_fn = cell_fn
@@ -94,13 +97,6 @@ class AugmentedBisimplicialGroupoid:
         self._left_section_fn = left_section_fn
         self.grade_bound = grade_bound
         self.name = name
-        self._memo: dict = {}
-
-    def _get(self, kind, key, maker):
-        full = (kind,) + key
-        if full not in self._memo:
-            self._memo[full] = maker()
-        return self._memo[full]
 
     def cell(self, i: int, j: int) -> FiniteGroupoid:
         if i == -1 and j == -1:
@@ -108,35 +104,35 @@ class AugmentedBisimplicialGroupoid:
         if not (-1 <= i <= self.max_i and -1 <= j <= self.max_j):
             raise InsufficientLevelsError(max(i, j), max(self.max_i, self.max_j),
                                           f"cell ({i},{j})")
-        return self._get("cell", (i, j), lambda: self._cell_fn(self, i, j))
+        return self._get(("cell", i, j), self._cell_fn, self, i, j)
 
     def hface(self, i, j, k) -> GroupoidFunctor:
         if j < 1 or not 0 <= k <= j:
             raise DomainError(f"no horizontal face d_{k} at ({i},{j})")
-        return self._get("hface", (i, j, k), lambda: self._hface_fn(self, i, j, k))
+        return self._get(("hface", i, j, k), self._hface_fn, self, i, j, k)
 
     def vface(self, i, j, l) -> GroupoidFunctor:
         if i < 1 or not 0 <= l <= i:
             raise DomainError(f"no vertical face e_{l} at ({i},{j})")
-        return self._get("vface", (i, j, l), lambda: self._vface_fn(self, i, j, l))
+        return self._get(("vface", i, j, l), self._vface_fn, self, i, j, l)
 
     def hdegen(self, i, j, k) -> GroupoidFunctor:
         if not 0 <= k <= j:
             raise DomainError(f"no horizontal degeneracy s_{k} at ({i},{j})")
         self.cell(i, j + 1)
-        return self._get("hdegen", (i, j, k), lambda: self._hdegen_fn(self, i, j, k))
+        return self._get(("hdegen", i, j, k), self._hdegen_fn, self, i, j, k)
 
     def vdegen(self, i, j, l) -> GroupoidFunctor:
         if not 0 <= l <= i:
             raise DomainError(f"no vertical degeneracy t_{l} at ({i},{j})")
         self.cell(i + 1, j)
-        return self._get("vdegen", (i, j, l), lambda: self._vdegen_fn(self, i, j, l))
+        return self._get(("vdegen", i, j, l), self._vdegen_fn, self, i, j, l)
 
     def aug_u(self, i) -> GroupoidFunctor:
-        return self._get("u", (i,), lambda: self._u_fn(self, i))
+        return self._get(("u", i), self._u_fn, self, i)
 
     def aug_v(self, j) -> GroupoidFunctor:
-        return self._get("v", (j,), lambda: self._v_fn(self, j))
+        return self._get(("v", j), self._v_fn, self, j)
 
     def has_right_section(self, i, j) -> bool:
         if self._right_section_fn is None or j < 0:
@@ -154,7 +150,7 @@ class AugmentedBisimplicialGroupoid:
             if _probe:
                 return None
             raise DomainError("no right pointing attached")
-        F = self._get("rsec", (i, j), lambda: self._right_section_fn(self, i, j))
+        F = self._get(("rsec", i, j), self._right_section_fn, self, i, j)
         if F is None and not _probe:
             raise DomainError(f"right pointing unavailable at ({i},{j})")
         return F
@@ -165,7 +161,7 @@ class AugmentedBisimplicialGroupoid:
             if _probe:
                 return None
             raise DomainError("no left pointing attached")
-        F = self._get("lsec", (i, j), lambda: self._left_section_fn(self, i, j))
+        F = self._get(("lsec", i, j), self._left_section_fn, self, i, j)
         if F is None and not _probe:
             raise DomainError(f"left pointing unavailable at ({i},{j})")
         return F
@@ -174,27 +170,29 @@ class AugmentedBisimplicialGroupoid:
 
     def row(self, i) -> TruncatedSimplicialGroupoid:
         """The row B_{i,.} with horizontal operators (row(-1) is Y)."""
-        def make():
-            return TruncatedSimplicialGroupoid(
-                self.max_j,
-                lambda s, n: self.cell(i, n),
-                lambda s, n, k: self.hface(i, n, k),
-                lambda s, n, k: self.hdegen(i, n, k),
-                grade_bound=self.grade_bound,
-                name=f"{self.name}.row({i})")
-        return self._get("row", (i,), make)
+        return self._get(("row", i), self._row, i)
+
+    def _row(self, i) -> TruncatedSimplicialGroupoid:
+        return TruncatedSimplicialGroupoid(
+            self.max_j,
+            lambda s, n: self.cell(i, n),
+            lambda s, n, k: self.hface(i, n, k),
+            lambda s, n, k: self.hdegen(i, n, k),
+            grade_bound=self.grade_bound,
+            name=f"{self.name}.row({i})")
 
     def column(self, j) -> TruncatedSimplicialGroupoid:
         """The column B_{.,j} with vertical operators (column(-1) is X)."""
-        def make():
-            return TruncatedSimplicialGroupoid(
-                self.max_i,
-                lambda s, n: self.cell(n, j),
-                lambda s, n, l: self.vface(n, j, l),
-                lambda s, n, l: self.vdegen(n, j, l),
-                grade_bound=self.grade_bound,
-                name=f"{self.name}.col({j})")
-        return self._get("col", (j,), make)
+        return self._get(("column", j), self._column, j)
+
+    def _column(self, j) -> TruncatedSimplicialGroupoid:
+        return TruncatedSimplicialGroupoid(
+            self.max_i,
+            lambda s, n: self.cell(n, j),
+            lambda s, n, l: self.vface(n, j, l),
+            lambda s, n, l: self.vdegen(n, j, l),
+            grade_bound=self.grade_bound,
+            name=f"{self.name}.col({j})")
 
     def x_space(self) -> TruncatedSimplicialGroupoid:
         return self.column(-1)
@@ -203,23 +201,19 @@ class AugmentedBisimplicialGroupoid:
         return self.row(-1)
 
     def u_map(self) -> SimplicialMap:
-        def make():
-            return SimplicialMap(self.column(0), self.column(-1),
-                                 lambda m, n: self.aug_u(n), name="u")
-        return self._get("umap", (), make)
+        return self._get(("u_map",), SimplicialMap, self.column(0), self.column(-1),
+                         lambda m, n: self.aug_u(n), "u")
 
     def v_map(self) -> SimplicialMap:
-        def make():
-            return SimplicialMap(self.row(0), self.row(-1),
-                                 lambda m, n: self.aug_v(n), name="v")
-        return self._get("vmap", (), make)
+        return self._get(("v_map",), SimplicialMap, self.row(0), self.row(-1),
+                         lambda m, n: self.aug_v(n), "v")
 
 
 # -- comodule configurations ---------------------------------------------------
 
 
 @dataclass
-class ComoduleConfiguration:
+class ComoduleConfiguration(Memo):
     """A pointed comodule configuration, right (bottom pointing) or left.
 
     `space` is the Segal side C (a row/column view or a decalage), `base`
@@ -237,11 +231,11 @@ class ComoduleConfiguration:
     augmentation: GroupoidFunctor
     section: Callable[[int], Optional[GroupoidFunctor]]
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.side not in ("right", "left"):
             raise DomainError("side must be 'right' or 'left'")
+        super().__init__()
 
     def bottom_section(self) -> GroupoidFunctor:
         s = self.section(0)
@@ -250,17 +244,15 @@ class ComoduleConfiguration:
         return s
 
     def pointing_complete(self) -> bool:
-        if "complete" not in self._cache:
-            self._cache["complete"] = is_monomorphism(self.bottom_section())
-        return self._cache["complete"]
+        return self._get(("pointing_complete",), is_monomorphism, self.bottom_section())
 
     def pointing_image_classes(self) -> frozenset:
-        if "image" not in self._cache:
-            tab = self.space.level(0).iso_classes()
-            s = self.bottom_section()
-            self._cache["image"] = frozenset(
-                tab.class_of(s.ob(x)) for x in self.aug_target.objects)
-        return self._cache["image"]
+        return self._get(("pointing_image",), self._pointing_image_classes)
+
+    def _pointing_image_classes(self) -> frozenset:
+        tab = self.space.level(0).iso_classes()
+        s = self.bottom_section()
+        return frozenset(tab.class_of(s.ob(x)) for x in self.aug_target.objects)
 
     def vertex_functor(self, n: int) -> GroupoidFunctor:
         """C_n -> C_0 picking out the distinguished vertex."""
@@ -276,6 +268,11 @@ class ComoduleConfiguration:
 
 
 def right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
+    """Row 0 over Y, pointed by s_{-1}; memoised on B."""
+    return B._get(("right_comodule",), _right_comodule, B)
+
+
+def _right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="right", space=B.row(0), base=B.y_space(), base_map=B.v_map(),
         aug_target=B.cell(0, -1), augmentation=B.aug_u(0),
@@ -284,6 +281,11 @@ def right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
 
 
 def left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
+    """Column 0 over X, pointed by t_{top+1}; memoised on B."""
+    return B._get(("left_comodule",), _left_comodule, B)
+
+
+def _left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="left", space=B.column(0), base=B.x_space(), base_map=B.u_map(),
         aug_target=B.cell(-1, 0), augmentation=B.aug_v(0),
@@ -469,11 +471,9 @@ def coact(B: AugmentedBisimplicialGroupoid, side: str, m) -> WeightedTensorList:
     """
     if side not in ("right", "left"):
         raise DomainError("side must be 'right' or 'left'")
-    memo_key = ("coact", side, B.cell(0, 0).iso_classes().class_of(m))
-    if memo_key not in B._memo:
-        config = right_comodule(B) if side == "right" else left_comodule(B)
-        B._memo[memo_key] = config_coact(config, m)
-    return B._memo[memo_key]
+    config = right_comodule(B) if side == "right" else left_comodule(B)
+    return B._get(("coact", side, B.cell(0, 0).iso_classes().class_of(m)),
+                  config_coact, config, m)
 
 
 def convolve_action(B: AugmentedBisimplicialGroupoid, side: str,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bicomodule import AugmentedBisimplicialGroupoid
-from .groupoid import DomainError, StructureError, discrete_groupoid, GroupoidFunctor
+from .groupoid import DomainError, Memo, StructureError, discrete_groupoid, GroupoidFunctor
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -82,11 +82,12 @@ def divisor_poset(n: int) -> FinPoset:
     return FinPoset(divs, [(a, b) for a in divs for b in divs if b % a == 0])
 
 
-class FinCategory:
+class FinCategory(Memo):
     """A finite category: objects, morphisms with source/target, a total
     composition table and designated identities."""
 
     def __init__(self, objects, morphisms, compose, identities, name=""):
+        super().__init__()
         self.objects = tuple(objects)
         self.morphisms = dict(morphisms)          # id -> (src, tgt)
         self._compose = dict(compose)             # (f, g) -> id of g after f
@@ -95,7 +96,7 @@ class FinCategory:
         self._hom: dict = {}
         for m, (a, b) in self.morphisms.items():
             self._hom.setdefault((a, b), []).append(m)
-        self._cache: dict = {}
+        self._poset: Optional[FinPoset] = None   # set by from_poset
 
     def src(self, m):
         return self.morphisms[m][0]
@@ -150,7 +151,7 @@ class FinCategory:
                     compose[(("le", a, b), ("le", b, c))] = ("le", a, c)
         idents = {a: ("le", a, a) for a in P.elements}
         cat = cls(P.elements, mors, compose, idents, name=name)
-        cat._cache["poset"] = P
+        cat._poset = P
         return cat
 
     @classmethod
@@ -181,7 +182,7 @@ class FinCategory:
         return cls(objects, mors, compose, idents, name=name)
 
     def as_poset(self) -> Optional[FinPoset]:
-        return self._cache.get("poset")
+        return self._poset
 
 
 @dataclass
@@ -362,9 +363,7 @@ def is_mobius_category(C: FinCategory, chain_bound: Optional[int] = None) -> Mob
 
 
 def _factorization_counts(C: FinCategory, k_max: int):
-    cache = C._cache.setdefault("phi", {})
-    if cache.get("k_max", -1) >= k_max:
-        return cache["counts"]
+    """[{m: number of identity-free k-factorizations of m} for k = 0..k_max]."""
     pairs = {}
     for f in C.morphisms:
         for g in C.morphisms:
@@ -379,17 +378,18 @@ def _factorization_counts(C: FinCategory, k_max: int):
                 if not C.is_identity(f):
                     nxt[m] += prev[g]
         counts.append(nxt)
-    cache["k_max"] = k_max
-    cache["counts"] = counts
     return counts
 
 
 def classical_mobius(C: FinCategory, f, chain_bound: Optional[int] = None) -> Fraction:
     """mu(f) = sum_k (-1)^k #(identity-free k-factorizations of f)."""
+    if f not in C.morphisms:
+        raise DomainError(f"{f!r} is not a morphism of {C.name or 'the category'}")
     report = is_mobius_category(C, chain_bound)
     if not report:
         raise DomainError(f"not a Mobius category: {report.witness}")
-    counts = _factorization_counts(C, report.max_chain_length)
+    k_max = report.max_chain_length
+    counts = C._get(("factorizations", k_max), _factorization_counts, C, k_max)
     total = 0
     for k, table in enumerate(counts):
         total += table[f] if k % 2 == 0 else -table[f]

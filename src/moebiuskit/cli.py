@@ -186,6 +186,8 @@ def _space_for_check(target, args):
 
 
 def cmd_check(args) -> int:
+    if args.max_level < 1:
+        raise InputError(f"--max-level must be >= 1, got {args.max_level}")
     space, grid = _space_for_check(args.target, args)
     if grid is not None:
         if args.profile not in (None, "configuration"):
@@ -232,11 +234,13 @@ def cmd_mobius(args) -> int:
     if kind == "poset":
         P = load_poset(doc)
         C = cp.FinCategory.from_poset(P)
+        if args.interval:
+            elems = {str(x): x for x in P.elements}
+            a, b = (elems.get(x, x) for x in args.interval)
+            if not P.leq(a, b):
+                raise InputError(f"[{a!r}, {b!r}] is not an interval of the poset")
         try:
             if args.interval:
-                a, b = args.interval
-                elems = {str(x): x for x in P.elements}
-                a, b = elems.get(str(a), a), elems.get(str(b), b)
                 rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))]
             else:
                 rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))
@@ -296,6 +300,8 @@ def cmd_rota(args) -> int:
         rows = _adjunction_rows(F, G, args.bound)
     if args.at:
         rows = [r for r in rows if str(r[0]) == args.at]
+        if not rows:
+            raise InputError(f"--at {args.at!r} matches no row")
     emit_rows(rows, ["at", "lhs", "rhs", "verdict"], args.format)
     return EXIT_OK if all(r[3] == "ok" for r in rows) else EXIT_FAIL
 

@@ -20,10 +20,15 @@ morphism level and strictly commuting squares carry honest identity
 fillers, which is what the pullback checkers assume.  Iso-class tables
 come from a deterministic backtracking canonical form with layer-vector
 refinement, which also provides hom-sets and automorphism groups.
+
+Everything here that depends only on hashable values -- canonical forms,
+automorphism groups, poset catalogues, level object lists and the spaces
+themselves -- is memoised with `functools.cache`, once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Optional
@@ -37,9 +42,6 @@ from .simplicial import TruncatedSimplicialGroupoid
 # A layered structure: (ns, np, colors, rels) with colors a tuple of
 # ('s', k) / ('p', k) pairs and rels a sorted tuple of strict pairs (a, b)
 # meaning a < b, transitively closed.
-
-_CANON_CACHE: dict = {}
-_AUT_CACHE: dict = {}
 
 
 class RouteDisagreementError(Exception):
@@ -61,12 +63,11 @@ def _invariants(m, colors, rels):
     return inv
 
 
+@functools.cache
 def canonical_form(struct):
     """Return (key, perm) with perm mapping concrete index -> canonical
     position; the canonical form minimizes the relation encoding over all
     color/invariant-class-preserving relabelings."""
-    if struct in _CANON_CACHE:
-        return _CANON_CACHE[struct]
     ns, np_, colors, rels = struct
     m = len(colors)
     rels = tuple(sorted(rels))
@@ -75,9 +76,7 @@ def canonical_form(struct):
         perm = [0] * m
         for pos, e in enumerate(order):
             perm[e] = pos
-        result = ((ns, np_, tuple(sorted(colors)), ()), tuple(perm))
-        _CANON_CACHE[struct] = result
-        return result
+        return (ns, np_, tuple(sorted(colors)), ()), tuple(perm)
     inv = _invariants(m, colors, rels)
     blocks: dict = {}
     for e in range(m):
@@ -102,20 +101,16 @@ def canonical_form(struct):
     canon_colors = [None] * m
     for e in range(m):
         canon_colors[best_perm[e]] = colors[e]
-    key = (ns, np_, tuple(canon_colors), best_enc)
-    result = (key, best_perm)
-    _CANON_CACHE[struct] = result
-    return result
+    return (ns, np_, tuple(canon_colors), best_enc), best_perm
 
 
 def canonical_key(struct):
     return canonical_form(struct)[0]
 
 
+@functools.cache
 def aut_perms(key):
     """All automorphism permutations of a canonical layered structure."""
-    if key in _AUT_CACHE:
-        return _AUT_CACHE[key]
     ns, np_, colors, rels = key
     m = len(colors)
     relset = frozenset(rels)
@@ -132,8 +127,7 @@ def aut_perms(key):
                 perm[src] = dst
         if all(((perm[a], perm[b]) in relset) for a, b in rels):
             perms.append(tuple(perm))
-    _AUT_CACHE[key] = tuple(perms)
-    return _AUT_CACHE[key]
+    return tuple(perms)
 
 
 def aut_order(key) -> int:
@@ -253,54 +247,38 @@ def _op_functor(src_gpd, tgt_gpd, op, name="") -> GroupoidFunctor:
 # -- enumeration ----------------------------------------------------------------
 
 
-_POSET_CATALOG: dict = {}
-_LABELED_POSETS: dict = {}
+@functools.cache
+def _plain_posets(m: int) -> tuple:
+    """Canonical strict orders on {0..m-1}: each order on m-1 points gets a
+    new maximal element over each of its order ideals."""
+    if m == 0:
+        return ((),)
+    seen = {}
+    for rels in _plain_posets(m - 1):
+        down = {e: {a for a, b in rels if b == e} for e in range(m - 1)}
+        for bits in product((False, True), repeat=m - 1):
+            ideal = {e for e in range(m - 1) if bits[e]}
+            if any(not down[e] <= ideal for e in ideal):
+                continue
+            new_rels = tuple(sorted(tuple(rels) + tuple((a, m - 1) for a in ideal)))
+            colors = (("p", 1),) * m
+            key, _ = canonical_form((0, 1, colors, new_rels))
+            seen[key[3]] = None
+    return tuple(sorted(seen))
 
 
-def _plain_posets(max_size: int):
-    """Canonical strict orders on {0..m-1} for m <= max_size, generated by
-    repeatedly attaching a new maximal element over each order ideal."""
-    top = _POSET_CATALOG.get("top", -1)
-    if top >= max_size:
-        return _POSET_CATALOG
-    if top < 0:
-        _POSET_CATALOG[0] = [()]
-        _POSET_CATALOG["top"] = 0
-        top = 0
-    for m in range(top + 1, max_size + 1):
-        seen = {}
-        for rels in _POSET_CATALOG[m - 1]:
-            down = {e: {a for a, b in rels if b == e} for e in range(m - 1)}
-            for bits in product((False, True), repeat=m - 1):
-                ideal = {e for e in range(m - 1) if bits[e]}
-                if any(not down[e] <= ideal for e in ideal):
-                    continue
-                new_rels = tuple(sorted(tuple(rels) + tuple((a, m - 1) for a in ideal)))
-                colors = (("p", 1),) * m
-                key, _ = canonical_form((0, 1, colors, new_rels))
-                seen[key[3]] = None
-        _POSET_CATALOG[m] = sorted(seen)
-        _POSET_CATALOG["top"] = m
-    return _POSET_CATALOG
-
-
-def _labeled_posets(m: int):
+@functools.cache
+def _labeled_posets(m: int) -> tuple:
     """All strict orders on the labelled carrier {0..m-1}."""
-    if m in _LABELED_POSETS:
-        return _LABELED_POSETS[m]
-    catalog = _plain_posets(m)
     out = set()
-    for rels in catalog[m]:
+    for rels in _plain_posets(m):
         for perm in permutations(range(m)):
             out.add(tuple(sorted((perm[a], perm[b]) for a, b in rels)))
-    _LABELED_POSETS[m] = sorted(out)
-    return _LABELED_POSETS[m]
+    return tuple(sorted(out))
 
 
-_LEVEL_CACHE: dict = {}
-
-
-def _up_sets(mp, rels):
+@functools.cache
+def _up_sets(mp, rels) -> tuple:
     """Up-closed subsets of the strict order rels on {0..mp-1}."""
     ups = {e: {b for a, b in rels if a == e} for e in range(mp)}
     out = []
@@ -308,9 +286,10 @@ def _up_sets(mp, rels):
         U = {e for e in range(mp) if bits[e]}
         if all(ups[e] <= U for e in U):
             out.append(tuple(sorted(U)))
-    return out
+    return tuple(out)
 
 
+@functools.cache
 def _level_objects(ns: int, np_: int, grade_bound: int):
     """All labelled layered structures with ns set layers, np poset layers
     and at most grade_bound elements.
@@ -320,9 +299,6 @@ def _level_objects(ns: int, np_: int, grade_bound: int):
     elements they sit below (this cross data is what makes the top merge
     invertible in the stability squares), and set layers are discrete.
     """
-    cache_key = (ns, np_, grade_bound)
-    if cache_key in _LEVEL_CACHE:
-        return _LEVEL_CACHE[cache_key]
     s_range = [("s", k) for k in range(1, ns + 1)]
     p_range = [("p", k) for k in range(1, np_ + 1)]
     out = []
@@ -343,13 +319,10 @@ def _level_objects(ns: int, np_: int, grade_bound: int):
                                    for q in U)
                     out.append((ns, np_, colors,
                                 tuple(sorted(p_rels + s_rels))))
-    _LEVEL_CACHE[cache_key] = out
-    return out
+    return tuple(out)
 
 
 # -- the decomposition spaces I and C, and the bicomodule B ----------------------
-
-_SPACE_CACHE: dict = {}
 
 
 def _layer_edge(kind):
@@ -371,20 +344,14 @@ def _layer_edge(kind):
     return fn
 
 
-def _set_face(struct, n, i):
+def _layer_face(struct, kind, n, i):
+    """d_i on the layers of one kind: the outer faces delete a layer, the
+    inner ones join two."""
     if i == 0:
-        return _delete_layer(struct, "s", 1)
+        return _delete_layer(struct, kind, 1)
     if i == n:
-        return _delete_layer(struct, "s", n)
-    return _join_layers(struct, "s", i)
-
-
-def _poset_face(struct, n, i):
-    if i == 0:
-        return _delete_layer(struct, "p", 1)
-    if i == n:
-        return _delete_layer(struct, "p", n)
-    return _join_layers(struct, "p", i)
+        return _delete_layer(struct, kind, n)
+    return _join_layers(struct, kind, i)
 
 
 def layered_sets(grade_bound: int, max_level: Optional[int] = None) -> TruncatedSimplicialGroupoid:
@@ -394,22 +361,7 @@ def layered_sets(grade_bound: int, max_level: Optional[int] = None) -> Truncated
     layers, degeneracies insert empty layers.  Segal and complete."""
     if grade_bound < 0:
         raise DomainError("grade_bound must be >= 0")
-    max_level = max_level or grade_bound + 2
-    cache_key = ("I", grade_bound, max_level)
-    if cache_key in _SPACE_CACHE:
-        return _SPACE_CACHE[cache_key]
-
-    space = TruncatedSimplicialGroupoid(
-        max_level,
-        lambda s, n: layered_groupoid(_level_objects(n, 0, grade_bound), name=f"I_{n}"),
-        lambda s, n, i: _op_functor(s.level(n), s.level(n - 1),
-                                    lambda k: _set_face(k, n, i), name=f"d{i}@{n}"),
-        lambda s, n, i: _op_functor(s.level(n), s.level(n + 1),
-                                    lambda k: _insert_layer(k, "s", i + 1), name=f"s{i}@{n}"),
-        grade_bound=grade_bound, principal_edge_fn=_layer_edge("s"),
-        name=f"I<={grade_bound}")
-    _SPACE_CACHE[cache_key] = space
-    return space
+    return _layered_space("s", grade_bound, max_level or grade_bound + 2)
 
 
 def layered_posets(grade_bound: int, max_level: Optional[int] = None) -> TruncatedSimplicialGroupoid:
@@ -419,22 +371,26 @@ def layered_posets(grade_bound: int, max_level: Optional[int] = None) -> Truncat
     decomposition space (not Segal), complete, graded by element count."""
     if grade_bound < 0:
         raise DomainError("grade_bound must be >= 0")
-    max_level = max_level or grade_bound + 2
-    cache_key = ("C", grade_bound, max_level)
-    if cache_key in _SPACE_CACHE:
-        return _SPACE_CACHE[cache_key]
+    return _layered_space("p", grade_bound, max_level or grade_bound + 2)
 
-    space = TruncatedSimplicialGroupoid(
-        max_level,
-        lambda s, n: layered_groupoid(_level_objects(0, n, grade_bound), name=f"C_{n}"),
+
+@functools.cache
+def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimplicialGroupoid:
+    """Layered sets I (kind 's') or layered posets C (kind 'p')."""
+    letter = "I" if kind == "s" else "C"
+
+    def level(s, n):
+        ns, np_ = (n, 0) if kind == "s" else (0, n)
+        return layered_groupoid(_level_objects(ns, np_, grade_bound), name=f"{letter}_{n}")
+
+    return TruncatedSimplicialGroupoid(
+        max_level, level,
         lambda s, n, i: _op_functor(s.level(n), s.level(n - 1),
-                                    lambda k: _poset_face(k, n, i), name=f"d{i}@{n}"),
+                                    lambda k: _layer_face(k, kind, n, i), name=f"d{i}@{n}"),
         lambda s, n, i: _op_functor(s.level(n), s.level(n + 1),
-                                    lambda k: _insert_layer(k, "p", i + 1), name=f"s{i}@{n}"),
-        grade_bound=grade_bound, principal_edge_fn=_layer_edge("p"),
-        name=f"C<={grade_bound}")
-    _SPACE_CACHE[cache_key] = space
-    return space
+                                    lambda k: _insert_layer(k, kind, i + 1), name=f"s{i}@{n}"),
+        grade_bound=grade_bound, principal_edge_fn=_layer_edge(kind),
+        name=f"{letter}<={grade_bound}")
 
 
 def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
@@ -453,10 +409,12 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
     """
     if grade_bound < 0:
         raise DomainError("grade_bound must be >= 0")
-    cache_key = ("B", grade_bound, max_i, max_j)
-    if cache_key in _SPACE_CACHE:
-        return _SPACE_CACHE[cache_key]
+    return _sets_posets_bicomodule(grade_bound, max_i, max_j)
 
+
+@functools.cache
+def _sets_posets_bicomodule(grade_bound: int, max_i: int,
+                            max_j: int) -> AugmentedBisimplicialGroupoid:
     def shape(i, j):
         if j == -1:
             return (max(i, 0), 0)   # the X border: plain layered sets
@@ -472,7 +430,7 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
     def hface_fn(B, i, j, k):
         np_ = shape(i, j)[1]
         if i == -1:
-            op = lambda key: _poset_face(key, np_, k)
+            op = lambda key: _layer_face(key, "p", np_, k)
         elif k == j:
             op = lambda key: _delete_layer(key, "p", np_)
         else:
@@ -481,7 +439,7 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
 
     def vface_fn(B, i, j, l):
         if j == -1:
-            op = lambda key: _set_face(key, i, l)
+            op = lambda key: _layer_face(key, "s", i, l)
         elif l == 0:
             op = lambda key: _delete_layer(key, "s", 1)
         elif l == i:
@@ -521,13 +479,11 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
                            lambda key: _insert_layer(key, "p", 1),
                            name=f"t-top@({i},{j})")
 
-    B = AugmentedBisimplicialGroupoid(
+    return AugmentedBisimplicialGroupoid(
         max_i, max_j, cell_fn, hface_fn, vface_fn, hdegen_fn, vdegen_fn,
         u_fn, v_fn, right_section_fn=right_section_fn,
         left_section_fn=left_section_fn, grade_bound=grade_bound,
         name=f"B<={grade_bound}")
-    _SPACE_CACHE[cache_key] = B
-    return B
 
 
 # -- poset catalog and the headline computation ----------------------------------
@@ -541,9 +497,8 @@ def enumerate_posets(n: int):
         raise DomainError("poset enumeration is limited to n <= 6")
     if n < 0:
         raise DomainError("n must be >= 0")
-    catalog = _plain_posets(n)
     out = []
-    for rels in catalog[n]:
+    for rels in _plain_posets(n):
         P = FinPoset(range(n), rels)
         key = (0, 1, (("p", 1),) * n, rels)
         out.append((P, aut_order(key)))

@@ -22,6 +22,21 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 
+class Memo:
+    """Owner of one memo dict holding the values derived from this object,
+    keyed by (kind, *args).  Hot accessors read `_memo` inline and come
+    here only on a miss."""
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def _get(self, key: tuple, build: Callable, *args):
+        """The value memoised under key, built as build(*args) on a miss."""
+        if key not in self._memo:
+            self._memo[key] = build(*args)
+        return self._memo[key]
+
+
 class StructureError(Exception):
     """A groupoid, functor or square violates its structural invariants."""
 
@@ -42,7 +57,7 @@ class Mor:
         return f"Mor({self.src!r} -> {self.tgt!r}: {self.label!r})"
 
 
-class FiniteGroupoid:
+class FiniteGroupoid(Memo):
     """A finite groupoid given by objects plus hom/compose/identity rules.
 
     `hom`, `compose` and `identity` may be arbitrary callables; use
@@ -71,6 +86,7 @@ class FiniteGroupoid:
         iso_key: Optional[Callable[[Any], Any]] = None,
         name: str = "",
     ):
+        super().__init__()
         self.objects = tuple(objects)
         self._object_set = frozenset(self.objects)
         if len(self._object_set) != len(self.objects):
@@ -83,7 +99,6 @@ class FiniteGroupoid:
         self._component_key = component_key
         self._iso_key = iso_key
         self.name = name
-        self._iso_table: Optional[IsoClassTable] = None
 
     # -- basic structure ------------------------------------------------
 
@@ -143,9 +158,10 @@ class FiniteGroupoid:
     # -- iso classes -----------------------------------------------------
 
     def iso_classes(self) -> "IsoClassTable":
-        if self._iso_table is None:
-            self._iso_table = IsoClassTable._build(self)
-        return self._iso_table
+        table = self._memo.get(("iso_classes",))
+        if table is None:
+            table = self._get(("iso_classes",), IsoClassTable._build, self)
+        return table
 
     # -- constructors ----------------------------------------------------
 
@@ -441,23 +457,19 @@ def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:
         return Mor(x, x, S.identity(x[0]).label)
 
     # exact iso invariant: the source class together with the orbit of the
-    # transported comparison iso under the image of Aut(rep)
+    # transported comparison iso under the image of Aut(rep), as a set of
+    # labels (labels are compared by equality, never by repr)
     table = S.iso_classes()
     aut_images: dict = {}
-    key_memo: dict = {}
 
     def iso_key(x):
-        if x in key_memo:
-            return key_memo[x]
         a, phi = x
         rep = table.class_of(a)
         if rep not in aut_images:
             aut_images[rep] = [F(alpha) for alpha in S.hom(rep, rep)]
         ca = _connector(S, a, rep)
         tilde = T.compose(phi, T.inverse(F(ca)))
-        orbit_min = min((repr(T.compose(tilde, u).label) for u in aut_images[rep]))
-        key_memo[x] = (rep, orbit_min)
-        return key_memo[x]
+        return rep, frozenset(T.compose(tilde, u).label for u in aut_images[rep])
 
     return FiniteGroupoid(
         objs, hom, compose, identity, iso_key=iso_key,
@@ -556,14 +568,12 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
         grade_fn = lambda x: A.grade(x[0]) + B.grade(x[1]) - C.grade(f.ob(x[0]))
 
     # exact iso invariant via the double-coset orbit of the transported
-    # comparison iso under the images of Aut(rep_a) x Aut(rep_b)
+    # comparison iso under the images of Aut(rep_a) x Aut(rep_b), as a set
+    # of labels
     f_auts: dict = {}
     g_auts: dict = {}
-    key_memo: dict = {}
 
     def iso_key(x):
-        if x in key_memo:
-            return key_memo[x]
         a, b, phi = x
         ra, rb = atab.class_of(a), btab.class_of(b)
         if ra not in f_auts:
@@ -572,10 +582,8 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
             g_auts[rb] = [g(beta) for beta in B.hom(rb, rb)]
         ca, cb = _connector(A, a, ra), _connector(B, b, rb)
         tilde = C.compose(g(cb), C.compose(phi, C.inverse(f(ca))))
-        orbit_min = min(repr(C.compose(v, C.compose(tilde, u)).label)
-                        for u in f_auts[ra] for v in g_auts[rb])
-        key_memo[x] = (ra, rb, orbit_min)
-        return key_memo[x]
+        return ra, rb, frozenset(C.compose(v, C.compose(tilde, u)).label
+                                 for u in f_auts[ra] for v in g_auts[rb])
 
     P = FiniteGroupoid(
         objs, hom, compose, identity, grade=grade_fn, iso_key=iso_key,

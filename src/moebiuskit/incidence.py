@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .groupoid import DomainError, FiniteGroupoid, GroupoidFunctor, fiber_cardinality, weighted_fiber
+from .groupoid import (DomainError, FiniteGroupoid, GroupoidFunctor, Memo, fiber_cardinality,
+                       weighted_fiber)
 from .simplicial import TruncatedSimplicialGroupoid, nondegenerate_simplices
 
 
@@ -37,7 +38,7 @@ class MobiusCertificateError(Exception):
     """
 
 
-class Functional:
+class Functional(Memo):
     """A rational functional on the iso-classes of a carrier groupoid.
 
     Backed either by a finite support table or by a total evaluation rule;
@@ -46,16 +47,17 @@ class Functional:
     """
 
     def __init__(self, carrier: FiniteGroupoid, fn: Callable, name: str = ""):
+        super().__init__()
         self.carrier = carrier
         self._fn = fn
         self.name = name
-        self._memo: dict = {}
 
     def __call__(self, obj) -> Fraction:
         rep = self.carrier.iso_classes().class_of(obj)
-        if rep not in self._memo:
-            self._memo[rep] = Fraction(self._fn(rep))
-        return self._memo[rep]
+        value = self._memo.get(("at", rep))
+        if value is None:
+            value = self._memo["at", rep] = Fraction(self._fn(rep))
+        return value
 
     @classmethod
     def from_table(cls, carrier, table: dict, default=Fraction(0), name=""):

@@ -23,6 +23,7 @@ from .groupoid import (
     DomainError,
     FiniteGroupoid,
     GroupoidFunctor,
+    Memo,
     SquareResult,
     full_subgroupoid,
     functors_equal,
@@ -43,7 +44,7 @@ class InsufficientLevelsError(DomainError):
         super().__init__(msg)
 
 
-class TruncatedSimplicialGroupoid:
+class TruncatedSimplicialGroupoid(Memo):
     """Levels X_0..X_N of finite groupoids with faces d_i and degeneracies s_i.
 
     The generator callbacks receive the space itself, so a face functor can
@@ -52,6 +53,10 @@ class TruncatedSimplicialGroupoid:
         level_fn(space, n)      -> FiniteGroupoid
         face_fn(space, n, i)    -> GroupoidFunctor level n -> n-1,  0 <= i <= n
         degen_fn(space, n, i)   -> GroupoidFunctor level n -> n+1,  0 <= i <= n
+
+    Levels, operators and the values derived from them (word groupoids,
+    completeness) live in the space's `_memo`.  Only valid indices are
+    ever stored, so a hit needs no range check.
     """
 
     def __init__(self, max_level: int, level_fn, face_fn, degen_fn,
@@ -59,6 +64,7 @@ class TruncatedSimplicialGroupoid:
                  principal_edge_fn=None, name: str = ""):
         if max_level < 1:
             raise DomainError("a truncated simplicial groupoid needs max_level >= 1")
+        super().__init__()
         self.max_level = max_level
         self._level_fn = level_fn
         self._face_fn = face_fn
@@ -66,11 +72,6 @@ class TruncatedSimplicialGroupoid:
         self._principal_edge_fn = principal_edge_fn
         self.grade_bound = grade_bound
         self.name = name
-        self._levels: dict = {}
-        self._faces: dict = {}
-        self._degens: dict = {}
-        self._complete: Optional[bool] = None
-        self._cache: dict = {}
 
     @classmethod
     def from_levels(cls, levels, faces, degens, grade_bound=None, name=""):
@@ -82,27 +83,30 @@ class TruncatedSimplicialGroupoid:
         return space
 
     def level(self, n: int) -> FiniteGroupoid:
-        if not 0 <= n <= self.max_level:
-            raise InsufficientLevelsError(n, self.max_level, self.name)
-        if n not in self._levels:
-            self._levels[n] = self._level_fn(self, n)
-        return self._levels[n]
+        G = self._memo.get(("level", n))
+        if G is None:
+            if not 0 <= n <= self.max_level:
+                raise InsufficientLevelsError(n, self.max_level, self.name)
+            G = self._get(("level", n), self._level_fn, self, n)
+        return G
 
     def face(self, n: int, i: int) -> GroupoidFunctor:
-        if not (1 <= n <= self.max_level and 0 <= i <= n):
-            raise DomainError(f"no face d_{i} at level {n}")
-        if (n, i) not in self._faces:
-            self._faces[(n, i)] = self._face_fn(self, n, i)
-        return self._faces[(n, i)]
+        F = self._memo.get(("face", n, i))
+        if F is None:
+            if not (1 <= n <= self.max_level and 0 <= i <= n):
+                raise DomainError(f"no face d_{i} at level {n}")
+            F = self._get(("face", n, i), self._face_fn, self, n, i)
+        return F
 
     def degeneracy(self, n: int, i: int) -> GroupoidFunctor:
-        if n + 1 > self.max_level:
-            raise InsufficientLevelsError(n + 1, self.max_level, self.name)
-        if not (0 <= i <= n):
-            raise DomainError(f"no degeneracy s_{i} at level {n}")
-        if (n, i) not in self._degens:
-            self._degens[(n, i)] = self._degen_fn(self, n, i)
-        return self._degens[(n, i)]
+        F = self._memo.get(("degeneracy", n, i))
+        if F is None:
+            if n + 1 > self.max_level:
+                raise InsufficientLevelsError(n + 1, self.max_level, self.name)
+            if not (0 <= i <= n):
+                raise DomainError(f"no degeneracy s_{i} at level {n}")
+            F = self._get(("degeneracy", n, i), self._degen_fn, self, n, i)
+        return F
 
     # -- derived accessors -------------------------------------------------
 
@@ -144,17 +148,15 @@ class TruncatedSimplicialGroupoid:
 
     def degenerate_edge_classes(self) -> frozenset:
         """Iso classes of level-1 objects in the essential image of s_0."""
-        if "degen_edges" not in self._cache:
-            tab = self.level(1).iso_classes()
-            s0 = self.degeneracy(0, 0)
-            self._cache["degen_edges"] = frozenset(
-                tab.class_of(s0.ob(x)) for x in self.level(0).objects)
-        return self._cache["degen_edges"]
+        return self._get(("degenerate_edges",), self._degenerate_edge_classes)
+
+    def _degenerate_edge_classes(self) -> frozenset:
+        tab = self.level(1).iso_classes()
+        s0 = self.degeneracy(0, 0)
+        return frozenset(tab.class_of(s0.ob(x)) for x in self.level(0).objects)
 
     def is_complete(self) -> bool:
-        if self._complete is None:
-            self._complete = is_monomorphism(self.degeneracy(0, 0))
-        return self._complete
+        return self._get(("complete",), is_monomorphism, self.degeneracy(0, 0))
 
 
 def principal_edges(X: TruncatedSimplicialGroupoid, n: int, sigma) -> list:
@@ -178,17 +180,17 @@ class WordGroupoid:
 
 
 def word_groupoid(X: TruncatedSimplicialGroupoid, word: str) -> WordGroupoid:
-    n = len(word)
+    """X_w, memoised on X."""
     if any(c not in "01a" for c in word):
         raise DomainError(f"word {word!r} not over alphabet 0/1/a")
-    cached = X._cache.get(("word", word))
-    if cached is not None:
-        return cached
+    return X._get(("word", word), _build_word_groupoid, X, word)
+
+
+def _build_word_groupoid(X: TruncatedSimplicialGroupoid, word: str) -> WordGroupoid:
+    n = len(word)
     level = X.level(n)
     if n == 0:
-        result = WordGroupoid(X, word, level)
-        X._cache[("word", word)] = result
-        return result
+        return WordGroupoid(X, word, level)
     degen = X.degenerate_edge_classes()
     tab = X.level(1).iso_classes()
     keep = []
@@ -203,9 +205,7 @@ def word_groupoid(X: TruncatedSimplicialGroupoid, word: str) -> WordGroupoid:
                 break
         if ok:
             keep.append(sigma)
-    result = WordGroupoid(X, word, full_subgroupoid(level, keep, name=f"X_{word}"))
-    X._cache[("word", word)] = result
-    return result
+    return WordGroupoid(X, word, full_subgroupoid(level, keep, name=f"X_{word}"))
 
 
 def nondegenerate_simplices(X: TruncatedSimplicialGroupoid, n: int) -> WordGroupoid:
@@ -222,15 +222,15 @@ def nondegenerate_simplices(X: TruncatedSimplicialGroupoid, n: int) -> WordGroup
 # -- simplicial maps ---------------------------------------------------------
 
 
-class SimplicialMap:
+class SimplicialMap(Memo):
     """A strictly simplicial map between truncated simplicial groupoids."""
 
     def __init__(self, source, target, level_fn, name: str = ""):
+        super().__init__()
         self.source = source
         self.target = target
         self._level_fn = level_fn    # (map, n) -> GroupoidFunctor
         self.name = name
-        self._levels: dict = {}
 
     @property
     def max_level(self) -> int:
@@ -239,9 +239,7 @@ class SimplicialMap:
     def level_map(self, n: int) -> GroupoidFunctor:
         if n > self.max_level:
             raise InsufficientLevelsError(n, self.max_level, self.name)
-        if n not in self._levels:
-            self._levels[n] = self._level_fn(self, n)
-        return self._levels[n]
+        return self._get(("level", n), self._level_fn, self, n)
 
     @classmethod
     def identity(cls, X, name="id") -> "SimplicialMap":

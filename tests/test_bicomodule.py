@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from moebiuskit import bicomodule, examples
 from moebiuskit.bicomodule import (
     AugmentedBisimplicialGroupoid,
     check_associativity,
@@ -43,6 +44,7 @@ from moebiuskit.groupoid import (
     fiber,
     fiber_cardinality,
     full_subgroupoid,
+    is_monomorphism,
     is_pullback_square,
 )
 from moebiuskit.incidence import Functional, comultiply, mobius_functional, zeta
@@ -368,3 +370,28 @@ def test_insufficient_cells_rejected():
     B = sets_posets_bicomodule(2, max_i=2, max_j=2)
     with pytest.raises(DomainError):
         B.cell(5, 0)
+
+
+def test_comodules_are_memoised_on_the_grid():
+    B = sets_posets_bicomodule(2)
+    assert right_comodule(B) is right_comodule(B)
+    assert left_comodule(B) is left_comodule(B)
+    assert right_comodule(B) is not left_comodule(B)
+
+
+def test_rota_sweep_checks_each_pointing_once(monkeypatch):
+    # a fresh grid, so the count does not depend on which tests ran before
+    B = examples._sets_posets_bicomodule.__wrapped__(3, 3, 3)
+    calls = []
+
+    def counting(F):
+        calls.append(F)
+        return is_monomorphism(F)
+
+    monkeypatch.setattr(bicomodule, "is_monomorphism", counting)
+    reps = B.cell(0, 0).iso_classes().reps
+    assert len(reps) == 9
+    for m in reps:
+        lhs, rhs = rota_evaluate(B, m)
+        assert lhs == rhs
+    assert len(calls) == 2     # one per pointing, not one per class and side

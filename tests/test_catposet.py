@@ -246,3 +246,11 @@ def test_correspondence_bisimplicial_cells():
     t = B.left_section(0, 0)
     for y in B.cell(-1, 0).objects:
         assert B.aug_v(0).ob(t.ob(y)) == y
+
+
+def test_classical_mobius_rejects_unknown_morphism():
+    C = FinCategory.from_poset(chain_poset(3))
+    for f in [("le", 2, 0), ("le", 0, 9)]:
+        with pytest.raises(DomainError, match="not a morphism"):
+            classical_mobius(C, f)
+    assert classical_mobius(C, ("le", 0, 1)) == -1

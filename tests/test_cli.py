@@ -201,3 +201,30 @@ def test_poset_json_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "roundtrip.json", doc)
     loaded = cli.load_poset(json.loads((tmp_path / "roundtrip.json").read_text()))
     assert poset_key(loaded) == poset_key(P)
+
+
+@pytest.mark.parametrize("interval", [("2", "0"), ("0", "9")])
+def test_mobius_non_interval_exit_2(tmp_path, capsys, interval):
+    # [2, 0] is not an interval of the chain; 9 is not an element
+    path = write(tmp_path, "chain3.json", chain3_doc())
+    code, out, err = run(capsys, "mobius", path, "--interval", *interval)
+    assert code == 2
+    assert err.startswith("input error: ") and "not an interval" in err
+    assert out == ""
+
+
+def test_rota_at_without_matching_row_exit_2(capsys):
+    code, out, err = run(capsys, "rota", "builtin:sets-posets", "--grade", "2",
+                         "--at", "nonsense")
+    assert code == 2
+    assert err.startswith("input error: ") and "matches no row" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("max_level", ["-1", "0"])
+def test_check_max_level_below_1_exit_2(capsys, max_level):
+    code, out, err = run(capsys, "check", "builtin:chain-adjunction",
+                         "--max-level", max_level)
+    assert code == 2
+    assert err.startswith("input error: ") and "--max-level" in err
+    assert out == ""

@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import moebiuskit
 from moebiuskit.catposet import FinPoset
 from moebiuskit.examples import (
     aut_order,
@@ -160,3 +163,20 @@ def test_cardinality_of_layered_sets_level():
     # |I_1| at grade <= 3 is 1 + 1 + 1/2 + 1/6
     I = layered_sets(3)
     assert cardinality(I.level(1)) == Fraction(8, 3)
+
+
+def test_spaces_are_memoised_by_normalised_arguments():
+    assert layered_posets(3) is layered_posets(3, max_level=5)
+    assert layered_sets(2) is layered_sets(2, max_level=4)
+    assert sets_posets_bicomodule(2) is sets_posets_bicomodule(2, max_i=3, max_j=3)
+    assert layered_posets(3) is not layered_posets(3, max_level=3)
+
+
+def test_no_module_binds_a_dict():
+    # memos live on the objects that own them or behind functools.cache
+    for info in pkgutil.iter_modules(moebiuskit.__path__):
+        module = importlib.import_module(f"moebiuskit.{info.name}")
+        bound = [name for name, value in vars(module).items()
+                 if isinstance(value, dict)
+                 and not (name.startswith("__") and name.endswith("__"))]
+        assert bound == [], (info.name, bound)

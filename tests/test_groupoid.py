@@ -237,3 +237,54 @@ def test_full_subgroupoid_domain_check():
     G = discrete_groupoid([0, 1])
     with pytest.raises(DomainError):
         full_subgroupoid(G, [2])
+
+
+
+def _partition(G):
+    table = G.iso_classes()
+    return {frozenset(table.members[rep]) for rep in table.reps}
+
+
+def _union_find_partition(G):
+    """The classes of G found by hom scans, without its iso key."""
+    return _partition(FiniteGroupoid(G.objects, G._hom, G._compose, G._identity))
+
+
+class _SameRepr:
+    """An opaque label whose repr does not tell instances apart."""
+
+    def __repr__(self):
+        return "g"
+
+
+def test_iso_keys_do_not_merge_labels_with_equal_repr():
+    # Z/2 on one object, with labels e != g printing alike; a point maps in
+    e, g = _SameRepr(), _SameRepr()
+    mult = {(e, e): e, (e, g): g, (g, e): g, (g, g): e}
+    T = FiniteGroupoid.from_tables(
+        ["*"], {("*", "*"): [e, g]},
+        {(("*", "*", x), ("*", "*", y)): mult[x, y] for x in (e, g) for y in (e, g)},
+        {"*": e}, name="Z2")
+    point = discrete_groupoid(["pt"])
+    F = GroupoidFunctor(point, T, lambda a: "*", lambda m: T.identity("*"), name="pt")
+
+    fib = fiber(F, "*")
+    assert len(_partition(fib)) == 2
+    assert _partition(fib) == _union_find_partition(fib)
+    assert cardinality(fib) == fiber_cardinality(F, "*") == 2
+    P, _, _ = homotopy_pullback(F, F)
+    assert len(_partition(P)) == 2
+    assert _partition(P) == _union_find_partition(P)
+    assert cardinality(P) == 2
+
+
+def test_iso_key_classes_match_union_find_random():
+    # the orbit keys of fibers and pullbacks give exactly the hom-scan classes
+    rng = seeded(17)
+    for _ in range(30):
+        F = random_cluster_functor(rng)
+        for c in F.target.iso_classes().reps:
+            fib = fiber(F, c)
+            assert _partition(fib) == _union_find_partition(fib)
+        P, _, _ = homotopy_pullback(F, F)
+        assert _partition(P) == _union_find_partition(P)
