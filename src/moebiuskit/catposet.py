@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bicomodule import AugmentedBisimplicialGroupoid
-from .groupoid import DomainError, Memo, StructureError, discrete_groupoid, GroupoidFunctor
+from .groupoid import DomainError, Memo, StructureError, discrete_functor, discrete_groupoid
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -210,12 +210,6 @@ class FinFunctor:
                 derived[m] = cands[0]
             self.mor = derived
 
-    def apply_ob(self, a):
-        return self.ob[a]
-
-    def apply_mor(self, m):
-        return self.mor[m]
-
     def validate(self) -> None:
         S, T = self.source, self.target
         for a in S.objects:
@@ -282,16 +276,12 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
         return discrete_groupoid(chains(n), name=f"N{n}")
 
     def face_fn(space, n, i):
-        src, tgt = space.level(n), space.level(n - 1)
-        return GroupoidFunctor(src, tgt, lambda c: face_ob(n, i, c),
-                               lambda m: tgt.identity(face_ob(n, i, m.src)),
-                               name=f"d{i}@{n}")
+        return discrete_functor(space.level(n), space.level(n - 1),
+                                lambda c: face_ob(n, i, c), name=f"d{i}@{n}")
 
     def degen_fn(space, n, i):
-        src, tgt = space.level(n), space.level(n + 1)
-        return GroupoidFunctor(src, tgt, lambda c: degen_ob(n, i, c),
-                               lambda m: tgt.identity(degen_ob(n, i, m.src)),
-                               name=f"s{i}@{n}")
+        return discrete_functor(space.level(n), space.level(n + 1),
+                                lambda c: degen_ob(n, i, c), name=f"s{i}@{n}")
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
                                        name=name or f"N({C.name})")
@@ -317,7 +307,12 @@ def is_mobius_category(C: FinCategory, chain_bound: Optional[int] = None) -> Mob
     non-identity morphisms exists; the report carries the maximal
     identity-free chain length, or a witness morphism on a cycle (a
     non-identity isomorphism or idempotent makes the Phi counts infinite).
+    The report is memoised on C.
     """
+    return C._get(("mobius_category", chain_bound), _mobius_category_search, C, chain_bound)
+
+
+def _mobius_category_search(C: FinCategory, chain_bound: Optional[int]) -> MobiusCategoryReport:
     nonid = [m for m in C.morphisms if not C.is_identity(m)]
     if chain_bound is None:
         chain_bound = len(nonid)
@@ -686,34 +681,31 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
         pattern = (0,) * (i + 1) + (1,) * (j + 1)
         return discrete_groupoid(chains(pattern), name=f"B({i},{j})")
 
-    def disc_functor(src, tgt, ob):
-        return GroupoidFunctor(src, tgt, ob, lambda m: tgt.identity(ob(m.src)))
-
     def hface_fn(B, i, j, k):
         vtx = k if i == -1 else i + 1 + k
-        return disc_functor(B.cell(i, j), B.cell(i, j - 1),
-                            lambda c: _chain_face(C, c, vtx))
+        return discrete_functor(B.cell(i, j), B.cell(i, j - 1),
+                                lambda c: _chain_face(C, c, vtx))
 
     def vface_fn(B, i, j, l):
-        return disc_functor(B.cell(i, j), B.cell(i - 1, j),
-                            lambda c: _chain_face(C, c, l))
+        return discrete_functor(B.cell(i, j), B.cell(i - 1, j),
+                                lambda c: _chain_face(C, c, l))
 
     def hdegen_fn(B, i, j, k):
         vtx = k if i == -1 else i + 1 + k
-        return disc_functor(B.cell(i, j), B.cell(i, j + 1),
-                            lambda c: _chain_degen(C, c, vtx))
+        return discrete_functor(B.cell(i, j), B.cell(i, j + 1),
+                                lambda c: _chain_degen(C, c, vtx))
 
     def vdegen_fn(B, i, j, l):
-        return disc_functor(B.cell(i, j), B.cell(i + 1, j),
-                            lambda c: _chain_degen(C, c, l))
+        return discrete_functor(B.cell(i, j), B.cell(i + 1, j),
+                                lambda c: _chain_degen(C, c, l))
 
     def u_fn(B, i):
-        return disc_functor(B.cell(i, 0), B.cell(i, -1),
-                            lambda c: _chain_face(C, c, i + 1))
+        return discrete_functor(B.cell(i, 0), B.cell(i, -1),
+                                lambda c: _chain_face(C, c, i + 1))
 
     def v_fn(B, j):
-        return disc_functor(B.cell(0, j), B.cell(-1, j),
-                            lambda c: _chain_face(C, c, 0))
+        return discrete_functor(B.cell(0, j), B.cell(-1, j),
+                                lambda c: _chain_face(C, c, 0))
 
     def unique_post_factor(a, m):
         """The unique h with h . a = m, through the cocartesian lift a."""
@@ -741,7 +733,7 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                 h = unique_post_factor(a, ms[i])
                 return (vs[:i + 1] + (t,) + vs[i + 1:],
                         ms[:i] + (a, h) + ms[i + 1:])
-            return disc_functor(B.cell(i, j - 1), B.cell(i, j), ob)
+            return discrete_functor(B.cell(i, j - 1), B.cell(i, j), ob)
 
     left_section_fn = None
     if report.all_cartesian:
@@ -755,7 +747,7 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                 h = unique_pre_factor(a, ms[i - 1])
                 return (vs[:i] + (C.src(a),) + vs[i:],
                         ms[:i - 1] + (h, a) + ms[i:])
-            return disc_functor(B.cell(i - 1, j), B.cell(i, j), ob)
+            return discrete_functor(B.cell(i - 1, j), B.cell(i, j), ob)
 
     return AugmentedBisimplicialGroupoid(
         max_i, max_j, cell_fn, hface_fn, vface_fn, hdegen_fn, vdegen_fn,

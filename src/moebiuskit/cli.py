@@ -216,15 +216,14 @@ def cmd_check(args) -> int:
 def cmd_mobius(args) -> int:
     fmt = args.format
     if args.target in ("builtin:posets", "builtin:layered-posets"):
-        n = args.n if args.n is not None else args.grade
         rows = []
-        for P, _aut in ex.enumerate_posets(n):
+        for P, _aut in ex.enumerate_posets(args.n):
             mu = ex.mu_posets(P, route="direct")
             rows.append((_describe_key(ex.poset_key(P)), mu))
         emit_rows(rows, ["class", "mu"], fmt)
         return EXIT_OK
     if args.target in ("builtin:sets", "builtin:layered-sets"):
-        n = args.n if args.n is not None else args.grade
+        n = args.n
         X = ex.layered_sets(n, max_level=max(2, n))
         key = (1, 0, (("s", 1),) * n, ())
         emit_rows([(f"set({n},)", inc.mobius(X, key))], ["class", "mu"], fmt)
@@ -323,13 +322,12 @@ def build_parser():
                     help="default: segal on spaces, configuration on grids")
     pc.add_argument("--max-level", type=int, default=2)
     pc.add_argument("--grade", type=int, default=3)
-    pc.add_argument("--format", default="text", choices=["text", "json", "csv"])
+    pc.add_argument("--format", default="text", choices=["text", "json"])
     pc.set_defaults(fn=cmd_check)
 
     pm = sub.add_parser("mobius", help="Mobius function tables")
     pm.add_argument("target")
-    pm.add_argument("--n", type=int, default=None)
-    pm.add_argument("--grade", type=int, default=3)
+    pm.add_argument("--n", type=int, default=3)
     pm.add_argument("--interval", nargs=2, default=None)
     pm.add_argument("--bound", type=int, default=None)
     pm.add_argument("--format", default="text", choices=["text", "json", "csv"])

@@ -5,9 +5,14 @@ reduces to a handful of operations implemented here:
 
 * `cardinality` -- the automorphism-weighted count sum(1/|Aut|) over
   isomorphism classes,
-* `fiber` / `homotopy_pullback` -- iso-comma constructions,
+* `homotopy_pullback` -- the iso-comma construction; `fiber` is its
+  groupoid part along the functor that picks one object,
 * `is_pullback_square`, `is_equivalence`, `is_monomorphism` -- exhaustive
   structural checks with explicit witnesses on failure.
+
+Iso classes follow one rule: a groupoid with an exact `iso_key` groups
+its objects by key, any other compares each object by `hom` with the
+class representatives found so far.
 
 Morphisms are identified by the triple (source, target, label); labels are
 opaque and compared by equality.  Composition is written `compose(g, f)`
@@ -65,13 +70,12 @@ class FiniteGroupoid(Memo):
     form accepted from instance files), and `validate` to scan the tables
     for associativity, units, inverses and hom-set disjointness.
 
-    `skeletal=True` asserts that distinct objects are never isomorphic,
-    which lets iso-class computations skip the hom scan.  `component_key`
-    is an optional isomorphism invariant on objects: objects with distinct
-    keys are guaranteed non-isomorphic (used to bucket union-find scans).
     `iso_key` is an exact invariant: objects are isomorphic if and only if
-    their keys agree, which makes the iso-class table a single grouping
-    pass (the generated layered levels use their canonical forms here).
+    their keys agree, and the iso-class table groups the objects by it
+    (layered levels key by canonical forms, iso-commas by double cosets,
+    discrete groupoids and skeletons by the object itself).  Without one,
+    each object is compared by `hom` with the representatives found so
+    far.  Either way classes and representatives follow object order.
     """
 
     def __init__(
@@ -80,9 +84,7 @@ class FiniteGroupoid(Memo):
         hom: Callable[[Any, Any], tuple],
         compose: Callable[[Mor, Mor], Mor],
         identity: Callable[[Any], Mor],
-        skeletal: bool = False,
         grade: Optional[Callable[[Any], int]] = None,
-        component_key: Optional[Callable[[Any], Any]] = None,
         iso_key: Optional[Callable[[Any], Any]] = None,
         name: str = "",
     ):
@@ -94,9 +96,7 @@ class FiniteGroupoid(Memo):
         self._hom = hom
         self._compose = compose
         self._identity = identity
-        self.skeletal = skeletal
         self._grade = grade
-        self._component_key = component_key
         self._iso_key = iso_key
         self.name = name
 
@@ -129,20 +129,11 @@ class FiniteGroupoid(Memo):
         raise StructureError(f"no inverse found for {f!r}")
 
     def morphisms(self) -> Iterator[Mor]:
-        if self.skeletal:
-            for a in self.objects:
-                yield from self.hom(a, a)
-            return
-        if self._iso_key is not None:
-            table = self.iso_classes()
-            for rep in table.reps:
-                for a in table.members[rep]:
-                    for b in table.members[rep]:
-                        yield from self.hom(a, b)
-            return
-        for a in self.objects:
-            for b in self.objects:
-                yield from self.hom(a, b)
+        table = self.iso_classes()
+        for rep in table.reps:
+            for a in table.members[rep]:
+                for b in table.members[rep]:
+                    yield from self.hom(a, b)
 
     def is_graded(self) -> bool:
         return self._grade is not None
@@ -151,9 +142,6 @@ class FiniteGroupoid(Memo):
         if self._grade is None:
             raise DomainError("groupoid carries no grade")
         return self._grade(a)
-
-    def component_key(self, a):
-        return None if self._component_key is None else self._component_key(a)
 
     # -- iso classes -----------------------------------------------------
 
@@ -204,19 +192,24 @@ class FiniteGroupoid(Memo):
         return cls(objects, hom, comp, ident, grade=grade, name=name)
 
     def validate(self) -> None:
-        """Exhaustively check the groupoid axioms; raise StructureError."""
+        """Exhaustively check the groupoid axioms; raise StructureError.
+
+        Every pair of objects is scanned: the iso classes of a structure
+        under check are not trusted."""
+        mors = [m for a in self.objects for b in self.objects for m in self.hom(a, b)]
         seen = {}
-        for m in self.morphisms():
+        out_of: dict = {}
+        for m in mors:
             if m.label in seen and seen[m.label] != (m.src, m.tgt):
                 raise StructureError(f"label {m.label!r} reused across hom-sets")
             seen.setdefault(m.label, (m.src, m.tgt))
+            out_of.setdefault(m.src, []).append(m)
         for a in self.objects:
             ida = self.identity(a)
             if (ida.src, ida.tgt) != (a, a):
                 raise StructureError(f"identity of {a!r} is not an endomorphism")
             if ida not in self.hom(a, a):
                 raise StructureError(f"identity of {a!r} missing from hom({a!r},{a!r})")
-        mors = list(self.morphisms())
         for f in mors:
             if self.compose(f, self.identity(f.src)) != f:
                 raise StructureError(f"right unit law fails at {f!r}")
@@ -226,15 +219,11 @@ class FiniteGroupoid(Memo):
             if gf != self.identity(f.src):
                 raise StructureError(f"inverse law fails at {f!r}")
         for f in mors:
-            for g in self.hom(f.tgt, f.tgt) if self.skeletal else mors:
-                if g.src != f.tgt:
-                    continue
+            for g in out_of.get(f.tgt, ()):
                 gf = self.compose(g, f)
                 if gf not in self.hom(f.src, g.tgt):
                     raise StructureError(f"composite {gf!r} escapes its hom-set")
-                for h in mors:
-                    if h.src != g.tgt:
-                        continue
+                for h in out_of.get(g.tgt, ()):
                     if self.compose(h, gf) != self.compose(self.compose(h, g), f):
                         raise StructureError(
                             f"associativity fails at {f!r}, {g!r}, {h!r}")
@@ -252,8 +241,15 @@ def discrete_groupoid(objects, grade=None, name="") -> FiniteGroupoid:
     def identity(a):
         return Mor(a, a, "id")
 
-    return FiniteGroupoid(objects, hom, compose, identity, skeletal=True,
-                          grade=grade, name=name)
+    return FiniteGroupoid(objects, hom, compose, identity, grade=grade,
+                          iso_key=lambda a: a, name=name)
+
+
+def discrete_functor(source, target, ob, name="") -> "GroupoidFunctor":
+    """The functor out of a discrete groupoid with object map `ob`; each
+    identity goes to the identity of its image."""
+    return GroupoidFunctor(source, target, ob,
+                           lambda m: target.identity(ob(m.src)), name=name)
 
 
 class IsoClassTable:
@@ -272,51 +268,27 @@ class IsoClassTable:
 
     @staticmethod
     def _build(G: FiniteGroupoid) -> "IsoClassTable":
-        objs = G.objects
         if G._iso_key is not None:
             by_key: dict = {}
-            for a in objs:
+            for a in G.objects:
                 by_key.setdefault(G._iso_key(a), []).append(a)
-            reps, members, class_of = [], {}, {}
-            for group in by_key.values():
-                rep = group[0]
-                reps.append(rep)
-                members[rep] = tuple(group)
-                for b in group:
-                    class_of[b] = rep
-        elif G.skeletal:
-            class_of = {a: a for a in objs}
-            members = {a: (a,) for a in objs}
-            reps = list(objs)
+            groups = list(by_key.values())
         else:
-            parent = {a: a for a in objs}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            buckets = {}
-            for a in objs:
-                buckets.setdefault(G.component_key(a), []).append(a)
-            for bucket in buckets.values():
-                for i, a in enumerate(bucket):
-                    for b in bucket[i + 1:]:
-                        if find(a) != find(b) and G.hom(a, b):
-                            parent[find(a)] = find(b)
-            groups = {}
-            for a in objs:
-                groups.setdefault(find(a), []).append(a)
-            reps, members, class_of = [], {}, {}
-            for a in objs:
-                root = find(a)
-                if groups[root][0] == a:
-                    reps.append(a)
-                    members[a] = tuple(groups[root])
-            for rep in reps:
-                for b in members[rep]:
-                    class_of[b] = rep
+            groups = []
+            for a in G.objects:
+                for group in groups:
+                    if G.hom(group[0], a):
+                        group.append(a)
+                        break
+                else:
+                    groups.append([a])
+        reps, members, class_of = [], {}, {}
+        for group in groups:
+            rep = group[0]
+            reps.append(rep)
+            members[rep] = tuple(group)
+            for b in group:
+                class_of[b] = rep
         aut_orders = {rep: len(G.hom(rep, rep)) for rep in reps}
         for rep, n in aut_orders.items():
             if n < 1:
@@ -386,7 +358,7 @@ class GroupoidFunctor:
             if fm not in T.hom(fm.src, fm.tgt):
                 raise StructureError(f"image {fm!r} not a target morphism")
         for f in S.morphisms():
-            for g in S.hom(f.tgt, f.tgt) if S.skeletal else S.morphisms():
+            for g in S.morphisms():
                 if g.src != f.tgt:
                     continue
                 if self(S.compose(g, f)) != T.compose(self(g), self(f)):
@@ -411,8 +383,7 @@ def full_subgroupoid(G: FiniteGroupoid, objects, name="") -> FiniteGroupoid:
         if not G.has_object(a):
             raise DomainError(f"{a!r} not an object of the ambient groupoid")
     return FiniteGroupoid(objects, G._hom, G._compose, G._identity,
-                          skeletal=G.skeletal, grade=G._grade,
-                          component_key=G._component_key, iso_key=G._iso_key,
+                          grade=G._grade, iso_key=G._iso_key,
                           name=name or f"{G.name}|sub")
 
 
@@ -426,55 +397,18 @@ def _connector(G: FiniteGroupoid, a, rep) -> Mor:
 
 
 def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:
-    """The homotopy fiber of F over the object c of its target.
+    """The homotopy fiber of F over the object c of its target: the
+    groupoid part of `homotopy_pullback(F, at_c)`, where at_c picks c out
+    of the one-object discrete groupoid.
 
-    Objects are pairs (a, phi) with phi: F(a) -> c; a morphism
-    (a, phi) -> (a', phi') is alpha: a -> a' with phi' . F(alpha) = phi.
+    Objects are triples (a, c, phi) with phi: F(a) -> c; a morphism
+    (a, c, phi) -> (a', c, phi') is labelled (alpha, "id") for the
+    alpha: a -> a' with phi' . F(alpha) = phi.
     """
-    S, T = F.source, F.target
-    if not T.has_object(c):
+    if not F.target.has_object(c):
         raise DomainError(f"{c!r} is not an object of the target")
-    objs = []
-    for a in S.objects:
-        for phi in T.hom(F.ob(a), c):
-            objs.append((a, phi))
-
-    def hom(x, y):
-        (a, phi), (a2, phi2) = x, y
-        out = []
-        for alpha in S.hom(a, a2):
-            if T.compose(phi2, F(alpha)) == phi:
-                out.append(Mor(x, y, alpha.label))
-        return tuple(out)
-
-    def compose(g, f):
-        a_mid = f.tgt[0]
-        alpha = S.compose(Mor(g.src[0], g.tgt[0], g.label),
-                          Mor(f.src[0], a_mid, f.label))
-        return Mor(f.src, g.tgt, alpha.label)
-
-    def identity(x):
-        return Mor(x, x, S.identity(x[0]).label)
-
-    # exact iso invariant: the source class together with the orbit of the
-    # transported comparison iso under the image of Aut(rep), as a set of
-    # labels (labels are compared by equality, never by repr)
-    table = S.iso_classes()
-    aut_images: dict = {}
-
-    def iso_key(x):
-        a, phi = x
-        rep = table.class_of(a)
-        if rep not in aut_images:
-            aut_images[rep] = [F(alpha) for alpha in S.hom(rep, rep)]
-        ca = _connector(S, a, rep)
-        tilde = T.compose(phi, T.inverse(F(ca)))
-        return rep, frozenset(T.compose(tilde, u).label for u in aut_images[rep])
-
-    return FiniteGroupoid(
-        objs, hom, compose, identity, iso_key=iso_key,
-        name=f"fib({F.name},{c!r})",
-    )
+    at_c = discrete_functor(discrete_groupoid([c]), F.target, lambda b: b, name=f"at {c!r}")
+    return homotopy_pullback(F, at_c)[0]
 
 
 def fiber_cardinality(F: GroupoidFunctor, c) -> Fraction:
@@ -710,8 +644,8 @@ def skeletalize(G: FiniteGroupoid):
     class; the functor sends each object along a chosen connecting iso.
     """
     table = G.iso_classes()
-    S = full_subgroupoid(G, table.reps, name=f"sk({G.name})")
-    S.skeletal = True
+    S = FiniteGroupoid(table.reps, G._hom, G._compose, G._identity, grade=G._grade,
+                       iso_key=lambda a: a, name=f"sk({G.name})")
     connect = {}
     for rep in table.reps:
         for x in table.members[rep]:

@@ -73,15 +73,6 @@ class TruncatedSimplicialGroupoid(Memo):
         self.grade_bound = grade_bound
         self.name = name
 
-    @classmethod
-    def from_levels(cls, levels, faces, degens, grade_bound=None, name=""):
-        """Eager construction from dicts {n: groupoid}, {(n,i): functor}."""
-        space = cls(max(levels), lambda s, n: levels[n],
-                    lambda s, n, i: faces[(n, i)],
-                    lambda s, n, i: degens[(n, i)],
-                    grade_bound=grade_bound, name=name)
-        return space
-
     def level(self, n: int) -> FiniteGroupoid:
         G = self._memo.get(("level", n))
         if G is None:

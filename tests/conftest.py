@@ -27,8 +27,7 @@ def cluster_groupoid(clusters, name=""):
     def identity(a):
         return Mor(a, a, 0)
 
-    return FiniteGroupoid(objects, hom, compose, identity,
-                          component_key=lambda a: a[0], name=name)
+    return FiniteGroupoid(objects, hom, compose, identity, name=name)
 
 
 def random_cluster_groupoid(rng, max_clusters=3, max_size=3, max_order=4, name=""):

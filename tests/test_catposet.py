@@ -1,5 +1,6 @@
 import pytest
 
+from moebiuskit import catposet
 from moebiuskit.catposet import (
     CorrespondenceCat,
     FinCategory,
@@ -254,3 +255,14 @@ def test_classical_mobius_rejects_unknown_morphism():
         with pytest.raises(DomainError, match="not a morphism"):
             classical_mobius(C, f)
     assert classical_mobius(C, ("le", 0, 1)) == -1
+
+
+def test_mobius_category_search_runs_once_per_category(monkeypatch):
+    calls = []
+    search = catposet._mobius_category_search
+    monkeypatch.setattr(catposet, "_mobius_category_search",
+                        lambda C, bound: calls.append(C) or search(C, bound))
+    C = FinCategory.from_poset(divisor_poset(12))
+    table = {f: classical_mobius(C, f) for f in C.morphisms}
+    assert len(calls) == 1
+    assert table[("le", 1, 6)] == 1 and table[("le", 1, 12)] == 0

@@ -228,3 +228,22 @@ def test_check_max_level_below_1_exit_2(capsys, max_level):
     assert code == 2
     assert err.startswith("input error: ") and "--max-level" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    # check prints its text report for every format but json
+    (["check", "builtin:chain-adjunction", "--max-level", "1", "--format", "csv"],
+     "invalid choice"),
+    # --n sets the size of the builtin posets; --grade was a second name for it
+    (["mobius", "builtin:posets", "--grade", "3"], "unrecognized arguments"),
+])
+def test_settings_without_effect_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_mobius_n_defaults_to_3(capsys):
+    assert run(capsys, "mobius", "builtin:posets") == run(capsys, "mobius", "builtin:posets",
+                                                           "--n", "3")

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,28 @@ def test_from_tables_validate_and_malformed():
         bad.validate()
 
 
+@pytest.mark.parametrize("src, tgt", [("a", "b"), ("b", "a")])
+def test_validate_rejects_one_way_morphism(src, tgt):
+    # f: src -> tgt has no inverse, whichever end comes first in object
+    # order; validate scans every pair instead of trusting the iso classes
+    ident = {"a": "1a", "b": "1b"}
+    G = FiniteGroupoid.from_tables(
+        ["a", "b"], {("a", "a"): ["1a"], ("b", "b"): ["1b"], (src, tgt): ["f"]},
+        {(("a", "a", "1a"), ("a", "a", "1a")): "1a",
+         (("b", "b", "1b"), ("b", "b", "1b")): "1b",
+         ((src, src, ident[src]), (src, tgt, "f")): "f",
+         ((src, tgt, "f"), (tgt, tgt, ident[tgt])): "f"},
+        ident)
+    with pytest.raises(StructureError, match="no inverse"):
+        G.validate()
+
+
+def test_groupoid_takes_one_iso_class_rule():
+    # an exact iso_key or the hom scan; no skeletal or component_key knobs
+    assert list(inspect.signature(FiniteGroupoid).parameters) == [
+        "objects", "hom", "compose", "identity", "grade", "iso_key", "name"]
+
+
 def test_fiber_identity_contractible():
     G = bc2()
     F = GroupoidFunctor.identity(G)
@@ -114,7 +137,10 @@ def test_fast_fiber_agrees_with_iso_comma():
     for _ in range(25):
         F = random_cluster_functor(rng)
         for c in F.target.iso_classes().reps:
-            assert fiber_cardinality(F, c) == cardinality(fiber(F, c))
+            fib = fiber(F, c)
+            assert fiber_cardinality(F, c) == cardinality(fib)
+            # the pullback along the point c: objects (a, c, phi: F(a) -> c)
+            assert all(b == c and phi.tgt == c for _a, b, phi in fib.objects)
 
 
 def test_pullback_of_discrete_inclusions_is_set_pullback():
