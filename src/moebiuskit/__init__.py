@@ -22,7 +22,6 @@ from .simplicial import (
     SimplicialMap,
     TruncatedSimplicialGroupoid,
     check_axioms,
-    decalage,
     is_culf,
     nondegenerate_simplices,
     principal_edges,
@@ -65,9 +64,9 @@ from .bicomodule import (
     ComoduleConfiguration,
     check_associativity,
     coact,
-    comodule_from_decalage,
     comodule_mobius_check,
     convolve_action,
+    decalage,
     left_comodule,
     phi_comodule,
     pointing_delta,

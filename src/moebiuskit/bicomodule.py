@@ -7,7 +7,8 @@ bicomodule configuration is such a grid that is Segal in both directions,
 stable, with culf augmentations and decomposition-space borders
 X = B_{.,-1} and Y = B_{-1,.}; it induces a left coaction through the
 span B_{0,0} <- B_{1,0} -> X_1 x B_{0,0} and a right coaction through
-B_{0,0} <- B_{0,1} -> B_{0,0} x Y_1.
+B_{0,0} <- B_{0,1} -> B_{0,0} x Y_1.  A grid is given its borders X and Y
+as simplicial groupoids and generates only the cells with i, j >= 0.
 
 Optional pointings s_{-1} (right) and t_{top+1} (left) are extra sections
 of the outer operators; they give the counit-style functionals delta^R,
@@ -17,7 +18,9 @@ and the generalized Rota formula
     |mu^X| *_l |delta^R|  =  |delta^L| *_r |mu^Y|.
 
 Stability is checked through the two-square reduction valid for double
-Segal spaces; the full square family is available behind a flag.
+Segal spaces; the full square family is available behind a flag.  The
+decalage of X is row 0 (Dec_bot) or column 0 (Dec_top) of its total
+decalage, whose borders are both X.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .incidence import (
 )
 from .simplicial import (
     AxiomReport,
-    DecalageResult,
     InsufficientLevelsError,
     SimplicialMap,
     TruncatedSimplicialGroupoid,
@@ -61,10 +63,14 @@ from .simplicial import (
 class AugmentedBisimplicialGroupoid(Memo):
     """Generator-backed grid of finite groupoids with augmentations.
 
-    Callback signatures (all produce memoized functors between memoized
+    The borders are given as simplicial groupoids: the column B_{.,-1} is
+    `x` and the row B_{-1,.} is `y`, so every cell, face and degeneracy at
+    i = -1 or j = -1 is read from them and `row(-1)`/`column(-1)` are
+    `y`/`x` themselves.  The grade bound of the grid is theirs.  Callbacks
+    cover i, j >= 0 only (all produce memoized functors between memoized
     cells; `self` is passed so callbacks can look levels up):
 
-        cell_fn(B, i, j)                     i, j >= -1, not both -1
+        cell_fn(B, i, j)                     i, j >= 0
         hface_fn(B, i, j, k)                 (i,j) -> (i,j-1), j >= 1, 0 <= k <= j
         vface_fn(B, i, j, l)                 (i,j) -> (i-1,j), i >= 1, 0 <= l <= i
         hdegen_fn(B, i, j, k)                (i,j) -> (i,j+1), 0 <= k <= j
@@ -80,12 +86,15 @@ class AugmentedBisimplicialGroupoid(Memo):
     comodules and coactions of the grid live in its `_memo`.
     """
 
-    def __init__(self, max_i, max_j, cell_fn, hface_fn, vface_fn, hdegen_fn,
-                 vdegen_fn, u_fn, v_fn, right_section_fn=None,
-                 left_section_fn=None, grade_bound=None, name=""):
+    def __init__(self, max_i, max_j, x: TruncatedSimplicialGroupoid,
+                 y: TruncatedSimplicialGroupoid, cell_fn, hface_fn, vface_fn,
+                 hdegen_fn, vdegen_fn, u_fn, v_fn, right_section_fn=None,
+                 left_section_fn=None, name=""):
         super().__init__()
         self.max_i = max_i
         self.max_j = max_j
+        self._x = x
+        self._y = y
         self._cell_fn = cell_fn
         self._hface_fn = hface_fn
         self._vface_fn = vface_fn
@@ -95,34 +104,49 @@ class AugmentedBisimplicialGroupoid(Memo):
         self._v_fn = v_fn
         self._right_section_fn = right_section_fn
         self._left_section_fn = left_section_fn
-        self.grade_bound = grade_bound
         self.name = name
+
+    @property
+    def grade_bound(self) -> Optional[int]:
+        return self._y.grade_bound if self._x.grade_bound is None else self._x.grade_bound
 
     def cell(self, i: int, j: int) -> FiniteGroupoid:
         if i == -1 and j == -1:
             raise DomainError("the (-1,-1) cell does not exist")
-        if not (-1 <= i <= self.max_i and -1 <= j <= self.max_j):
+        if i == -1:
+            return self._y.level(j)
+        if j == -1:
+            return self._x.level(i)
+        if not (0 <= i <= self.max_i and 0 <= j <= self.max_j):
             raise InsufficientLevelsError(max(i, j), max(self.max_i, self.max_j),
                                           f"cell ({i},{j})")
         return self._get(("cell", i, j), self._cell_fn, self, i, j)
 
     def hface(self, i, j, k) -> GroupoidFunctor:
+        if i == -1:
+            return self._y.face(j, k)
         if j < 1 or not 0 <= k <= j:
             raise DomainError(f"no horizontal face d_{k} at ({i},{j})")
         return self._get(("hface", i, j, k), self._hface_fn, self, i, j, k)
 
     def vface(self, i, j, l) -> GroupoidFunctor:
+        if j == -1:
+            return self._x.face(i, l)
         if i < 1 or not 0 <= l <= i:
             raise DomainError(f"no vertical face e_{l} at ({i},{j})")
         return self._get(("vface", i, j, l), self._vface_fn, self, i, j, l)
 
     def hdegen(self, i, j, k) -> GroupoidFunctor:
+        if i == -1:
+            return self._y.degeneracy(j, k)
         if not 0 <= k <= j:
             raise DomainError(f"no horizontal degeneracy s_{k} at ({i},{j})")
         self.cell(i, j + 1)
         return self._get(("hdegen", i, j, k), self._hdegen_fn, self, i, j, k)
 
     def vdegen(self, i, j, l) -> GroupoidFunctor:
+        if j == -1:
+            return self._x.degeneracy(i, l)
         if not 0 <= l <= i:
             raise DomainError(f"no vertical degeneracy t_{l} at ({i},{j})")
         self.cell(i + 1, j)
@@ -134,42 +158,26 @@ class AugmentedBisimplicialGroupoid(Memo):
     def aug_v(self, j) -> GroupoidFunctor:
         return self._get(("v", j), self._v_fn, self, j)
 
-    def has_right_section(self, i, j) -> bool:
-        if self._right_section_fn is None or j < 0:
-            return False
-        return self.right_section(i, j, _probe=True) is not None
-
-    def has_left_section(self, i, j) -> bool:
-        if self._left_section_fn is None or i < 0:
-            return False
-        return self.left_section(i, j, _probe=True) is not None
-
-    def right_section(self, i, j, _probe=False):
-        """s_{-1} : B_{i,j-1} -> B_{i,j}, a section of d_0 (of u at j = 0)."""
+    def right_section(self, i, j) -> Optional[GroupoidFunctor]:
+        """s_{-1} : B_{i,j-1} -> B_{i,j}, a section of d_0 (of u at j = 0);
+        None where the grid has no right pointing."""
         if self._right_section_fn is None:
-            if _probe:
-                return None
-            raise DomainError("no right pointing attached")
-        F = self._get(("rsec", i, j), self._right_section_fn, self, i, j)
-        if F is None and not _probe:
-            raise DomainError(f"right pointing unavailable at ({i},{j})")
-        return F
+            return None
+        return self._get(("rsec", i, j), self._right_section_fn, self, i, j)
 
-    def left_section(self, i, j, _probe=False):
-        """t_{top+1} : B_{i-1,j} -> B_{i,j}, a section of e_top (of v at i = 0)."""
+    def left_section(self, i, j) -> Optional[GroupoidFunctor]:
+        """t_{top+1} : B_{i-1,j} -> B_{i,j}, a section of e_top (of v at i = 0);
+        None where the grid has no left pointing."""
         if self._left_section_fn is None:
-            if _probe:
-                return None
-            raise DomainError("no left pointing attached")
-        F = self._get(("lsec", i, j), self._left_section_fn, self, i, j)
-        if F is None and not _probe:
-            raise DomainError(f"left pointing unavailable at ({i},{j})")
-        return F
+            return None
+        return self._get(("lsec", i, j), self._left_section_fn, self, i, j)
 
     # -- simplicial views -------------------------------------------------
 
     def row(self, i) -> TruncatedSimplicialGroupoid:
         """The row B_{i,.} with horizontal operators (row(-1) is Y)."""
+        if i == -1:
+            return self._y
         return self._get(("row", i), self._row, i)
 
     def _row(self, i) -> TruncatedSimplicialGroupoid:
@@ -183,6 +191,8 @@ class AugmentedBisimplicialGroupoid(Memo):
 
     def column(self, j) -> TruncatedSimplicialGroupoid:
         """The column B_{.,j} with vertical operators (column(-1) is X)."""
+        if j == -1:
+            return self._x
         return self._get(("column", j), self._column, j)
 
     def _column(self, j) -> TruncatedSimplicialGroupoid:
@@ -195,17 +205,17 @@ class AugmentedBisimplicialGroupoid(Memo):
             name=f"{self.name}.col({j})")
 
     def x_space(self) -> TruncatedSimplicialGroupoid:
-        return self.column(-1)
+        return self._x
 
     def y_space(self) -> TruncatedSimplicialGroupoid:
-        return self.row(-1)
+        return self._y
 
     def u_map(self) -> SimplicialMap:
-        return self._get(("u_map",), SimplicialMap, self.column(0), self.column(-1),
+        return self._get(("u_map",), SimplicialMap, self.column(0), self._x,
                          lambda m, n: self.aug_u(n), "u")
 
     def v_map(self) -> SimplicialMap:
-        return self._get(("v_map",), SimplicialMap, self.row(0), self.row(-1),
+        return self._get(("v_map",), SimplicialMap, self.row(0), self._y,
                          lambda m, n: self.aug_v(n), "v")
 
 
@@ -216,11 +226,14 @@ class AugmentedBisimplicialGroupoid(Memo):
 class ComoduleConfiguration(Memo):
     """A pointed comodule configuration, right (bottom pointing) or left.
 
-    `space` is the Segal side C (a row/column view or a decalage), `base`
-    the decomposition space acting on it, `base_map` the culf map.  The
-    augmentation C_0 -> C_{-1} and the sections C_{n-1} -> C_n realize the
-    pointing; `section(0)` maps out of the augmentation target and its
-    essential image defines the complement C_b used by the Phi functors.
+    `space` is the Segal side C (row 0 of a grid on the right, column 0 on
+    the left; a decalage is one of a total decalage), `base` the border
+    acting on it, `base_map` the culf augmentation.  The augmentation
+    C_0 -> C_{-1} and the sections C_{n-1} -> C_n realize the pointing;
+    `section(n)` is None where the grid has no pointing, and
+    `bottom_section` raises then.  `section(0)` maps out of the
+    augmentation target and its essential image defines the complement C_b
+    used by the Phi functors.
     """
 
     side: str
@@ -276,7 +289,7 @@ def _right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="right", space=B.row(0), base=B.y_space(), base_map=B.v_map(),
         aug_target=B.cell(0, -1), augmentation=B.aug_u(0),
-        section=lambda n: B.right_section(0, n, _probe=True),
+        section=lambda n: B.right_section(0, n),
         name=f"{B.name}.right")
 
 
@@ -289,18 +302,8 @@ def _left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="left", space=B.column(0), base=B.x_space(), base_map=B.u_map(),
         aug_target=B.cell(-1, 0), augmentation=B.aug_v(0),
-        section=lambda n: B.left_section(n, 0, _probe=True),
+        section=lambda n: B.left_section(n, 0),
         name=f"{B.name}.left")
-
-
-def comodule_from_decalage(dec: DecalageResult) -> ComoduleConfiguration:
-    """Package a decalage as a pointed comodule configuration over its base."""
-    side = "right" if dec.side == "bottom" else "left"
-    return ComoduleConfiguration(
-        side=side, space=dec.space, base=dec.to_base.target,
-        base_map=dec.to_base, aug_target=dec.aug_target,
-        augmentation=dec.augmentation, section=dec.section,
-        name=f"dec-{dec.side}")
 
 
 # -- configuration validation ---------------------------------------------------
@@ -331,26 +334,26 @@ def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
     def record(ok, name, witness=None):
         rep.checks.append(SquareResult(ok, witness if not ok else None, name))
 
-    if B.has_right_section(0, 0):
-        s = B.right_section(0, 0)
+    s = B.right_section(0, 0)
+    if s is not None:
         retract = B.aug_u(0)
         ok = functors_equal(GroupoidFunctor.compose(retract, s),
                             GroupoidFunctor.identity(B.cell(0, -1)))
         record(ok, "u . s_{-1} = id at (0,0)")
         record(is_monomorphism(s), "right pointing complete (s_{-1} mono)")
-        if B.has_right_section(0, 1):
-            s1 = B.right_section(0, 1)
+        s1 = B.right_section(0, 1)
+        if s1 is not None:
             ok = functors_equal(GroupoidFunctor.compose(B.hface(0, 1, 0), s1),
                                 GroupoidFunctor.identity(B.cell(0, 0)))
             record(ok, "d_0 . s_{-1} = id at (0,1)")
-    if B.has_left_section(0, 0):
-        t = B.left_section(0, 0)
+    t = B.left_section(0, 0)
+    if t is not None:
         ok = functors_equal(GroupoidFunctor.compose(B.aug_v(0), t),
                             GroupoidFunctor.identity(B.cell(-1, 0)))
         record(ok, "v . t_{top+1} = id at (0,0)")
         record(is_monomorphism(t), "left pointing complete (t_{top+1} mono)")
-        if B.has_left_section(1, 0):
-            t1 = B.left_section(1, 0)
+        t1 = B.left_section(1, 0)
+        if t1 is not None:
             ok = functors_equal(GroupoidFunctor.compose(B.vface(1, 0, 1), t1),
                                 GroupoidFunctor.identity(B.cell(0, 0)))
             record(ok, "e_top . t_{top+1} = id at (1,0)")
@@ -703,26 +706,38 @@ def rota_evaluate(B: AugmentedBisimplicialGroupoid, m,
 
 def total_decalage(X: TruncatedSimplicialGroupoid, max_i: int, max_j: int,
                    name: str = "") -> AugmentedBisimplicialGroupoid:
-    """The total decalage of X: cell (i,j) = X_{i+1+j}, zeroth row Dec_bot,
-    zeroth column Dec_top, with both pointings; realizes the coalgebra of X
-    as a bicomodule over itself."""
+    """The total decalage of X: cell (i,j) = X_{i+1+j}, both borders X,
+    zeroth row Dec_bot, zeroth column Dec_top, with both pointings;
+    realizes the coalgebra of X as a bicomodule over itself."""
     if max_i + 1 + max_j > X.max_level:
         raise InsufficientLevelsError(max_i + 1 + max_j, X.max_level,
                                       "total decalage")
-
-    def lvl(i, j):
-        return i + 1 + j if (i >= 0 and j >= 0) else (i if j == -1 else j)
-
     return AugmentedBisimplicialGroupoid(
-        max_i, max_j,
-        cell_fn=lambda B, i, j: X.level(lvl(i, j)),
-        hface_fn=lambda B, i, j, k: X.face(lvl(i, j), k if i == -1 else i + 1 + k),
-        vface_fn=lambda B, i, j, l: X.face(lvl(i, j), l),
-        hdegen_fn=lambda B, i, j, k: X.degeneracy(lvl(i, j), k if i == -1 else i + 1 + k),
-        vdegen_fn=lambda B, i, j, l: X.degeneracy(lvl(i, j), l),
+        max_i, max_j, X, X,
+        cell_fn=lambda B, i, j: X.level(i + 1 + j),
+        hface_fn=lambda B, i, j, k: X.face(i + 1 + j, i + 1 + k),
+        vface_fn=lambda B, i, j, l: X.face(i + 1 + j, l),
+        hdegen_fn=lambda B, i, j, k: X.degeneracy(i + 1 + j, i + 1 + k),
+        vdegen_fn=lambda B, i, j, l: X.degeneracy(i + 1 + j, l),
         u_fn=lambda B, i: X.face(i + 1, i + 1),
         v_fn=lambda B, j: X.face(j + 1, 0),
-        right_section_fn=lambda B, i, j: X.degeneracy(lvl(i, j - 1), i),
-        left_section_fn=lambda B, i, j: X.degeneracy(lvl(i - 1, j), i),
-        grade_bound=X.grade_bound,
+        right_section_fn=lambda B, i, j: X.degeneracy(i + j, i),
+        left_section_fn=lambda B, i, j: X.degeneracy(i + j, i),
         name=name or f"TotalDec({X.name})")
+
+
+def decalage(X: TruncatedSimplicialGroupoid, side: str = "bottom") -> ComoduleConfiguration:
+    """Dec_bot(X) (delete X_0, all d_0 and s_0) or Dec_top (delete d_top,
+    s_top) as the pointed comodule configuration over X that it is: row 0
+    (right) or column 0 (left) of the total decalage.
+
+    The comparison map to X is the deleted face; the augmentation and the
+    extra sections are the remaining bottom (resp. top) operators.
+    """
+    if X.max_level < 2:
+        raise InsufficientLevelsError(2, X.max_level, "decalage")
+    if side == "bottom":
+        return right_comodule(total_decalage(X, 0, X.max_level - 1))
+    if side == "top":
+        return left_comodule(total_decalage(X, X.max_level - 1, 0))
+    raise DomainError(f"side must be 'bottom' or 'top', got {side!r}")

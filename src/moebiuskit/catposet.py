@@ -654,9 +654,10 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                                 report: Optional[FibrationReport] = None,
                                 name: str = "") -> AugmentedBisimplicialGroupoid:
     """The relative nerve of a correspondence: cell (i,j) is the discrete
-    groupoid of chains with i+1 vertices over 0 and j+1 over 1; faces
-    compose or truncate, degeneracies insert identities, and the
-    augmentations delete the mixed arrow from either side.
+    groupoid of chains with i+1 vertices over 0 and j+1 over 1, and the
+    borders X and Y are the chains over 0 and over 1 alone; faces compose
+    or truncate, degeneracies insert identities, and the augmentations
+    delete the mixed arrow from either side.
 
     When the fibration report grants cocartesian (resp. cartesian) lifts
     everywhere, the right pointing s_{-1} (resp. left pointing t_{top+1})
@@ -665,6 +666,7 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     C = corr.category
     if report is None:
         report = fibration_report(corr)
+    name = name or f"N/D1({C.name})"
 
     def chains(pattern):
         combos = [((v,), ()) for v in C.objects if corr.label[v] == pattern[0]]
@@ -677,23 +679,32 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
             combos = nxt
         return combos
 
+    def border(bit, max_level, label):
+        """The nerve of the full subcategory over `bit`, as chains."""
+        return TruncatedSimplicialGroupoid(
+            max_level,
+            lambda s, n: discrete_groupoid(chains((bit,) * (n + 1)), name=f"{label}_{n}"),
+            lambda s, n, i: discrete_functor(s.level(n), s.level(n - 1),
+                                             lambda c: _chain_face(C, c, i)),
+            lambda s, n, i: discrete_functor(s.level(n), s.level(n + 1),
+                                             lambda c: _chain_degen(C, c, i)),
+            name=f"{name}.{label}")
+
     def cell_fn(B, i, j):
         pattern = (0,) * (i + 1) + (1,) * (j + 1)
         return discrete_groupoid(chains(pattern), name=f"B({i},{j})")
 
     def hface_fn(B, i, j, k):
-        vtx = k if i == -1 else i + 1 + k
         return discrete_functor(B.cell(i, j), B.cell(i, j - 1),
-                                lambda c: _chain_face(C, c, vtx))
+                                lambda c: _chain_face(C, c, i + 1 + k))
 
     def vface_fn(B, i, j, l):
         return discrete_functor(B.cell(i, j), B.cell(i - 1, j),
                                 lambda c: _chain_face(C, c, l))
 
     def hdegen_fn(B, i, j, k):
-        vtx = k if i == -1 else i + 1 + k
         return discrete_functor(B.cell(i, j), B.cell(i, j + 1),
-                                lambda c: _chain_degen(C, c, vtx))
+                                lambda c: _chain_degen(C, c, i + 1 + k))
 
     def vdegen_fn(B, i, j, l):
         return discrete_functor(B.cell(i, j), B.cell(i + 1, j),
@@ -728,7 +739,7 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                 vs, ms = c
                 a = report.cocartesian[vs[i]]
                 t = C.tgt(a)
-                if j - 1 == -1:
+                if j == 0:
                     return (vs + (t,), ms + (a,))
                 h = unique_post_factor(a, ms[i])
                 return (vs[:i + 1] + (t,) + vs[i + 1:],
@@ -740,7 +751,7 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
         def left_section_fn(B, i, j):
             def ob(c):
                 vs, ms = c
-                if i - 1 == -1:
+                if i == 0:
                     a = report.cartesian[vs[0]]
                     return ((C.src(a),) + vs, (a,) + ms)
                 a = report.cartesian[vs[i]]  # first vertex over 1 in the source cell
@@ -750,7 +761,7 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
             return discrete_functor(B.cell(i - 1, j), B.cell(i, j), ob)
 
     return AugmentedBisimplicialGroupoid(
-        max_i, max_j, cell_fn, hface_fn, vface_fn, hdegen_fn, vdegen_fn,
-        u_fn, v_fn, right_section_fn=right_section_fn,
-        left_section_fn=left_section_fn,
-        name=name or f"N/D1({C.name})")
+        max_i, max_j, border(0, max_i, "X"), border(1, max_j, "Y"),
+        cell_fn, hface_fn, vface_fn, hdegen_fn, vdegen_fn, u_fn, v_fn,
+        right_section_fn=right_section_fn, left_section_fn=left_section_fn,
+        name=name)

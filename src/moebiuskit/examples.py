@@ -361,7 +361,7 @@ def layered_sets(grade_bound: int, max_level: Optional[int] = None) -> Truncated
     layers, degeneracies insert empty layers.  Segal and complete."""
     if grade_bound < 0:
         raise DomainError("grade_bound must be >= 0")
-    return _layered_space("s", grade_bound, max_level or grade_bound + 2)
+    return _layered_space("s", grade_bound, grade_bound + 2 if max_level is None else max_level)
 
 
 def layered_posets(grade_bound: int, max_level: Optional[int] = None) -> TruncatedSimplicialGroupoid:
@@ -371,7 +371,7 @@ def layered_posets(grade_bound: int, max_level: Optional[int] = None) -> Truncat
     decomposition space (not Segal), complete, graded by element count."""
     if grade_bound < 0:
         raise DomainError("grade_bound must be >= 0")
-    return _layered_space("p", grade_bound, max_level or grade_bound + 2)
+    return _layered_space("p", grade_bound, grade_bound + 2 if max_level is None else max_level)
 
 
 @functools.cache
@@ -397,7 +397,9 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
                            ) -> AugmentedBisimplicialGroupoid:
     """The bicomodule of layered sets and posets: cell (i,j) holds pairs of
     an i-layered set and a (j+1)-layered poset, realized as one layered
-    structure with i set layers and j+1 poset layers.
+    structure with i set layers and j+1 poset layers.  Its borders are
+    `layered_sets(grade_bound, max_i)` and `layered_posets(grade_bound,
+    max_j)` themselves.
 
     Horizontal operators act on the poset part (the first poset layer is
     the distinguished one: no horizontal face deletes it); vertical
@@ -415,32 +417,19 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
 @functools.cache
 def _sets_posets_bicomodule(grade_bound: int, max_i: int,
                             max_j: int) -> AugmentedBisimplicialGroupoid:
-    def shape(i, j):
-        if j == -1:
-            return (max(i, 0), 0)   # the X border: plain layered sets
-        if i == -1:
-            return (0, j)           # the Y border: plain layered posets
-        return (i, j + 1)
-
     def cell_fn(B, i, j):
-        ns, np_ = shape(i, j)
-        return layered_groupoid(_level_objects(ns, np_, grade_bound),
+        return layered_groupoid(_level_objects(i, j + 1, grade_bound),
                                 name=f"B({i},{j})")
 
     def hface_fn(B, i, j, k):
-        np_ = shape(i, j)[1]
-        if i == -1:
-            op = lambda key: _layer_face(key, "p", np_, k)
-        elif k == j:
-            op = lambda key: _delete_layer(key, "p", np_)
+        if k == j:
+            op = lambda key: _delete_layer(key, "p", j + 1)
         else:
             op = lambda key: _join_layers(key, "p", k + 1)
         return _op_functor(B.cell(i, j), B.cell(i, j - 1), op, name=f"d{k}@({i},{j})")
 
     def vface_fn(B, i, j, l):
-        if j == -1:
-            op = lambda key: _layer_face(key, "s", i, l)
-        elif l == 0:
+        if l == 0:
             op = lambda key: _delete_layer(key, "s", 1)
         elif l == i:
             op = _merge_top
@@ -449,9 +438,8 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
         return _op_functor(B.cell(i, j), B.cell(i - 1, j), op, name=f"e{l}@({i},{j})")
 
     def hdegen_fn(B, i, j, k):
-        pos = k + 1 if i == -1 else k + 2
         return _op_functor(B.cell(i, j), B.cell(i, j + 1),
-                           lambda key: _insert_layer(key, "p", pos),
+                           lambda key: _insert_layer(key, "p", k + 2),
                            name=f"s{k}@({i},{j})")
 
     def vdegen_fn(B, i, j, l):
@@ -480,10 +468,10 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
                            name=f"t-top@({i},{j})")
 
     return AugmentedBisimplicialGroupoid(
-        max_i, max_j, cell_fn, hface_fn, vface_fn, hdegen_fn, vdegen_fn,
-        u_fn, v_fn, right_section_fn=right_section_fn,
-        left_section_fn=left_section_fn, grade_bound=grade_bound,
-        name=f"B<={grade_bound}")
+        max_i, max_j, layered_sets(grade_bound, max_i),
+        layered_posets(grade_bound, max_j), cell_fn, hface_fn, vface_fn,
+        hdegen_fn, vdegen_fn, u_fn, v_fn, right_section_fn=right_section_fn,
+        left_section_fn=left_section_fn, name=f"B<={grade_bound}")
 
 
 # -- poset catalog and the headline computation ----------------------------------

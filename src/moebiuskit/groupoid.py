@@ -344,26 +344,6 @@ class GroupoidFunctor:
         return cls(F.source, G.target, lambda a: G.ob(F.ob(a)),
                    lambda m: G(F(m)), name=f"{G.name}*{F.name}")
 
-    def validate(self) -> None:
-        S, T = self.source, self.target
-        for a in S.objects:
-            if not T.has_object(self.ob(a)):
-                raise StructureError(f"object image {self.ob(a)!r} not in target")
-            if self(S.identity(a)) != T.identity(self.ob(a)):
-                raise StructureError(f"identity not preserved at {a!r}")
-        for m in S.morphisms():
-            fm = self(m)
-            if (fm.src, fm.tgt) != (self.ob(m.src), self.ob(m.tgt)):
-                raise StructureError(f"source/target not preserved at {m!r}")
-            if fm not in T.hom(fm.src, fm.tgt):
-                raise StructureError(f"image {fm!r} not a target morphism")
-        for f in S.morphisms():
-            for g in S.morphisms():
-                if g.src != f.tgt:
-                    continue
-                if self(S.compose(g, f)) != T.compose(self(g), self(f)):
-                    raise StructureError(f"composition not preserved at {f!r}, {g!r}")
-
 
 def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
     """Strict equality: same object and morphism maps, checked exhaustively."""

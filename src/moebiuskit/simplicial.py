@@ -17,7 +17,7 @@ maps (cartesian naturality squares on codegeneracies and inner cofaces).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .groupoid import (
     DomainError,
@@ -432,56 +432,3 @@ def is_culf(f: SimplicialMap, n_max: int) -> AxiomReport:
                 f=Y.face(n + 2, i + 1), g=f.level_map(n + 1),
                 grade_bound=gb, name=f"inner coface square d_{i + 1} n={n}"))
     return report
-
-
-# -- decalage -----------------------------------------------------------------
-
-
-@dataclass
-class DecalageResult:
-    """A decalage with its comparison map, augmentation and extra section.
-
-    This is exactly the data of a pointed comodule configuration: the
-    decalage is Segal whenever the base is a decomposition space, the
-    comparison map is culf, and `section(n)` gives the extra degeneracy
-    level n-1 -> n (with `section(0)` landing from the augmentation target).
-    """
-
-    space: TruncatedSimplicialGroupoid
-    side: str
-    to_base: SimplicialMap
-    aug_target: FiniteGroupoid
-    augmentation: GroupoidFunctor
-    section: Callable[[int], GroupoidFunctor]
-
-
-def decalage(X: TruncatedSimplicialGroupoid, side: str = "bottom") -> DecalageResult:
-    """Dec_bot(X) (delete X_0, all d_0 and s_0) or Dec_top (delete d_top, s_top).
-
-    The comparison map to X is the deleted face; the augmentation and the
-    extra section are the remaining bottom (resp. top) operators.
-    """
-    if X.max_level < 2:
-        raise InsufficientLevelsError(2, X.max_level, "decalage")
-    if side == "bottom":
-        shift_face = lambda s, n, i: X.face(n + 1, i + 1)
-        shift_degen = lambda s, n, i: X.degeneracy(n + 1, i + 1)
-        cmp_face = lambda m, n: X.face(n + 1, 0)
-        aug = X.face(1, 1)
-        section = lambda n: X.degeneracy(n, 0)
-    elif side == "top":
-        shift_face = lambda s, n, i: X.face(n + 1, i)
-        shift_degen = lambda s, n, i: X.degeneracy(n + 1, i)
-        cmp_face = lambda m, n: X.face(n + 1, n + 1)
-        aug = X.face(1, 0)
-        section = lambda n: X.degeneracy(n, n)
-    else:
-        raise DomainError(f"side must be 'bottom' or 'top', got {side!r}")
-    dec = TruncatedSimplicialGroupoid(
-        X.max_level - 1,
-        lambda s, n: X.level(n + 1),
-        shift_face, shift_degen,
-        grade_bound=X.grade_bound,
-        name=f"Dec_{side}({X.name})")
-    to_base = SimplicialMap(dec, X, cmp_face, name=f"dec_{side}")
-    return DecalageResult(dec, side, to_base, X.level(0), aug, section)

@@ -13,8 +13,8 @@ from fractions import Fraction
 from moebiuskit import cli
 from moebiuskit.bicomodule import (
     check_associativity,
-    comodule_from_decalage,
     comodule_mobius_check,
+    decalage,
     right_comodule,
     rota_evaluate,
     total_decalage,
@@ -38,7 +38,7 @@ from moebiuskit.examples import (
 )
 from moebiuskit.groupoid import cardinality, fiber_cardinality, full_subgroupoid, skeletalize
 from moebiuskit.incidence import Functional, convolve, counit, mobius, mobius_functional, verify_inversion, zeta
-from moebiuskit.simplicial import TruncatedSimplicialGroupoid, check_axioms, decalage, is_culf
+from moebiuskit.simplicial import TruncatedSimplicialGroupoid, check_axioms, is_culf
 
 from conftest import (
     poset_mobius_oracle,
@@ -135,7 +135,7 @@ def test_criterion_4_axiom_checkers():
     assert witness.name == "segal square n=1" and witness.witness
     dec = decalage(C, "bottom")
     assert check_axioms(dec.space, "segal", 2).passed
-    assert is_culf(dec.to_base, 1).passed
+    assert is_culf(dec.base_map, 1).passed
     _report(4, "Segal/decomposition/complete checkers and decalage", t0, 120)
 
 
@@ -159,7 +159,7 @@ def test_criterion_5_mobius_inversion():
                 f = (("le", a, b),)
                 assert mu(f) == oracle(a, b)
                 assert zm(f) == counit(N, f) == mz(f)
-    config = comodule_from_decalage(decalage(layered_posets(3, max_level=4), "bottom"))
+    config = decalage(layered_posets(3, max_level=4), "bottom")
     assert comodule_mobius_check(config).passed
     F, G = _battery()[0]
     corr, report = mapping_cylinder(F)

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from itertools import product
 
@@ -8,10 +9,10 @@ from moebiuskit.bicomodule import (
     AugmentedBisimplicialGroupoid,
     check_associativity,
     coact,
-    comodule_from_decalage,
     comodule_mobius_check,
     config_coact,
     convolve_action,
+    decalage,
     delta_functional,
     left_comodule,
     phi_comodule,
@@ -33,6 +34,8 @@ from moebiuskit.catposet import (
 from moebiuskit.examples import (
     key_to_poset,
     layered_posets,
+    layered_sets,
+    mu_posets,
     poset_key,
     sets_posets_bicomodule,
 )
@@ -48,9 +51,9 @@ from moebiuskit.groupoid import (
     is_pullback_square,
 )
 from moebiuskit.incidence import Functional, comultiply, mobius_functional, zeta
-from moebiuskit.simplicial import decalage, principal_edges
+from moebiuskit.simplicial import principal_edges, word_groupoid
 
-from conftest import seeded
+from conftest import random_poset, seeded
 
 
 def adjunction_nerve(max_i=3, max_j=3):
@@ -104,7 +107,7 @@ def test_stability_mutation_fails_with_witness_and_breaks_associativity():
         return GroupoidFunctor(B.cell(si, sj), B.cell(ti, tj), F.ob, F, name=F.name)
 
     mutated = AugmentedBisimplicialGroupoid(
-        1, 1, cell_fn,
+        1, 1, base.x_space(), base.y_space(), cell_fn,
         lambda B, i, j, k: restrict(B, base.hface(i, j, k), i, j, i, j - 1),
         lambda B, i, j, l: restrict(B, base.vface(i, j, l), i, j, i - 1, j),
         lambda B, i, j, k: restrict(B, base.hdegen(i, j, k), i, j, i, j + 1),
@@ -140,7 +143,7 @@ def test_stability_mutation_fails_with_witness_and_breaks_associativity():
         return cell
 
     mutated2 = AugmentedBisimplicialGroupoid(
-        1, 1, cell_fn2,
+        1, 1, base.x_space(), base.y_space(), cell_fn2,
         lambda B, i, j, k: restrict(B, base.hface(i, j, k), i, j, i, j - 1),
         lambda B, i, j, l: restrict(B, base.vface(i, j, l), i, j, i - 1, j),
         lambda B, i, j, k: restrict(B, base.hdegen(i, j, k), i, j, i, j + 1),
@@ -267,7 +270,7 @@ def layerings_oracle(P: FinPoset, parts: int, first_nonempty: bool):
 
 def test_phi_comodule_decalage_of_layered_posets_vs_oracle():
     C = layered_posets(3, max_level=4)
-    config = comodule_from_decalage(decalage(C, "bottom"))
+    config = decalage(C, "bottom")
     for m in C.level(1).iso_classes().reps:
         P = key_to_poset(m)
         size = len(P.elements)
@@ -301,7 +304,7 @@ def phi_comodule_oracle(config, m, n):
 def test_phi_comodule_matches_principal_edge_oracle():
     B = sets_posets_bicomodule(3)
     configs = [right_comodule(B), left_comodule(B),
-               comodule_from_decalage(decalage(layered_posets(3, max_level=4), "bottom"))]
+               decalage(layered_posets(3, max_level=4), "bottom")]
     for config in configs:
         for m in config.space.level(0).iso_classes().reps:
             for n in range(-1, 3):
@@ -311,7 +314,7 @@ def test_phi_comodule_matches_principal_edge_oracle():
 
 def test_comodule_mobius_check_decalage():
     C = layered_posets(3, max_level=4)
-    config = comodule_from_decalage(decalage(C, "bottom"))
+    config = decalage(C, "bottom")
     report = comodule_mobius_check(config)
     assert report.passed
     for row in report.rows:
@@ -328,7 +331,7 @@ def test_comodule_mobius_check_adjunction_nerve_both_sides():
 
 def test_comodule_mobius_check_corrupted_control():
     C = layered_posets(3, max_level=4)
-    config = comodule_from_decalage(decalage(C, "bottom"))
+    config = decalage(C, "bottom")
     good = mobius_functional(C)
     pt = poset_key(FinPoset(["x"]))
     table = {rep: good(rep) for rep in C.level(1).iso_classes().reps}
@@ -395,3 +398,67 @@ def test_rota_sweep_checks_each_pointing_once(monkeypatch):
         lhs, rhs = rota_evaluate(B, m)
         assert lhs == rhs
     assert len(calls) == 2     # one per pointing, not one per class and side
+
+
+def test_grid_takes_its_borders():
+    params = list(inspect.signature(AugmentedBisimplicialGroupoid).parameters)
+    assert params[:4] == ["max_i", "max_j", "x", "y"]
+    assert "grade_bound" not in params
+
+
+def test_grid_borders_are_the_given_spaces():
+    for m in (2, 3):
+        B = sets_posets_bicomodule(2, max_i=m, max_j=m)
+        assert B.y_space() is layered_posets(2, max_level=m)
+        assert B.x_space() is layered_sets(2, max_level=m)
+        assert B.row(-1) is B.y_space() and B.column(-1) is B.x_space()
+        assert B.v_map().target is B.y_space() and B.u_map().target is B.x_space()
+        assert B.grade_bound == 2
+    X = nerve(chain_poset(3), max_level=6)
+    TD = total_decalage(X, 2, 2)
+    assert TD.x_space() is X is TD.y_space()
+    assert TD.cell(-1, 4) is X.level(4) and TD.hface(-1, 3, 1) is X.face(3, 1)
+
+
+def test_rota_route_reuses_the_direct_route_space():
+    P = FinPoset(["a", "b", "c"], [("a", "b")])
+    assert mu_posets(P, "direct") == mu_posets(P, "rota")
+    # the spaces behind the two routes at a 3-element poset
+    direct = layered_posets(3, max_level=3)
+    B = sets_posets_bicomodule(3, max_i=3, max_j=3)
+    for word in ("a", "aa", "aaa"):
+        assert word_groupoid(B.y_space(), word) is word_groupoid(direct, word)
+
+
+def test_missing_pointing_is_none_and_only_bottom_section_raises():
+    B = sets_posets_bicomodule(2, max_i=2, max_j=2)
+    assert B.left_section(0, 0) is not None
+    assert B.left_section(1, 0) is None     # no section of the merge above i = 0
+    base = total_decalage(nerve(chain_poset(2), max_level=5), 2, 2)
+    bare = AugmentedBisimplicialGroupoid(
+        2, 2, base.x_space(), base.y_space(),
+        lambda B, i, j: base.cell(i, j),
+        lambda B, i, j, k: base.hface(i, j, k),
+        lambda B, i, j, l: base.vface(i, j, l),
+        lambda B, i, j, k: base.hdegen(i, j, k),
+        lambda B, i, j, l: base.vdegen(i, j, l),
+        lambda B, i: base.aug_u(i),
+        lambda B, j: base.aug_v(j),
+        name="unpointed")
+    assert bare.right_section(0, 0) is None and bare.left_section(0, 0) is None
+    report = validate_configuration(bare, 1)
+    assert report.passed and report.sections["pointings"].checks == []
+    for config in (right_comodule(bare), left_comodule(bare)):
+        assert config.section(0) is None
+        with pytest.raises(DomainError, match="no bottom section"):
+            config.bottom_section()
+
+
+def test_comodule_mobius_check_top_decalage():
+    config = decalage(layered_posets(3, max_level=4), "top")
+    assert config.side == "left"
+    report = comodule_mobius_check(config)
+    assert report.passed and report.side == "left"
+    N = nerve(random_poset(seeded(44), max_size=4), max_level=5)   # 4 elements, 4 strict pairs
+    report = comodule_mobius_check(decalage(N, "top"), length_bound=4)
+    assert report.passed and len(report.rows) == 8

@@ -180,3 +180,12 @@ def test_no_module_binds_a_dict():
                  if isinstance(value, dict)
                  and not (name.startswith("__") and name.endswith("__"))]
         assert bound == [], (info.name, bound)
+
+
+def test_max_level_zero_is_not_the_default():
+    # only None selects the default truncation grade_bound + 2
+    for build in (layered_sets, layered_posets):
+        with pytest.raises(DomainError):
+            build(2, max_level=0)
+    with pytest.raises(DomainError):
+        sets_posets_bicomodule(2, max_i=0)

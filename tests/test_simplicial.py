@@ -1,5 +1,6 @@
 import pytest
 
+from moebiuskit.bicomodule import decalage
 from moebiuskit.catposet import FinPoset, chain_poset, nerve
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
 from moebiuskit.groupoid import GroupoidFunctor, is_monomorphism
@@ -8,7 +9,6 @@ from moebiuskit.simplicial import (
     SimplicialMap,
     TruncatedSimplicialGroupoid,
     check_axioms,
-    decalage,
     is_culf,
     nondegenerate_simplices,
     principal_edges,
@@ -61,7 +61,7 @@ def test_decalage_bottom_of_nerve():
     # level 0 of the decalage is the arrows of the poset
     assert set(dec.space.level(0).objects) == set(CHAIN3.level(1).objects)
     assert check_axioms(dec.space, "segal", 2).passed
-    assert is_culf(dec.to_base, 2).passed
+    assert is_culf(dec.base_map, 2).passed
     # the extra section is a monomorphism when the base is complete
     assert is_monomorphism(dec.section(0))
     assert is_monomorphism(dec.section(1))
@@ -70,14 +70,14 @@ def test_decalage_bottom_of_nerve():
 def test_decalage_top_of_nerve():
     dec = decalage(CHAIN3, "top")
     assert check_axioms(dec.space, "segal", 2).passed
-    assert is_culf(dec.to_base, 2).passed
+    assert is_culf(dec.base_map, 2).passed
 
 
 def test_decalage_of_layered_posets_is_segal():
     C = layered_posets(2)
     dec = decalage(C, "bottom")
     assert check_axioms(dec.space, "segal", 1).passed
-    assert is_culf(dec.to_base, 1).passed
+    assert is_culf(dec.base_map, 1).passed
     assert is_monomorphism(dec.section(0))
 
 
