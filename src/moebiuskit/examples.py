@@ -312,7 +312,7 @@ def _level_objects(ns: int, np_: int, grade_bound: int):
                            for a, b in rels0):
                     continue
                 p_rels = tuple((p_positions[a], p_positions[b]) for a, b in rels0)
-                upset_choices = _up_sets(mp, rels0)
+                upset_choices = _up_sets(mp, rels0) if s_positions else ()
                 for assignment in product(upset_choices, repeat=len(s_positions)):
                     s_rels = tuple((x, p_positions[q])
                                    for x, U in zip(s_positions, assignment)
@@ -340,6 +340,43 @@ def _layer_edge(kind):
                              if a in reindex and b in reindex))
         shape = (1, 0) if kind == "s" else (0, 1)
         return (shape[0], shape[1], ((kind, 1),) * len(keep), rels2)
+
+    return fn
+
+
+def _layerings(kind):
+    """The fiber generator of layered sets or posets.
+
+    The n-simplices over a 1-layered f with every layer nonempty are its
+    layerings: strict chains f = D_1 > D_2 > ... > D_n > {} of up-sets
+    (all subsets for sets), with element e in layer max{k : e in D_k}.
+    Each keeps the relations of f, as joining all layers does.
+    """
+
+    def fn(space, n, f):
+        _ns, _np, colors, rels = f
+        m = len(colors)
+        masks = [sum(1 << e for e in U) for U in _up_sets(m, rels) if U]
+        shape = (n, 0) if kind == "s" else (0, n)
+        layer = [0] * m
+
+        def peel(D, k):
+            """Layers k.. of the elements of D = D_k."""
+            if k == n:
+                for e in range(m):
+                    if D >> e & 1:
+                        layer[e] = n
+                yield (*shape, tuple((kind, l) for l in layer), rels)
+                return
+            for U in masks:
+                if U != D and U & D == U:
+                    for e in range(m):
+                        if (D & ~U) >> e & 1:
+                            layer[e] = k
+                    yield from peel(U, k + 1)
+
+        if m:
+            yield from peel((1 << m) - 1, 1)
 
     return fn
 
@@ -390,7 +427,7 @@ def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimp
         lambda s, n, i: _op_functor(s.level(n), s.level(n + 1),
                                     lambda k: _insert_layer(k, kind, i + 1), name=f"s{i}@{n}"),
         grade_bound=grade_bound, principal_edge_fn=_layer_edge(kind),
-        name=f"{letter}<={grade_bound}")
+        fiber_fn=_layerings(kind), name=f"{letter}<={grade_bound}")
 
 
 def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,

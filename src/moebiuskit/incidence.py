@@ -155,12 +155,23 @@ def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
 
     Phi_0 is the counit-style fiber through the s_0-image, Phi_1(f) is 1
     exactly when f itself is nondegenerate.
+
+    For n >= 1 on a space with a fiber generator, the value is the number
+    of simplices the generator yields over the class representative of f:
+    the composite d_1^{n-1} is the identity on labels there, so the strict
+    fiber is discrete and has the homotopy fiber's cardinality.  The count
+    is memoised on X.  Other spaces build X_{a...a} from the whole level n
+    and take the homotopy fiber.  Both routes need a complete space and
+    refuse n beyond the truncation.
     """
     if n < 0:
         raise DomainError("phi_n needs n >= 0")
-    _require_class(X, f)
+    rep = _require_class(X, f)
     if n == 0:
         return counit(X, f)
+    if X.generates_fibers:
+        return X._get(("phi", n, rep),
+                      lambda: Fraction(sum(1 for _ in X.fiber_simplices(n, rep))))
     W = nondegenerate_simplices(X, n).groupoid
     F = GroupoidFunctor.identity(X.level(n))
     for m in range(n, 1, -1):

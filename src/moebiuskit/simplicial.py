@@ -54,14 +54,25 @@ class TruncatedSimplicialGroupoid(Memo):
         face_fn(space, n, i)    -> GroupoidFunctor level n -> n-1,  0 <= i <= n
         degen_fn(space, n, i)   -> GroupoidFunctor level n -> n+1,  0 <= i <= n
 
+    A space may also supply a fiber generator,
+
+        fiber_fn(space, n, f)   -> iterable of n-simplices, n >= 1,
+
+    yielding each n-simplex sigma with every principal edge nondegenerate
+    whose inner-face composite d_1^{n-1} sends sigma to the level-1 object
+    f on the nose.  The contract is that this composite is the identity on
+    morphism labels, so the strict fiber is discrete and its size is the
+    homotopy-fiber cardinality over f; Phi_n then counts it instead of
+    building level n (see `incidence.phi_n`).
+
     Levels, operators and the values derived from them (word groupoids,
-    completeness) live in the space's `_memo`.  Only valid indices are
-    ever stored, so a hit needs no range check.
+    completeness, Phi counts) live in the space's `_memo`.  Only valid
+    indices are ever stored, so a hit needs no range check.
     """
 
     def __init__(self, max_level: int, level_fn, face_fn, degen_fn,
                  grade_bound: Optional[int] = None,
-                 principal_edge_fn=None, name: str = ""):
+                 principal_edge_fn=None, fiber_fn=None, name: str = ""):
         if max_level < 1:
             raise DomainError("a truncated simplicial groupoid needs max_level >= 1")
         super().__init__()
@@ -70,6 +81,7 @@ class TruncatedSimplicialGroupoid(Memo):
         self._face_fn = face_fn
         self._degen_fn = degen_fn
         self._principal_edge_fn = principal_edge_fn
+        self._fiber_fn = fiber_fn
         self.grade_bound = grade_bound
         self.name = name
 
@@ -98,6 +110,22 @@ class TruncatedSimplicialGroupoid(Memo):
                 raise DomainError(f"no degeneracy s_{i} at level {n}")
             F = self._get(("degeneracy", n, i), self._degen_fn, self, n, i)
         return F
+
+    @property
+    def generates_fibers(self) -> bool:
+        return self._fiber_fn is not None
+
+    def fiber_simplices(self, n: int, f):
+        """The nondegenerate n-simplices over f from the fiber generator;
+        like `nondegenerate_simplices`, this needs a complete space."""
+        if self._fiber_fn is None:
+            raise DomainError(f"{self.name or 'the space'} has no fiber generator")
+        _require_complete(self)
+        if n > self.max_level:
+            raise InsufficientLevelsError(n, self.max_level, self.name)
+        if n < 1:
+            raise DomainError("the fiber generator needs n >= 1")
+        return self._fiber_fn(self, n, f)
 
     # -- derived accessors -------------------------------------------------
 
@@ -205,9 +233,14 @@ def nondegenerate_simplices(X: TruncatedSimplicialGroupoid, n: int) -> WordGroup
     Requires a complete space so that "nondegenerate" is a well-defined
     complement; for n = 0 this is X_0 itself.
     """
-    if n > 0 and not X.is_complete():
-        raise DomainError("space is not complete: s_0 is not a monomorphism")
+    if n > 0:
+        _require_complete(X)
     return word_groupoid(X, "a" * n)
+
+
+def _require_complete(X: TruncatedSimplicialGroupoid) -> None:
+    if not X.is_complete():
+        raise DomainError("space is not complete: s_0 is not a monomorphism")
 
 
 # -- simplicial maps ---------------------------------------------------------

@@ -51,7 +51,7 @@ from moebiuskit.groupoid import (
     is_pullback_square,
 )
 from moebiuskit.incidence import Functional, comultiply, mobius_functional, zeta
-from moebiuskit.simplicial import principal_edges, word_groupoid
+from moebiuskit.simplicial import check_axioms, principal_edges, word_groupoid
 
 from conftest import random_poset, seeded
 
@@ -462,3 +462,18 @@ def test_comodule_mobius_check_top_decalage():
     N = nerve(random_poset(seeded(44), max_size=4), max_level=5)   # 4 elements, 4 strict pairs
     report = comodule_mobius_check(decalage(N, "top"), length_bound=4)
     assert report.passed and len(report.rows) == 8
+
+
+def test_validate_total_decalage_checks_its_border_once(monkeypatch):
+    TD = total_decalage(layered_posets(3, max_level=5), 2, 2)
+    profiles = []
+
+    def counting(X, profile, n_max):
+        profiles.append(profile)
+        return check_axioms(X, profile, n_max)
+
+    monkeypatch.setattr(bicomodule, "check_axioms", counting)
+    report = validate_configuration(TD, 1)
+    assert profiles.count("decomposition") == 1
+    x, y = (report.sections[f"border {s} decomposition"] for s in "XY")
+    assert x is y and x.passed and x.checks

@@ -139,6 +139,15 @@ def test_mu_posets_both_routes_small():
         assert mu_posets(P, "rota") == want
 
 
+def test_mu_posets_direct_route_on_all_five_element_posets():
+    # closed form: (-1)^n on the discrete poset, 0 on every other
+    posets = enumerate_posets(5)
+    assert len(posets) == 63
+    for P, _aut in posets:
+        want = Fraction(-1) if not P.strict_pairs() else Fraction(0)
+        assert mu_posets(P, "direct") == want
+
+
 def test_mu_posets_unknown_route():
     with pytest.raises(DomainError):
         mu_posets(FinPoset([]), "sideways")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from moebiuskit.catposet import FinPoset, chain_poset, divisor_poset, nerve
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
+from moebiuskit.groupoid import GroupoidFunctor, fiber_cardinality
 from moebiuskit.incidence import (
     CarrierMismatchError,
     Functional,
@@ -19,6 +20,7 @@ from moebiuskit.incidence import (
     verify_inversion,
     zeta,
 )
+from moebiuskit.simplicial import InsufficientLevelsError, nondegenerate_simplices
 
 from conftest import poset_mobius_oracle
 
@@ -176,3 +178,51 @@ def test_inversion_corrupted_mobius_fails_with_witness():
     assert not report.passed
     offenders = [r.cls for r in report.failures()]
     assert PT in offenders
+
+
+def _long_edge(X, n):
+    """d_1^{n-1} : X_n -> X_1."""
+    F = GroupoidFunctor.identity(X.level(n))
+    for m in range(n, 1, -1):
+        F = GroupoidFunctor.compose(X.face(m, 1), F)
+    return F
+
+
+def _phi_whole_level(X, f, n):
+    """Phi_n(f) from all of level n: the homotopy fiber of the long edge,
+    restricted to X_{a...a}."""
+    W = nondegenerate_simplices(X, n).groupoid
+    return fiber_cardinality(_long_edge(X, n).restrict(W), f)
+
+
+def test_phi_generated_fiber_equals_whole_level_route():
+    cases = 0
+    for build in (layered_sets, layered_posets):
+        for g in range(5):
+            X = build(g, max_level=max(2, g))
+            assert X.generates_fibers
+            for f in X.level(1).iso_classes().reps:
+                for n in range(1, X.max_level + 1):
+                    simplices = list(X.fiber_simplices(n, f))
+                    assert len(set(simplices)) == len(simplices)
+                    long_edge = _long_edge(X, n)
+                    for sigma in simplices:
+                        assert X.level(n).has_object(sigma)
+                        assert long_edge.ob(sigma) == f
+                    assert phi_n(X, f, n) == len(simplices) == _phi_whole_level(X, f, n)
+                    cases += 1
+    assert cases == 185
+
+
+def test_phi_refuses_levels_beyond_the_truncation():
+    C = layered_posets(3, max_level=3)
+    chain3 = poset_key(FinPoset("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
+    assert phi_n(C, chain3, 3) == 1
+    N = nerve(chain_poset(3), max_level=3)
+    f = (("le", 0, 2),)
+    for X, edge in ((C, chain3), (N, f)):
+        with pytest.raises(InsufficientLevelsError) as err:
+            phi_n(X, edge, 4)
+        assert (err.value.needed, err.value.available) == (4, 3)
+        with pytest.raises(InsufficientLevelsError):
+            mobius(X, edge, length_bound=4)
