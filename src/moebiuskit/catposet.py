@@ -7,11 +7,14 @@ detected by exhaustive identity-free chain search, and the classical
 Mobius function is the alternating count of identity-free factorizations.
 
 Adjunctions are checked through the universal-arrow property (for posets
-this is exactly the Galois-connection condition), mapping cylinders carry
-their canonical correspondence to the arrow category, and the relative
-nerve of a correspondence is an augmented bisimplicial groupoid whose
-pointings come from cocartesian/cartesian lifts found by exhaustive
-search.
+this is exactly the Galois-connection condition), and mapping cylinders
+carry their canonical correspondence to the arrow category.  The relative
+nerve of a correspondence is the total decalage of its nerve, cut to the
+chains with the label pattern 0...01...1; its borders are the nerves of
+the full subcategories over 0 and over 1, and its pointings come from
+cocartesian/cartesian lifts found by exhaustive search.  Every space built
+from a category thus uses the one chain, face and degeneracy rule of
+`nerve`.
 """
 
 from __future__ import annotations
@@ -20,8 +23,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bicomodule import AugmentedBisimplicialGroupoid
-from .groupoid import DomainError, Memo, StructureError, discrete_functor, discrete_groupoid
+from .bicomodule import AugmentedBisimplicialGroupoid, total_decalage
+from .groupoid import (
+    DomainError,
+    Memo,
+    StructureError,
+    discrete_functor,
+    discrete_groupoid,
+    full_subgroupoid,
+)
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -529,6 +539,19 @@ class CorrespondenceCat:
     def objects_over(self, bit):
         return [a for a in self.category.objects if self.label[a] == bit]
 
+    def over(self, bit) -> FinCategory:
+        """The full subcategory on the objects over `bit`, keeping the
+        arrow names of the category."""
+        C = self.category
+        objects = self.objects_over(bit)
+        mors = {m: (a, b) for m, (a, b) in C.morphisms.items()
+                if self.label[a] == bit and self.label[b] == bit}
+        compose = {(f, g): C.compose(g, f) for f in mors for g in mors
+                   if C.tgt(f) == C.src(g)}
+        return FinCategory(objects, mors, compose,
+                           {a: C.identities[a] for a in objects},
+                           name=f"{C.name}_{bit}")
+
 
 def mapping_cylinder(F: FinFunctor):
     """The collage M_F with mixed homs Hom(Fx, y), its correspondence to the
@@ -634,30 +657,20 @@ def fibration_report(corr: CorrespondenceCat) -> FibrationReport:
     return FibrationReport(cocart, cart)
 
 
-def _chain_face(C: FinCategory, chain, idx):
-    vs, ms = chain
-    if idx == 0:
-        return (vs[1:], ms[1:])
-    if idx == len(vs) - 1:
-        return (vs[:-1], ms[:-1])
-    return (vs[:idx] + vs[idx + 1:],
-            ms[:idx - 1] + (C.compose(ms[idx], ms[idx - 1]),) + ms[idx + 1:])
-
-
-def _chain_degen(C: FinCategory, chain, idx):
-    vs, ms = chain
-    return (vs[:idx + 1] + vs[idx:],
-            ms[:idx] + (C.identities[vs[idx]],) + ms[idx:])
-
-
 def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                                 report: Optional[FibrationReport] = None,
                                 name: str = "") -> AugmentedBisimplicialGroupoid:
-    """The relative nerve of a correspondence: cell (i,j) is the discrete
-    groupoid of chains with i+1 vertices over 0 and j+1 over 1, and the
-    borders X and Y are the chains over 0 and over 1 alone; faces compose
-    or truncate, degeneracies insert identities, and the augmentations
-    delete the mixed arrow from either side.
+    """The relative nerve of a correspondence: the label-pattern cut of the
+    total decalage of its nerve.
+
+    Cell (i,j) is the full subgroupoid of the total-decalage cell
+    N_{i+1+j} on the chains whose vertex i lies over 0 and vertex i+1
+    over 1 (no arrow goes from 1 to 0, so these are the chains with i+1
+    vertices over 0 and j+1 over 1).  Faces, degeneracies and the
+    augmentations are those of the total decalage on the cut cells, and
+    the borders X and Y are the nerves of the full subcategories over 0
+    and over 1.  A chain is a tuple of arrows; a level-0 object is a bare
+    object.
 
     When the fibration report grants cocartesian (resp. cartesian) lifts
     everywhere, the right pointing s_{-1} (resp. left pointing t_{top+1})
@@ -666,57 +679,21 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     C = corr.category
     if report is None:
         report = fibration_report(corr)
-    name = name or f"N/D1({C.name})"
-
-    def chains(pattern):
-        combos = [((v,), ()) for v in C.objects if corr.label[v] == pattern[0]]
-        for bit in pattern[1:]:
-            nxt = []
-            for vs, ms in combos:
-                for m in C.morphisms:
-                    if C.src(m) == vs[-1] and corr.label[C.tgt(m)] == bit:
-                        nxt.append((vs + (C.tgt(m),), ms + (m,)))
-            combos = nxt
-        return combos
-
-    def border(bit, max_level, label):
-        """The nerve of the full subcategory over `bit`, as chains."""
-        return TruncatedSimplicialGroupoid(
-            max_level,
-            lambda s, n: discrete_groupoid(chains((bit,) * (n + 1)), name=f"{label}_{n}"),
-            lambda s, n, i: discrete_functor(s.level(n), s.level(n - 1),
-                                             lambda c: _chain_face(C, c, i)),
-            lambda s, n, i: discrete_functor(s.level(n), s.level(n + 1),
-                                             lambda c: _chain_degen(C, c, i)),
-            name=f"{name}.{label}")
+    T = total_decalage(nerve(C, max_level=max_i + 1 + max_j), max_i, max_j)
 
     def cell_fn(B, i, j):
-        pattern = (0,) * (i + 1) + (1,) * (j + 1)
-        return discrete_groupoid(chains(pattern), name=f"B({i},{j})")
+        ambient = T.cell(i, j)
+        keep = [c for c in ambient.objects
+                if corr.label[C.src(c[i])] == 0 and corr.label[C.tgt(c[i])] == 1]
+        return full_subgroupoid(ambient, keep, name=f"B({i},{j})")
 
-    def hface_fn(B, i, j, k):
-        return discrete_functor(B.cell(i, j), B.cell(i, j - 1),
-                                lambda c: _chain_face(C, c, i + 1 + k))
+    def cut(op, source, target):
+        """The operator `op` of the total decalage on the cut cells."""
+        return discrete_functor(source, target, op.ob, name=op.name)
 
-    def vface_fn(B, i, j, l):
-        return discrete_functor(B.cell(i, j), B.cell(i - 1, j),
-                                lambda c: _chain_face(C, c, l))
-
-    def hdegen_fn(B, i, j, k):
-        return discrete_functor(B.cell(i, j), B.cell(i, j + 1),
-                                lambda c: _chain_degen(C, c, i + 1 + k))
-
-    def vdegen_fn(B, i, j, l):
-        return discrete_functor(B.cell(i, j), B.cell(i + 1, j),
-                                lambda c: _chain_degen(C, c, l))
-
-    def u_fn(B, i):
-        return discrete_functor(B.cell(i, 0), B.cell(i, -1),
-                                lambda c: _chain_face(C, c, i + 1))
-
-    def v_fn(B, j):
-        return discrete_functor(B.cell(0, j), B.cell(-1, j),
-                                lambda c: _chain_face(C, c, 0))
+    def vertex(c, k):
+        """Vertex k of the chain c."""
+        return C.src(c[k]) if k < len(c) else C.tgt(c[-1])
 
     def unique_post_factor(a, m):
         """The unique h with h . a = m, through the cocartesian lift a."""
@@ -736,32 +713,35 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     if report.all_cocartesian:
         def right_section_fn(B, i, j):
             def ob(c):
-                vs, ms = c
-                a = report.cocartesian[vs[i]]
-                t = C.tgt(a)
+                if i + j == 0:      # c is an object over 0
+                    return (report.cocartesian[c],)
+                a = report.cocartesian[vertex(c, i)]
                 if j == 0:
-                    return (vs + (t,), ms + (a,))
-                h = unique_post_factor(a, ms[i])
-                return (vs[:i + 1] + (t,) + vs[i + 1:],
-                        ms[:i] + (a, h) + ms[i + 1:])
+                    return c + (a,)
+                return c[:i] + (a, unique_post_factor(a, c[i])) + c[i + 1:]
             return discrete_functor(B.cell(i, j - 1), B.cell(i, j), ob)
 
     left_section_fn = None
     if report.all_cartesian:
         def left_section_fn(B, i, j):
             def ob(c):
-                vs, ms = c
+                if i + j == 0:      # c is an object over 1
+                    return (report.cartesian[c],)
+                a = report.cartesian[vertex(c, i)]  # first vertex over 1
                 if i == 0:
-                    a = report.cartesian[vs[0]]
-                    return ((C.src(a),) + vs, (a,) + ms)
-                a = report.cartesian[vs[i]]  # first vertex over 1 in the source cell
-                h = unique_pre_factor(a, ms[i - 1])
-                return (vs[:i] + (C.src(a),) + vs[i:],
-                        ms[:i - 1] + (h, a) + ms[i:])
+                    return (a,) + c
+                return c[:i - 1] + (unique_pre_factor(a, c[i - 1]), a) + c[i:]
             return discrete_functor(B.cell(i - 1, j), B.cell(i, j), ob)
 
     return AugmentedBisimplicialGroupoid(
-        max_i, max_j, border(0, max_i, "X"), border(1, max_j, "Y"),
-        cell_fn, hface_fn, vface_fn, hdegen_fn, vdegen_fn, u_fn, v_fn,
+        max_i, max_j,
+        nerve(corr.over(0), max_level=max_i), nerve(corr.over(1), max_level=max_j),
+        cell_fn,
+        hface_fn=lambda B, i, j, k: cut(T.hface(i, j, k), B.cell(i, j), B.cell(i, j - 1)),
+        vface_fn=lambda B, i, j, l: cut(T.vface(i, j, l), B.cell(i, j), B.cell(i - 1, j)),
+        hdegen_fn=lambda B, i, j, k: cut(T.hdegen(i, j, k), B.cell(i, j), B.cell(i, j + 1)),
+        vdegen_fn=lambda B, i, j, l: cut(T.vdegen(i, j, l), B.cell(i, j), B.cell(i + 1, j)),
+        u_fn=lambda B, i: cut(T.aug_u(i), B.cell(i, 0), B.cell(i, -1)),
+        v_fn=lambda B, j: cut(T.aug_v(j), B.cell(0, j), B.cell(-1, j)),
         right_section_fn=right_section_fn, left_section_fn=left_section_fn,
-        name=name)
+        name=name or f"N/D1({C.name})")

@@ -325,25 +325,6 @@ def _level_objects(ns: int, np_: int, grade_bound: int):
 # -- the decomposition spaces I and C, and the bicomodule B ----------------------
 
 
-def _layer_edge(kind):
-    """Fast principal-edge extraction: layer i as a 1-layered structure.
-
-    Agrees exactly with the composite of outer faces because deletions
-    reindex order-preservingly; the tests compare the two routes.
-    """
-
-    def fn(space, n, struct, i):
-        _ns, _np, colors, rels = struct
-        keep = [e for e in range(len(colors)) if colors[e] == (kind, i)]
-        reindex = {old: new for new, old in enumerate(keep)}
-        rels2 = tuple(sorted((reindex[a], reindex[b]) for a, b in rels
-                             if a in reindex and b in reindex))
-        shape = (1, 0) if kind == "s" else (0, 1)
-        return (shape[0], shape[1], ((kind, 1),) * len(keep), rels2)
-
-    return fn
-
-
 def _layerings(kind):
     """The fiber generator of layered sets or posets.
 
@@ -426,8 +407,7 @@ def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimp
                                     lambda k: _layer_face(k, kind, n, i), name=f"d{i}@{n}"),
         lambda s, n, i: _op_functor(s.level(n), s.level(n + 1),
                                     lambda k: _insert_layer(k, kind, i + 1), name=f"s{i}@{n}"),
-        grade_bound=grade_bound, principal_edge_fn=_layer_edge(kind),
-        fiber_fn=_layerings(kind), name=f"{letter}<={grade_bound}")
+        grade_bound=grade_bound, fiber_fn=_layerings(kind), name=f"{letter}<={grade_bound}")
 
 
 def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,

@@ -513,59 +513,9 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
 # -- structural checks -------------------------------------------------------
 
 
-def is_equivalence(F: GroupoidFunctor, want_witness: bool = False):
-    """Fully faithful + essentially surjective, checked on iso classes.
-
-    With `want_witness=True` returns (ok, witness) where the witness names
-    the missed target class, the pair of source classes that collide, or
-    the class whose automorphism map is not bijective.
-    """
-    stab = F.source.iso_classes()
-    ttab = F.target.iso_classes()
-    image: dict = {}
-    for rep in stab.reps:
-        tcls = ttab.class_of(F.ob(rep))
-        if tcls in image:
-            w = ("not fully faithful: source classes "
-                 f"{image[tcls]!r} and {rep!r} share target class {tcls!r}")
-            return (False, w) if want_witness else False
-        image[tcls] = rep
-    for tcls in ttab.reps:
-        if tcls not in image:
-            w = f"not essentially surjective: target class {tcls!r} missed"
-            return (False, w) if want_witness else False
-    for rep in stab.reps:
-        auts = F.source.hom(rep, rep)
-        images = {F(alpha) for alpha in auts}
-        frep = F.ob(rep)
-        if len(images) != len(auts) or len(auts) != len(F.target.hom(frep, frep)):
-            w = (f"automorphism map not bijective at class {rep!r}: "
-                 f"|Aut|={len(auts)} vs |Aut image|={len(F.target.hom(frep, frep))}")
-            return (False, w) if want_witness else False
-    return (True, None) if want_witness else True
-
-
-def is_monomorphism(F: GroupoidFunctor) -> bool:
-    """True iff every homotopy fiber of F is empty or contractible."""
-    ttab = F.target.iso_classes()
-    stab = F.source.iso_classes()
-    hit: dict = {}
-    for rep in stab.reps:
-        tcls = ttab.class_of(F.ob(rep))
-        if tcls in hit:
-            return False  # two source classes over one target class
-        hit[tcls] = rep
-    for tcls, rep in hit.items():
-        fib = fiber(F, tcls)
-        tab = fib.iso_classes()
-        if len(tab.reps) != 1 or tab.aut_orders[tab.reps[0]] != 1:
-            return False
-    return True
-
-
 @dataclass
 class SquareResult:
-    """Outcome of a pullback-square check."""
+    """Outcome of a structural check (a pullback square, an equivalence)."""
 
     passed: bool
     witness: Optional[str] = None
@@ -573,6 +523,57 @@ class SquareResult:
 
     def __bool__(self):
         return self.passed
+
+
+def _class_image(F: GroupoidFunctor):
+    """(image, witness): the source class over each target class, and a
+    witness when two source classes share one target class."""
+    ttab = F.target.iso_classes()
+    image: dict = {}
+    for rep in F.source.iso_classes().reps:
+        tcls = ttab.class_of(F.ob(rep))
+        if tcls in image:
+            return image, ("not fully faithful: source classes "
+                           f"{image[tcls]!r} and {rep!r} share target class {tcls!r}")
+        image[tcls] = rep
+    return image, None
+
+
+def _aut_witness(F: GroupoidFunctor) -> Optional[str]:
+    """The first source class whose automorphism map is not bijective."""
+    for rep in F.source.iso_classes().reps:
+        auts = F.source.hom(rep, rep)
+        images = {F(alpha) for alpha in auts}
+        frep = F.ob(rep)
+        if len(images) != len(auts) or len(auts) != len(F.target.hom(frep, frep)):
+            return (f"automorphism map not bijective at class {rep!r}: "
+                    f"|Aut|={len(auts)} vs |Aut image|={len(F.target.hom(frep, frep))}")
+    return None
+
+
+def is_equivalence(F: GroupoidFunctor) -> SquareResult:
+    """Fully faithful + essentially surjective, checked on iso classes.
+
+    The result is truthy exactly for an equivalence; on failure its
+    witness names the pair of source classes that collide, the missed
+    target class, or the class whose automorphism map is not bijective.
+    """
+    image, witness = _class_image(F)
+    if witness is None:
+        missed = [tcls for tcls in F.target.iso_classes().reps if tcls not in image]
+        if missed:
+            witness = f"not essentially surjective: target class {missed[0]!r} missed"
+    if witness is None:
+        witness = _aut_witness(F)
+    return SquareResult(witness is None, witness)
+
+
+def is_monomorphism(F: GroupoidFunctor) -> bool:
+    """True iff every homotopy fiber of F is empty or contractible.
+
+    On groupoids that is full faithfulness: F is injective on iso classes
+    and bijective on each automorphism group."""
+    return _class_image(F)[1] is None and _aut_witness(F) is None
 
 
 def is_pullback_square(
@@ -613,8 +614,8 @@ def is_pullback_square(
                       (p(m).label, q(m).label)),
         name="cmp",
     )
-    ok, witness = is_equivalence(comparison, want_witness=True)
-    return SquareResult(ok, witness, name=name)
+    result = is_equivalence(comparison)
+    return SquareResult(result.passed, result.witness, name=name)
 
 
 def skeletalize(G: FiniteGroupoid):

@@ -71,8 +71,7 @@ class TruncatedSimplicialGroupoid(Memo):
     """
 
     def __init__(self, max_level: int, level_fn, face_fn, degen_fn,
-                 grade_bound: Optional[int] = None,
-                 principal_edge_fn=None, fiber_fn=None, name: str = ""):
+                 grade_bound: Optional[int] = None, fiber_fn=None, name: str = ""):
         if max_level < 1:
             raise DomainError("a truncated simplicial groupoid needs max_level >= 1")
         super().__init__()
@@ -80,7 +79,6 @@ class TruncatedSimplicialGroupoid(Memo):
         self._level_fn = level_fn
         self._face_fn = face_fn
         self._degen_fn = degen_fn
-        self._principal_edge_fn = principal_edge_fn
         self._fiber_fn = fiber_fn
         self.grade_bound = grade_bound
         self.name = name
@@ -144,20 +142,10 @@ class TruncatedSimplicialGroupoid(Memo):
         return F
 
     def principal_edge(self, n: int, sigma, i: int):
-        """The i-th principal edge (1-based) of an n-simplex, in level 1.
-
-        Generated spaces may install a `principal_edge_fn` fast path
-        (direct layer extraction); it must agree with the composite of
-        outer faces computed here, and the test suite compares the two.
-        """
+        """The i-th principal edge (1-based) of an n-simplex, in level 1,
+        through the composite of outer face maps."""
         if not 1 <= i <= n:
             raise DomainError(f"principal edge index {i} out of range 1..{n}")
-        if self._principal_edge_fn is not None:
-            return self._principal_edge_fn(self, n, sigma, i)
-        return self.principal_edge_by_faces(n, sigma, i)
-
-    def principal_edge_by_faces(self, n: int, sigma, i: int):
-        """Principal edge through the composite of outer face maps."""
         obj = sigma
         for m in range(n, i, -1):      # delete top vertices down to level i
             obj = self.face(m, m).ob(obj)

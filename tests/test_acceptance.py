@@ -107,10 +107,10 @@ def test_criterion_3_classical_rota():
     B = correspondence_bisimplicial(corr, 3, 3, report)
     adj = check_adjunction(F, G).adjunction
     for m in B.cell(0, 0).objects:
-        (xv, yv), _ = m
+        ((_, x, (_, _, y)),) = m    # the mixed arrow ("mix", x, ("le", Fx, y))
         lhs, rhs = rota_evaluate(B, m, length_bound=3)
         assert lhs == rhs
-        assert (lhs, rhs) == rota_direct(adj, xv[1], yv[1])
+        assert (lhs, rhs) == rota_direct(adj, x, y)
     _report(3, "classical Rota formula, direct and through the nerve", t0, 10)
 
 

@@ -158,14 +158,14 @@ def test_stability_mutation_fails_with_witness_and_breaks_associativity():
 def test_coact_right_adjunction_nerve_counts_factorizations():
     B, _ = adjunction_nerve()
     # m: the mixed arrow F(0) = 0 <= 1 factors through y' in {0, 1}
-    m = ((("x", 0), ("y", 1)), (("mix", 0, ("le", 0, 1)),))
+    m = (("mix", 0, ("le", 0, 1)),)
     terms = coact(B, "right", m)
     assert sum(w for w, _c, _y in terms) == 2
     total = convolve_action(B, "right", zeta(B.y_space()),
                             Functional.constant(B.cell(0, 0), 1), m)
     assert total == 2
     # and one with a single factorization: F(2) = 1 <= 1
-    m1 = ((("x", 2), ("y", 1)), (("mix", 2, ("le", 1, 1)),))
+    m1 = (("mix", 2, ("le", 1, 1)),)
     assert sum(w for w, _c, _y in coact(B, "right", m1)) == 1
 
 
@@ -231,8 +231,7 @@ def test_pointing_delta_adjunction_nerve_supports():
     B, _ = adjunction_nerve()
     rc, lc = right_comodule(B), left_comodule(B)
     for m in B.cell(0, 0).objects:
-        (xv, yv), (mix,) = m
-        x, y = xv[1], yv[1]
+        ((_, x, (_, _, y)),) = m    # the mixed arrow ("mix", x, ("le", Fx, y))
         fx = {0: 0, 1: 0, 2: 1}[x]
         # delta^R supported on identity-mixed arrows (y = Fx)
         assert pointing_delta(rc, m) == (1 if y == fx else 0)
@@ -244,10 +243,10 @@ def test_pointing_delta_adjunction_nerve_supports():
 def test_phi_comodule_adjunction_nerve_conventions():
     B, _ = adjunction_nerve()
     rc = right_comodule(B)
-    m_id = ((("x", 1), ("y", 0)), (("mix", 1, ("le", 0, 0)),))  # F1 = 0: identity type
+    m_id = (("mix", 1, ("le", 0, 0)),)  # F1 = 0: identity type
     assert phi_comodule(rc, m_id, -1) == 1
     assert phi_comodule(rc, m_id, 0) == 0
-    m_strict = ((("x", 0), ("y", 1)), (("mix", 0, ("le", 0, 1)),))
+    m_strict = (("mix", 0, ("le", 0, 1)),)
     assert phi_comodule(rc, m_strict, 0) == 1
 
 
@@ -345,8 +344,7 @@ def test_rota_evaluate_adjunction_nerve_matches_rota_direct():
     B, adj = adjunction_nerve()
     F = adj.F
     for m in B.cell(0, 0).objects:
-        (xv, yv), _ = m
-        x, y = xv[1], yv[1]
+        ((_, x, (_, _, y)),) = m    # the mixed arrow ("mix", x, ("le", Fx, y))
         lhs, rhs = rota_evaluate(B, m, length_bound=3)
         assert lhs == rhs
         # the delta-support identification: mixed arrows are the pairs
@@ -359,6 +357,27 @@ def test_rota_direct_vanishes_without_mixed_arrow():
     _B, adj = adjunction_nerve()
     # (x, y) = (2, 0) has no mixed arrow (F2 = 1 > 0); both sums are empty
     assert rota_direct(adj, 2, 0) == (0, 0)
+
+
+def test_cylinder_without_right_adjoint_is_refused():
+    # negative control: {a, b} -> 0 < 1 (a -> 0, b -> 1) has no right
+    # adjoint, so nothing over 0 is a cartesian lift onto y = 1
+    F = poset_functor(FinPoset(["a", "b"]), chain_poset(2), {"a": 0, "b": 1})
+    corr, report = mapping_cylinder(F)
+    assert report.cartesian[("y", 1)] is None
+    B = correspondence_bisimplicial(corr, 3, 3, report)
+    assert B.left_section(0, 0) is None
+    pointings = validate_configuration(B, 1).sections["pointings"]
+    assert [c.name for c in pointings.checks] == [
+        "u . s_{-1} = id at (0,0)",
+        "right pointing complete (s_{-1} mono)",
+        "d_0 . s_{-1} = id at (0,1)",
+    ]
+    classes = B.cell(0, 0).iso_classes().reps
+    assert len(classes) == 3
+    for m in classes:
+        with pytest.raises(DomainError):
+            rota_evaluate(B, m, length_bound=3)
 
 
 def test_check_associativity_total_decalage_and_adjunction():

@@ -249,6 +249,40 @@ def test_correspondence_bisimplicial_cells():
         assert B.aug_v(0).ob(t.ob(y)) == y
 
 
+def test_relative_nerve_cells_are_label_pattern_chains_of_the_nerve():
+    F, _G = chain_adjunction()
+    corr, report = mapping_cylinder(F)
+    B = correspondence_bisimplicial(corr, 2, 2, report)
+    M = corr.category
+    N = nerve(M, max_level=5)
+
+    def pattern(c):
+        return tuple(corr.label[M.src(a)] for a in c) + (corr.label[M.tgt(c[-1])],)
+
+    for i in range(3):
+        for j in range(3):
+            expected = tuple(c for c in N.level(i + 1 + j).objects
+                             if pattern(c) == (0,) * (i + 1) + (1,) * (j + 1))
+            assert expected and B.cell(i, j).objects == expected
+
+
+def test_relative_nerve_borders_are_nerves_of_the_fibers():
+    F, _G = chain_adjunction()
+    corr, report = mapping_cylinder(F)
+    B = correspondence_bisimplicial(corr, 2, 2, report)
+    M = corr.category
+    for bit, border in ((0, B.x_space()), (1, B.y_space())):
+        sub = corr.over(bit)
+        sub.validate()
+        # the full subcategory, with the arrow names of M
+        assert sub.objects == tuple(corr.objects_over(bit))
+        assert sub.morphisms == {m: (a, b) for m, (a, b) in M.morphisms.items()
+                                 if corr.label[a] == corr.label[b] == bit}
+        ref = nerve(sub, max_level=2)
+        for n in range(3):
+            assert border.level(n).objects == ref.level(n).objects
+
+
 def test_classical_mobius_rejects_unknown_morphism():
     C = FinCategory.from_poset(chain_poset(3))
     for f in [("le", 2, 0), ("le", 0, 9)]:

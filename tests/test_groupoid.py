@@ -191,8 +191,8 @@ def test_is_equivalence_examples():
     assert is_equivalence(GroupoidFunctor.identity(G))
     pt = discrete_groupoid(["*"])
     incl = GroupoidFunctor(pt, G, lambda a: 0, lambda m: G.identity(0))
-    ok, witness = is_equivalence(incl, want_witness=True)
-    assert not ok and "essentially surjective" in witness
+    result = is_equivalence(incl)
+    assert not result and "essentially surjective" in result.witness
 
 
 def test_is_monomorphism_examples():
@@ -205,6 +205,25 @@ def test_is_monomorphism_examples():
     incl = GroupoidFunctor(pt, G, lambda a: 0, lambda m: G.identity(0))
     assert is_monomorphism(incl)
     assert cardinality(pt) <= cardinality(G)
+
+
+def test_is_monomorphism_matches_fiber_definition_random():
+    # the definition: every homotopy fiber over a target class is empty
+    # or contractible (one class, trivial automorphisms)
+    def by_fibers(F):
+        for c in F.target.iso_classes().reps:
+            tab = fiber(F, c).iso_classes()
+            if tab.reps and (len(tab.reps) != 1 or tab.aut_orders[tab.reps[0]] != 1):
+                return False
+        return True
+
+    rng = seeded(23)
+    monos = 0
+    for _ in range(300):
+        F = random_cluster_functor(rng)
+        assert is_monomorphism(F) == by_fibers(F)
+        monos += by_fibers(F)
+    assert monos == 17   # 133 others are injective on classes but not on automorphisms
 
 
 def test_cardinality_equivalence_invariant_random():

@@ -160,17 +160,6 @@ def test_principal_edges_of_chain_simplex():
     assert principal_edges(CHAIN3, 1, edge) == [edge]
 
 
-def test_principal_edge_fast_path_agrees_with_faces():
-    # the layered spaces install a direct-extraction fast path; it must
-    # agree with the composite of outer faces everywhere
-    for X in (layered_posets(2, max_level=4), layered_sets(3, max_level=4)):
-        for n in (2, 3):
-            for sigma in X.level(n).objects:
-                for i in range(1, n + 1):
-                    assert X.principal_edge(n, sigma, i) \
-                        == X.principal_edge_by_faces(n, sigma, i)
-
-
 def test_layered_poset_principal_edges_are_layers():
     C = layered_posets(3, max_level=4)
     P = poset_key(FinPoset(["a", "b", "c"], [("a", "b")]))
