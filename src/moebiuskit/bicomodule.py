@@ -1,14 +1,17 @@
 """Augmented bisimplicial groupoids and bicomodule configurations.
 
-The grid B_{i,j} (i, j >= -1, not both -1) carries horizontal faces d_k
-and degeneracies s_k, vertical faces e_l and degeneracies t_l, and
-augmentations u : B_{i,0} -> B_{i,-1} and v : B_{0,j} -> B_{-1,j}.  A
-bicomodule configuration is such a grid that is Segal in both directions,
-stable, with culf augmentations and decomposition-space borders
-X = B_{.,-1} and Y = B_{-1,.}; it induces a left coaction through the
-span B_{0,0} <- B_{1,0} -> X_1 x B_{0,0} and a right coaction through
-B_{0,0} <- B_{0,1} -> B_{0,0} x Y_1.  A grid is given its borders X and Y
-as simplicial groupoids and generates only the cells with i, j >= 0.
+A cell B_{i,j} (i, j >= -1, not both -1) holds (i+1+j)-simplices with
+i+1 vertices on the X side and j+1 on the Y side.  Faces d_v and
+degeneracies s_v are indexed by vertex: at v <= i they are the vertical
+e_v and t_v, above it the horizontal d_k and s_k with k = v-i-1, and the
+augmentations u : B_{i,0} -> B_{i,-1} and v : B_{0,j} -> B_{-1,j} are the
+faces that empty one side.  A bicomodule configuration is such a grid
+that is Segal in both directions, stable, with culf augmentations and
+decomposition-space borders X = B_{.,-1} and Y = B_{-1,.}; it induces a
+left coaction through the span B_{0,0} <- B_{1,0} -> X_1 x B_{0,0} and a
+right coaction through B_{0,0} <- B_{0,1} -> B_{0,0} x Y_1.  A grid is
+given its borders X and Y as simplicial groupoids and generates only the
+cells with i, j >= 0.
 
 Optional pointings s_{-1} (right) and t_{top+1} (left) are extra sections
 of the outer operators; they give the counit-style functionals delta^R,
@@ -19,8 +22,9 @@ and the generalized Rota formula
 
 Stability is checked through the two-square reduction valid for double
 Segal spaces; the full square family is available behind a flag.  The
-decalage of X is row 0 (Dec_bot) or column 0 (Dec_top) of its total
-decalage, whose borders are both X.
+total decalage of X has cell (i,j) = X_{i+1+j} and the operators of X at
+the same vertex; the decalage of X is its row 0 (Dec_bot) or column 0
+(Dec_top).
 """
 
 from __future__ import annotations
@@ -68,17 +72,19 @@ class AugmentedBisimplicialGroupoid(Memo):
     i = -1 or j = -1 is read from them and `row(-1)`/`column(-1)` are
     `y`/`x` themselves.  The grade bound of the grid is theirs.  Callbacks
     cover i, j >= 0 only (all produce memoized functors between memoized
-    cells; `self` is passed so callbacks can look levels up):
+    cells; `self` is passed so callbacks can look cells up):
 
         cell_fn(B, i, j)                     i, j >= 0
-        hface_fn(B, i, j, k)                 (i,j) -> (i,j-1), j >= 1, 0 <= k <= j
-        vface_fn(B, i, j, l)                 (i,j) -> (i-1,j), i >= 1, 0 <= l <= i
-        hdegen_fn(B, i, j, k)                (i,j) -> (i,j+1), 0 <= k <= j
-        vdegen_fn(B, i, j, l)                (i,j) -> (i+1,j), 0 <= l <= i
-        u_fn(B, i)                           (i,0) -> (i,-1)
-        v_fn(B, j)                           (0,j) -> (-1,j)
+        face_fn(B, i, j, v)                  d_v of an (i+1+j)-simplex
+        degen_fn(B, i, j, v)                 s_v of an (i+1+j)-simplex
         right_section_fn(B, i, j) or None    (i,j-1) -> (i,j), j >= 0
         left_section_fn(B, i, j) or None     (i-1,j) -> (i,j), i >= 0
+
+    The vertex rule lives here once (`face_target`, `degen_target`): an
+    operator at vertex v <= i is vertical, so d_v lands in (i-1,j) and s_v
+    in (i+1,j); at v > i it is horizontal, landing in (i,j-1) or (i,j+1).
+    So d_k, s_k are the operators at vertex i+1+k, e_l, t_l those at
+    vertex l, u = d_{i+1} at (i,0) and v = d_0 at (0,j).
 
     Section callbacks may return None for levels where no pointing data
     exists (the layered sets/posets bicomodule only points the bottom of
@@ -87,21 +93,16 @@ class AugmentedBisimplicialGroupoid(Memo):
     """
 
     def __init__(self, max_i, max_j, x: TruncatedSimplicialGroupoid,
-                 y: TruncatedSimplicialGroupoid, cell_fn, hface_fn, vface_fn,
-                 hdegen_fn, vdegen_fn, u_fn, v_fn, right_section_fn=None,
-                 left_section_fn=None, name=""):
+                 y: TruncatedSimplicialGroupoid, cell_fn, face_fn, degen_fn,
+                 right_section_fn=None, left_section_fn=None, name=""):
         super().__init__()
         self.max_i = max_i
         self.max_j = max_j
         self._x = x
         self._y = y
         self._cell_fn = cell_fn
-        self._hface_fn = hface_fn
-        self._vface_fn = vface_fn
-        self._hdegen_fn = hdegen_fn
-        self._vdegen_fn = vdegen_fn
-        self._u_fn = u_fn
-        self._v_fn = v_fn
+        self._face_fn = face_fn
+        self._degen_fn = degen_fn
         self._right_section_fn = right_section_fn
         self._left_section_fn = left_section_fn
         self.name = name
@@ -122,41 +123,53 @@ class AugmentedBisimplicialGroupoid(Memo):
                                           f"cell ({i},{j})")
         return self._get(("cell", i, j), self._cell_fn, self, i, j)
 
-    def hface(self, i, j, k) -> GroupoidFunctor:
+    def face_target(self, i, j, v) -> FiniteGroupoid:
+        """The cell d_v of cell (i,j) lands in."""
+        return self.cell(i - 1, j) if v <= i else self.cell(i, j - 1)
+
+    def degen_target(self, i, j, v) -> FiniteGroupoid:
+        """The cell s_v of cell (i,j) lands in."""
+        return self.cell(i + 1, j) if v <= i else self.cell(i, j + 1)
+
+    def face(self, i, j, v) -> GroupoidFunctor:
+        """d_v of the (i+1+j)-simplices in cell (i,j), into `face_target`."""
         if i == -1:
-            return self._y.face(j, k)
-        if j < 1 or not 0 <= k <= j:
-            raise DomainError(f"no horizontal face d_{k} at ({i},{j})")
-        return self._get(("hface", i, j, k), self._hface_fn, self, i, j, k)
+            return self._y.face(j, v)
+        if j == -1:
+            return self._x.face(i, v)
+        if not 0 <= v <= i + 1 + j:
+            raise DomainError(f"no face d_{v} at ({i},{j})")
+        self.cell(i, j)
+        return self._get(("face", i, j, v), self._face_fn, self, i, j, v)
+
+    def degen(self, i, j, v) -> GroupoidFunctor:
+        """s_v of the (i+1+j)-simplices in cell (i,j), into `degen_target`."""
+        if i == -1:
+            return self._y.degeneracy(j, v)
+        if j == -1:
+            return self._x.degeneracy(i, v)
+        if not 0 <= v <= i + 1 + j:
+            raise DomainError(f"no degeneracy s_{v} at ({i},{j})")
+        self.degen_target(i, j, v)
+        return self._get(("degen", i, j, v), self._degen_fn, self, i, j, v)
+
+    def hface(self, i, j, k) -> GroupoidFunctor:
+        return self.face(i, j, i + 1 + k)
 
     def vface(self, i, j, l) -> GroupoidFunctor:
-        if j == -1:
-            return self._x.face(i, l)
-        if i < 1 or not 0 <= l <= i:
-            raise DomainError(f"no vertical face e_{l} at ({i},{j})")
-        return self._get(("vface", i, j, l), self._vface_fn, self, i, j, l)
+        return self.face(i, j, l)
 
     def hdegen(self, i, j, k) -> GroupoidFunctor:
-        if i == -1:
-            return self._y.degeneracy(j, k)
-        if not 0 <= k <= j:
-            raise DomainError(f"no horizontal degeneracy s_{k} at ({i},{j})")
-        self.cell(i, j + 1)
-        return self._get(("hdegen", i, j, k), self._hdegen_fn, self, i, j, k)
+        return self.degen(i, j, i + 1 + k)
 
     def vdegen(self, i, j, l) -> GroupoidFunctor:
-        if j == -1:
-            return self._x.degeneracy(i, l)
-        if not 0 <= l <= i:
-            raise DomainError(f"no vertical degeneracy t_{l} at ({i},{j})")
-        self.cell(i + 1, j)
-        return self._get(("vdegen", i, j, l), self._vdegen_fn, self, i, j, l)
+        return self.degen(i, j, l)
 
     def aug_u(self, i) -> GroupoidFunctor:
-        return self._get(("u", i), self._u_fn, self, i)
+        return self.face(i, 0, i + 1)
 
     def aug_v(self, j) -> GroupoidFunctor:
-        return self._get(("v", j), self._v_fn, self, j)
+        return self.face(0, j, 0)
 
     def right_section(self, i, j) -> Optional[GroupoidFunctor]:
         """s_{-1} : B_{i,j-1} -> B_{i,j}, a section of d_0 (of u at j = 0);
@@ -253,7 +266,7 @@ class ComoduleConfiguration(Memo):
     def bottom_section(self) -> GroupoidFunctor:
         s = self.section(0)
         if s is None:
-            raise DomainError("pointing has no bottom section")
+            raise DomainError(f"{self.name}: the {self.side} pointing has no bottom section")
         return s
 
     def pointing_complete(self) -> bool:
@@ -329,34 +342,31 @@ class ConfigReport:
 
 
 def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
+    """Per side, the pointing at (0,0) is retracted by the augmentation and
+    complete (mono), and the one above it is retracted by the outer face; a
+    side with no pointing at (0,0) is one failed check."""
     rep = AxiomReport(profile="pointings")
 
-    def record(ok, name, witness=None):
-        rep.checks.append(SquareResult(ok, witness if not ok else None, name))
+    def retracts(face, section, name):
+        ok = functors_equal(GroupoidFunctor.compose(face, section),
+                            GroupoidFunctor.identity(section.source))
+        rep.checks.append(SquareResult(ok, None, name))
 
-    s = B.right_section(0, 0)
-    if s is not None:
-        retract = B.aug_u(0)
-        ok = functors_equal(GroupoidFunctor.compose(retract, s),
-                            GroupoidFunctor.identity(B.cell(0, -1)))
-        record(ok, "u . s_{-1} = id at (0,0)")
-        record(is_monomorphism(s), "right pointing complete (s_{-1} mono)")
-        s1 = B.right_section(0, 1)
-        if s1 is not None:
-            ok = functors_equal(GroupoidFunctor.compose(B.hface(0, 1, 0), s1),
-                                GroupoidFunctor.identity(B.cell(0, 0)))
-            record(ok, "d_0 . s_{-1} = id at (0,1)")
-    t = B.left_section(0, 0)
-    if t is not None:
-        ok = functors_equal(GroupoidFunctor.compose(B.aug_v(0), t),
-                            GroupoidFunctor.identity(B.cell(-1, 0)))
-        record(ok, "v . t_{top+1} = id at (0,0)")
-        record(is_monomorphism(t), "left pointing complete (t_{top+1} mono)")
-        t1 = B.left_section(1, 0)
-        if t1 is not None:
-            ok = functors_equal(GroupoidFunctor.compose(B.vface(1, 0, 1), t1),
-                                GroupoidFunctor.identity(B.cell(0, 0)))
-            record(ok, "e_top . t_{top+1} = id at (1,0)")
+    sides = (("right", "s_{-1}", B.right_section, "u", 1, "d_0", (0, 1)),
+             ("left", "t_{top+1}", B.left_section, "v", 0, "e_top", (1, 0)))
+    for side, s, section, aug, v, face, (i, j) in sides:
+        bottom = section(0, 0)
+        if bottom is None:
+            rep.checks.append(SquareResult(
+                False, f"{B.name} has no {side} pointing at (0,0)",
+                f"{side} pointing {s} exists"))
+            continue
+        retracts(B.face(0, 0, v), bottom, f"{aug} . {s} = id at (0,0)")
+        rep.checks.append(SquareResult(is_monomorphism(bottom), None,
+                                       f"{side} pointing complete ({s} mono)"))
+        above = section(i, j)
+        if above is not None:
+            retracts(B.face(i, j, 1), above, f"{face} . {s} = id at ({i},{j})")
     return rep
 
 
@@ -719,12 +729,8 @@ def total_decalage(X: TruncatedSimplicialGroupoid, max_i: int, max_j: int,
     return AugmentedBisimplicialGroupoid(
         max_i, max_j, X, X,
         cell_fn=lambda B, i, j: X.level(i + 1 + j),
-        hface_fn=lambda B, i, j, k: X.face(i + 1 + j, i + 1 + k),
-        vface_fn=lambda B, i, j, l: X.face(i + 1 + j, l),
-        hdegen_fn=lambda B, i, j, k: X.degeneracy(i + 1 + j, i + 1 + k),
-        vdegen_fn=lambda B, i, j, l: X.degeneracy(i + 1 + j, l),
-        u_fn=lambda B, i: X.face(i + 1, i + 1),
-        v_fn=lambda B, j: X.face(j + 1, 0),
+        face_fn=lambda B, i, j, v: X.face(i + 1 + j, v),
+        degen_fn=lambda B, i, j, v: X.degeneracy(i + 1 + j, v),
         right_section_fn=lambda B, i, j: X.degeneracy(i + j, i),
         left_section_fn=lambda B, i, j: X.degeneracy(i + j, i),
         name=name or f"TotalDec({X.name})")

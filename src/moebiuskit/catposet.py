@@ -9,12 +9,13 @@ Mobius function is the alternating count of identity-free factorizations.
 Adjunctions are checked through the universal-arrow property (for posets
 this is exactly the Galois-connection condition), and mapping cylinders
 carry their canonical correspondence to the arrow category.  The relative
-nerve of a correspondence is the total decalage of its nerve, cut to the
-chains with the label pattern 0...01...1; its borders are the nerves of
-the full subcategories over 0 and over 1, and its pointings come from
-cocartesian/cartesian lifts found by exhaustive search.  Every space built
-from a category thus uses the one chain, face and degeneracy rule of
-`nerve`.
+nerve of a correspondence is its nerve cut to the chains with the label
+pattern 0...01...1: cell (i,j) holds the (i+1+j)-chains with i+1 vertices
+over 0, with the nerve's faces and degeneracies at the same vertex.  Its
+borders are the nerves of the full subcategories over 0 and over 1, and
+its pointings come from cocartesian/cartesian lifts found by exhaustive
+search.  Every space built from a category thus uses the one chain, face
+and degeneracy rule of `nerve`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bicomodule import AugmentedBisimplicialGroupoid, total_decalage
+from .bicomodule import AugmentedBisimplicialGroupoid
 from .groupoid import (
     DomainError,
     Memo,
@@ -660,17 +661,17 @@ def fibration_report(corr: CorrespondenceCat) -> FibrationReport:
 def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                                 report: Optional[FibrationReport] = None,
                                 name: str = "") -> AugmentedBisimplicialGroupoid:
-    """The relative nerve of a correspondence: the label-pattern cut of the
-    total decalage of its nerve.
+    """The relative nerve of a correspondence: its nerve cut to the label
+    pattern 0...01...1.
 
-    Cell (i,j) is the full subgroupoid of the total-decalage cell
-    N_{i+1+j} on the chains whose vertex i lies over 0 and vertex i+1
-    over 1 (no arrow goes from 1 to 0, so these are the chains with i+1
-    vertices over 0 and j+1 over 1).  Faces, degeneracies and the
-    augmentations are those of the total decalage on the cut cells, and
-    the borders X and Y are the nerves of the full subcategories over 0
-    and over 1.  A chain is a tuple of arrows; a level-0 object is a bare
-    object.
+    Cell (i,j) is the full subgroupoid of the nerve level N_{i+1+j} on the
+    chains whose vertex i lies over 0 and vertex i+1 over 1 (no arrow goes
+    from 1 to 0, so these are the chains with i+1 vertices over 0 and j+1
+    over 1).  Its faces and degeneracies d_v, s_v are those of N_{i+1+j}
+    on the cut cells, so the grid is the cut of the total decalage of the
+    nerve, and the borders X and Y are the nerves of the full subcategories
+    over 0 and over 1.  A chain is a tuple of arrows; a level-0 object is a
+    bare object.
 
     When the fibration report grants cocartesian (resp. cartesian) lifts
     everywhere, the right pointing s_{-1} (resp. left pointing t_{top+1})
@@ -679,16 +680,15 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     C = corr.category
     if report is None:
         report = fibration_report(corr)
-    T = total_decalage(nerve(C, max_level=max_i + 1 + max_j), max_i, max_j)
+    N = nerve(C, max_level=max_i + 1 + max_j)
 
     def cell_fn(B, i, j):
-        ambient = T.cell(i, j)
-        keep = [c for c in ambient.objects
+        keep = [c for c in N.level(i + 1 + j).objects
                 if corr.label[C.src(c[i])] == 0 and corr.label[C.tgt(c[i])] == 1]
-        return full_subgroupoid(ambient, keep, name=f"B({i},{j})")
+        return full_subgroupoid(N.level(i + 1 + j), keep, name=f"B({i},{j})")
 
     def cut(op, source, target):
-        """The operator `op` of the total decalage on the cut cells."""
+        """The nerve operator `op` on the cut cells."""
         return discrete_functor(source, target, op.ob, name=op.name)
 
     def vertex(c, k):
@@ -737,11 +737,9 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
         max_i, max_j,
         nerve(corr.over(0), max_level=max_i), nerve(corr.over(1), max_level=max_j),
         cell_fn,
-        hface_fn=lambda B, i, j, k: cut(T.hface(i, j, k), B.cell(i, j), B.cell(i, j - 1)),
-        vface_fn=lambda B, i, j, l: cut(T.vface(i, j, l), B.cell(i, j), B.cell(i - 1, j)),
-        hdegen_fn=lambda B, i, j, k: cut(T.hdegen(i, j, k), B.cell(i, j), B.cell(i, j + 1)),
-        vdegen_fn=lambda B, i, j, l: cut(T.vdegen(i, j, l), B.cell(i, j), B.cell(i + 1, j)),
-        u_fn=lambda B, i: cut(T.aug_u(i), B.cell(i, 0), B.cell(i, -1)),
-        v_fn=lambda B, j: cut(T.aug_v(j), B.cell(0, j), B.cell(-1, j)),
+        face_fn=lambda B, i, j, v: cut(N.face(i + 1 + j, v), B.cell(i, j),
+                                       B.face_target(i, j, v)),
+        degen_fn=lambda B, i, j, v: cut(N.degeneracy(i + 1 + j, v), B.cell(i, j),
+                                        B.degen_target(i, j, v)),
         right_section_fn=right_section_fn, left_section_fn=left_section_fn,
         name=name or f"N/D1({C.name})")

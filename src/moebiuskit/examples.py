@@ -10,15 +10,18 @@ the layer counts (ns, np) separately from the colors, so inserting an
 empty layer changes the object.  Isomorphisms are color-preserving
 relation isomorphisms; layer indices must match exactly.
 
-Levels are deliberately not skeletal.  Every simplicial operator is pure
-layer surgery -- joins and insertions recolor, outer faces delete elements
-with an order-preserving reindex, the bicomodule's top vertical face
-recolors the last set layer into the first poset layer (its elements stay
-incomparable to everything else).  Such operations commute on the nose,
-so all simplicial and bisimplicial identities hold strictly at the
-morphism level and strictly commuting squares carry honest identity
-fillers, which is what the pullback checkers assume.  Iso-class tables
-come from a deterministic backtracking canonical form with layer-vector
+Levels are deliberately not skeletal.  An n-simplex has layers 1..n, set
+layers first, and every simplicial operator of I, C and the bicomodule is
+one rule of pure layer surgery: d_v deletes the first (v = 0) or last
+(v = n) layer with an order-preserving reindex, or else joins layers v
+and v+1 by recoloring (the last set layer joins the first poset layer
+with the relations it records), and s_v inserts an empty layer after
+vertex v, a set layer on the X side of a bicomodule cell and a poset
+layer on its Y side.  Such operations commute on the nose, so all
+simplicial and bisimplicial identities hold strictly at the morphism
+level and strictly commuting squares carry honest identity fillers,
+which is what the pullback checkers assume.  Iso-class tables come from
+a deterministic backtracking canonical form with layer-vector
 refinement, which also provides hom-sets and automorphism groups.
 
 Everything here that depends only on hashable values -- canonical forms,
@@ -362,14 +365,21 @@ def _layerings(kind):
     return fn
 
 
-def _layer_face(struct, kind, n, i):
-    """d_i on the layers of one kind: the outer faces delete a layer, the
-    inner ones join two."""
-    if i == 0:
-        return _delete_layer(struct, kind, 1)
-    if i == n:
-        return _delete_layer(struct, kind, n)
-    return _join_layers(struct, kind, i)
+def _layer_face(struct, v):
+    """d_v on the layers 1..n of a layered structure, set layers first: the
+    outer faces delete the first or last layer, an inner one joins layers
+    v and v+1 (two set layers, the last set layer into the first poset
+    layer, or two poset layers)."""
+    ns, np_ = struct[0], struct[1]
+    if v == 0:
+        return _delete_layer(struct, "s" if ns else "p", 1)
+    if v == ns + np_:
+        return _delete_layer(struct, "p", np_) if np_ else _delete_layer(struct, "s", ns)
+    if v > ns:
+        return _join_layers(struct, "p", v - ns)
+    if v < ns:
+        return _join_layers(struct, "s", v)
+    return _merge_top(struct)
 
 
 def layered_sets(grade_bound: int, max_level: Optional[int] = None) -> TruncatedSimplicialGroupoid:
@@ -403,10 +413,10 @@ def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimp
 
     return TruncatedSimplicialGroupoid(
         max_level, level,
-        lambda s, n, i: _op_functor(s.level(n), s.level(n - 1),
-                                    lambda k: _layer_face(k, kind, n, i), name=f"d{i}@{n}"),
-        lambda s, n, i: _op_functor(s.level(n), s.level(n + 1),
-                                    lambda k: _insert_layer(k, kind, i + 1), name=f"s{i}@{n}"),
+        lambda s, n, v: _op_functor(s.level(n), s.level(n - 1),
+                                    lambda k: _layer_face(k, v), name=f"d{v}@{n}"),
+        lambda s, n, v: _op_functor(s.level(n), s.level(n + 1),
+                                    lambda k: _insert_layer(k, kind, v + 1), name=f"s{v}@{n}"),
         grade_bound=grade_bound, fiber_fn=_layerings(kind), name=f"{letter}<={grade_bound}")
 
 
@@ -418,13 +428,15 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
     `layered_sets(grade_bound, max_i)` and `layered_posets(grade_bound,
     max_j)` themselves.
 
-    Horizontal operators act on the poset part (the first poset layer is
-    the distinguished one: no horizontal face deletes it); vertical
-    operators act on the set part, except the top face, which merges the
-    last set layer into the first poset layer.  The right pointing inserts
-    an empty first poset layer at every cell; the left pointing exists at
-    the bottom of the column (prepending an empty distinguished layer to a
-    plain layered poset), which is all the Rota formula consumes.
+    Faces and degeneracies are the layer rule of I and C at vertex v of
+    the (i+1+j)-simplex, so horizontal operators act on the poset part
+    (the first poset layer is the distinguished one: no horizontal face
+    deletes it) and vertical operators on the set part, except the top
+    face, which joins the last set layer to the first poset layer.  The
+    right pointing inserts an empty first poset layer at every cell; the
+    left pointing exists at the bottom of the column (prepending an empty
+    distinguished layer to a plain layered poset), which is all the Rota
+    formula consumes.
     """
     if grade_bound < 0:
         raise DomainError("grade_bound must be >= 0")
@@ -438,39 +450,15 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
         return layered_groupoid(_level_objects(i, j + 1, grade_bound),
                                 name=f"B({i},{j})")
 
-    def hface_fn(B, i, j, k):
-        if k == j:
-            op = lambda key: _delete_layer(key, "p", j + 1)
-        else:
-            op = lambda key: _join_layers(key, "p", k + 1)
-        return _op_functor(B.cell(i, j), B.cell(i, j - 1), op, name=f"d{k}@({i},{j})")
+    def face_fn(B, i, j, v):
+        return _op_functor(B.cell(i, j), B.face_target(i, j, v),
+                           lambda key: _layer_face(key, v), name=f"d{v}@({i},{j})")
 
-    def vface_fn(B, i, j, l):
-        if l == 0:
-            op = lambda key: _delete_layer(key, "s", 1)
-        elif l == i:
-            op = _merge_top
-        else:
-            op = lambda key: _join_layers(key, "s", l)
-        return _op_functor(B.cell(i, j), B.cell(i - 1, j), op, name=f"e{l}@({i},{j})")
-
-    def hdegen_fn(B, i, j, k):
-        return _op_functor(B.cell(i, j), B.cell(i, j + 1),
-                           lambda key: _insert_layer(key, "p", k + 2),
-                           name=f"s{k}@({i},{j})")
-
-    def vdegen_fn(B, i, j, l):
-        return _op_functor(B.cell(i, j), B.cell(i + 1, j),
-                           lambda key: _insert_layer(key, "s", l + 1),
-                           name=f"t{l}@({i},{j})")
-
-    def u_fn(B, i):
-        return _op_functor(B.cell(i, 0), B.cell(i, -1),
-                           lambda key: _delete_layer(key, "p", 1), name=f"u@{i}")
-
-    def v_fn(B, j):
-        return _op_functor(B.cell(0, j), B.cell(-1, j),
-                           lambda key: _delete_layer(key, "p", 1), name=f"v@{j}")
+    def degen_fn(B, i, j, v):
+        kind, layer = ("s", v + 1) if v <= i else ("p", v - i + 1)
+        return _op_functor(B.cell(i, j), B.degen_target(i, j, v),
+                           lambda key: _insert_layer(key, kind, layer),
+                           name=f"s{v}@({i},{j})")
 
     def right_section_fn(B, i, j):
         return _op_functor(B.cell(i, j - 1), B.cell(i, j),
@@ -486,9 +474,9 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
 
     return AugmentedBisimplicialGroupoid(
         max_i, max_j, layered_sets(grade_bound, max_i),
-        layered_posets(grade_bound, max_j), cell_fn, hface_fn, vface_fn,
-        hdegen_fn, vdegen_fn, u_fn, v_fn, right_section_fn=right_section_fn,
-        left_section_fn=left_section_fn, name=f"B<={grade_bound}")
+        layered_posets(grade_bound, max_j), cell_fn, face_fn, degen_fn,
+        right_section_fn=right_section_fn, left_section_fn=left_section_fn,
+        name=f"B<={grade_bound}")
 
 
 # -- poset catalog and the headline computation ----------------------------------

@@ -103,21 +103,22 @@ def test_stability_mutation_fails_with_witness_and_breaks_associativity():
             return full_subgroupoid(cell, keep, name="mutated11")
         return cell
 
-    def restrict(B, F, si, sj, ti, tj):
-        return GroupoidFunctor(B.cell(si, sj), B.cell(ti, tj), F.ob, F, name=F.name)
+    def restrict(F, source, target):
+        return GroupoidFunctor(source, target, F.ob, F, name=F.name)
+
+    def face_fn(B, i, j, v):
+        return restrict(base.face(i, j, v), B.cell(i, j), B.face_target(i, j, v))
+
+    def degen_fn(B, i, j, v):
+        return restrict(base.degen(i, j, v), B.cell(i, j), B.degen_target(i, j, v))
 
     mutated = AugmentedBisimplicialGroupoid(
         1, 1, base.x_space(), base.y_space(), cell_fn,
-        lambda B, i, j, k: restrict(B, base.hface(i, j, k), i, j, i, j - 1),
-        lambda B, i, j, l: restrict(B, base.vface(i, j, l), i, j, i - 1, j),
-        lambda B, i, j, k: restrict(B, base.hdegen(i, j, k), i, j, i, j + 1),
-        lambda B, i, j, l: restrict(B, base.vdegen(i, j, l), i, j, i + 1, j),
-        lambda B, i: restrict(B, base.aug_u(i), i, 0, i, -1),
-        lambda B, j: restrict(B, base.aug_v(j), 0, j, -1, j),
-        right_section_fn=lambda B, i, j: restrict(B, base.right_section(i, j),
-                                                  i, j - 1, i, j),
-        left_section_fn=lambda B, i, j: restrict(B, base.left_section(i, j),
-                                                 i - 1, j, i, j),
+        face_fn, degen_fn,
+        right_section_fn=lambda B, i, j: restrict(base.right_section(i, j),
+                                                  B.cell(i, j - 1), B.cell(i, j)),
+        left_section_fn=lambda B, i, j: restrict(base.left_section(i, j),
+                                                 B.cell(i - 1, j), B.cell(i, j)),
         name="mutated")
     square = is_pullback_square(
         p=mutated.hface(1, 1, 1), q=mutated.vface(1, 1, 1),
@@ -144,12 +145,7 @@ def test_stability_mutation_fails_with_witness_and_breaks_associativity():
 
     mutated2 = AugmentedBisimplicialGroupoid(
         1, 1, base.x_space(), base.y_space(), cell_fn2,
-        lambda B, i, j, k: restrict(B, base.hface(i, j, k), i, j, i, j - 1),
-        lambda B, i, j, l: restrict(B, base.vface(i, j, l), i, j, i - 1, j),
-        lambda B, i, j, k: restrict(B, base.hdegen(i, j, k), i, j, i, j + 1),
-        lambda B, i, j, l: restrict(B, base.vdegen(i, j, l), i, j, i + 1, j),
-        lambda B, i: restrict(B, base.aug_u(i), i, 0, i, -1),
-        lambda B, j: restrict(B, base.aug_v(j), 0, j, -1, j),
+        face_fn, degen_fn,
         name="mutated2")
     report = check_associativity(mutated2, 15, rng=seeded(5))
     assert not report.passed
@@ -367,16 +363,21 @@ def test_cylinder_without_right_adjoint_is_refused():
     assert report.cartesian[("y", 1)] is None
     B = correspondence_bisimplicial(corr, 3, 3, report)
     assert B.left_section(0, 0) is None
-    pointings = validate_configuration(B, 1).sections["pointings"]
+    report = validate_configuration(B, 1)
+    pointings = report.sections["pointings"]
     assert [c.name for c in pointings.checks] == [
         "u . s_{-1} = id at (0,0)",
         "right pointing complete (s_{-1} mono)",
         "d_0 . s_{-1} = id at (0,1)",
+        "left pointing t_{top+1} exists",
     ]
+    assert [c.passed for c in pointings.checks] == [True, True, True, False]
+    assert "no left pointing" in pointings.checks[-1].witness
+    assert not report.passed
     classes = B.cell(0, 0).iso_classes().reps
     assert len(classes) == 3
     for m in classes:
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="left pointing has no bottom section"):
             rota_evaluate(B, m, length_bound=3)
 
 
@@ -449,6 +450,21 @@ def test_rota_route_reuses_the_direct_route_space():
         assert word_groupoid(B.y_space(), word) is word_groupoid(direct, word)
 
 
+def test_sets_posets_row_zero_is_bottom_decalage_of_posets():
+    # the Rota route's row 0 is Dec_bot(C) of the direct route's space C:
+    # same objects, d_k = d_{k+1} of C, and v = d_0 of C
+    for g in (2, 3):
+        B = sets_posets_bicomodule(g)
+        C = layered_posets(g, max_level=B.max_j + 1)
+        for j in range(B.max_j + 1):
+            objects = B.cell(0, j).objects
+            assert objects == C.level(j + 1).objects
+            pairs = [(B.hface(0, j, k), C.face(j + 1, k + 1)) for k in range(j + 1)]
+            pairs.append((B.aug_v(j), C.face(j + 1, 0)))
+            for ours, theirs in pairs:
+                assert [ours.ob(a) for a in objects] == [theirs.ob(a) for a in objects]
+
+
 def test_missing_pointing_is_none_and_only_bottom_section_raises():
     B = sets_posets_bicomodule(2, max_i=2, max_j=2)
     assert B.left_section(0, 0) is not None
@@ -457,19 +473,22 @@ def test_missing_pointing_is_none_and_only_bottom_section_raises():
     bare = AugmentedBisimplicialGroupoid(
         2, 2, base.x_space(), base.y_space(),
         lambda B, i, j: base.cell(i, j),
-        lambda B, i, j, k: base.hface(i, j, k),
-        lambda B, i, j, l: base.vface(i, j, l),
-        lambda B, i, j, k: base.hdegen(i, j, k),
-        lambda B, i, j, l: base.vdegen(i, j, l),
-        lambda B, i: base.aug_u(i),
-        lambda B, j: base.aug_v(j),
+        lambda B, i, j, v: base.face(i, j, v),
+        lambda B, i, j, v: base.degen(i, j, v),
         name="unpointed")
     assert bare.right_section(0, 0) is None and bare.left_section(0, 0) is None
     report = validate_configuration(bare, 1)
-    assert report.passed and report.sections["pointings"].checks == []
+    pointings = report.sections["pointings"]
+    assert [(c.name, c.passed, c.witness) for c in pointings.checks] == [
+        ("right pointing s_{-1} exists", False, "unpointed has no right pointing at (0,0)"),
+        ("left pointing t_{top+1} exists", False, "unpointed has no left pointing at (0,0)"),
+    ]
+    assert not report.passed
+    assert all(r.passed for k, r in report.sections.items() if k != "pointings")
     for config in (right_comodule(bare), left_comodule(bare)):
         assert config.section(0) is None
-        with pytest.raises(DomainError, match="no bottom section"):
+        with pytest.raises(DomainError, match=f"unpointed.{config.side}: the "
+                                              f"{config.side} pointing has no bottom section"):
             config.bottom_section()
 
 
