@@ -154,9 +154,10 @@ class FinCategory(Memo):
 
     @classmethod
     def from_poset(cls, P: FinPoset, name="") -> "FinCategory":
-        mors = {("le", a, b): (a, b) for (a, b) in P.le}
+        pairs = P.intervals()   # in element order, not the hash order of P.le
+        mors = {("le", a, b): (a, b) for (a, b) in pairs}
         compose = {}
-        for (a, b) in P.le:
+        for (a, b) in pairs:
             for c in P.elements:
                 if P.leq(b, c):
                     compose[(("le", a, b), ("le", b, c))] = ("le", a, c)

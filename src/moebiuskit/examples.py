@@ -25,8 +25,12 @@ a deterministic backtracking canonical form with layer-vector
 refinement, which also provides hom-sets and automorphism groups.
 
 Everything here that depends only on hashable values -- canonical forms,
-automorphism groups, poset catalogues, level object lists and the spaces
-themselves -- is memoised with `functools.cache`, once per process.
+automorphism groups, poset catalogues, level object lists, the rank maps
+of kept elements and the spaces themselves -- is memoised with
+`functools.cache`, once per process.  An operator's image of each object
+is computed once, into a table in the source level's `_memo` keyed by the
+surgery and its arguments, so the pullback checks, which visit every
+object and both ends of every morphism many times, redo no layer surgery.
 """
 
 from __future__ import annotations
@@ -176,16 +180,17 @@ def layered_groupoid(objects, name="") -> FiniteGroupoid:
 def _delete_layer(struct, kind, layer):
     ns, np_, colors, rels = struct
     m = len(colors)
-    keep = [e for e in range(m) if colors[e] != (kind, layer)]
-    reindex = {old: new for new, old in enumerate(keep)}
+    keep = tuple(e for e in range(m) if colors[e] != (kind, layer))
+    reindex = _rank(keep)
 
     def shift(c):
         k2, l2 = c
         return (k2, l2 - 1) if k2 == kind and l2 > layer else c
 
     colors2 = tuple(shift(colors[e]) for e in keep)
-    rels2 = tuple(sorted((reindex[a], reindex[b]) for a, b in rels
-                         if a in reindex and b in reindex))
+    # keep is increasing, so the reindexed pairs of sorted rels stay sorted
+    rels2 = tuple((reindex[a], reindex[b]) for a, b in rels
+                  if a in reindex and b in reindex)
     shape = (ns - 1, np_) if kind == "s" else (ns, np_ - 1)
     return (shape[0], shape[1], colors2, rels2), keep
 
@@ -228,21 +233,41 @@ def _merge_top(struct):
     return (ns - 1, np_, colors2, rels), None
 
 
-def _op_functor(src_gpd, tgt_gpd, op, name="") -> GroupoidFunctor:
-    """The functor induced by a layer-surgery operation: keep = None means
-    no elements are deleted (pure recoloring)."""
+@functools.cache
+def _rank(keep: tuple) -> dict:
+    """The new index of each kept element, keep[i] -> i, in keep order;
+    one dict per keep tuple, shared by every caller and never mutated."""
+    return {old: new for new, old in enumerate(keep)}
+
+
+def _op_functor(src_gpd, tgt_gpd, surgery, *args, name="") -> GroupoidFunctor:
+    """The functor of the layer surgery a -> surgery(a, *args).
+
+    The surgery returns the image structure and keep, the increasing tuple
+    of the elements of a that survive, or None when no element is deleted
+    (pure recoloring).  Each object's image is computed once, into the
+    table ("image", surgery, *args) in the source level's `_memo`, which
+    maps a to (image, rank): the image interned in the target level, and
+    the shared `_rank(keep)` or None.  `ob` and `mor` both read it."""
+    images = src_gpd._get(("image", surgery, *args), dict)
+    interned = tgt_gpd._get(("interned",), dict)
+
+    def image(a):
+        res, keep = surgery(a, *args)
+        images[a] = entry = (interned.setdefault(res, res),
+                             None if keep is None else _rank(keep))
+        return entry
 
     def ob(a):
-        return op(a)[0]
+        return (images.get(a) or image(a))[0]
 
     def mor(mr):
-        res_a, keep_a = op(mr.src)
-        if keep_a is None:
-            return Mor(res_a, op(mr.tgt)[0], mr.label)
-        res_b, keep_b = op(mr.tgt)
-        rank_b = {old: new for new, old in enumerate(keep_b)}
-        return Mor(res_a, res_b,
-                   tuple(rank_b[mr.label[e]] for e in keep_a))
+        res_a, rank_a = images.get(mr.src) or image(mr.src)
+        res_b, rank_b = images.get(mr.tgt) or image(mr.tgt)
+        if rank_a is None:
+            return Mor(res_a, res_b, mr.label)
+        label = mr.label   # rank_a iterates over the kept elements of mr.src
+        return Mor(res_a, res_b, tuple(rank_b[label[e]] for e in rank_a))
 
     return GroupoidFunctor(src_gpd, tgt_gpd, ob, mor, name=name)
 
@@ -413,10 +438,10 @@ def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimp
 
     return TruncatedSimplicialGroupoid(
         max_level, level,
-        lambda s, n, v: _op_functor(s.level(n), s.level(n - 1),
-                                    lambda k: _layer_face(k, v), name=f"d{v}@{n}"),
-        lambda s, n, v: _op_functor(s.level(n), s.level(n + 1),
-                                    lambda k: _insert_layer(k, kind, v + 1), name=f"s{v}@{n}"),
+        lambda s, n, v: _op_functor(s.level(n), s.level(n - 1), _layer_face, v,
+                                    name=f"d{v}@{n}"),
+        lambda s, n, v: _op_functor(s.level(n), s.level(n + 1), _insert_layer,
+                                    kind, v + 1, name=f"s{v}@{n}"),
         grade_bound=grade_bound, fiber_fn=_layerings(kind), name=f"{letter}<={grade_bound}")
 
 
@@ -451,25 +476,22 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
                                 name=f"B({i},{j})")
 
     def face_fn(B, i, j, v):
-        return _op_functor(B.cell(i, j), B.face_target(i, j, v),
-                           lambda key: _layer_face(key, v), name=f"d{v}@({i},{j})")
+        return _op_functor(B.cell(i, j), B.face_target(i, j, v), _layer_face, v,
+                           name=f"d{v}@({i},{j})")
 
     def degen_fn(B, i, j, v):
         kind, layer = ("s", v + 1) if v <= i else ("p", v - i + 1)
-        return _op_functor(B.cell(i, j), B.degen_target(i, j, v),
-                           lambda key: _insert_layer(key, kind, layer),
-                           name=f"s{v}@({i},{j})")
+        return _op_functor(B.cell(i, j), B.degen_target(i, j, v), _insert_layer,
+                           kind, layer, name=f"s{v}@({i},{j})")
 
     def right_section_fn(B, i, j):
-        return _op_functor(B.cell(i, j - 1), B.cell(i, j),
-                           lambda key: _insert_layer(key, "p", 1),
+        return _op_functor(B.cell(i, j - 1), B.cell(i, j), _insert_layer, "p", 1,
                            name=f"s-1@({i},{j})")
 
     def left_section_fn(B, i, j):
         if i != 0:
             return None  # no canonical section of the merge at higher levels
-        return _op_functor(B.cell(-1, j), B.cell(0, j),
-                           lambda key: _insert_layer(key, "p", 1),
+        return _op_functor(B.cell(-1, j), B.cell(0, j), _insert_layer, "p", 1,
                            name=f"t-top@({i},{j})")
 
     return AugmentedBisimplicialGroupoid(

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import moebiuskit
 from moebiuskit import catposet
 from moebiuskit.catposet import (
     CorrespondenceCat,
@@ -300,3 +305,25 @@ def test_mobius_category_search_runs_once_per_category(monkeypatch):
     table = {f: classical_mobius(C, f) for f in C.morphisms}
     assert len(calls) == 1
     assert table[("le", 1, 6)] == 1 and table[("le", 1, 12)] == 0
+
+
+ORDER_SCRIPT = """
+from moebiuskit.catposet import FinCategory, FinPoset, nerve
+P = FinPoset(["bot", "a", "b", "top"],
+             [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+print(list(FinCategory.from_poset(P).morphisms))
+print(nerve(P, max_level=2).level(2).objects)
+"""
+
+
+def test_poset_category_order_does_not_depend_on_the_hash_seed():
+    # string elements hash differently under each seed; the morphisms, and
+    # so the nerve's object order, follow the element order instead
+    src = os.path.dirname(os.path.dirname(moebiuskit.__file__))
+    outputs = set()
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", ORDER_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -40,6 +40,10 @@ COMMANDS = [
      "--grade", "2", "--max-level", "1", "--format", "json"],
     ["check", ADJUNCTION, "--max-level", "1"],
     ["check", ADJUNCTION, "--max-level", "2"],
+    ["check", "builtin:layered-posets", "--grade", "3", "--profile",
+     "decomposition", "--max-level", "2", "--format", "json"],
+    ["check", "builtin:layered-posets", "--grade", "3", "--profile", "segal",
+     "--max-level", "1", "--format", "json"],
 ]
 
 

@@ -1,3 +1,4 @@
+import collections
 import importlib
 import pkgutil
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import moebiuskit
+from moebiuskit import examples
 from moebiuskit.catposet import FinPoset
 from moebiuskit.examples import (
     aut_order,
@@ -18,7 +20,7 @@ from moebiuskit.examples import (
     poset_key,
     sets_posets_bicomodule,
 )
-from moebiuskit.groupoid import DomainError, cardinality
+from moebiuskit.groupoid import DomainError, Mor, cardinality
 from moebiuskit.incidence import counit, mobius
 from moebiuskit.simplicial import check_axioms
 
@@ -198,3 +200,65 @@ def test_max_level_zero_is_not_the_default():
             build(2, max_level=0)
     with pytest.raises(DomainError):
         sets_posets_bicomodule(2, max_i=0)
+
+
+def _assert_operator_follows(F, surgery, *args):
+    """F is the functor of the layer surgery a -> surgery(a, *args) on every
+    object and on hom(rep, a) for every object a: images are the surgery's
+    structures, and a morphism relabels the kept elements of rep to their
+    places in a."""
+    source, target = F.source, F.target
+    table = source.iso_classes()
+    for a in source.objects:
+        image, keep = surgery(a, *args)
+        assert F.ob(a) == image
+        assert target.has_object(image)
+        rep = table.class_of(a)
+        rep_image, rep_keep = surgery(rep, *args)
+        for m in source.hom(rep, a):
+            if keep is None:
+                label = m.label
+            else:
+                label = tuple(keep.index(m.label[e]) for e in rep_keep)
+            assert F(m) == Mor(rep_image, image, label)
+
+
+def test_layer_surgery_operators_follow_their_rule():
+    face, insert = examples._layer_face, examples._insert_layer
+    for g in range(4):
+        for kind, build in (("s", layered_sets), ("p", layered_posets)):
+            X = build(g, max_level=3)
+            for n in range(4):
+                for v in range(n + 1):
+                    if n >= 1:
+                        _assert_operator_follows(X.face(n, v), face, v)
+                    if n < 3:
+                        _assert_operator_follows(X.degeneracy(n, v), insert, kind, v + 1)
+        B = sets_posets_bicomodule(g, 2, 2)
+        for i in range(3):
+            for j in range(3):
+                for v in range(i + j + 2):
+                    _assert_operator_follows(B.face(i, j, v), face, v)
+                    # the empty layer after vertex v: a set layer on the X side
+                    kind, layer = ("s", v + 1) if v <= i else ("p", v - i + 1)
+                    if (i if kind == "s" else j) < 2:
+                        _assert_operator_follows(B.degen(i, j, v), insert, kind, layer)
+                _assert_operator_follows(B.right_section(i, j), insert, "p", 1)
+        for j in range(3):
+            _assert_operator_follows(B.left_section(0, j), insert, "p", 1)
+
+
+def test_axiom_checks_run_layer_surgery_once_per_object_and_operator(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(op):
+        def run(struct, *args):
+            calls[op.__name__, struct, args] += 1
+            return op(struct, *args)
+        return run
+
+    monkeypatch.setattr(examples, "_layer_face", counted(examples._layer_face))
+    monkeypatch.setattr(examples, "_insert_layer", counted(examples._insert_layer))
+    C = examples._layered_space.__wrapped__("p", 3, 5)   # fresh levels and tables
+    assert check_axioms(C, "decomposition", 2).passed
+    assert calls and max(calls.values()) == 1
