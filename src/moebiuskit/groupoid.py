@@ -12,7 +12,17 @@ reduces to a handful of operations implemented here:
 
 Iso classes follow one rule: a groupoid with an exact `iso_key` groups
 its objects by key, any other compares each object by `hom` with the
-class representatives found so far.
+class representatives found so far.  Moving a morphism to the class
+representatives of its ends (`skeletalize`, the iso-comma keys, the
+pullback comparison) follows one rule too: c_tgt . m . c_src^{-1} along
+the connectors of its ends, skipping the factor of an end that already
+is its representative.
+
+A pullback square is checked against the iso-comma of the legs restricted
+to the class representatives of A and B.  That iso-comma is a full
+subgroupoid of the whole one, equivalent to it, and holds the first
+member of each of its classes, so the verdict, the class representatives
+and every witness are those of the whole iso-comma.
 
 Morphisms are identified by the triple (source, target, label); labels are
 opaque and compared by equality.  Composition is written `compose(g, f)`
@@ -370,10 +380,27 @@ def full_subgroupoid(G: FiniteGroupoid, objects, name="") -> FiniteGroupoid:
 # -- fibers and pullbacks ---------------------------------------------------
 
 
-def _connector(G: FiniteGroupoid, a, rep) -> Mor:
-    if a == rep:
-        return G.identity(a)
-    return G.hom(a, rep)[0]
+def _connector(G: FiniteGroupoid, a, rep) -> Optional[Mor]:
+    """An iso a -> rep, or None when a is rep."""
+    return None if a == rep else G.hom(a, rep)[0]
+
+
+def _transport(G: FiniteGroupoid, m: Mor, c_src: Optional[Mor],
+               c_tgt: Optional[Mor]) -> Mor:
+    """c_tgt . m . c_src^{-1}: m moved along the connectors of its ends; a
+    None connector (an end that is its representative) skips its factor."""
+    if c_src is not None:
+        m = G.compose(m, G.inverse(c_src))
+    if c_tgt is not None:
+        m = G.compose(c_tgt, m)
+    return m
+
+
+def _skeleton(G: FiniteGroupoid) -> FiniteGroupoid:
+    """The full subgroupoid on the class representatives, keyed by object
+    (they are pairwise non-isomorphic); one per groupoid."""
+    return G._get(("skeleton",), FiniteGroupoid, G.iso_classes().reps, G._hom,
+                  G._compose, G._identity, G._grade, lambda a: a, f"sk({G.name})")
 
 
 def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:
@@ -495,7 +522,7 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
         if rb not in g_auts:
             g_auts[rb] = [g(beta) for beta in B.hom(rb, rb)]
         ca, cb = _connector(A, a, ra), _connector(B, b, rb)
-        tilde = C.compose(g(cb), C.compose(phi, C.inverse(f(ca))))
+        tilde = _transport(C, phi, ca and f(ca), cb and g(cb))
         return ra, rb, frozenset(C.compose(v, C.compose(tilde, u)).label
                                  for u in f_auts[ra] for v in g_auts[rb])
 
@@ -595,6 +622,16 @@ def is_pullback_square(
     is a homotopy pullback: the comparison functor from W into the
     iso-comma groupoid of (f, g) must be an equivalence.  Non-commuting
     squares are a domain error, distinct from a failed pullback check.
+
+    The comparison lands in the iso-comma P' of f and g restricted to the
+    class representatives of A and B (to A or B itself where every class
+    is one object).  It sends w to (r_a, r_b, g(c_b) . f(c_a)^{-1}), with
+    c_a: p(w) -> r_a and c_b: q(w) -> r_b the class connectors, and a
+    morphism to its conjugate along them.  P' is the full subgroupoid of
+    the whole iso-comma P on the objects over representatives, and each
+    P class meets it, so W -> P' is an equivalence iff W -> P is.  P'
+    lists its objects in P's order and holds each P class's first member,
+    so classes, representatives and witnesses are P's.
     """
     W = p.source
     if q.source is not W:
@@ -603,18 +640,32 @@ def is_pullback_square(
     gq = GroupoidFunctor.compose(g, q)
     if not functors_equal(fp, gq):
         raise DomainError(f"square {name or ''} does not commute strictly")
-    P, _, _ = homotopy_pullback(f, g, grade_bound=grade_bound)
-    C = f.target
+    A, B, C = f.source, g.source, f.target
+    atab, btab = A.iso_classes(), B.iso_classes()
 
-    comparison = GroupoidFunctor(
-        W, P,
-        lambda w: (p.ob(w), q.ob(w), C.identity(f.ob(p.ob(w)))),
-        lambda m: Mor((p.ob(m.src), q.ob(m.src), C.identity(f.ob(p.ob(m.src)))),
-                      (p.ob(m.tgt), q.ob(m.tgt), C.identity(f.ob(p.ob(m.tgt)))),
-                      (p(m).label, q(m).label)),
-        name="cmp",
-    )
-    result = is_equivalence(comparison)
+    def on_reps(h):
+        G = h.source
+        return h if len(G.iso_classes().reps) == len(G.objects) else h.restrict(_skeleton(G))
+
+    P, _, _ = homotopy_pullback(on_reps(f), on_reps(g), grade_bound=grade_bound)
+    moved: dict = {}
+
+    def ob(w):
+        # (image, c_a, c_b); None connectors for ends already at their reps
+        if w not in moved:
+            a, b = p.ob(w), q.ob(w)
+            ra, rb = atab.class_of(a), btab.class_of(b)
+            ca, cb = _connector(A, a, ra), _connector(B, b, rb)
+            phi = _transport(C, C.identity(f.ob(a)), ca and f(ca), cb and g(cb))
+            moved[w] = (ra, rb, phi), ca, cb
+        return moved[w]
+
+    def mor(m):
+        (x, ca, cb), (y, ca2, cb2) = ob(m.src), ob(m.tgt)
+        return Mor(x, y, (_transport(A, p(m), ca, ca2).label,
+                          _transport(B, q(m), cb, cb2).label))
+
+    result = is_equivalence(GroupoidFunctor(W, P, lambda w: ob(w)[0], mor, name="cmp"))
     return SquareResult(result.passed, result.witness, name=name)
 
 
@@ -624,17 +675,8 @@ def skeletalize(G: FiniteGroupoid):
     The skeleton is the full subgroupoid on one representative per iso
     class; the functor sends each object along a chosen connecting iso.
     """
-    table = G.iso_classes()
-    S = FiniteGroupoid(table.reps, G._hom, G._compose, G._identity, grade=G._grade,
-                       iso_key=lambda a: a, name=f"sk({G.name})")
-    connect = {}
-    for rep in table.reps:
-        for x in table.members[rep]:
-            connect[x] = G.hom(x, rep)[0] if x != rep else G.identity(x)
-
-    def mor(m):
-        # transport along the chosen isos: c_tgt . m . c_src^{-1}
-        res = G.compose(connect[m.tgt], G.compose(m, G.inverse(connect[m.src])))
-        return res
-
-    return S, GroupoidFunctor(G, S, lambda a: table.class_of(a), mor, name="sk")
+    table, S = G.iso_classes(), _skeleton(G)
+    connect = {x: _connector(G, x, rep) for rep in table.reps for x in table.members[rep]}
+    return S, GroupoidFunctor(G, S, table.class_of,
+                              lambda m: _transport(G, m, connect[m.src], connect[m.tgt]),
+                              name="sk")

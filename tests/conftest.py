@@ -37,12 +37,14 @@ def random_cluster_groupoid(rng, max_clusters=3, max_size=3, max_order=4, name="
     return cluster_groupoid(clusters, name=name), clusters
 
 
-def random_cluster_functor(rng):
+def random_cluster_functor(rng, target=None):
     """A random functor between random cluster groupoids: each source
     cluster maps to a target cluster through a group homomorphism
-    Z_k -> Z_l (multiplication by t with t*k = 0 mod l)."""
+    Z_k -> Z_l (multiplication by t with t*k = 0 mod l).  A `target`, a
+    (groupoid, clusters) pair of `random_cluster_groupoid`, fixes the
+    target instead of drawing one."""
     src, src_clusters = random_cluster_groupoid(rng, name="src")
-    tgt, tgt_clusters = random_cluster_groupoid(rng, name="tgt")
+    tgt, tgt_clusters = target or random_cluster_groupoid(rng, name="tgt")
     assignment = {}
     for tag, _size, k in src_clusters:
         t_tag, t_size, l = tgt_clusters[rng.randrange(len(tgt_clusters))]

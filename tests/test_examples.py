@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import moebiuskit
-from moebiuskit import examples
+from moebiuskit import examples, groupoid
 from moebiuskit.catposet import FinPoset
 from moebiuskit.examples import (
     aut_order,
@@ -20,7 +20,7 @@ from moebiuskit.examples import (
     poset_key,
     sets_posets_bicomodule,
 )
-from moebiuskit.groupoid import DomainError, Mor, cardinality
+from moebiuskit.groupoid import DomainError, Mor, cardinality, homotopy_pullback
 from moebiuskit.incidence import counit, mobius
 from moebiuskit.simplicial import check_axioms
 
@@ -262,3 +262,19 @@ def test_axiom_checks_run_layer_surgery_once_per_object_and_operator(monkeypatch
     C = examples._layered_space.__wrapped__("p", 3, 5)   # fresh levels and tables
     assert check_axioms(C, "decomposition", 2).passed
     assert calls and max(calls.values()) == 1
+
+
+def test_axiom_checks_build_iso_commas_on_class_representatives(monkeypatch):
+    C = examples._layered_space.__wrapped__("p", 3, 5)   # fresh levels and tables
+    reps = {r for n in range(C.max_level + 1) for r in C.level(n).iso_classes().reps}
+    sizes = []
+
+    def counted(f, g, grade_bound=None):
+        P = homotopy_pullback(f, g, grade_bound)
+        assert all(a in reps and b in reps for a, b, _phi in P[0].objects)
+        sizes.append(len(P[0].objects))
+        return P
+
+    monkeypatch.setattr(groupoid, "homotopy_pullback", counted)
+    assert check_axioms(C, "decomposition", 2).passed
+    assert len(sizes) == 24 and sum(sizes) <= 3870   # 44,984 on the whole iso-commas

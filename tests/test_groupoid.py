@@ -1,8 +1,12 @@
+import collections
 import inspect
 from fractions import Fraction
 
 import pytest
 
+from moebiuskit import bicomodule, groupoid, simplicial
+from moebiuskit.bicomodule import validate_configuration
+from moebiuskit.examples import layered_posets, sets_posets_bicomodule
 from moebiuskit.groupoid import (
     DomainError,
     FiniteGroupoid,
@@ -10,6 +14,7 @@ from moebiuskit.groupoid import (
     Mor,
     StructureError,
     cardinality,
+    discrete_functor,
     discrete_groupoid,
     fiber,
     fiber_cardinality,
@@ -20,6 +25,7 @@ from moebiuskit.groupoid import (
     is_pullback_square,
     skeletalize,
 )
+from moebiuskit.simplicial import check_axioms
 
 from conftest import cluster_groupoid, random_cluster_functor, random_cluster_groupoid, seeded
 
@@ -333,3 +339,142 @@ def test_iso_key_classes_match_union_find_random():
             assert _partition(fib) == _union_find_partition(fib)
         P, _, _ = homotopy_pullback(F, F)
         assert _partition(P) == _union_find_partition(P)
+
+
+# -- pullback squares against the whole iso-comma ------------------------------
+
+
+def _whole_comparison(p, q, f, g, grade_bound=None):
+    """is_equivalence of the untransported comparison w -> (p w, q w, id)
+    into the whole iso-comma homotopy_pullback(f, g)."""
+    P, _, _ = homotopy_pullback(f, g, grade_bound)
+    C = f.target
+
+    def ob(w):
+        return (p.ob(w), q.ob(w), C.identity(f.ob(p.ob(w))))
+
+    return is_equivalence(GroupoidFunctor(
+        p.source, P, ob, lambda m: Mor(ob(m.src), ob(m.tgt), (p(m).label, q(m).label))))
+
+
+def _strict_pullback(f, g):
+    """The projections (p, q) of the strict pullback of (f, g): the pairs
+    (a, b) with f(a) = g(b), and the pairs (alpha, beta) with
+    f(alpha) = g(beta)."""
+    A, B = f.source, g.source
+
+    def hom(x, y):
+        return tuple(Mor(x, y, (al.label, be.label))
+                     for al in A.hom(x[0], y[0]) for be in B.hom(x[1], y[1])
+                     if f(al) == g(be))
+
+    def compose(n, m):
+        al = A.compose(Mor(n.src[0], n.tgt[0], n.label[0]), Mor(m.src[0], m.tgt[0], m.label[0]))
+        be = B.compose(Mor(n.src[1], n.tgt[1], n.label[1]), Mor(m.src[1], m.tgt[1], m.label[1]))
+        return Mor(m.src, n.tgt, (al.label, be.label))
+
+    def identity(x):
+        return Mor(x, x, (A.identity(x[0]).label, B.identity(x[1]).label))
+
+    W = FiniteGroupoid([(a, b) for a in A.objects for b in B.objects if f.ob(a) == g.ob(b)],
+                       hom, compose, identity, name="strict")
+    return (GroupoidFunctor(W, A, lambda x: x[0], lambda m: Mor(m.src[0], m.tgt[0], m.label[0])),
+            GroupoidFunctor(W, B, lambda x: x[1], lambda m: Mor(m.src[1], m.tgt[1], m.label[1])))
+
+
+def _squares_over(f, g, rng):
+    """(p, q, f, g) squares over the cospan (f, g): the strict pullback of
+    (f, g); the iso-comma homotopy_pullback(f, g) itself, as the strict
+    pullback of f and the projection g~ : B~ -> C of
+    B~ = homotopy_pullback(id_C, g); that iso-comma less one object; and
+    its objects with identities only, which collide and miss automorphisms
+    where a strict pullback or a full subgroupoid of the iso-comma cannot."""
+    A, C = f.source, f.target
+    squares = [(*_strict_pullback(f, g), f, g)]
+
+    P, pa, _ = homotopy_pullback(f, g)
+    _, tilde, _ = homotopy_pullback(GroupoidFunctor.identity(C), g)
+
+    def q_ob(x):
+        return (f.ob(x[0]), x[1], x[2])
+
+    q = GroupoidFunctor(P, tilde.source, q_ob, lambda m: Mor(
+        q_ob(m.src), q_ob(m.tgt), (f(pa(m)).label, m.label[1])))
+    squares.append((pa, q, f, tilde))
+    if P.objects:
+        dropped = rng.choice(P.objects)
+        W = full_subgroupoid(P, [x for x in P.objects if x != dropped])
+        squares.append((pa.restrict(W), q.restrict(W), f, tilde))
+    D = discrete_groupoid(P.objects)
+    squares.append((discrete_functor(D, A, lambda x: x[0]),
+                    discrete_functor(D, tilde.source, q_ob), f, tilde))
+    return squares
+
+
+def _random_squares(rng, count):
+    """At least count squares over random cospans of cluster functors with
+    a shared target."""
+    squares = []
+    while len(squares) < count:
+        target = random_cluster_groupoid(rng, max_size=2, max_order=3, name="tgt")
+        squares += _squares_over(random_cluster_functor(rng, target),
+                                 random_cluster_functor(rng, target), rng)
+    return squares
+
+
+def _witness_kind(witness):
+    if witness is None:
+        return "pass"
+    for kind, marker in [("collision", "not fully faithful"),
+                         ("missed", "not essentially surjective"),
+                         ("aut", "automorphism map not bijective")]:
+        if witness.startswith(marker):
+            return kind
+    raise AssertionError(f"unknown witness {witness!r}")
+
+
+def _check_comparison_morphisms(monkeypatch):
+    """Make each comparison assert that it sends the automorphisms of W's
+    class representatives into the iso-comma's automorphism groups: its
+    verdict reads the morphism map only through their sizes."""
+    def checked(F):
+        for w in F.source.iso_classes().reps:
+            x = F.ob(w)
+            assert all(F(m) in F.target.hom(x, x) for m in F.source.hom(w, w))
+        return is_equivalence(F)
+
+    monkeypatch.setattr(groupoid, "is_equivalence", checked)
+
+
+def test_pullback_square_matches_the_whole_iso_comma_random(monkeypatch):
+    # the check on class representatives gives the verdict and the witness
+    # of the untransported comparison into the whole iso-comma
+    _check_comparison_morphisms(monkeypatch)
+    kinds = collections.Counter()
+    for p, q, f, g in _random_squares(seeded(29), 210):
+        got = is_pullback_square(p, q, f, g)
+        want = _whole_comparison(p, q, f, g)
+        assert (got.passed, got.witness) == (want.passed, want.witness)
+        kinds[_witness_kind(got.witness)] += 1
+    assert set(kinds) == {"pass", "collision", "missed", "aut"}, kinds
+
+
+def test_pullback_checks_of_the_spaces_match_the_whole_iso_comma(monkeypatch):
+    kinds = collections.Counter()
+
+    def checked(p, q, f, g, grade_bound=None, name=""):
+        got = is_pullback_square(p, q, f, g, grade_bound, name)
+        want = _whole_comparison(p, q, f, g, grade_bound)
+        assert (got.passed, got.witness) == (want.passed, want.witness), name
+        kinds[_witness_kind(got.witness)] += 1
+        return got
+
+    _check_comparison_morphisms(monkeypatch)
+    monkeypatch.setattr(simplicial, "is_pullback_square", checked)
+    monkeypatch.setattr(bicomodule, "is_pullback_square", checked)
+    for g in (2, 3):
+        for profile in ("decomposition", "segal"):
+            check_axioms(layered_posets(g), profile, 1)
+    report = validate_configuration(sets_posets_bicomodule(2, 2, 2), 1)
+    assert not report.sections["columns segal"].passed
+    assert set(kinds) == {"pass", "collision", "missed"}, kinds
