@@ -344,7 +344,8 @@ class ConfigReport:
 def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
     """Per side, the pointing at (0,0) is retracted by the augmentation and
     complete (mono), and the one above it is retracted by the outer face; a
-    side with no pointing at (0,0) is one failed check."""
+    side with no pointing at (0,0) is one failed check, and one with none
+    above it a passed check marked n/a."""
     rep = AxiomReport(profile="pointings")
 
     def retracts(face, section, name):
@@ -365,8 +366,11 @@ def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
         rep.checks.append(SquareResult(is_monomorphism(bottom), None,
                                        f"{side} pointing complete ({s} mono)"))
         above = section(i, j)
-        if above is not None:
-            retracts(B.face(i, j, 1), above, f"{face} . {s} = id at ({i},{j})")
+        name = f"{face} . {s} = id at ({i},{j})"
+        if above is None:
+            rep.checks.append(SquareResult(True, None, f"{name}: n/a, no {side} pointing"))
+        else:
+            retracts(B.face(i, j, 1), above, name)
     return rep
 
 

@@ -2,7 +2,8 @@
 
 The nerve of a finite category is a truncated simplicial groupoid with
 discrete levels (chains of composable arrows), which feeds the generic
-axiom checkers and the incidence machinery.  Mobius categories are
+axiom checkers and the incidence machinery; it generates its Phi fibers
+(the chains of non-identity arrows over an arrow).  Mobius categories are
 detected by exhaustive identity-free chain search, and the classical
 Mobius function is the alternating count of identity-free factorizations.
 
@@ -256,6 +257,14 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
     Level n is the set of composable n-chains; faces compose or truncate,
     degeneracies insert identities.  Passes the Segal profile, hence the
     decomposition profile, and is complete.
+
+    The nerve generates its Phi fibers: the nondegenerate n-simplices over
+    f = (m,) are the chains of n non-identity arrows whose composite is m.
+    They are found by a walk over hom-sets from src(m) that keeps a partial
+    composite g only while g is a left factor of m (h . g = m for some h);
+    the left factors of m are memoised on the nerve.  The walk does not
+    stop at an identity m, since non-identity isomorphisms can compose to
+    one.  Phi_n on a nerve thus builds no level beyond 1.
     """
     if isinstance(C, FinPoset):
         C = FinCategory.from_poset(C)
@@ -295,8 +304,41 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
         return discrete_functor(space.level(n), space.level(n + 1),
                                 lambda c: degen_ob(n, i, c), name=f"s{i}@{n}")
 
+    def left_factors(m):
+        a, b = C.src(m), C.tgt(m)
+        return frozenset(g for x in C.objects for g in C.hom(a, x)
+                         if any(C.compose(h, g) == m for h in C.hom(x, b)))
+
+    def non_identity_arrows():
+        out = {x: [] for x in C.objects}
+        for e in C.morphisms:
+            if not C.is_identity(e):
+                out[C.src(e)].append(e)
+        return out
+
+    def fiber_fn(space, n, f):
+        (m,) = f
+        factors = space._get(("left_factors", m), left_factors, m)
+        out = space._get(("non_identity_arrows",), non_identity_arrows)
+        b = C.tgt(m)
+
+        def walk(g, chain):
+            """The chains over m that begin with `chain`, whose composite is g."""
+            x = C.tgt(g)
+            if len(chain) == n - 1:
+                for e in C.hom(x, b):
+                    if not C.is_identity(e) and C.compose(e, g) == m:
+                        yield chain + (e,)
+                return
+            for e in out[x]:
+                h = C.compose(e, g)
+                if h in factors:
+                    yield from walk(h, chain + (e,))
+
+        yield from walk(C.identities[C.src(m)], ())
+
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
-                                       name=name or f"N({C.name})")
+                                       fiber_fn=fiber_fn, name=name or f"N({C.name})")
 
 
 # -- Mobius categories ---------------------------------------------------------

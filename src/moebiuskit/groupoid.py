@@ -567,14 +567,20 @@ def _class_image(F: GroupoidFunctor):
 
 
 def _aut_witness(F: GroupoidFunctor) -> Optional[str]:
-    """The first source class whose automorphism map is not bijective."""
+    """The first source class whose automorphism map is not a bijection
+    Aut(rep) -> Aut(F rep)."""
     for rep in F.source.iso_classes().reps:
         auts = F.source.hom(rep, rep)
         images = {F(alpha) for alpha in auts}
         frep = F.ob(rep)
-        if len(images) != len(auts) or len(auts) != len(F.target.hom(frep, frep)):
+        target_auts = F.target.hom(frep, frep)
+        if len(images) != len(auts) or len(auts) != len(target_auts):
             return (f"automorphism map not bijective at class {rep!r}: "
-                    f"|Aut|={len(auts)} vs |Aut image|={len(F.target.hom(frep, frep))}")
+                    f"|Aut|={len(auts)} vs |Aut(F rep)|={len(target_auts)}")
+        outside = images.difference(target_auts)
+        if outside:
+            return (f"automorphism map not bijective at class {rep!r}: "
+                    f"{min(outside, key=repr)!r} is not in Aut(F rep)")
     return None
 
 

@@ -87,6 +87,10 @@ def test_validate_sets_posets_sections():
                 "border X decomposition", "border Y decomposition", "pointings"):
         assert status[key], key
     assert not status["columns segal"]
+    # the left pointing exists at i = 0 only: its check above is named, n/a
+    assert B.left_section(1, 0) is None
+    assert report.sections["pointings"].checks[-1].name == (
+        "e_top . t_{top+1} = id at (1,0): n/a, no left pointing")
 
 
 def test_stability_mutation_fails_with_witness_and_breaks_associativity():

@@ -213,6 +213,24 @@ def test_is_monomorphism_examples():
     assert cardinality(pt) <= cardinality(G)
 
 
+def test_automorphism_map_must_land_in_aut_of_the_image():
+    # injective on Aut and of the right size, but F(alpha) is not a morphism
+    # of the target: not a functor, so neither an equivalence nor a mono
+    G = bc2()
+    x = G.objects[0]
+    shifted = GroupoidFunctor(G, G, lambda a: a, lambda m: Mor(x, x, m.label + 2))
+    result = is_equivalence(shifted)
+    assert not result
+    assert result.witness == (f"automorphism map not bijective at class {x!r}: "
+                              f"{Mor(x, x, 2)!r} is not in Aut(F rep)")
+    assert not is_monomorphism(shifted)
+    # the count witness names the target's automorphism group
+    pt = discrete_groupoid(["*"])
+    fold = GroupoidFunctor(G, pt, lambda a: "*", lambda m: pt.identity("*"))
+    assert is_equivalence(fold).witness == (
+        f"automorphism map not bijective at class {x!r}: |Aut|=2 vs |Aut(F rep)|=1")
+
+
 def test_is_monomorphism_matches_fiber_definition_random():
     # the definition: every homotopy fiber over a target class is empty
     # or contractible (one class, trivial automorphisms)

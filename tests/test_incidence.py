@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moebiuskit.catposet import FinPoset, chain_poset, divisor_poset, nerve
+from moebiuskit.catposet import FinCategory, FinPoset, chain_poset, divisor_poset, nerve
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
 from moebiuskit.groupoid import GroupoidFunctor, fiber_cardinality
 from moebiuskit.incidence import (
@@ -22,7 +22,7 @@ from moebiuskit.incidence import (
 )
 from moebiuskit.simplicial import InsufficientLevelsError, nondegenerate_simplices
 
-from conftest import poset_mobius_oracle
+from conftest import poset_mobius_oracle, random_poset, random_quiver_category, seeded
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6)
@@ -195,23 +195,33 @@ def _phi_whole_level(X, f, n):
     return fiber_cardinality(_long_edge(X, n).restrict(W), f)
 
 
-def test_phi_generated_fiber_equals_whole_level_route():
+def _check_generated_fibers(X):
+    """Each generated fiber of X: distinct simplices of level n, with every
+    principal edge nondegenerate and long edge f, as many as the
+    whole-level route counts; returns the number of (f, n) cases."""
+    assert X.generates_fibers
+    tab = X.level(1).iso_classes()
+    degenerate = X.degenerate_edge_classes()
     cases = 0
-    for build in (layered_sets, layered_posets):
-        for g in range(5):
-            X = build(g, max_level=max(2, g))
-            assert X.generates_fibers
-            for f in X.level(1).iso_classes().reps:
-                for n in range(1, X.max_level + 1):
-                    simplices = list(X.fiber_simplices(n, f))
-                    assert len(set(simplices)) == len(simplices)
-                    long_edge = _long_edge(X, n)
-                    for sigma in simplices:
-                        assert X.level(n).has_object(sigma)
-                        assert long_edge.ob(sigma) == f
-                    assert phi_n(X, f, n) == len(simplices) == _phi_whole_level(X, f, n)
-                    cases += 1
-    assert cases == 185
+    for f in tab.reps:
+        for n in range(1, X.max_level + 1):
+            simplices = list(X.fiber_simplices(n, f))
+            assert len(set(simplices)) == len(simplices)
+            long_edge = _long_edge(X, n)
+            for sigma in simplices:
+                assert X.level(n).has_object(sigma)
+                assert all(tab.class_of(X.principal_edge(n, sigma, i)) not in degenerate
+                           for i in range(1, n + 1))
+                assert long_edge.ob(sigma) == f
+            assert phi_n(X, f, n) == len(simplices) == _phi_whole_level(X, f, n)
+            cases += 1
+    return cases
+
+
+def test_phi_generated_fiber_equals_whole_level_route():
+    spaces = [build(g, max_level=max(2, g))
+              for build in (layered_sets, layered_posets) for g in range(5)]
+    assert sum(_check_generated_fibers(X) for X in spaces) == 185
 
 
 def test_phi_refuses_levels_beyond_the_truncation():
@@ -226,3 +236,77 @@ def test_phi_refuses_levels_beyond_the_truncation():
         assert (err.value.needed, err.value.available) == (4, 3)
         with pytest.raises(InsufficientLevelsError):
             mobius(X, edge, length_bound=4)
+
+
+def _criterion_4_battery():
+    """The nerves of criterion 4: seed 42, 14 posets and 6 quivers."""
+    rng = seeded(42)
+    nerves = [nerve(random_poset(rng, max_size=5), max_level=6) for _ in range(14)]
+    nerves += [nerve(random_quiver_category(rng), max_level=6) for _ in range(6)]
+    return nerves
+
+
+def test_nerve_generated_fiber_equals_whole_level_route():
+    # a nerve's levels are discrete: a nondegenerate edge is a non-identity arrow
+    assert sum(_check_generated_fibers(N) for N in _criterion_4_battery()) == 558
+
+
+def test_nerve_fiber_counts_non_identity_chains_onto_an_identity():
+    # one object with a non-identity involution s: s . s = 1, so the chain
+    # (s, s) of non-identity arrows composes to the identity
+    C = FinCategory(["*"], {"1": ("*", "*"), "s": ("*", "*")},
+                    {("1", "1"): "1", ("1", "s"): "s", ("s", "1"): "s", ("s", "s"): "1"},
+                    {"*": "1"})
+    C.validate()
+    N = nerve(C, max_level=4)
+    assert list(N.fiber_simplices(2, ("1",))) == [("s", "s")]
+    assert phi_n(N, ("1",), 2) == 1
+    assert [phi_n(N, ("s",), n) for n in range(1, 5)] == [1, 0, 1, 0]
+    assert _check_generated_fibers(N) == 8
+
+
+def test_nerve_inversion_builds_no_level_beyond_two():
+    N = nerve(divisor_poset(12), max_level=6)
+    assert verify_inversion(N, length_bound=4).passed
+    built = [key for key in N._memo if key[0] in ("level", "word")]
+    assert built and all(key[0] == "level" and key[1] < 3 for key in built), built
+
+
+@st.composite
+def _posets(draw, max_size=5):
+    n = draw(st.integers(1, max_size))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FinPoset(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def _acyclic_quivers(draw, max_nodes=4, max_edges=4):
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=max_edges)) if pairs else []
+    return n, [(f"e{k}", a, b) for k, (a, b) in enumerate(ends)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_posets())
+def test_mobius_of_random_poset_nerves_is_the_classical_recursion(P):
+    bound = len(P.elements)
+    N = nerve(P, max_level=max(2, bound))
+    oracle = poset_mobius_oracle(P)
+    for a, b in P.intervals():
+        assert mobius(N, (("le", a, b),), length_bound=bound) == oracle(a, b)
+    assert verify_inversion(N, length_bound=bound).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(_acyclic_quivers())
+def test_mobius_of_free_category_nerves_is_the_closed_form(quiver):
+    # mu is 1 on identities, -1 on edges and 0 on longer paths
+    n, edges = quiver
+    C = FinCategory.free_on_quiver(range(n), edges)
+    N = nerve(C, max_level=n)
+    for m in C.morphisms:
+        _, _a, path = m
+        want = {0: 1, 1: -1}.get(len(path), 0)
+        assert mobius(N, (m,), length_bound=n) == want
