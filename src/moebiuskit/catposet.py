@@ -251,12 +251,52 @@ def poset_functor(P: FinPoset, Q: FinPoset, ob_map: dict, name="") -> FinFunctor
 # -- nerves -------------------------------------------------------------------
 
 
+def _nerve_face(C, n, i, c):
+    """d_i of the n-chain c: drop an end arrow or compose two neighbours."""
+    if n == 1:
+        return C.tgt(c[0]) if i == 0 else C.src(c[0])
+    if i == 0:
+        return c[1:]
+    if i == n:
+        return c[:-1]
+    return c[:i - 1] + (C.compose(c[i], c[i - 1]),) + c[i + 1:]
+
+
+def _nerve_degeneracy(C, n, i, c):
+    """s_i of the n-chain c: insert the identity at vertex i."""
+    if n == 0:
+        return (C.identities[c],)
+    vertex = C.src(c[0]) if i == 0 else C.tgt(c[i - 1])
+    return c[:i] + (C.identities[vertex],) + c[i:]
+
+
+def _nerve_operator(C, source, target, op, n, i, name=""):
+    """The discrete functor of c -> op(C, n, i, c).  Each chain's image is
+    computed once, into a table that `ob` and the morphism map read.  The
+    functor holds the table, and the nerve memoises the functor, so the
+    table goes away with the nerve.  (A level is in a cycle with its
+    iso-class table and outlives the nerve until the cycle collector runs.)"""
+    images: dict = {}
+
+    def ob(c):
+        try:
+            return images[c]
+        except KeyError:
+            image = images[c] = op(C, n, i, c)
+            return image
+
+    return discrete_functor(source, target, ob, name=name)
+
+
 def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
     """The nerve of a finite category or poset, with discrete levels.
 
     Level n is the set of composable n-chains; faces compose or truncate,
     degeneracies insert identities.  Passes the Segal profile, hence the
-    decomposition profile, and is complete.
+    decomposition profile, and is complete.  Each face and degeneracy
+    computes a chain's image once, into a table it holds
+    (`_nerve_operator`), so the pullback checks, the fiber tables of the
+    incidence coalgebra and the relative-nerve cuts redo no chain surgery.
 
     The nerve generates its Phi fibers: the nondegenerate n-simplices over
     f = (m,) are the chains of n non-identity arrows whose composite is m.
@@ -278,31 +318,16 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
                    if C.src(m) == C.tgt(c[-1])]
         return out
 
-    def face_ob(n, i, c):
-        if n == 1:
-            return C.tgt(c[0]) if i == 0 else C.src(c[0])
-        if i == 0:
-            return c[1:]
-        if i == n:
-            return c[:-1]
-        return c[:i - 1] + (C.compose(c[i], c[i - 1]),) + c[i + 1:]
-
-    def degen_ob(n, i, c):
-        if n == 0:
-            return (C.identities[c],)
-        vertex = C.src(c[0]) if i == 0 else C.tgt(c[i - 1])
-        return c[:i] + (C.identities[vertex],) + c[i:]
-
     def level_fn(space, n):
         return discrete_groupoid(chains(n), name=f"N{n}")
 
     def face_fn(space, n, i):
-        return discrete_functor(space.level(n), space.level(n - 1),
-                                lambda c: face_ob(n, i, c), name=f"d{i}@{n}")
+        return _nerve_operator(C, space.level(n), space.level(n - 1), _nerve_face, n, i,
+                               name=f"d{i}@{n}")
 
     def degen_fn(space, n, i):
-        return discrete_functor(space.level(n), space.level(n + 1),
-                                lambda c: degen_ob(n, i, c), name=f"s{i}@{n}")
+        return _nerve_operator(C, space.level(n), space.level(n + 1), _nerve_degeneracy,
+                               n, i, name=f"s{i}@{n}")
 
     def left_factors(m):
         a, b = C.src(m), C.tgt(m)

@@ -18,6 +18,13 @@ pullback comparison) follows one rule too: c_tgt . m . c_src^{-1} along
 the connectors of its ends, skipping the factor of an end that already
 is its representative.
 
+Fibers follow one rule as well.  On its first fiber query a functor
+builds its fiber table, {target class: the source class representatives
+over it, in source order}, into its `_memo`.  `weighted_fiber` and
+`fiber_cardinality` read one entry of it, and the class image behind
+`is_equivalence` and `is_monomorphism` reads all of it.  A functor built
+for one call, by `restrict` or `compose`, gets a fresh table.
+
 A pullback square is checked against the iso-comma of the legs restricted
 to the class representatives of A and B.  That iso-comma is a full
 subgroupoid of the whole one, equivalent to it, and holds the first
@@ -322,10 +329,13 @@ def cardinality(G: FiniteGroupoid) -> Fraction:
     return G.iso_classes().cardinality()
 
 
-class GroupoidFunctor:
-    """A functor between finite groupoids: an object map plus morphism map."""
+class GroupoidFunctor(Memo):
+    """A functor between finite groupoids: an object map plus morphism map.
+
+    Its `_memo` holds its fiber table (see `weighted_fiber`)."""
 
     def __init__(self, source, target, ob, mor, name=""):
+        super().__init__()
         self.source = source
         self.target = target
         self._ob = ob if callable(ob) else ob.__getitem__
@@ -420,7 +430,7 @@ def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:
 
 def fiber_cardinality(F: GroupoidFunctor, c) -> Fraction:
     """|fiber(F, c)| computed class-wise: the single part of `weighted_fiber`
-    under a constant label.
+    under a constant label, so it reads one entry of F's fiber table.
 
     This is the fast path; it agrees with cardinality(fiber(F, c)) and the
     two are cross-checked in the test suite.
@@ -428,25 +438,36 @@ def fiber_cardinality(F: GroupoidFunctor, c) -> Fraction:
     return weighted_fiber(F, c, lambda rep: None).get(None, Fraction(0))
 
 
+def _fiber_table(F: GroupoidFunctor) -> dict:
+    """{target class: the source class representatives over it, in source
+    order}, built on the first query and kept in F's `_memo`."""
+    table = F._memo.get(("fibers",))
+    if table is None:
+        class_of = F.target.iso_classes().class_of
+        table = {}
+        for rep in F.source.iso_classes().reps:
+            table.setdefault(class_of(F.ob(rep)), []).append(rep)
+        F._memo["fibers",] = table   # only whole: an image outside the target raises
+    return table
+
+
 def weighted_fiber(F: GroupoidFunctor, c, label_fn) -> dict:
     """Decompose |fiber(F, c)| as a sum of weights, grouped by an
     iso-invariant label of the source class.
 
     Returns {label: weight} with weight = sum of |Aut c| / |Aut a| over the
-    source classes a whose image is isomorphic to c.  `label_fn` is applied
-    to class representatives and must be constant on iso classes.
+    source classes a whose image is isomorphic to c, in source order; they
+    are one entry of F's fiber table.  `label_fn` is applied to class
+    representatives and must be constant on iso classes.
     """
-    S, T = F.source, F.target
-    ttab = T.iso_classes()
+    ttab = F.target.iso_classes()
     cls_c = ttab.class_of(c)
     aut_c = ttab.aut_orders[cls_c]
-    stab = S.iso_classes()
+    aut_orders = F.source.iso_classes().aut_orders
     out: dict = {}
-    for rep in stab.reps:
-        if ttab.class_of(F.ob(rep)) == cls_c:
-            w = Fraction(aut_c, stab.aut_orders[rep])
-            key = label_fn(rep)
-            out[key] = out.get(key, Fraction(0)) + w
+    for rep in _fiber_table(F).get(cls_c, ()):
+        key = label_fn(rep)
+        out[key] = out.get(key, Fraction(0)) + Fraction(aut_c, aut_orders[rep])
     return out
 
 
@@ -553,17 +574,18 @@ class SquareResult:
 
 
 def _class_image(F: GroupoidFunctor):
-    """(image, witness): the source class over each target class, and a
-    witness when two source classes share one target class."""
-    ttab = F.target.iso_classes()
-    image: dict = {}
-    for rep in F.source.iso_classes().reps:
-        tcls = ttab.class_of(F.ob(rep))
-        if tcls in image:
-            return image, ("not fully faithful: source classes "
-                           f"{image[tcls]!r} and {rep!r} share target class {tcls!r}")
-        image[tcls] = rep
-    return image, None
+    """(image, witness): the source class over each target class, read off
+    F's fiber table, and a witness naming the first source class, in
+    source order, whose target class an earlier one already has."""
+    table = _fiber_table(F)
+    image = {tcls: reps[0] for tcls, reps in table.items()}
+    shared = [(tcls, reps) for tcls, reps in table.items() if len(reps) > 1]
+    if not shared:
+        return image, None
+    order = {rep: i for i, rep in enumerate(F.source.iso_classes().reps)}
+    tcls, reps = min(shared, key=lambda entry: order[entry[1][1]])
+    return image, ("not fully faithful: source classes "
+                   f"{reps[0]!r} and {reps[1]!r} share target class {tcls!r}")
 
 
 def _aut_witness(F: GroupoidFunctor) -> Optional[str]:

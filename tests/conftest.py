@@ -4,7 +4,7 @@ Mobius recursion oracle used as an independent check throughout."""
 import random
 from fractions import Fraction
 
-from moebiuskit.catposet import FinCategory, FinPoset
+from moebiuskit.catposet import FinCategory, FinPoset, nerve
 from moebiuskit.groupoid import FiniteGroupoid, GroupoidFunctor, Mor
 
 
@@ -84,6 +84,15 @@ def random_quiver_category(rng, max_nodes=4, max_edges=4):
         b = rng.randrange(a + 1, n)  # edges go up: acyclic quiver
         edges.append((f"e{e}", a, b))
     return FinCategory.free_on_quiver(nodes, edges, name="quiver")
+
+
+def criterion_4_nerves():
+    """The nerves of acceptance criterion 4: seed 42, 14 posets and 6
+    quivers, truncated at level 6."""
+    rng = random.Random(42)
+    nerves = [nerve(random_poset(rng, max_size=5), max_level=6) for _ in range(14)]
+    nerves += [nerve(random_quiver_category(rng), max_level=6) for _ in range(6)]
+    return nerves
 
 
 def poset_mobius_oracle(P: FinPoset):

@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from moebiuskit.catposet import (
 )
 from moebiuskit.examples import enumerate_posets
 from moebiuskit.groupoid import DomainError, StructureError
+from moebiuskit.incidence import verify_inversion
 from moebiuskit.simplicial import check_axioms
 
 from conftest import poset_mobius_oracle, seeded
@@ -327,3 +329,23 @@ def test_poset_category_order_does_not_depend_on_the_hash_seed():
                               text=True, env=env, timeout=120, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_nerve_operators_compute_each_image_once(monkeypatch):
+    # the nerve counterpart of the layer-surgery pin in test_examples.py
+    calls = collections.Counter()
+
+    def counted(op):
+        def run(C, n, i, c):
+            calls[op.__name__, n, i, c] += 1
+            return op(C, n, i, c)
+        return run
+
+    monkeypatch.setattr(catposet, "_nerve_face", counted(catposet._nerve_face))
+    monkeypatch.setattr(catposet, "_nerve_degeneracy", counted(catposet._nerve_degeneracy))
+    N = nerve(divisor_poset(12), max_level=6)
+    for profile, n_max in (("segal", 3), ("decomposition", 3), ("complete", 1)):
+        assert check_axioms(N, profile, n_max).passed
+    assert verify_inversion(N, length_bound=4).passed
+    assert {op for op, *_ in calls} == {"_nerve_face", "_nerve_degeneracy"}
+    assert max(calls.values()) == 1

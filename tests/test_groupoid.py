@@ -24,10 +24,17 @@ from moebiuskit.groupoid import (
     is_monomorphism,
     is_pullback_square,
     skeletalize,
+    weighted_fiber,
 )
 from moebiuskit.simplicial import check_axioms
 
-from conftest import cluster_groupoid, random_cluster_functor, random_cluster_groupoid, seeded
+from conftest import (
+    cluster_groupoid,
+    criterion_4_nerves,
+    random_cluster_functor,
+    random_cluster_groupoid,
+    seeded,
+)
 
 
 def bc2():
@@ -496,3 +503,143 @@ def test_pullback_checks_of_the_spaces_match_the_whole_iso_comma(monkeypatch):
     report = validate_configuration(sets_posets_bicomodule(2, 2, 2), 1)
     assert not report.sections["columns segal"].passed
     assert set(kinds) == {"pass", "collision", "missed"}, kinds
+
+
+# -- the fiber table against a scan of the source classes ------------------------
+
+
+def _scan_weighted_fiber(F, c, label_fn):
+    """weighted_fiber by a scan of every source class, the route before
+    each functor kept a fiber table."""
+    ttab, stab = F.target.iso_classes(), F.source.iso_classes()
+    cls_c = ttab.class_of(c)
+    out = {}
+    for rep in stab.reps:
+        if ttab.class_of(F.ob(rep)) == cls_c:
+            key = label_fn(rep)
+            out[key] = out.get(key, Fraction(0)) + Fraction(ttab.aut_orders[cls_c],
+                                                            stab.aut_orders[rep])
+    return out
+
+
+def _scan_class_image(F):
+    """The class image by a scan that stops at the first collision."""
+    ttab = F.target.iso_classes()
+    image = {}
+    for rep in F.source.iso_classes().reps:
+        tcls = ttab.class_of(F.ob(rep))
+        if tcls in image:
+            return image, ("not fully faithful: source classes "
+                           f"{image[tcls]!r} and {rep!r} share target class {tcls!r}")
+        image[tcls] = rep
+    return image, None
+
+
+def _check_fiber_table(F, targets):
+    """weighted_fiber and fiber_cardinality over each target object equal
+    the scan term for term, under a label per class and a constant label;
+    returns the number of nonempty fibers."""
+    nonempty = 0
+    for c in targets:
+        want = _scan_weighted_fiber(F, c, lambda rep: rep)
+        assert list(weighted_fiber(F, c, lambda rep: rep).items()) == list(want.items())
+        total = sum(want.values(), Fraction(0))
+        assert weighted_fiber(F, c, lambda rep: None) == ({None: total} if want else {})
+        assert fiber_cardinality(F, c) == total
+        nonempty += bool(want)
+    return nonempty
+
+
+def _last_members(G):
+    """The last member of each iso class: a non-representative wherever a
+    class has more than one object."""
+    table = G.iso_classes()
+    return [table.members[rep][-1] for rep in table.reps]
+
+
+def _operators(X):
+    """Every face and degeneracy of a truncated space."""
+    return ([X.face(n, i) for n in range(1, X.max_level + 1) for i in range(n + 1)]
+            + [X.degeneracy(n, i) for n in range(X.max_level) for i in range(n + 1)])
+
+
+def test_fiber_table_matches_the_source_scan_random():
+    rng = seeded(31)
+    nonempty = 0
+    for _ in range(150):
+        F = random_cluster_functor(rng)
+        nonempty += _check_fiber_table(F, F.target.objects)
+    assert nonempty > 150
+
+
+def test_fiber_table_matches_the_source_scan_on_space_operators():
+    spaces = criterion_4_nerves() + [layered_posets(g) for g in range(4)]
+    operators = [F for X in spaces for F in _operators(X)]
+    for F in operators:
+        _check_fiber_table(F, _last_members(F.target))
+    assert len(operators) == 20 * 48 + 8 + 15 + 24 + 35   # L(L+2) at truncation L
+
+
+def test_fiber_table_is_kept_only_whole():
+    # an image outside the target raises on every query, not only the first
+    F = discrete_functor(discrete_groupoid(range(3)), discrete_groupoid("xy"), "xyz".__getitem__)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            weighted_fiber(F, "x", lambda rep: rep)
+
+
+def test_class_image_keeps_the_first_collision_in_source_order():
+    rng = seeded(37)
+    collisions = 0
+    for _ in range(300):
+        F = random_cluster_functor(rng)
+        got, want = groupoid._class_image(F), _scan_class_image(F)
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert got[0] == want[0]
+        collisions += want[1] is not None
+    assert collisions > 50
+    # class 3 goes where class 0 went, but 2 meets 1 first
+    F = discrete_functor(discrete_groupoid(range(4)), discrete_groupoid("xy"), "xyyx".__getitem__)
+    assert groupoid._class_image(F)[1] == _scan_class_image(F)[1] == (
+        "not fully faithful: source classes 1 and 2 share target class 'y'")
+
+
+def _check_fiber_cardinalities(p, f, g, grade_bound):
+    """A homotopy pullback square induces equivalences of homotopy fibers,
+    so |fiber of p over a| = |fiber of g over f(a)| for every class a of A.
+    On graded levels the right side keeps only the classes b of B whose
+    glued grade stays within grade_bound, as homotopy_pullback does."""
+    A, B, C = f.source, g.source, f.target
+    graded = grade_bound is not None and A.is_graded() and B.is_graded() and C.is_graded()
+    for a in A.iso_classes().reps:
+        fa = f.ob(a)
+        if graded:
+            by_grade = weighted_fiber(g, fa, B.grade)
+            right = sum((w for grade, w in by_grade.items()
+                         if A.grade(a) + grade - C.grade(fa) <= grade_bound), Fraction(0))
+        else:
+            right = fiber_cardinality(g, fa)
+        assert fiber_cardinality(p, a) == right
+
+
+def test_passed_squares_have_equal_fiber_cardinalities(monkeypatch):
+    verdicts = collections.Counter()
+
+    def checked(p, q, f, g, grade_bound=None, name=""):
+        result = is_pullback_square(p, q, f, g, grade_bound, name)
+        if result.passed:
+            _check_fiber_cardinalities(p, f, g, grade_bound)
+        verdicts[result.passed] += 1
+        return result
+
+    monkeypatch.setattr(simplicial, "is_pullback_square", checked)
+    for N in criterion_4_nerves():
+        for profile in ("segal", "decomposition"):
+            assert check_axioms(N, profile, 3).passed
+    for g in (1, 2, 3):
+        for profile in ("decomposition", "segal"):
+            check_axioms(layered_posets(g), profile, 1)
+    # 43 squares per nerve; 8, 12 and 12 decomposition squares and one
+    # segal square at g = 1, 2, 3, the segal squares at g = 2, 3 failing
+    assert verdicts == {True: 20 * 43 + 35 - 2, False: 2}, verdicts

@@ -1,3 +1,4 @@
+import collections
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from moebiuskit.incidence import (
 )
 from moebiuskit.simplicial import InsufficientLevelsError, nondegenerate_simplices
 
-from conftest import poset_mobius_oracle, random_poset, random_quiver_category, seeded
+from conftest import criterion_4_nerves, poset_mobius_oracle
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6)
@@ -238,17 +239,9 @@ def test_phi_refuses_levels_beyond_the_truncation():
             mobius(X, edge, length_bound=4)
 
 
-def _criterion_4_battery():
-    """The nerves of criterion 4: seed 42, 14 posets and 6 quivers."""
-    rng = seeded(42)
-    nerves = [nerve(random_poset(rng, max_size=5), max_level=6) for _ in range(14)]
-    nerves += [nerve(random_quiver_category(rng), max_level=6) for _ in range(6)]
-    return nerves
-
-
 def test_nerve_generated_fiber_equals_whole_level_route():
     # a nerve's levels are discrete: a nondegenerate edge is a non-identity arrow
-    assert sum(_check_generated_fibers(N) for N in _criterion_4_battery()) == 558
+    assert sum(_check_generated_fibers(N) for N in criterion_4_nerves()) == 558
 
 
 def test_nerve_fiber_counts_non_identity_chains_onto_an_identity():
@@ -270,6 +263,23 @@ def test_nerve_inversion_builds_no_level_beyond_two():
     assert verify_inversion(N, length_bound=4).passed
     built = [key for key in N._memo if key[0] in ("level", "word")]
     assert built and all(key[0] == "level" and key[1] < 3 for key in built), built
+
+
+def test_nerve_inversion_classifies_each_2_simplex_once(monkeypatch):
+    # every comultiplication reads the fiber table of d_1 : X_2 -> X_1,
+    # built once, instead of sending all of X_2 through d_1 again
+    N = nerve(divisor_poset(12), max_level=6)
+    d1 = N.face(2, 1)
+    calls = collections.Counter()
+
+    def counted(c):
+        calls[c] += 1
+        return GroupoidFunctor.ob(d1, c)
+
+    monkeypatch.setattr(d1, "ob", counted)
+    assert verify_inversion(N, length_bound=4).passed
+    assert set(calls) == set(N.level(2).iso_classes().reps)
+    assert max(calls.values()) == 1
 
 
 @st.composite
