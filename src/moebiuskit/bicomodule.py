@@ -241,20 +241,17 @@ class ComoduleConfiguration(Memo):
 
     `space` is the Segal side C (row 0 of a grid on the right, column 0 on
     the left; a decalage is one of a total decalage), `base` the border
-    acting on it, `base_map` the culf augmentation.  The augmentation
-    C_0 -> C_{-1} and the sections C_{n-1} -> C_n realize the pointing;
-    `section(n)` is None where the grid has no pointing, and
-    `bottom_section` raises then.  `section(0)` maps out of the
-    augmentation target and its essential image defines the complement C_b
-    used by the Phi functors.
+    acting on it, `base_map` the culf augmentation.  The sections
+    C_{n-1} -> C_n realize the pointing; `section(n)` is None where the
+    grid has no pointing, and `bottom_section` raises then.  `section(0)`
+    maps out of the augmentation target C_{-1}, and its essential image
+    defines the complement C_b used by the Phi functors.
     """
 
     side: str
     space: TruncatedSimplicialGroupoid
     base: TruncatedSimplicialGroupoid
     base_map: SimplicialMap
-    aug_target: FiniteGroupoid
-    augmentation: GroupoidFunctor
     section: Callable[[int], Optional[GroupoidFunctor]]
     name: str = ""
 
@@ -278,7 +275,7 @@ class ComoduleConfiguration(Memo):
     def _pointing_image_classes(self) -> frozenset:
         tab = self.space.level(0).iso_classes()
         s = self.bottom_section()
-        return frozenset(tab.class_of(s.ob(x)) for x in self.aug_target.objects)
+        return frozenset(tab.class_of(s.ob(x)) for x in s.source.objects)
 
     def vertex_functor(self, n: int) -> GroupoidFunctor:
         """C_n -> C_0 picking out the distinguished vertex."""
@@ -301,7 +298,6 @@ def right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
 def _right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="right", space=B.row(0), base=B.y_space(), base_map=B.v_map(),
-        aug_target=B.cell(0, -1), augmentation=B.aug_u(0),
         section=lambda n: B.right_section(0, n),
         name=f"{B.name}.right")
 
@@ -314,7 +310,6 @@ def left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
 def _left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="left", space=B.column(0), base=B.x_space(), base_map=B.u_map(),
-        aug_target=B.cell(-1, 0), augmentation=B.aug_v(0),
         section=lambda n: B.left_section(n, 0),
         name=f"{B.name}.left")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .bicomodule import AugmentedBisimplicialGroupoid
@@ -270,33 +271,15 @@ def _nerve_degeneracy(C, n, i, c):
     return c[:i] + (C.identities[vertex],) + c[i:]
 
 
-def _nerve_operator(C, source, target, op, n, i, name=""):
-    """The discrete functor of c -> op(C, n, i, c).  Each chain's image is
-    computed once, into a table that `ob` and the morphism map read.  The
-    functor holds the table, and the nerve memoises the functor, so the
-    table goes away with the nerve.  (A level is in a cycle with its
-    iso-class table and outlives the nerve until the cycle collector runs.)"""
-    images: dict = {}
-
-    def ob(c):
-        try:
-            return images[c]
-        except KeyError:
-            image = images[c] = op(C, n, i, c)
-            return image
-
-    return discrete_functor(source, target, ob, name=name)
-
-
 def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
     """The nerve of a finite category or poset, with discrete levels.
 
     Level n is the set of composable n-chains; faces compose or truncate,
     degeneracies insert identities.  Passes the Segal profile, hence the
-    decomposition profile, and is complete.  Each face and degeneracy
-    computes a chain's image once, into a table it holds
-    (`_nerve_operator`), so the pullback checks, the fiber tables of the
-    incidence coalgebra and the relative-nerve cuts redo no chain surgery.
+    decomposition profile, and is complete.  Faces and degeneracies are
+    discrete functors, so each computes a chain's image once, into a table
+    it holds, and the pullback checks, the fiber tables of the incidence
+    coalgebra and the relative-nerve cuts redo no chain surgery.
 
     The nerve generates its Phi fibers: the nondegenerate n-simplices over
     f = (m,) are the chains of n non-identity arrows whose composite is m.
@@ -322,12 +305,12 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
         return discrete_groupoid(chains(n), name=f"N{n}")
 
     def face_fn(space, n, i):
-        return _nerve_operator(C, space.level(n), space.level(n - 1), _nerve_face, n, i,
-                               name=f"d{i}@{n}")
+        return discrete_functor(space.level(n), space.level(n - 1),
+                                partial(_nerve_face, C, n, i), name=f"d{i}@{n}")
 
     def degen_fn(space, n, i):
-        return _nerve_operator(C, space.level(n), space.level(n + 1), _nerve_degeneracy,
-                               n, i, name=f"s{i}@{n}")
+        return discrete_functor(space.level(n), space.level(n + 1),
+                                partial(_nerve_degeneracy, C, n, i), name=f"s{i}@{n}")
 
     def left_factors(m):
         a, b = C.src(m), C.tgt(m)
@@ -346,21 +329,21 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
         factors = space._get(("left_factors", m), left_factors, m)
         out = space._get(("non_identity_arrows",), non_identity_arrows)
         b = C.tgt(m)
-
-        def walk(g, chain):
-            """The chains over m that begin with `chain`, whose composite is g."""
+        # partial chains with their composites; the children of each are
+        # pushed in reverse, so that the chains come out in hom-set order
+        stack = [(C.identities[C.src(m)], ())]
+        while stack:
+            g, chain = stack.pop()
             x = C.tgt(g)
             if len(chain) == n - 1:
                 for e in C.hom(x, b):
                     if not C.is_identity(e) and C.compose(e, g) == m:
                         yield chain + (e,)
-                return
-            for e in out[x]:
+                continue
+            for e in reversed(out[x]):
                 h = C.compose(e, g)
                 if h in factors:
-                    yield from walk(h, chain + (e,))
-
-        yield from walk(C.identities[C.src(m)], ())
+                    stack.append((h, chain + (e,)))
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
                                        fiber_fn=fiber_fn, name=name or f"N({C.name})")

@@ -27,10 +27,10 @@ refinement, which also provides hom-sets and automorphism groups.
 Everything here that depends only on hashable values -- canonical forms,
 automorphism groups, poset catalogues, level object lists, the rank maps
 of kept elements and the spaces themselves -- is memoised with
-`functools.cache`, once per process.  An operator's image of each object
-is computed once, into a table in the source level's `_memo` keyed by the
-surgery and its arguments, so the pullback checks, which visit every
-object and both ends of every morphism many times, redo no layer surgery.
+`functools.cache`, once per process.  Every operator is a tabulated
+functor: it computes each object's image once, into a table it holds, so
+the pullback checks, which visit every object and both ends of every
+morphism many times, redo no layer surgery.
 """
 
 from __future__ import annotations
@@ -245,31 +245,23 @@ def _op_functor(src_gpd, tgt_gpd, surgery, *args, name="") -> GroupoidFunctor:
 
     The surgery returns the image structure and keep, the increasing tuple
     of the elements of a that survive, or None when no element is deleted
-    (pure recoloring).  Each object's image is computed once, into the
-    table ("image", surgery, *args) in the source level's `_memo`, which
-    maps a to (image, rank): the image interned in the target level, and
-    the shared `_rank(keep)` or None.  `ob` and `mor` both read it."""
-    images = src_gpd._get(("image", surgery, *args), dict)
+    (pure recoloring).  The functor is tabulated: each object's entry,
+    (image, rank) with the image interned in the target level and rank the
+    shared `_rank(keep)` or None, is computed once."""
     interned = tgt_gpd._get(("interned",), dict)
 
-    def image(a):
+    def rule(a):
         res, keep = surgery(a, *args)
-        images[a] = entry = (interned.setdefault(res, res),
-                             None if keep is None else _rank(keep))
-        return entry
+        return interned.setdefault(res, res), None if keep is None else _rank(keep)
 
-    def ob(a):
-        return (images.get(a) or image(a))[0]
-
-    def mor(mr):
-        res_a, rank_a = images.get(mr.src) or image(mr.src)
-        res_b, rank_b = images.get(mr.tgt) or image(mr.tgt)
+    def mor(mr, src, tgt):
+        (res_a, rank_a), (res_b, rank_b) = src, tgt
         if rank_a is None:
             return Mor(res_a, res_b, mr.label)
         label = mr.label   # rank_a iterates over the kept elements of mr.src
         return Mor(res_a, res_b, tuple(rank_b[label[e]] for e in rank_a))
 
-    return GroupoidFunctor(src_gpd, tgt_gpd, ob, mor, name=name)
+    return GroupoidFunctor.tabulated(src_gpd, tgt_gpd, rule, mor, name=name)
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -18,12 +18,14 @@ pullback comparison) follows one rule too: c_tgt . m . c_src^{-1} along
 the connectors of its ends, skipping the factor of an end that already
 is its representative.
 
-Fibers follow one rule as well.  On its first fiber query a functor
+Images and fibers both live in the functor.  A `tabulated` functor
+computes each object's image once, into its image table, and any functor
 builds its fiber table, {target class: the source class representatives
-over it, in source order}, into its `_memo`.  `weighted_fiber` and
-`fiber_cardinality` read one entry of it, and the class image behind
-`is_equivalence` and `is_monomorphism` reads all of it.  A functor built
-for one call, by `restrict` or `compose`, gets a fresh table.
+over it, in source order}, on its first fiber query.  `weighted_fiber`
+and `fiber_cardinality` read one entry of the fiber table, and the class
+image behind `is_equivalence` and `is_monomorphism` reads all of it.  A
+functor built for one call, by `restrict` or `compose`, gets a fresh
+fiber table.
 
 A pullback square is checked against the iso-comma of the legs restricted
 to the class representatives of A and B.  That iso-comma is a full
@@ -263,10 +265,9 @@ def discrete_groupoid(objects, grade=None, name="") -> FiniteGroupoid:
 
 
 def discrete_functor(source, target, ob, name="") -> "GroupoidFunctor":
-    """The functor out of a discrete groupoid with object map `ob`; each
-    identity goes to the identity of its image."""
-    return GroupoidFunctor(source, target, ob,
-                           lambda m: target.identity(ob(m.src)), name=name)
+    """The tabulated functor out of a discrete groupoid with object map
+    `ob`; each identity goes to the identity of its image."""
+    return GroupoidFunctor.tabulated(source, target, ob, name=name)
 
 
 class IsoClassTable:
@@ -276,8 +277,7 @@ class IsoClassTable:
     object order) and the order of its automorphism group.
     """
 
-    def __init__(self, groupoid, reps, members, class_of, aut_orders):
-        self.groupoid = groupoid
+    def __init__(self, reps, members, class_of, aut_orders):
         self.reps = tuple(reps)
         self.members = members
         self._class_of = class_of
@@ -310,7 +310,7 @@ class IsoClassTable:
         for rep, n in aut_orders.items():
             if n < 1:
                 raise StructureError(f"object {rep!r} has no automorphisms at all")
-        return IsoClassTable(G, reps, members, class_of, aut_orders)
+        return IsoClassTable(reps, members, class_of, aut_orders)
 
     def class_of(self, a):
         if a not in self._class_of:
@@ -332,7 +332,8 @@ def cardinality(G: FiniteGroupoid) -> Fraction:
 class GroupoidFunctor(Memo):
     """A functor between finite groupoids: an object map plus morphism map.
 
-    Its `_memo` holds its fiber table (see `weighted_fiber`)."""
+    Its `_memo` holds its image table, when it is `tabulated`, and its
+    fiber table (see `weighted_fiber`)."""
 
     def __init__(self, source, target, ob, mor, name=""):
         super().__init__()
@@ -351,6 +352,34 @@ class GroupoidFunctor(Memo):
     def restrict(self, W: FiniteGroupoid) -> "GroupoidFunctor":
         """This functor on a full subgroupoid W of its source."""
         return GroupoidFunctor(W, self.target, self._ob, self._mor, name=f"{self.name}|sub")
+
+    @classmethod
+    def tabulated(cls, source, target, rule, mor=None, name="") -> "GroupoidFunctor":
+        """The functor that computes each object's entry rule(a) once, into
+        the image table ("images",) of its `_memo`.
+
+        With `mor`, an entry is a tuple whose first item is the image of a,
+        and a morphism m goes to mor(m, entry of m.src, entry of m.tgt).
+        Without, the source is discrete, the entry is the image itself, and
+        each identity goes to the identity of its image."""
+        table: dict = {}
+
+        def entry(a):
+            try:
+                return table[a]
+            except KeyError:
+                x = table[a] = rule(a)
+                return x
+
+        if mor is None:
+            ob, mor_map = entry, lambda m: target.identity(entry(m.src))
+        else:
+            ob = lambda a: (table.get(a) or entry(a))[0]
+            mor_map = lambda m: mor(m, table.get(m.src) or entry(m.src),
+                                    table.get(m.tgt) or entry(m.tgt))
+        F = cls(source, target, ob, mor_map, name=name)
+        F._memo["images",] = table
+        return F
 
     @classmethod
     def identity(cls, G, name="id") -> "GroupoidFunctor":
@@ -676,24 +705,21 @@ def is_pullback_square(
         return h if len(G.iso_classes().reps) == len(G.objects) else h.restrict(_skeleton(G))
 
     P, _, _ = homotopy_pullback(on_reps(f), on_reps(g), grade_bound=grade_bound)
-    moved: dict = {}
 
-    def ob(w):
+    def to_reps(w):
         # (image, c_a, c_b); None connectors for ends already at their reps
-        if w not in moved:
-            a, b = p.ob(w), q.ob(w)
-            ra, rb = atab.class_of(a), btab.class_of(b)
-            ca, cb = _connector(A, a, ra), _connector(B, b, rb)
-            phi = _transport(C, C.identity(f.ob(a)), ca and f(ca), cb and g(cb))
-            moved[w] = (ra, rb, phi), ca, cb
-        return moved[w]
+        a, b = p.ob(w), q.ob(w)
+        ra, rb = atab.class_of(a), btab.class_of(b)
+        ca, cb = _connector(A, a, ra), _connector(B, b, rb)
+        phi = _transport(C, C.identity(f.ob(a)), ca and f(ca), cb and g(cb))
+        return (ra, rb, phi), ca, cb
 
-    def mor(m):
-        (x, ca, cb), (y, ca2, cb2) = ob(m.src), ob(m.tgt)
+    def mor(m, src, tgt):
+        (x, ca, cb), (y, ca2, cb2) = src, tgt
         return Mor(x, y, (_transport(A, p(m), ca, ca2).label,
                           _transport(B, q(m), cb, cb2).label))
 
-    result = is_equivalence(GroupoidFunctor(W, P, lambda w: ob(w)[0], mor, name="cmp"))
+    result = is_equivalence(GroupoidFunctor.tabulated(W, P, to_reps, mor, name="cmp"))
     return SquareResult(result.passed, result.witness, name=name)
 
 
@@ -703,8 +729,7 @@ def skeletalize(G: FiniteGroupoid):
     The skeleton is the full subgroupoid on one representative per iso
     class; the functor sends each object along a chosen connecting iso.
     """
-    table, S = G.iso_classes(), _skeleton(G)
-    connect = {x: _connector(G, x, rep) for rep in table.reps for x in table.members[rep]}
-    return S, GroupoidFunctor(G, S, table.class_of,
-                              lambda m: _transport(G, m, connect[m.src], connect[m.tgt]),
-                              name="sk")
+    S, class_of = _skeleton(G), G.iso_classes().class_of
+    return S, GroupoidFunctor.tabulated(
+        G, S, lambda x: (class_of(x), _connector(G, x, class_of(x))),
+        lambda m, x, y: _transport(G, m, x[1], y[1]), name="sk")

@@ -65,9 +65,9 @@ class TruncatedSimplicialGroupoid(Memo):
     homotopy-fiber cardinality over f; Phi_n then counts it instead of
     building level n (see `incidence.phi_n`).
 
-    Levels, operators and the values derived from them (word groupoids,
-    completeness, Phi counts) live in the space's `_memo`.  Only valid
-    indices are ever stored, so a hit needs no range check.
+    Levels, operators and the values derived from them (face powers, word
+    groupoids, completeness, Phi counts) live in the space's `_memo`.  Only
+    valid indices are ever stored, so a hit needs no range check.
     """
 
     def __init__(self, max_level: int, level_fn, face_fn, degen_fn,
@@ -128,17 +128,17 @@ class TruncatedSimplicialGroupoid(Memo):
     # -- derived accessors -------------------------------------------------
 
     def bottom_face_power(self, n: int, k: int) -> GroupoidFunctor:
-        """(d_0)^k : level n -> level n-k."""
-        F = GroupoidFunctor.identity(self.level(n))
-        for m in range(n, n - k, -1):
-            F = GroupoidFunctor.compose(self.face(m, 0), F)
-        return F
+        """(d_0)^k : level n -> level n-k, one composite per (n, k)."""
+        return self._get(("face_power", n, k, False), self._face_power, n, k, False)
 
     def top_face_power(self, n: int, k: int) -> GroupoidFunctor:
-        """d_top^k : level n -> level n-k, deleting from the top."""
+        """d_top^k : level n -> level n-k, one composite per (n, k)."""
+        return self._get(("face_power", n, k, True), self._face_power, n, k, True)
+
+    def _face_power(self, n: int, k: int, top: bool) -> GroupoidFunctor:
         F = GroupoidFunctor.identity(self.level(n))
         for m in range(n, n - k, -1):
-            F = GroupoidFunctor.compose(self.face(m, m), F)
+            F = GroupoidFunctor.compose(self.face(m, m if top else 0), F)
         return F
 
     def principal_edge(self, n: int, sigma, i: int):

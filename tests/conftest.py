@@ -1,8 +1,13 @@
 """Shared builders: random groupoids, posets, quivers, and the classical
-Mobius recursion oracle used as an independent check throughout."""
+Mobius recursion oracle used as an independent check throughout; and a
+fixture that turns the cycle collector off for one test."""
 
+import gc
 import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import strategies as st
 
 from moebiuskit.catposet import FinCategory, FinPoset, nerve
 from moebiuskit.groupoid import FiniteGroupoid, GroupoidFunctor, Mor
@@ -73,6 +78,16 @@ def random_poset(rng, max_size=5):
     return FinPoset(elements, pairs)
 
 
+@st.composite
+def posets(draw, max_size=5):
+    """A hypothesis strategy: posets on {0..n-1}, 1 <= n <= max_size,
+    generated by a random set of pairs a < b."""
+    n = draw(st.integers(1, max_size))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FinPoset(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
 def random_quiver_category(rng, max_nodes=4, max_edges=4):
     n = rng.randint(1, max_nodes)
     nodes = list(range(n))
@@ -116,3 +131,15 @@ def poset_mobius_oracle(P: FinPoset):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """The cycle collector off for one test, so that what the test drops is
+    freed only if reference counting frees it."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

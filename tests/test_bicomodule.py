@@ -1,10 +1,11 @@
+import collections
 import inspect
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from moebiuskit import bicomodule, examples
+from moebiuskit import bicomodule, cli, examples, groupoid
 from moebiuskit.bicomodule import (
     AugmentedBisimplicialGroupoid,
     check_associativity,
@@ -519,3 +520,19 @@ def test_validate_total_decalage_checks_its_border_once(monkeypatch):
     assert profiles.count("decomposition") == 1
     x, y = (report.sections[f"border {s} decomposition"] for s in "XY")
     assert x is y and x.passed and x.checks
+
+
+def test_rota_builds_one_fiber_table_per_comodule_leg(monkeypatch, capsys):
+    built = collections.Counter()
+    fiber_table = groupoid._fiber_table
+
+    def counted(F):
+        built[F.name] += ("fibers",) not in F._memo
+        return fiber_table(F)
+
+    monkeypatch.setattr(groupoid, "_fiber_table", counted)
+    monkeypatch.setattr(examples, "_sets_posets_bicomodule",   # a fresh grid
+                        examples._sets_posets_bicomodule.__wrapped__)
+    assert cli.main(["rota", "builtin:sets-posets", "--grade", "4"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert built["d1@(1,0)*id"] == built["d1@(0,1)*id"] == 1   # 25 each when built per m

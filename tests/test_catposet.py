@@ -2,6 +2,7 @@ import collections
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -349,3 +350,15 @@ def test_nerve_operators_compute_each_image_once(monkeypatch):
     assert verify_inversion(N, length_bound=4).passed
     assert {op for op, *_ in calls} == {"_nerve_face", "_nerve_degeneracy"}
     assert max(calls.values()) == 1
+
+
+def test_a_dropped_nerve_is_freed_without_the_cycle_collector(no_cycle_collector):
+    C = FinCategory.from_poset(divisor_poset(12))
+    N = nerve(C, max_level=6)
+    for profile, n_max in (("segal", 3), ("decomposition", 3), ("complete", 1)):
+        assert check_axioms(N, profile, n_max).passed
+    assert verify_inversion(N, length_bound=4).passed
+    level_2, category = weakref.ref(N.level(2)), weakref.ref(C)
+    del N, C
+    assert level_2() is None
+    assert category() is None

@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import csv
 import inspect
 import io
@@ -5,15 +7,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import moebiuskit
 from moebiuskit import cli
 from moebiuskit.bicomodule import validate_configuration
-from moebiuskit.catposet import FinPoset, divisor_poset
+from moebiuskit.catposet import FinCategory, FinPoset, classical_mobius, divisor_poset
 from moebiuskit.examples import poset_key
 from moebiuskit.simplicial import check_axioms, is_culf
+
+from conftest import posets
 
 
 def write(tmp_path, name, doc):
@@ -247,3 +253,33 @@ def test_settings_without_effect_exit_2(capsys, argv, message):
 def test_mobius_n_defaults_to_3(capsys):
     assert run(capsys, "mobius", "builtin:posets") == run(capsys, "mobius", "builtin:posets",
                                                            "--n", "3")
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets())
+def test_mobius_output_round_trips_in_every_format(tmp_path_factory, P):
+    path = tmp_path_factory.mktemp("poset") / "poset.json"
+    doc = {"kind": "poset", "elements": list(P.elements),
+           "relations": sorted(P.strict_pairs())}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = {}
+    for fmt in ("text", "json", "csv"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["mobius", str(path), "--format", fmt]) == 0
+        out[fmt] = stdout.getvalue()
+    header, *lines = out["text"].splitlines()
+    assert header.split() == ["interval", "mu"]
+    text = [(ast.literal_eval(line.rsplit(None, 1)[0]), Fraction(line.split()[-1]))
+            for line in lines]
+    rows = json.loads(out["json"])
+    assert all(set(row) == {"interval", "mu"} for row in rows)
+    as_json = [(tuple(row["interval"]), Fraction(row["mu"])) for row in rows]
+    header, *rows = list(csv.reader(io.StringIO(out["csv"])))
+    assert header == ["interval", "mu"]
+    as_csv = [(ast.literal_eval(interval), Fraction(mu)) for interval, mu in rows]
+    assert as_json == as_csv == text
+    assert sorted(interval for interval, _mu in text) == sorted(P.intervals())
+    C = FinCategory.from_poset(P)
+    for (a, b), mu in text:
+        assert mu == classical_mobius(C, ("le", a, b))

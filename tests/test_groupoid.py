@@ -1,5 +1,6 @@
 import collections
 import inspect
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -643,3 +644,12 @@ def test_passed_squares_have_equal_fiber_cardinalities(monkeypatch):
     # 43 squares per nerve; 8, 12 and 12 decomposition squares and one
     # segal square at g = 1, 2, 3, the segal squares at g = 2, 3 failing
     assert verdicts == {True: 20 * 43 + 35 - 2, False: 2}, verdicts
+
+
+def test_a_dropped_iso_comma_is_freed_without_the_cycle_collector(no_cycle_collector):
+    f = random_cluster_functor(seeded(3))
+    P, pa, pb = homotopy_pullback(f, f)
+    assert P.iso_classes().reps
+    iso_comma = weakref.ref(P)
+    del P, pa, pb
+    assert iso_comma() is None

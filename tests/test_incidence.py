@@ -23,7 +23,7 @@ from moebiuskit.incidence import (
 )
 from moebiuskit.simplicial import InsufficientLevelsError, nondegenerate_simplices
 
-from conftest import criterion_4_nerves, poset_mobius_oracle
+from conftest import criterion_4_nerves, poset_mobius_oracle, posets
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6)
@@ -283,14 +283,6 @@ def test_nerve_inversion_classifies_each_2_simplex_once(monkeypatch):
 
 
 @st.composite
-def _posets(draw, max_size=5):
-    n = draw(st.integers(1, max_size))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return FinPoset(range(n), [p for p, k in zip(pairs, keep) if k])
-
-
-@st.composite
 def _acyclic_quivers(draw, max_nodes=4, max_edges=4):
     n = draw(st.integers(1, max_nodes))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -299,7 +291,7 @@ def _acyclic_quivers(draw, max_nodes=4, max_edges=4):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_posets())
+@given(posets())
 def test_mobius_of_random_poset_nerves_is_the_classical_recursion(P):
     bound = len(P.elements)
     N = nerve(P, max_level=max(2, bound))
