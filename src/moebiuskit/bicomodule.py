@@ -58,9 +58,9 @@ from .simplicial import (
     InsufficientLevelsError,
     SimplicialMap,
     TruncatedSimplicialGroupoid,
+    _require_complete,
     check_axioms,
     is_culf,
-    nondegenerate_simplices,
 )
 
 
@@ -580,7 +580,9 @@ def phi_comodule(config: ComoduleConfiguration, m, n: int) -> Fraction:
     n-simplices whose distinguished vertex lies outside the pointing image
     and whose n principal base edges are all nondegenerate.
 
-    n = -1 returns the pointing delta (the convention Phi_{-1} = delta)."""
+    n = -1 returns the pointing delta (the convention Phi_{-1} = delta).
+    For n >= 1 the value is one entry of the fiber table of the filtered
+    leg, built once per degree and memoised on the configuration."""
     if n == -1:
         return pointing_delta(config, m)
     if n < -1:
@@ -590,19 +592,29 @@ def phi_comodule(config: ComoduleConfiguration, m, n: int) -> Fraction:
     C0 = config.space.level(0)
     if not C0.has_object(m):
         raise DomainError(f"{m!r} is not an object of C_0")
-    image = config.pointing_image_classes()
-    tab0 = C0.iso_classes()
     if n == 0:
-        return Fraction(1) if tab0.class_of(m) not in image else Fraction(0)
+        return Fraction(int(C0.iso_classes().class_of(m) not in config.pointing_image_classes()))
+    return fiber_cardinality(config._get(("filtered_leg", n), _filtered_leg, config, n), m)
+
+
+def _filtered_leg(config: ComoduleConfiguration, n: int) -> GroupoidFunctor:
+    """The leg C_n -> C_0 on C_{b a...a}: the n-simplices whose vertex is
+    not in the pointing image and whose base image has every principal
+    edge outside the degenerate edge classes of a complete base."""
     level = config.space.level(n)
+    base = config.base
+    _require_complete(base)
+    tab0 = config.space.level(0).iso_classes()
+    image = config.pointing_image_classes()
+    btab = base.level(1).iso_classes()
+    degenerate = base.degenerate_edge_classes()
     vertex = config.vertex_functor(n)
     fmap = config.base_map.level_map(n)
-    nondegenerate = nondegenerate_simplices(config.base, n).groupoid
     keep = [sigma for sigma in level.objects
             if tab0.class_of(vertex.ob(sigma)) not in image
-            and nondegenerate.has_object(fmap.ob(sigma))]
-    W = full_subgroupoid(level, keep, name=f"C_b{'a' * n}")
-    return fiber_cardinality(config.leg_functor(n).restrict(W), m)
+            and all(btab.class_of(base.principal_edge(n, fmap.ob(sigma), i)) not in degenerate
+                    for i in range(1, n + 1))]
+    return config.leg_functor(n).restrict(full_subgroupoid(level, keep, name=f"C_b{'a' * n}"))
 
 
 def config_coact(config: ComoduleConfiguration, m) -> WeightedTensorList:

@@ -710,7 +710,6 @@ def fibration_report(corr: CorrespondenceCat) -> FibrationReport:
 
 
 def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
-                                report: Optional[FibrationReport] = None,
                                 name: str = "") -> AugmentedBisimplicialGroupoid:
     """The relative nerve of a correspondence: its nerve cut to the label
     pattern 0...01...1.
@@ -724,13 +723,12 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     over 0 and over 1.  A chain is a tuple of arrows; a level-0 object is a
     bare object.
 
-    When the fibration report grants cocartesian (resp. cartesian) lifts
+    When `fibration_report(corr)` grants cocartesian (resp. cartesian) lifts
     everywhere, the right pointing s_{-1} (resp. left pointing t_{top+1})
     is attached by composing with the lift and its unique factorizations.
     """
     C = corr.category
-    if report is None:
-        report = fibration_report(corr)
+    report = fibration_report(corr)
     N = nerve(C, max_level=max_i + 1 + max_j)
 
     def cell_fn(B, i, j):

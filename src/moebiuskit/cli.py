@@ -165,8 +165,8 @@ def _space_for_check(target, args):
         return None, ex.sets_posets_bicomodule(args.grade)
     if target == "builtin:chain-adjunction":
         F, G = chain_adjunction()
-        corr, report = cp.mapping_cylinder(F)
-        return None, cp.correspondence_bisimplicial(corr, 3, 3, report)
+        corr, _ = cp.mapping_cylinder(F)
+        return None, cp.correspondence_bisimplicial(corr, 3, 3)
     if target.startswith("builtin:"):
         raise InputError(f"unknown builtin {target!r}")
     doc = _load_json(target)
@@ -177,8 +177,8 @@ def _space_for_check(target, args):
         return cp.nerve(load_category(doc), max_level=args.max_level + 3), None
     if kind == "adjunction":
         F, G = load_adjunction(doc)
-        corr, report = cp.mapping_cylinder(F)
-        return None, cp.correspondence_bisimplicial(corr, 3, 3, report)
+        corr, _ = cp.mapping_cylinder(F)
+        return None, cp.correspondence_bisimplicial(corr, 3, 3)
     if kind == "correspondence":
         corr = load_correspondence(doc)
         return None, cp.correspondence_bisimplicial(corr, 3, 3)

@@ -25,12 +25,12 @@ a deterministic backtracking canonical form with layer-vector
 refinement, which also provides hom-sets and automorphism groups.
 
 Everything here that depends only on hashable values -- canonical forms,
-automorphism groups, poset catalogues, level object lists, the rank maps
-of kept elements and the spaces themselves -- is memoised with
-`functools.cache`, once per process.  Every operator is a tabulated
-functor: it computes each object's image once, into a table it holds, so
-the pullback checks, which visit every object and both ends of every
-morphism many times, redo no layer surgery.
+automorphism groups, poset catalogues, level object lists and their
+groupoids, the rank maps of kept elements and the spaces themselves -- is
+memoised with `functools.cache`, once per process.  Every operator is a
+tabulated functor: it computes each object's image once, into a table it
+holds, so the pullback checks, which visit every object and both ends of
+every morphism many times, redo no layer surgery.
 """
 
 from __future__ import annotations
@@ -420,13 +420,21 @@ def layered_posets(grade_bound: int, max_level: Optional[int] = None) -> Truncat
 
 
 @functools.cache
+def _layered_level(ns: int, np_: int, grade_bound: int) -> FiniteGroupoid:
+    """The groupoid of layered structures with ns set and np poset layers:
+    level ns of I, level np of C, or cell (ns, np-1) of the sets/posets
+    grid, so that cell (0, j) is level j+1 of C itself."""
+    name = f"B({ns},{np_ - 1})" if ns and np_ else f"I_{ns}" if ns else f"C_{np_}"
+    return layered_groupoid(_level_objects(ns, np_, grade_bound), name=name)
+
+
+@functools.cache
 def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimplicialGroupoid:
     """Layered sets I (kind 's') or layered posets C (kind 'p')."""
     letter = "I" if kind == "s" else "C"
 
     def level(s, n):
-        ns, np_ = (n, 0) if kind == "s" else (0, n)
-        return layered_groupoid(_level_objects(ns, np_, grade_bound), name=f"{letter}_{n}")
+        return _layered_level(*((n, 0) if kind == "s" else (0, n)), grade_bound)
 
     return TruncatedSimplicialGroupoid(
         max_level, level,
@@ -464,8 +472,7 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
 def _sets_posets_bicomodule(grade_bound: int, max_i: int,
                             max_j: int) -> AugmentedBisimplicialGroupoid:
     def cell_fn(B, i, j):
-        return layered_groupoid(_level_objects(i, j + 1, grade_bound),
-                                name=f"B({i},{j})")
+        return _layered_level(i, j + 1, grade_bound)
 
     def face_fn(B, i, j, v):
         return _op_functor(B.cell(i, j), B.face_target(i, j, v), _layer_face, v,

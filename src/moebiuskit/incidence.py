@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .groupoid import (DomainError, FiniteGroupoid, GroupoidFunctor, Memo, fiber_cardinality,
-                       weighted_fiber)
-from .simplicial import TruncatedSimplicialGroupoid, nondegenerate_simplices
+from .groupoid import DomainError, FiniteGroupoid, Memo, fiber_cardinality, weighted_fiber
+from .simplicial import TruncatedSimplicialGroupoid
 
 
 class CarrierMismatchError(DomainError):
@@ -156,27 +155,20 @@ def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
     Phi_0 is the counit-style fiber through the s_0-image, Phi_1(f) is 1
     exactly when f itself is nondegenerate.
 
-    For n >= 1 on a space with a fiber generator, the value is the number
-    of simplices the generator yields over the class representative of f:
-    the composite d_1^{n-1} is the identity on labels there, so the strict
-    fiber is discrete and has the homotopy fiber's cardinality.  The count
-    is memoised on X.  Other spaces build X_{a...a} from the whole level n
-    and take the homotopy fiber.  Both routes need a complete space and
-    refuse n beyond the truncation.
+    For n >= 1 the value is the number of simplices X's fiber generator
+    yields over the class representative of f: the composite d_1^{n-1} is
+    the identity on labels there, so the strict fiber is discrete and has
+    the homotopy fiber's cardinality.  The count is memoised on X.  A
+    space without a generator, an incomplete space and an n beyond the
+    truncation are refused by `fiber_simplices`.
     """
     if n < 0:
         raise DomainError("phi_n needs n >= 0")
     rep = _require_class(X, f)
     if n == 0:
         return counit(X, f)
-    if X.generates_fibers:
-        return X._get(("phi", n, rep),
-                      lambda: Fraction(sum(1 for _ in X.fiber_simplices(n, rep))))
-    W = nondegenerate_simplices(X, n).groupoid
-    F = GroupoidFunctor.identity(X.level(n))
-    for m in range(n, 1, -1):
-        F = GroupoidFunctor.compose(X.face(m, 1), F)
-    return fiber_cardinality(F.restrict(W), f)
+    return X._get(("phi", n, rep),
+                  lambda: Fraction(sum(1 for _ in X.fiber_simplices(n, rep))))
 
 
 def grade_certificate(X: TruncatedSimplicialGroupoid, f,

@@ -62,12 +62,12 @@ class TruncatedSimplicialGroupoid(Memo):
     whose inner-face composite d_1^{n-1} sends sigma to the level-1 object
     f on the nose.  The contract is that this composite is the identity on
     morphism labels, so the strict fiber is discrete and its size is the
-    homotopy-fiber cardinality over f; Phi_n then counts it instead of
-    building level n (see `incidence.phi_n`).
+    homotopy-fiber cardinality over f; `incidence.phi_n` counts it.
 
-    Levels, operators and the values derived from them (face powers, word
-    groupoids, completeness, Phi counts) live in the space's `_memo`.  Only
-    valid indices are ever stored, so a hit needs no range check.
+    Levels, operators and the values derived from them (face powers,
+    degenerate edge classes, completeness, Phi counts, reference word
+    groupoids) live in the space's `_memo`.  Only valid indices are ever
+    stored, so a hit needs no range check.
     """
 
     def __init__(self, max_level: int, level_fn, face_fn, degen_fn,
@@ -109,13 +109,9 @@ class TruncatedSimplicialGroupoid(Memo):
             F = self._get(("degeneracy", n, i), self._degen_fn, self, n, i)
         return F
 
-    @property
-    def generates_fibers(self) -> bool:
-        return self._fiber_fn is not None
-
     def fiber_simplices(self, n: int, f):
         """The nondegenerate n-simplices over f from the fiber generator;
-        like `nondegenerate_simplices`, this needs a complete space."""
+        this needs a generator and a complete space."""
         if self._fiber_fn is None:
             raise DomainError(f"{self.name or 'the space'} has no fiber generator")
         _require_complete(self)
@@ -187,7 +183,8 @@ class WordGroupoid:
 
 
 def word_groupoid(X: TruncatedSimplicialGroupoid, word: str) -> WordGroupoid:
-    """X_w, memoised on X."""
+    """X_w, memoised on X: the whole-level reference route, which no library
+    code calls; the tests check the Phi routes against it."""
     if any(c not in "01a" for c in word):
         raise DomainError(f"word {word!r} not over alphabet 0/1/a")
     return X._get(("word", word), _build_word_groupoid, X, word)
@@ -200,18 +197,10 @@ def _build_word_groupoid(X: TruncatedSimplicialGroupoid, word: str) -> WordGroup
         return WordGroupoid(X, word, level)
     degen = X.degenerate_edge_classes()
     tab = X.level(1).iso_classes()
-    keep = []
-    for sigma in level.objects:
-        ok = True
-        for i, letter in enumerate(word, start=1):
-            if letter == "1":
-                continue
-            cls = tab.class_of(X.principal_edge(n, sigma, i))
-            if (letter == "0") != (cls in degen):
-                ok = False
-                break
-        if ok:
-            keep.append(sigma)
+    keep = [sigma for sigma in level.objects
+            if all(letter == "1"
+                   or (letter == "0") == (tab.class_of(X.principal_edge(n, sigma, i)) in degen)
+                   for i, letter in enumerate(word, start=1))]
     return WordGroupoid(X, word, full_subgroupoid(level, keep, name=f"X_{word}"))
 
 

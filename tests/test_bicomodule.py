@@ -1,5 +1,7 @@
 import collections
+import functools
 import inspect
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -27,6 +29,7 @@ from moebiuskit.catposet import (
     chain_poset,
     check_adjunction,
     correspondence_bisimplicial,
+    divisor_poset,
     mapping_cylinder,
     nerve,
     poset_functor,
@@ -51,8 +54,20 @@ from moebiuskit.groupoid import (
     is_monomorphism,
     is_pullback_square,
 )
-from moebiuskit.incidence import Functional, comultiply, mobius_functional, zeta
-from moebiuskit.simplicial import check_axioms, principal_edges, word_groupoid
+from moebiuskit.incidence import (
+    Functional,
+    comultiply,
+    mobius,
+    mobius_functional,
+    verify_inversion,
+    zeta,
+)
+from moebiuskit.simplicial import (
+    check_axioms,
+    nondegenerate_simplices,
+    principal_edges,
+    word_groupoid,
+)
 
 from conftest import random_poset, seeded
 
@@ -60,8 +75,8 @@ from conftest import random_poset, seeded
 def adjunction_nerve(max_i=3, max_j=3):
     F = poset_functor(chain_poset(3), chain_poset(2), {0: 0, 1: 0, 2: 1})
     G = poset_functor(chain_poset(2), chain_poset(3), {0: 1, 1: 2})
-    corr, report = mapping_cylinder(F)
-    B = correspondence_bisimplicial(corr, max_i, max_j, report)
+    corr, _ = mapping_cylinder(F)
+    B = correspondence_bisimplicial(corr, max_i, max_j)
     adj = check_adjunction(F, G).adjunction
     return B, adj
 
@@ -312,6 +327,107 @@ def test_phi_comodule_matches_principal_edge_oracle():
                     (config.name, m, n)
 
 
+def phi_comodule_word_groupoid(config, m, n):
+    """Phi^side_n(m) by the whole-level route: the n-simplices with vertex
+    outside the pointing image whose base image lies in the base's word
+    groupoid X_{a...a}."""
+    if n == -1:
+        return pointing_delta(config, m)
+    tab0 = config.space.level(0).iso_classes()
+    image = config.pointing_image_classes()
+    if n == 0:
+        return Fraction(int(tab0.class_of(m) not in image))
+    level = config.space.level(n)
+    vertex = config.vertex_functor(n)
+    fmap = config.base_map.level_map(n)
+    nondegenerate = nondegenerate_simplices(config.base, n).groupoid
+    keep = [sigma for sigma in level.objects
+            if tab0.class_of(vertex.ob(sigma)) not in image
+            and nondegenerate.has_object(fmap.ob(sigma))]
+    W = full_subgroupoid(level, keep)
+    return fiber_cardinality(config.leg_functor(n).restrict(W), m)
+
+
+def test_phi_comodule_matches_the_word_groupoid_route():
+    B = sets_posets_bicomodule(3)
+    A, _ = adjunction_nerve()
+    C = layered_posets(3, max_level=4)
+    configs = [right_comodule(B), left_comodule(B), decalage(C, "bottom"),
+               decalage(C, "top"), right_comodule(A), left_comodule(A)]
+    cases = 0
+    for config in configs:
+        for m in config.space.level(0).iso_classes().reps:
+            for n in range(-1, config.space.max_level + 1):
+                assert phi_comodule(config, m, n) == phi_comodule_word_groupoid(config, m, n), \
+                    (config.name, m, n)
+                cases += 1
+    assert cases == 230
+
+
+def test_comodule_mobius_check_filters_each_degree_once(monkeypatch):
+    restricted = []
+    restrict = GroupoidFunctor.restrict
+
+    def counted(F, W):
+        restricted.append(W.name)
+        return restrict(F, W)
+
+    monkeypatch.setattr(GroupoidFunctor, "restrict", counted)
+    config = decalage(layered_posets(3, max_level=4), "bottom")   # a fresh configuration
+    assert comodule_mobius_check(config).passed
+    assert sorted(restricted) == ["C_ba", "C_baa", "C_baaa"]   # 32 when filtered per class
+
+
+def test_phi_comodule_refuses_an_incomplete_base(monkeypatch):
+    config = decalage(nerve(chain_poset(2), max_level=3), "bottom")
+    monkeypatch.setattr(config.base, "is_complete", lambda: False)
+    m = (("le", 0, 1),)   # an arrow that is not an identity
+    assert phi_comodule(config, m, 0) == 1
+    with pytest.raises(DomainError, match="space is not complete"):
+        phi_comodule(config, m, 1)
+
+
+def test_left_sets_posets_comodule_fails_per_degree_at_strict_relations():
+    # the columns-Segal gap: on the left side the per-degree identities fail
+    # at the 5 classes with a strict relation; the summed inversion holds
+    B = sets_posets_bicomodule(3)
+    left = comodule_mobius_check(left_comodule(B))
+    assert len(left.rows) == 9
+    assert all(row.summed_lhs == row.summed_rhs for row in left.rows)
+    failed = [row.cls for row in left.failures()]
+    assert len(failed) == 5 and failed == [row.cls for row in left.rows if row.cls[3]]
+    assert comodule_mobius_check(right_comodule(B)).passed
+
+
+def test_library_routes_build_no_word_groupoid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a library route built a whole-level word groupoid")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "moebiuskit":
+            for attr in ("word_groupoid", "nondegenerate_simplices"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    # fresh spaces and grids, so no memoised count hides a call
+    monkeypatch.setattr(examples, "_layered_space",
+                        functools.cache(examples._layered_space.__wrapped__))
+    monkeypatch.setattr(examples, "_sets_posets_bicomodule",
+                        examples._sets_posets_bicomodule.__wrapped__)
+    N = nerve(divisor_poset(12), max_level=5)
+    assert mobius(N, (("le", 1, 12),), length_bound=4) == 0
+    assert verify_inversion(N, length_bound=4).passed
+    C = layered_posets(3)
+    assert mobius(C, poset_key(FinPoset(["a", "b"]))) == 1
+    assert verify_inversion(C).passed
+    D = layered_posets(3, max_level=4)
+    for side in ("bottom", "top"):
+        assert comodule_mobius_check(decalage(D, side)).passed
+    B = sets_posets_bicomodule(3)
+    for m in B.cell(0, 0).iso_classes().reps:
+        lhs, rhs = rota_evaluate(B, m)
+        assert lhs == rhs
+
+
 def test_comodule_mobius_check_decalage():
     C = layered_posets(3, max_level=4)
     config = decalage(C, "bottom")
@@ -366,7 +482,7 @@ def test_cylinder_without_right_adjoint_is_refused():
     F = poset_functor(FinPoset(["a", "b"]), chain_poset(2), {"a": 0, "b": 1})
     corr, report = mapping_cylinder(F)
     assert report.cartesian[("y", 1)] is None
-    B = correspondence_bisimplicial(corr, 3, 3, report)
+    B = correspondence_bisimplicial(corr, 3, 3)
     assert B.left_section(0, 0) is None
     report = validate_configuration(B, 1)
     pointings = report.sections["pointings"]
@@ -468,6 +584,31 @@ def test_sets_posets_row_zero_is_bottom_decalage_of_posets():
             pairs.append((B.aug_v(j), C.face(j + 1, 0)))
             for ours, theirs in pairs:
                 assert [ours.ob(a) for a in objects] == [theirs.ob(a) for a in objects]
+
+
+def test_sets_posets_cells_with_no_set_layer_are_levels_of_posets():
+    for g in (2, 3):
+        B = sets_posets_bicomodule(g)
+        for j in range(B.max_j + 1):
+            assert B.cell(0, j) is layered_posets(g, max_level=B.max_j + 1).level(j + 1)
+
+
+def test_rota_classifies_the_shared_levels_once(monkeypatch, capsys):
+    built = collections.Counter()
+    build = groupoid.IsoClassTable._build
+
+    def counted(G):
+        built[len(G.objects)] += 1
+        return build(G)
+
+    monkeypatch.setattr(groupoid.IsoClassTable, "_build", staticmethod(counted))
+    for name in ("_layered_level", "_layered_space"):   # fresh levels and spaces
+        monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
+    monkeypatch.setattr(examples, "_sets_posets_bicomodule",
+                        examples._sets_posets_bicomodule.__wrapped__)
+    assert cli.main(["rota", "builtin:sets-posets", "--grade", "4"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert built[243] == 1   # C_1 is cell (0, 0) too: classified twice when built apart
 
 
 def test_missing_pointing_is_none_and_only_bottom_section_raises():

@@ -240,8 +240,8 @@ def test_correspondence_labeling_invariant():
 
 def test_correspondence_bisimplicial_cells():
     F, G = chain_adjunction()
-    corr, report = mapping_cylinder(F)
-    B = correspondence_bisimplicial(corr, 2, 2, report)
+    corr, _ = mapping_cylinder(F)
+    B = correspondence_bisimplicial(corr, 2, 2)
     # B_{0,0}: mixed arrows Fx <= y: 5 of them
     assert len(B.cell(0, 0).objects) == 5
     # borders are the pure chains
@@ -259,8 +259,8 @@ def test_correspondence_bisimplicial_cells():
 
 def test_relative_nerve_cells_are_label_pattern_chains_of_the_nerve():
     F, _G = chain_adjunction()
-    corr, report = mapping_cylinder(F)
-    B = correspondence_bisimplicial(corr, 2, 2, report)
+    corr, _ = mapping_cylinder(F)
+    B = correspondence_bisimplicial(corr, 2, 2)
     M = corr.category
     N = nerve(M, max_level=5)
 
@@ -276,8 +276,8 @@ def test_relative_nerve_cells_are_label_pattern_chains_of_the_nerve():
 
 def test_relative_nerve_borders_are_nerves_of_the_fibers():
     F, _G = chain_adjunction()
-    corr, report = mapping_cylinder(F)
-    B = correspondence_bisimplicial(corr, 2, 2, report)
+    corr, _ = mapping_cylinder(F)
+    B = correspondence_bisimplicial(corr, 2, 2)
     M = corr.category
     for bit, border in ((0, B.x_space()), (1, B.y_space())):
         sub = corr.over(bit)

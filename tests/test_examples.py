@@ -259,12 +259,14 @@ def test_axiom_checks_run_layer_surgery_once_per_object_and_operator(monkeypatch
 
     monkeypatch.setattr(examples, "_layer_face", counted(examples._layer_face))
     monkeypatch.setattr(examples, "_insert_layer", counted(examples._insert_layer))
+    monkeypatch.setattr(examples, "_layered_level", examples._layered_level.__wrapped__)
     C = examples._layered_space.__wrapped__("p", 3, 5)   # fresh levels and tables
     assert check_axioms(C, "decomposition", 2).passed
     assert calls and max(calls.values()) == 1
 
 
 def test_axiom_checks_build_iso_commas_on_class_representatives(monkeypatch):
+    monkeypatch.setattr(examples, "_layered_level", examples._layered_level.__wrapped__)
     C = examples._layered_space.__wrapped__("p", 3, 5)   # fresh levels and tables
     reps = {r for n in range(C.max_level + 1) for r in C.level(n).iso_classes().reps}
     sizes = []

@@ -1,12 +1,14 @@
 import collections
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moebiuskit.bicomodule import total_decalage
 from moebiuskit.catposet import FinCategory, FinPoset, chain_poset, divisor_poset, nerve
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
-from moebiuskit.groupoid import GroupoidFunctor, fiber_cardinality
+from moebiuskit.groupoid import DomainError, GroupoidFunctor, fiber_cardinality
 from moebiuskit.incidence import (
     CarrierMismatchError,
     Functional,
@@ -200,7 +202,6 @@ def _check_generated_fibers(X):
     """Each generated fiber of X: distinct simplices of level n, with every
     principal edge nondegenerate and long edge f, as many as the
     whole-level route counts; returns the number of (f, n) cases."""
-    assert X.generates_fibers
     tab = X.level(1).iso_classes()
     degenerate = X.degenerate_edge_classes()
     cases = 0
@@ -237,6 +238,18 @@ def test_phi_refuses_levels_beyond_the_truncation():
         assert (err.value.needed, err.value.available) == (4, 3)
         with pytest.raises(InsufficientLevelsError):
             mobius(X, edge, length_bound=4)
+
+
+def test_phi_refuses_a_space_without_a_fiber_generator():
+    # a grid row has no generator: Phi_n for n >= 1 is refused, naming it
+    row = total_decalage(nerve(chain_poset(3), max_level=6), 2, 2).row(0)
+    assert row.name == "TotalDec(N()).row(0)"
+    for f in row.level(1).iso_classes().reps:
+        for n in (1, 2, 3):
+            with pytest.raises(DomainError, match=re.escape(f"{row.name} has no fiber generator")):
+                phi_n(row, f, n)
+        # s_0 of Dec_bot is s_1 of the nerve: its image ends in an identity
+        assert phi_n(row, f, 0) == counit(row, f) == (1 if f[1][1] == f[1][2] else 0)
 
 
 def test_nerve_generated_fiber_equals_whole_level_route():
