@@ -13,6 +13,15 @@ right coaction through B_{0,0} <- B_{0,1} -> B_{0,0} x Y_1.  A grid is
 given its borders X and Y as simplicial groupoids and generates only the
 cells with i, j >= 0.
 
+The coaction of m reads one fiber of the leg B_{0,1} -> B_{0,0} (right)
+or B_{1,0} -> B_{0,0} (left).  A grid may supply a coaction generator
+that yields the simplices over m on the nose, through their vertex face
+and base edge; the leg must be the identity on labels, so Aut m acts on
+those simplices with stabilizer Aut sigma, and the number of them with a
+label is the weight sum_sigma |Aut m|/|Aut sigma| of that label in the
+homotopy fiber (orbit-stabilizer).  The coaction then never builds
+B_{0,1} or B_{1,0}.  Grids without one read the fiber of the leg.
+
 Optional pointings s_{-1} (right) and t_{top+1} (left) are extra sections
 of the outer operators; they give the counit-style functionals delta^R,
 delta^L, the comodule Phi functors, a Mobius inversion principle per side,
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .groupoid import (
     DomainError,
@@ -79,6 +88,15 @@ class AugmentedBisimplicialGroupoid(Memo):
         degen_fn(B, i, j, v)                 s_v of an (i+1+j)-simplex
         right_section_fn(B, i, j) or None    (i,j-1) -> (i,j), j >= 0
         left_section_fn(B, i, j) or None     (i-1,j) -> (i,j), i >= 0
+        coaction_fn(B, side, m) or None      the coaction fiber over m
+
+    The coaction generator yields, for every simplex sigma of B_{0,1}
+    (side 'right') or B_{1,0} ('left') that the comodule leg d_0, resp.
+    e_1, sends to the object m of B_{0,0} on the nose, the pair (vertex
+    face of sigma, an object of B_{0,0}; base edge of sigma, an object of
+    Y_1, resp. X_1).  The leg must be the identity on morphism labels
+    there, so the strict fiber is discrete and `config_coact` counts it
+    (see the module docstring).
 
     The vertex rule lives here once (`face_target`, `degen_target`): an
     operator at vertex v <= i is vertical, so d_v lands in (i-1,j) and s_v
@@ -94,7 +112,8 @@ class AugmentedBisimplicialGroupoid(Memo):
 
     def __init__(self, max_i, max_j, x: TruncatedSimplicialGroupoid,
                  y: TruncatedSimplicialGroupoid, cell_fn, face_fn, degen_fn,
-                 right_section_fn=None, left_section_fn=None, name=""):
+                 right_section_fn=None, left_section_fn=None, coaction_fn=None,
+                 name=""):
         super().__init__()
         self.max_i = max_i
         self.max_j = max_j
@@ -105,6 +124,7 @@ class AugmentedBisimplicialGroupoid(Memo):
         self._degen_fn = degen_fn
         self._right_section_fn = right_section_fn
         self._left_section_fn = left_section_fn
+        self._coaction_fn = coaction_fn
         self.name = name
 
     @property
@@ -185,6 +205,14 @@ class AugmentedBisimplicialGroupoid(Memo):
             return None
         return self._get(("lsec", i, j), self._left_section_fn, self, i, j)
 
+    def coaction_fiber(self, side, m):
+        """The (vertex face, base edge) pairs of the simplices of B_{0,1}
+        (side 'right') or B_{1,0} ('left') over m, from the coaction
+        generator; None where the grid has none."""
+        if self._coaction_fn is None:
+            return None
+        return self._coaction_fn(self, side, m)
+
     # -- simplicial views -------------------------------------------------
 
     def row(self, i) -> TruncatedSimplicialGroupoid:
@@ -246,6 +274,9 @@ class ComoduleConfiguration(Memo):
     grid has no pointing, and `bottom_section` raises then.  `section(0)`
     maps out of the augmentation target C_{-1}, and its essential image
     defines the complement C_b used by the Phi functors.
+    `coaction_fiber(m)` is the grid's coaction generator on this side: the
+    (vertex, base edge) pairs of the 1-simplices over m, or None where the
+    grid has none.
     """
 
     side: str
@@ -253,6 +284,7 @@ class ComoduleConfiguration(Memo):
     base: TruncatedSimplicialGroupoid
     base_map: SimplicialMap
     section: Callable[[int], Optional[GroupoidFunctor]]
+    coaction_fiber: Callable[[object], Optional[Iterable]]
     name: str = ""
 
     def __post_init__(self):
@@ -299,7 +331,7 @@ def _right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="right", space=B.row(0), base=B.y_space(), base_map=B.v_map(),
         section=lambda n: B.right_section(0, n),
-        name=f"{B.name}.right")
+        coaction_fiber=lambda m: B.coaction_fiber("right", m), name=f"{B.name}.right")
 
 
 def left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
@@ -311,7 +343,7 @@ def _left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
     return ComoduleConfiguration(
         side="left", space=B.column(0), base=B.x_space(), base_map=B.u_map(),
         section=lambda n: B.left_section(n, 0),
-        name=f"{B.name}.left")
+        coaction_fiber=lambda m: B.coaction_fiber("left", m), name=f"{B.name}.left")
 
 
 # -- configuration validation ---------------------------------------------------
@@ -483,7 +515,9 @@ def coact(B: AugmentedBisimplicialGroupoid, side: str, m) -> WeightedTensorList:
 
     Right side: terms (w, class in B_{0,0}, class in Y_1) from the fiber
     of d_0 : B_{0,1} -> B_{0,0}.  Left side: terms (w, class in X_1,
-    class in B_{0,0}) from the fiber of e_1 : B_{1,0} -> B_{0,0}.
+    class in B_{0,0}) from the fiber of e_1 : B_{1,0} -> B_{0,0}.  On a
+    grid with a coaction generator the fiber is generated, not read off
+    the whole cell.
     """
     if side not in ("right", "left"):
         raise DomainError("side must be 'right' or 'left'")
@@ -620,9 +654,24 @@ def _filtered_leg(config: ComoduleConfiguration, n: int) -> GroupoidFunctor:
 def config_coact(config: ComoduleConfiguration, m) -> WeightedTensorList:
     """The coaction of a configuration: fiber of the level-1 leg over m,
     labelled by (C_0 class, base edge class), base label first on the
-    left side."""
+    left side.
+
+    With a coaction generator the weight of a label is the number of
+    generated 1-simplices over m with that label: Aut m acts on them with
+    stabilizer Aut sigma, so the count is the homotopy fiber's weight
+    sum |Aut m|/|Aut sigma| (orbit-stabilizer), and C_1 is never built.
+    Without one the weights are read off the fiber table of the leg."""
     tab0 = config.space.level(0).iso_classes()
     btab = config.base.level(1).iso_classes()
+    tab0.class_of(m)   # refuses an m outside C_0 before a generator reads it
+    generated = config.coaction_fiber(m)
+    if generated is not None:
+        parts: dict = {}
+        for vertex_face, edge in generated:
+            c, e = tab0.class_of(vertex_face), btab.class_of(edge)
+            key = (c, e) if config.side == "right" else (e, c)
+            parts[key] = parts.get(key, 0) + 1
+        return WeightedTensorList.from_parts({k: Fraction(w) for k, w in parts.items()})
     vertex = config.vertex_functor(1)
     f1 = config.base_map.level_map(1)
     if config.side == "right":

@@ -399,6 +399,33 @@ def _layer_face(struct, v):
     return _merge_top(struct)
 
 
+def _coaction_fiber(B, side, m):
+    """The coaction generator of the sets/posets bicomodule at a 1-layered
+    poset m of cell (0,0).
+
+    Right: the simplices of cell (0,1) that the join d_0 sends to m are m
+    with an up-set U moved to poset layer 2 (U = {} and U = m included:
+    cells carry empty layers); vertex face m minus U, base edge U.  Left:
+    the simplices of cell (1,0) that the merge e_1 sends to m are m with a
+    set S of its minimal elements moved to the set layer (a set element
+    has nothing below it); vertex face m minus S, base edge S as a
+    1-layered set.  Both faces are read by `_layer_face` on the simplex.
+    """
+    _ns, _np, colors, rels = m
+    size = len(colors)
+    if side == "right":
+        for U in _up_sets(size, rels):
+            sigma = (0, 2, tuple(("p", 2 if e in U else 1) for e in range(size)), rels)
+            yield _layer_face(sigma, 2)[0], _layer_face(sigma, 0)[0]
+        return
+    above = {b for _a, b in rels}
+    minimal = [e for e in range(size) if e not in above]
+    for bits in product((False, True), repeat=len(minimal)):
+        S = {e for e, bit in zip(minimal, bits) if bit}
+        sigma = (1, 1, tuple(("s", 1) if e in S else ("p", 1) for e in range(size)), rels)
+        yield _layer_face(sigma, 0)[0], _layer_face(sigma, 2)[0]
+
+
 def layered_sets(grade_bound: int, max_level: Optional[int] = None) -> TruncatedSimplicialGroupoid:
     """The simplicial groupoid of layered finite sets with at most
     grade_bound elements: level n is the groupoid of n-layered sets,
@@ -462,6 +489,12 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
     left pointing exists at the bottom of the column (prepending an empty
     distinguished layer to a plain layered poset), which is all the Rota
     formula consumes.
+
+    The grid supplies a coaction generator: the 1-simplices over m are m
+    with an up-set moved to a second poset layer (right) or with a set of
+    minimal elements moved to a set layer (left), so the coactions, and
+    with them the Rota route, never build cells (0,1) and (1,0).  Both
+    legs only recolor, so each label's count is its homotopy-fiber weight.
     """
     if grade_bound < 0:
         raise DomainError("grade_bound must be >= 0")
@@ -497,7 +530,7 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
         max_i, max_j, layered_sets(grade_bound, max_i),
         layered_posets(grade_bound, max_j), cell_fn, face_fn, degen_fn,
         right_section_fn=right_section_fn, left_section_fn=left_section_fn,
-        name=f"B<={grade_bound}")
+        coaction_fn=_coaction_fiber, name=f"B<={grade_bound}")
 
 
 # -- poset catalog and the headline computation ----------------------------------

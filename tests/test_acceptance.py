@@ -59,14 +59,14 @@ def _report(n, label, t0, budget):
 def test_criterion_1_poset_mobius_both_routes():
     t0 = time.time()
     checked = 0
-    for n in range(5):
+    for n in range(6):
         for P, _aut in enumerate_posets(n):
             discrete = not P.strict_pairs()
             want = Fraction(-1) ** n if discrete else Fraction(0)
             assert mu_posets(P, "direct") == want
             assert mu_posets(P, "rota") == want
             checked += 1
-    assert checked == 25
+    assert checked == 88
     _report(1, "Mobius of finite posets, direct = closed form = Rota route", t0, 60)
 
 

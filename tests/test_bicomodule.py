@@ -53,9 +53,11 @@ from moebiuskit.groupoid import (
     full_subgroupoid,
     is_monomorphism,
     is_pullback_square,
+    weighted_fiber,
 )
 from moebiuskit.incidence import (
     Functional,
+    WeightedTensorList,
     comultiply,
     mobius,
     mobius_functional,
@@ -202,6 +204,42 @@ def test_coact_is_config_coact_of_either_comodule():
         for m in B.cell(0, 0).iso_classes().reps:
             assert coact(B, "right", m) == config_coact(right_comodule(B), m)
             assert coact(B, "left", m) == config_coact(left_comodule(B), m)
+
+
+def whole_cell_coact(config, m):
+    """The coaction of m read off the whole cell C_1: the fiber of the leg
+    over m, labelled by vertex and base-edge classes, base first on the left."""
+    tab0 = config.space.level(0).iso_classes()
+    btab = config.base.level(1).iso_classes()
+    vertex, edge = config.vertex_functor(1), config.base_map.level_map(1)
+
+    def label(sigma):
+        c, e = tab0.class_of(vertex.ob(sigma)), btab.class_of(edge.ob(sigma))
+        return (c, e) if config.side == "right" else (e, c)
+
+    return WeightedTensorList.from_parts(weighted_fiber(config.leg_functor(1), m, label))
+
+
+def test_generated_coaction_matches_the_whole_cell_route():
+    cases = 0
+    for g in range(5):
+        B = sets_posets_bicomodule(g)
+        for config in (right_comodule(B), left_comodule(B)):
+            tab = config.space.level(0).iso_classes()
+            for rep in tab.reps:
+                assert config.coaction_fiber(rep) is not None   # the generated route
+                members = tab.members[rep]
+                for m in (rep, members[-1]) if len(members) > 1 else (rep,):
+                    assert config_coact(config, m) == whole_cell_coact(config, m), \
+                        (g, config.side, m)
+                cases += 1
+    assert cases == 82
+    # grids without a generator read the whole cell
+    TD = total_decalage(nerve(chain_poset(3), max_level=6), 2, 2)
+    f = (("le", 0, 2),)
+    for config in (right_comodule(TD), left_comodule(TD)):
+        assert config.coaction_fiber(f) is None
+        assert config_coact(config, f) == whole_cell_coact(config, f)
 
 
 def test_convolve_action_unit_law():
@@ -663,17 +701,36 @@ def test_validate_total_decalage_checks_its_border_once(monkeypatch):
     assert x is y and x.passed and x.checks
 
 
-def test_rota_builds_one_fiber_table_per_comodule_leg(monkeypatch, capsys):
-    built = collections.Counter()
+def test_rota_builds_no_coaction_cell(monkeypatch, capsys):
+    # the coactions are generated: cells (0,1) and (1,0) are never listed,
+    # classified or read through a fiber table of their legs
+    fibers, levels, classified = collections.Counter(), collections.Counter(), collections.Counter()
     fiber_table = groupoid._fiber_table
+    level_objects = examples._level_objects.__wrapped__
+    build = groupoid.IsoClassTable._build
 
-    def counted(F):
-        built[F.name] += ("fibers",) not in F._memo
+    def counted_fibers(F):
+        fibers[F.name] += ("fibers",) not in F._memo
         return fiber_table(F)
 
-    monkeypatch.setattr(groupoid, "_fiber_table", counted)
+    def counted_levels(*args):
+        levels[args] += 1
+        return level_objects(*args)
+
+    def counted_build(G):
+        classified[len(G.objects)] += 1
+        return build(G)
+
+    monkeypatch.setattr(groupoid, "_fiber_table", counted_fibers)
+    monkeypatch.setattr(examples, "_level_objects", counted_levels)
+    monkeypatch.setattr(groupoid.IsoClassTable, "_build", staticmethod(counted_build))
+    for name in ("_layered_level", "_layered_space"):   # fresh levels and spaces
+        monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
     monkeypatch.setattr(examples, "_sets_posets_bicomodule",   # a fresh grid
                         examples._sets_posets_bicomodule.__wrapped__)
     assert cli.main(["rota", "builtin:sets-posets", "--grade", "4"]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
-    assert built["d1@(1,0)*id"] == built["d1@(0,1)*id"] == 1   # 25 each when built per m
+    assert levels[0, 1, 4] == 1 and classified[243] == 1   # C_1 = B_{0,0}, seen by the counters
+    assert fibers["d1@(1,0)*id"] == fibers["d1@(0,1)*id"] == 0   # 1 each from the whole cells
+    assert levels[1, 1, 4] == levels[0, 2, 4] == 0
+    assert classified[921] == classified[1789] == 0   # B(1,0) and C_2 at grade 4

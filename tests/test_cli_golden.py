@@ -28,6 +28,7 @@ ADJUNCTION = "readme_adjunction.json"   # the README's adjunction document
 COMMANDS = [
     ["rota", "builtin:sets-posets", "--grade", "3", "--format", "json"],
     ["rota", "builtin:sets-posets", "--grade", "4", "--format", "json"],
+    ["rota", "builtin:sets-posets", "--grade", "5", "--format", "json"],
     ["rota", "builtin:chain-adjunction", "--format", "json"],
     ["mobius", "builtin:posets", "--n", "4", "--format", "json"],
     ["mobius", "builtin:sets", "--n", "6", "--format", "json"],
