@@ -81,7 +81,8 @@ class AugmentedBisimplicialGroupoid(Memo):
     i = -1 or j = -1 is read from them and `row(-1)`/`column(-1)` are
     `y`/`x` themselves.  The grade bound of the grid is theirs.  Callbacks
     cover i, j >= 0 only (all produce memoized functors between memoized
-    cells; `self` is passed so callbacks can look cells up):
+    cells; the grid's cells, a `_GridCells`, are passed so callbacks can
+    look cells up):
 
         cell_fn(B, i, j)                     i, j >= 0
         face_fn(B, i, j, v)                  d_v of an (i+1+j)-simplex
@@ -106,14 +107,88 @@ class AugmentedBisimplicialGroupoid(Memo):
 
     Section callbacks may return None for levels where no pointing data
     exists (the layered sets/posets bicomodule only points the bottom of
-    its left side).  Cells, operators, the row and column views and the
-    comodules and coactions of the grid live in its `_memo`.
+    its left side).
+
+    Cells, operators, sections and the coaction generator are read from
+    the grid's `_GridCells`, which memoises them.  The row and column
+    views, u and v, the comodules and the coactions live in the grid's own
+    `_memo`; they read the cells, not the grid, so a dropped grid is freed
+    by reference counting.
     """
 
     def __init__(self, max_i, max_j, x: TruncatedSimplicialGroupoid,
                  y: TruncatedSimplicialGroupoid, cell_fn, face_fn, degen_fn,
                  right_section_fn=None, left_section_fn=None, coaction_fn=None,
                  name=""):
+        super().__init__()
+        self._cells = _GridCells(max_i, max_j, x, y, cell_fn, face_fn, degen_fn,
+                                 right_section_fn, left_section_fn, coaction_fn, name)
+
+    def __getattr__(self, attr):
+        """Cells, operators, sections, borders, bounds and the name are read
+        from the grid's `_GridCells`."""
+        if attr == "_cells":
+            raise AttributeError(attr)
+        return getattr(self._cells, attr)
+
+    def cell(self, i: int, j: int) -> FiniteGroupoid:
+        """Cell (i,j); a method of the grid's own class, which
+        `bench/tracing.py` wraps."""
+        return self._cells.cell(i, j)
+
+    # -- simplicial views -------------------------------------------------
+
+    def row(self, i) -> TruncatedSimplicialGroupoid:
+        """The row B_{i,.} with horizontal operators (row(-1) is Y)."""
+        if i == -1:
+            return self._cells.y_space()
+        return self._get(("row", i), self._row, i)
+
+    def _row(self, i) -> TruncatedSimplicialGroupoid:
+        cells = self._cells
+        return TruncatedSimplicialGroupoid(
+            cells.max_j,
+            lambda s, n: cells.cell(i, n),
+            lambda s, n, k: cells.hface(i, n, k),
+            lambda s, n, k: cells.hdegen(i, n, k),
+            grade_bound=cells.grade_bound,
+            name=f"{cells.name}.row({i})")
+
+    def column(self, j) -> TruncatedSimplicialGroupoid:
+        """The column B_{.,j} with vertical operators (column(-1) is X)."""
+        if j == -1:
+            return self._cells.x_space()
+        return self._get(("column", j), self._column, j)
+
+    def _column(self, j) -> TruncatedSimplicialGroupoid:
+        cells = self._cells
+        return TruncatedSimplicialGroupoid(
+            cells.max_i,
+            lambda s, n: cells.cell(n, j),
+            lambda s, n, l: cells.vface(n, j, l),
+            lambda s, n, l: cells.vdegen(n, j, l),
+            grade_bound=cells.grade_bound,
+            name=f"{cells.name}.col({j})")
+
+    def u_map(self) -> SimplicialMap:
+        cells = self._cells
+        return self._get(("u_map",), SimplicialMap, self.column(0), cells.x_space(),
+                         lambda m, n: cells.aug_u(n), "u")
+
+    def v_map(self) -> SimplicialMap:
+        cells = self._cells
+        return self._get(("v_map",), SimplicialMap, self.row(0), cells.y_space(),
+                         lambda m, n: cells.aug_v(n), "v")
+
+
+class _GridCells(Memo):
+    """The cells, operators, sections and coaction generator of an
+    `AugmentedBisimplicialGroupoid`, built by its callbacks into this
+    `_memo`.  Nothing here reads the grid, so the grid's views can hold it
+    without a reference cycle."""
+
+    def __init__(self, max_i, max_j, x, y, cell_fn, face_fn, degen_fn,
+                 right_section_fn, left_section_fn, coaction_fn, name):
         super().__init__()
         self.max_i = max_i
         self.max_j = max_j
@@ -213,51 +288,11 @@ class AugmentedBisimplicialGroupoid(Memo):
             return None
         return self._coaction_fn(self, side, m)
 
-    # -- simplicial views -------------------------------------------------
-
-    def row(self, i) -> TruncatedSimplicialGroupoid:
-        """The row B_{i,.} with horizontal operators (row(-1) is Y)."""
-        if i == -1:
-            return self._y
-        return self._get(("row", i), self._row, i)
-
-    def _row(self, i) -> TruncatedSimplicialGroupoid:
-        return TruncatedSimplicialGroupoid(
-            self.max_j,
-            lambda s, n: self.cell(i, n),
-            lambda s, n, k: self.hface(i, n, k),
-            lambda s, n, k: self.hdegen(i, n, k),
-            grade_bound=self.grade_bound,
-            name=f"{self.name}.row({i})")
-
-    def column(self, j) -> TruncatedSimplicialGroupoid:
-        """The column B_{.,j} with vertical operators (column(-1) is X)."""
-        if j == -1:
-            return self._x
-        return self._get(("column", j), self._column, j)
-
-    def _column(self, j) -> TruncatedSimplicialGroupoid:
-        return TruncatedSimplicialGroupoid(
-            self.max_i,
-            lambda s, n: self.cell(n, j),
-            lambda s, n, l: self.vface(n, j, l),
-            lambda s, n, l: self.vdegen(n, j, l),
-            grade_bound=self.grade_bound,
-            name=f"{self.name}.col({j})")
-
     def x_space(self) -> TruncatedSimplicialGroupoid:
         return self._x
 
     def y_space(self) -> TruncatedSimplicialGroupoid:
         return self._y
-
-    def u_map(self) -> SimplicialMap:
-        return self._get(("u_map",), SimplicialMap, self.column(0), self._x,
-                         lambda m, n: self.aug_u(n), "u")
-
-    def v_map(self) -> SimplicialMap:
-        return self._get(("v_map",), SimplicialMap, self.row(0), self._y,
-                         lambda m, n: self.aug_v(n), "v")
 
 
 # -- comodule configurations ---------------------------------------------------
@@ -328,10 +363,11 @@ def right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
 
 
 def _right_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
+    cells = B._cells   # the sections read the cells, not the grid that memoises them
     return ComoduleConfiguration(
         side="right", space=B.row(0), base=B.y_space(), base_map=B.v_map(),
-        section=lambda n: B.right_section(0, n),
-        coaction_fiber=lambda m: B.coaction_fiber("right", m), name=f"{B.name}.right")
+        section=lambda n: cells.right_section(0, n),
+        coaction_fiber=lambda m: cells.coaction_fiber("right", m), name=f"{B.name}.right")
 
 
 def left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
@@ -340,10 +376,11 @@ def left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
 
 
 def _left_comodule(B: AugmentedBisimplicialGroupoid) -> ComoduleConfiguration:
+    cells = B._cells
     return ComoduleConfiguration(
         side="left", space=B.column(0), base=B.x_space(), base_map=B.u_map(),
-        section=lambda n: B.left_section(n, 0),
-        coaction_fiber=lambda m: B.coaction_fiber("left", m), name=f"{B.name}.left")
+        section=lambda n: cells.left_section(n, 0),
+        coaction_fiber=lambda m: cells.coaction_fiber("left", m), name=f"{B.name}.left")
 
 
 # -- configuration validation ---------------------------------------------------

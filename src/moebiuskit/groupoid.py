@@ -16,7 +16,9 @@ class representatives found so far.  Moving a morphism to the class
 representatives of its ends (`skeletalize`, the iso-comma keys, the
 pullback comparison) follows one rule too: c_tgt . m . c_src^{-1} along
 the connectors of its ends, skipping the factor of an end that already
-is its representative.
+is its representative.  The connectors and the automorphisms of the
+representatives generate the groupoid, so the strict-commutation check
+`functors_equal` compares two functors on them alone.
 
 Images and fibers both live in the functor.  A `tabulated` functor
 computes each object's image once, into its image table, and any functor
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 
 class Memo:
@@ -146,13 +148,6 @@ class FiniteGroupoid(Memo):
             if self.compose(g, f) == ida:
                 return g
         raise StructureError(f"no inverse found for {f!r}")
-
-    def morphisms(self) -> Iterator[Mor]:
-        table = self.iso_classes()
-        for rep in table.reps:
-            for a in table.members[rep]:
-                for b in table.members[rep]:
-                    yield from self.hom(a, b)
 
     def is_graded(self) -> bool:
         return self._grade is not None
@@ -395,14 +390,27 @@ class GroupoidFunctor(Memo):
 
 
 def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
-    """Strict equality: same object and morphism maps, checked exhaustively."""
+    """Strict equality of two functors out of the same source S: the same
+    object map on every object, and the same morphism map on a generating
+    set of S.  The generators are, per iso class of S, the automorphisms
+    of its representative r and the connector `_connector(S, a, r)` of
+    each other member a.
+
+    That decides equality of functors: an m: a -> b in the class of r is
+    c_b^{-1} . (c_b . m . c_a^{-1}) . c_a with the middle factor in
+    Aut(r), so F and G agree on m once they agree on the connectors and on
+    Aut(r).  The check reads one hom-set per object, where listing every
+    morphism reads n^2 of them for a class of n objects."""
     S = F.source
     for a in S.objects:
         if F.ob(a) != G.ob(a):
             return False
-    for m in S.morphisms():
-        if F(m) != G(m):
-            return False
+    table = S.iso_classes()
+    for rep in table.reps:
+        for a in table.members[rep]:
+            for m in S.hom(rep, rep) if a == rep else (_connector(S, a, rep),):
+                if F(m) != G(m):
+                    return False
     return True
 
 
@@ -678,7 +686,10 @@ def is_pullback_square(
 
     is a homotopy pullback: the comparison functor from W into the
     iso-comma groupoid of (f, g) must be an equivalence.  Non-commuting
-    squares are a domain error, distinct from a failed pullback check.
+    squares are a domain error, distinct from a failed pullback check;
+    `functors_equal` decides commutation on the generators of W, the
+    automorphisms of its class representatives and the connectors to
+    them.
 
     The comparison lands in the iso-comma P' of f and g restricted to the
     class representatives of A and B (to A or B itself where every class

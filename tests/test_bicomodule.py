@@ -2,6 +2,7 @@ import collections
 import functools
 import inspect
 import sys
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -559,6 +560,20 @@ def test_comodules_are_memoised_on_the_grid():
     assert right_comodule(B) is right_comodule(B)
     assert left_comodule(B) is left_comodule(B)
     assert right_comodule(B) is not left_comodule(B)
+
+
+def test_a_dropped_grid_is_freed_without_the_cycle_collector(no_cycle_collector):
+    # rows, columns, u and v, and the comodules with their sections and
+    # coaction generators are all memoised on the grid
+    B, _ = adjunction_nerve(2, 2)
+    assert validate_configuration(B, 1).passed
+    for side, config in (("right", right_comodule(B)), ("left", left_comodule(B))):
+        assert config.section(0) is not None and config.coaction_fiber(None) is None
+        for m in B.cell(0, 0).iso_classes().reps:
+            coact(B, side, m)
+    cell = weakref.ref(B.cell(1, 1))
+    del B, config
+    assert cell() is None
 
 
 def test_rota_sweep_checks_each_pointing_once(monkeypatch):

@@ -1,11 +1,12 @@
 import collections
+import functools
 import inspect
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from moebiuskit import bicomodule, groupoid, simplicial
+from moebiuskit import bicomodule, examples, groupoid, simplicial
 from moebiuskit.bicomodule import validate_configuration
 from moebiuskit.examples import layered_posets, sets_posets_bicomodule
 from moebiuskit.groupoid import (
@@ -20,6 +21,7 @@ from moebiuskit.groupoid import (
     fiber,
     fiber_cardinality,
     full_subgroupoid,
+    functors_equal,
     homotopy_pullback,
     is_equivalence,
     is_monomorphism,
@@ -27,7 +29,7 @@ from moebiuskit.groupoid import (
     skeletalize,
     weighted_fiber,
 )
-from moebiuskit.simplicial import check_axioms
+from moebiuskit.simplicial import TruncatedSimplicialGroupoid, check_axioms
 
 from conftest import (
     cluster_groupoid,
@@ -198,6 +200,149 @@ def test_is_pullback_square_noncommuting_raises():
     idf = GroupoidFunctor.identity(A)
     with pytest.raises(DomainError):
         is_pullback_square(idf, idf, idf, swap)
+
+
+# -- strict commutation on generators ------------------------------------------
+
+
+def _all_morphisms(G):
+    """Every morphism of G: hom(a, b) over every pair of objects."""
+    return [m for a in G.objects for b in G.objects for m in G.hom(a, b)]
+
+
+def _equal_on_every_morphism(F, G):
+    """The oracle of `functors_equal`: both maps compared everywhere."""
+    return (all(F.ob(a) == G.ob(a) for a in F.source.objects)
+            and all(F(m) == G(m) for m in _all_morphisms(F.source)))
+
+
+def _conjugated(F, eta):
+    """F conjugated by automorphisms eta[a] of F(a), the identity where eta
+    has no entry: m: a -> b goes to eta[b] . F(m) . eta[a]^{-1}.  It is a
+    functor and agrees with F on objects."""
+    T = F.target
+    inverse = {a: T.inverse(e) for a, e in eta.items()}
+
+    def mor(m):
+        image = F(m)
+        if m.src in eta:
+            image = T.compose(image, inverse[m.src])
+        if m.tgt in eta:
+            image = T.compose(eta[m.tgt], image)
+        return image
+
+    return GroupoidFunctor(F.source, T, F.ob, mor, name=f"{F.name}^eta")
+
+
+def test_functors_equal_matches_every_morphism_under_conjugation():
+    # cluster automorphism groups are abelian, so a conjugate differs from F
+    # only off the diagonal: a check on Aut(rep) alone finds no difference
+    rng = seeded(16)
+    verdicts = collections.Counter()
+    for _ in range(300):
+        F = random_cluster_functor(rng)
+        S, T = F.source, F.target
+        shared = rng.random() < 0.5    # one automorphism label per source class
+        labels, eta = {}, {}
+        for a in S.objects:
+            auts = T.hom(F.ob(a), F.ob(a))
+            k = rng.randrange(len(auts))
+            eta[a] = auts[labels.setdefault(a[0], k) if shared else k]
+        G = _conjugated(F, eta)
+        mors = _all_morphisms(S)
+        assert all(G(S.identity(a)) == T.identity(G.ob(a)) for a in S.objects)
+        assert all(G(S.compose(g, f)) == T.compose(G(g), G(f))
+                   for f in mors for b in S.objects for g in S.hom(f.tgt, b))
+        assert all(F(m) == G(m) for m in mors if m.src == m.tgt)
+        verdict = functors_equal(F, G)
+        assert verdict == _equal_on_every_morphism(F, G)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 50, verdicts
+
+
+def test_functors_equal_compares_the_automorphisms():
+    G = bc2()
+    identity = GroupoidFunctor.identity(G)
+    trivial = GroupoidFunctor(G, G, lambda a: a, lambda m: G.identity(m.src), name="triv")
+    assert not _equal_on_every_morphism(identity, trivial)
+    assert not functors_equal(identity, trivial)
+
+
+def test_functors_equal_compares_the_connectors():
+    G = cluster_groupoid([("c", 2, 3)], name="C3x2")
+    rep, other = G.iso_classes().reps[0], ("c", 1)
+    assert rep == ("c", 0)
+    identity = GroupoidFunctor.identity(G)
+    twisted = _conjugated(identity, {other: Mor(other, other, 1)})
+    assert all(twisted(m) == m for a in G.objects for m in G.hom(a, a))
+    assert not _equal_on_every_morphism(identity, twisted)
+    assert not functors_equal(identity, twisted)
+    with pytest.raises(DomainError, match="does not commute strictly"):
+        is_pullback_square(identity, twisted, identity, identity)
+
+
+def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
+    # fresh levels and spaces, so that the count does not depend on which
+    # tests ran before; an iso-class table built inside the check reads
+    # one more hom-set per class
+    for name in ("_layered_level", "_layered_space"):
+        monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
+    isos, precheck = examples._isos, groupoid.functors_equal
+    open_calls, calls = [], []
+
+    def counted_isos(a, b):
+        if open_calls:
+            open_calls[-1] += 1
+        return isos(a, b)
+
+    def counted_precheck(F, G):
+        open_calls.append(0)
+        try:
+            return precheck(F, G)
+        finally:
+            calls.append((open_calls.pop(), F.source))
+
+    monkeypatch.setattr(examples, "_isos", counted_isos)
+    monkeypatch.setattr(groupoid, "functors_equal", counted_precheck)
+    X = examples.layered_posets(3)
+    assert check_axioms(X, "decomposition", 2).passed
+    assert not check_axioms(X, "segal", 1).passed
+    assert len(calls) == 25
+    for homs, W in calls:
+        assert homs <= len(W.objects) + len(W.iso_classes().reps)
+    assert sum(homs for homs, _ in calls) == 12931   # 66,923 listing every morphism
+
+
+def test_a_conjugated_face_fails_the_identities_on_both_checks(monkeypatch):
+    # d_1 : X_2 -> X_1 of layered posets, conjugated at a non-representative
+    # object by a nontrivial automorphism of its image
+    X = layered_posets(2)
+    d1 = X.face(2, 1)
+    table = d1.source.iso_classes()
+    x0 = next(a for a in d1.source.objects
+              if table.class_of(a) != a and len(d1.target.hom(d1.ob(a), d1.ob(a))) > 1)
+    mutated = _conjugated(d1, {x0: d1.target.hom(d1.ob(x0), d1.ob(x0))[1]})
+    near = [m for a in table.members[table.class_of(x0)] for m in d1.source.hom(a, x0)]
+    assert all(mutated(d1.source.compose(g, f)) == d1.target.compose(mutated(g), mutated(f))
+               for f in near for g in d1.source.hom(x0, x0))
+    Y = TruncatedSimplicialGroupoid(
+        X.max_level, lambda s, n: X.level(n),
+        lambda s, n, i: mutated if (n, i) == (2, 1) else X.face(n, i),
+        lambda s, n, i: X.degeneracy(n, i), grade_bound=X.grade_bound, name="mutated")
+    verdicts = []
+
+    def both(F, G):
+        verdicts.append((functors_equal(F, G), _equal_on_every_morphism(F, G)))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(simplicial, "functors_equal", both)
+    report = check_axioms(Y, "identities", Y.max_level)
+    assert all(got == want for got, want in verdicts)
+    assert len(verdicts) == 69
+    assert [c.name for c in report.failures()] == [
+        "d_0 d_2 level 3", "d_1 d_2 level 3", "d_1 d_3 level 3",
+        "d_2 s_0 level 2", "d_1 s_2 level 2"]
+    assert check_axioms(X, "identities", X.max_level).passed
 
 
 def test_is_equivalence_examples():
