@@ -605,13 +605,13 @@ class CorrespondenceCat:
                            name=f"{C.name}_{bit}")
 
 
-def mapping_cylinder(F: FinFunctor):
-    """The collage M_F with mixed homs Hom(Fx, y), its correspondence to the
-    arrow category, and the (co)cartesian-lift report.
+def mapping_cylinder(F: FinFunctor) -> CorrespondenceCat:
+    """The collage M_F with mixed homs Hom(Fx, y), as a correspondence to
+    the arrow category.
 
     Cocartesian lifts always exist (the identity on Fx); cartesian lifts
-    exist exactly when a right adjoint value exists at each y, which the
-    report determines by exhaustive lift search."""
+    exist exactly when a right adjoint value exists at each y, which
+    `fibration_report(corr)` determines by exhaustive lift search."""
     X, Y = F.source, F.target
     objects = [("x", a) for a in X.objects] + [("y", b) for b in Y.objects]
     mors = {}
@@ -641,8 +641,7 @@ def mapping_cylinder(F: FinFunctor):
     M = FinCategory(objects, mors, compose, idents, name=f"M({F.name})")
     label = {("x", a): 0 for a in X.objects}
     label.update({("y", b): 1 for b in Y.objects})
-    corr = CorrespondenceCat(M, label)
-    return corr, fibration_report(corr)
+    return CorrespondenceCat(M, label)
 
 
 @dataclass

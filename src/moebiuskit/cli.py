@@ -46,15 +46,22 @@ def _load_json(path):
         raise InputError(f"cannot read instance file {path!r}: {e}")
 
 
-def _as_pairs(raw, what):
-    if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
-        raise InputError(f"{what} must be a list of pairs")
-    return [(a, b) for a, b in raw]
+def _as_list(raw, what):
+    if not isinstance(raw, list):
+        raise InputError(f"{what} must be a JSON array")
+    return raw
+
+
+def _as_tuples(raw, what, size=2):
+    if not all(isinstance(p, list) and len(p) == size for p in _as_list(raw, what)):
+        raise InputError(f"{what} must be a JSON array of {size}-item arrays")
+    return [tuple(p) for p in raw]
 
 
 def load_poset(doc) -> cp.FinPoset:
     try:
-        return cp.FinPoset(doc["elements"], _as_pairs(doc.get("relations", []), "relations"))
+        return cp.FinPoset(_as_list(doc["elements"], "elements"),
+                           _as_tuples(doc.get("relations", []), "relations"))
     except (KeyError, TypeError) as e:
         raise InputError(f"invalid poset document: {e}")
     except StructureError as e:
@@ -63,10 +70,10 @@ def load_poset(doc) -> cp.FinPoset:
 
 def load_category(doc) -> cp.FinCategory:
     try:
-        mors = {m["id"]: (m["src"], m["tgt"]) for m in doc["morphisms"]}
-        compose = {(f, g): h for f, g, h in doc["compose"]}
-        idents = dict(_as_pairs(doc["identities"], "identities"))
-        cat = cp.FinCategory(doc["objects"], mors, compose, idents)
+        mors = {m["id"]: (m["src"], m["tgt"]) for m in _as_list(doc["morphisms"], "morphisms")}
+        compose = {(f, g): h for f, g, h in _as_tuples(doc["compose"], "compose", 3)}
+        idents = dict(_as_tuples(doc["identities"], "identities"))
+        cat = cp.FinCategory(_as_list(doc["objects"], "objects"), mors, compose, idents)
         cat.validate()
         return cat
     except (KeyError, TypeError, ValueError) as e:
@@ -86,8 +93,8 @@ def load_adjunction(doc):
     try:
         _, X = _load_side(doc["left"])
         _, Y = _load_side(doc["right"])
-        fmap = dict(_as_pairs(doc["f"], "f"))
-        gmap = dict(_as_pairs(doc["g"], "g"))
+        fmap = dict(_as_tuples(doc["f"], "f"))
+        gmap = dict(_as_tuples(doc["g"], "g"))
         F = cp.FinFunctor(X, Y, fmap)
         G = cp.FinFunctor(Y, X, gmap)
         return F, G
@@ -100,7 +107,7 @@ def load_adjunction(doc):
 def load_correspondence(doc):
     try:
         cat = load_category(doc["category"])
-        labels = dict(_as_pairs(doc["labels"], "labels"))
+        labels = dict(_as_tuples(doc["labels"], "labels"))
         return cp.CorrespondenceCat(cat, labels)
     except (KeyError, TypeError) as e:
         raise InputError(f"invalid correspondence document: {e}")
@@ -143,13 +150,10 @@ def emit_rows(rows, header, fmt):
 
 
 def _describe_key(key) -> str:
-    ns, np_, colors, rels = key
-    m = len(colors)
-    if ns and not np_:
-        sizes = [sum(1 for c in colors if c == ("s", k + 1)) for k in range(ns)]
-        return "set" + str(tuple(sizes))
+    """The row label of a 1-layered poset key."""
+    m, rels = len(key[2]), key[3]
     if not rels:
-        return f"discrete{m}" if not ns else f"key{key}"
+        return f"discrete{m}"
     return f"poset{m}:{','.join(f'{a}<{b}' for a, b in rels)}"
 
 
@@ -165,8 +169,7 @@ def _space_for_check(target, args):
         return None, ex.sets_posets_bicomodule(args.grade)
     if target == "builtin:chain-adjunction":
         F, G = chain_adjunction()
-        corr, _ = cp.mapping_cylinder(F)
-        return None, cp.correspondence_bisimplicial(corr, 3, 3)
+        return None, cp.correspondence_bisimplicial(cp.mapping_cylinder(F), 3, 3)
     if target.startswith("builtin:"):
         raise InputError(f"unknown builtin {target!r}")
     doc = _load_json(target)
@@ -177,8 +180,7 @@ def _space_for_check(target, args):
         return cp.nerve(load_category(doc), max_level=args.max_level + 3), None
     if kind == "adjunction":
         F, G = load_adjunction(doc)
-        corr, _ = cp.mapping_cylinder(F)
-        return None, cp.correspondence_bisimplicial(corr, 3, 3)
+        return None, cp.correspondence_bisimplicial(cp.mapping_cylinder(F), 3, 3)
     if kind == "correspondence":
         corr = load_correspondence(doc)
         return None, cp.correspondence_bisimplicial(corr, 3, 3)
@@ -225,7 +227,7 @@ def cmd_mobius(args) -> int:
     if args.target in ("builtin:sets", "builtin:layered-sets"):
         n = args.n
         X = ex.layered_sets(n, max_level=max(2, n))
-        key = (1, 0, (("s", 1),) * n, ())
+        key = (1, 0, (1,) * n, ())
         emit_rows([(f"set({n},)", inc.mobius(X, key))], ["class", "mu"], fmt)
         return EXIT_OK
     doc = _load_json(args.target)

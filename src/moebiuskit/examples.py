@@ -2,27 +2,27 @@
 bicomodule of layered sets and posets.
 
 Objects of every generated level are labelled "layered structures": a
-carrier {0..m-1}, a strict transitive relation, and a color per element
-recording which layer it sits in -- set layers ('s', k) carry no
-relations, poset layers ('p', k) are monotone (x < y forces
-layer(x) <= layer(y)).  Empty layers are first class: the object records
-the layer counts (ns, np) separately from the colors, so inserting an
-empty layer changes the object.  Isomorphisms are color-preserving
-relation isomorphisms; layer indices must match exactly.
+carrier {0..m-1}, a strict transitive relation, and a color per element,
+the number of the layer it sits in.  An n-simplex has layers 1..n = ns+np:
+the set layers 1..ns carry no relations, the poset layers ns+1..n are
+monotone (x < y forces layer(x) <= layer(y)).  Empty layers are first
+class: the object records the split (ns, np) separately from the colors,
+so inserting an empty layer changes the object.  Isomorphisms are
+color-preserving relation isomorphisms; layer numbers must match exactly.
 
-Levels are deliberately not skeletal.  An n-simplex has layers 1..n, set
-layers first, and every simplicial operator of I, C and the bicomodule is
-one rule of pure layer surgery: d_v deletes the first (v = 0) or last
-(v = n) layer with an order-preserving reindex, or else joins layers v
-and v+1 by recoloring (the last set layer joins the first poset layer
-with the relations it records), and s_v inserts an empty layer after
-vertex v, a set layer on the X side of a bicomodule cell and a poset
-layer on its Y side.  Such operations commute on the nose, so all
-simplicial and bisimplicial identities hold strictly at the morphism
-level and strictly commuting squares carry honest identity fillers,
-which is what the pullback checkers assume.  Iso-class tables come from
-a deterministic backtracking canonical form with layer-vector
-refinement, which also provides hom-sets and automorphism groups.
+Levels are deliberately not skeletal.  Every simplicial operator of I, C
+and the bicomodule is one rule of pure layer surgery on layer numbers:
+d_v deletes the first (v = 0) or last (v = n) layer with an
+order-preserving reindex, or else joins layers v and v+1 by recoloring
+(the last set layer joins the first poset layer with the relations it
+records), and s_v inserts an empty layer v+1, a set layer on the X side
+of a bicomodule cell and a poset layer on its Y side.  Such operations
+commute on the nose, so all simplicial and bisimplicial identities hold
+strictly at the morphism level and strictly commuting squares carry
+honest identity fillers, which is what the pullback checkers assume.
+Iso-class tables come from a deterministic backtracking canonical form
+with layer-vector refinement, which also provides hom-sets and
+automorphism groups.
 
 Everything here that depends only on hashable values -- canonical forms,
 automorphism groups, poset catalogues, level object lists and their
@@ -46,16 +46,20 @@ from .groupoid import DomainError, FiniteGroupoid, GroupoidFunctor, Mor
 from .incidence import mobius
 from .simplicial import TruncatedSimplicialGroupoid
 
-# A layered structure: (ns, np, colors, rels) with colors a tuple of
-# ('s', k) / ('p', k) pairs and rels a sorted tuple of strict pairs (a, b)
-# meaning a < b, transitively closed.
+# A layered structure: (ns, np, colors, rels) with colors[e] the layer
+# number of element e, in 1..ns+np (set layers first), and rels a sorted
+# tuple of strict pairs (a, b) meaning a < b, transitively closed.
 
 
 class RouteDisagreementError(Exception):
     """The direct and Rota routes disagree: an implementation bug."""
 
 
-def _invariants(m, colors, rels):
+def _blocks(colors, rels):
+    """The elements grouped by an invariant that every isomorphism keeps
+    (the color, refined twice by the invariants above and below), the
+    blocks in invariant order."""
+    m = len(colors)
     ups = {e: [] for e in range(m)}
     downs = {e: [] for e in range(m)}
     for a, b in rels:
@@ -67,7 +71,10 @@ def _invariants(m, colors, rels):
                    tuple(sorted(inv[u] for u in ups[e])),
                    tuple(sorted(inv[d] for d in downs[e])))
                for e in range(m)}
-    return inv
+    blocks: dict = {}
+    for e in range(m):
+        blocks.setdefault(inv[e], []).append(e)
+    return [blocks[k] for k in sorted(blocks)]
 
 
 @functools.cache
@@ -84,11 +91,7 @@ def canonical_form(struct):
         for pos, e in enumerate(order):
             perm[e] = pos
         return (ns, np_, tuple(sorted(colors)), ()), tuple(perm)
-    inv = _invariants(m, colors, rels)
-    blocks: dict = {}
-    for e in range(m):
-        blocks.setdefault(inv[e], []).append(e)
-    ordered_blocks = [blocks[k] for k in sorted(blocks)]
+    ordered_blocks = _blocks(colors, rels)
     offsets = []
     off = 0
     for blk in ordered_blocks:
@@ -121,11 +124,7 @@ def aut_perms(key):
     ns, np_, colors, rels = key
     m = len(colors)
     relset = frozenset(rels)
-    inv = _invariants(m, colors, rels)
-    blocks: dict = {}
-    for e in range(m):
-        blocks.setdefault(inv[e], []).append(e)
-    ordered_blocks = [blocks[k] for k in sorted(blocks)]
+    ordered_blocks = _blocks(colors, rels)
     perms = []
     for arrangement in product(*(permutations(blk) for blk in ordered_blocks)):
         perm = [0] * m
@@ -177,60 +176,32 @@ def layered_groupoid(objects, name="") -> FiniteGroupoid:
 # -- layer surgery -------------------------------------------------------------
 
 
-def _delete_layer(struct, kind, layer):
+def _layer_face(struct, v):
+    """d_v on the layers 1..n of a layered structure: it changes layer
+    L = max(v, 1), a set layer when L <= ns.  An outer face (v = 0 or n)
+    deletes layer L with an order-preserving reindex; an inner one joins
+    layers v and v+1 by recoloring, keeping every relation (the last set
+    layer joins the first poset layer with the relations it records)."""
     ns, np_, colors, rels = struct
-    m = len(colors)
-    keep = tuple(e for e in range(m) if colors[e] != (kind, layer))
+    L = max(v, 1)
+    shape = (ns - (L <= ns), np_ - (L > ns))
+    if 0 < v < ns + np_:
+        return (*shape, tuple(c - (c > L) for c in colors), rels), None
+    keep = tuple(e for e, c in enumerate(colors) if c != L)
     reindex = _rank(keep)
-
-    def shift(c):
-        k2, l2 = c
-        return (k2, l2 - 1) if k2 == kind and l2 > layer else c
-
-    colors2 = tuple(shift(colors[e]) for e in keep)
+    colors2 = tuple(colors[e] - (colors[e] > L) for e in keep)
     # keep is increasing, so the reindexed pairs of sorted rels stay sorted
     rels2 = tuple((reindex[a], reindex[b]) for a, b in rels
                   if a in reindex and b in reindex)
-    shape = (ns - 1, np_) if kind == "s" else (ns, np_ - 1)
-    return (shape[0], shape[1], colors2, rels2), keep
+    return (*shape, colors2, rels2), keep
 
 
-def _join_layers(struct, kind, layer):
-    """Merge layer+1 into layer (same kind); higher layers shift down."""
+def _insert_layer(struct, layer, set_layer):
+    """s_v's empty layer, numbered `layer`: a set layer if set_layer, else
+    a poset layer; the layers from `layer` on move up by one."""
     ns, np_, colors, rels = struct
-
-    def shift(c):
-        k2, l2 = c
-        if k2 == kind and l2 > layer:
-            return (k2, l2 - 1)
-        return c
-
-    colors2 = tuple(shift(c) for c in colors)
-    shape = (ns - 1, np_) if kind == "s" else (ns, np_ - 1)
-    return (shape[0], shape[1], colors2, rels), None
-
-
-def _insert_layer(struct, kind, layer):
-    ns, np_, colors, rels = struct
-
-    def shift(c):
-        k2, l2 = c
-        if k2 == kind and l2 >= layer:
-            return (k2, l2 + 1)
-        return c
-
-    colors2 = tuple(shift(c) for c in colors)
-    shape = (ns + 1, np_) if kind == "s" else (ns, np_ + 1)
-    return (shape[0], shape[1], colors2, rels), None
-
-
-def _merge_top(struct):
-    """Move the last set layer into the first poset layer, keeping the
-    recorded relations below poset elements; elements of a pure set layer
-    (no recorded relations) enter incomparable to everything."""
-    ns, np_, colors, rels = struct
-    colors2 = tuple(("p", 1) if c == ("s", ns) else c for c in colors)
-    return (ns - 1, np_, colors2, rels), None
+    colors2 = tuple(c + (c >= layer) for c in colors)
+    return (ns + set_layer, np_ + (not set_layer), colors2, rels), None
 
 
 @functools.cache
@@ -281,8 +252,7 @@ def _plain_posets(m: int) -> tuple:
             if any(not down[e] <= ideal for e in ideal):
                 continue
             new_rels = tuple(sorted(tuple(rels) + tuple((a, m - 1) for a in ideal)))
-            colors = (("p", 1),) * m
-            key, _ = canonical_form((0, 1, colors, new_rels))
+            key, _ = canonical_form((0, 1, (1,) * m, new_rels))
             seen[key[3]] = None
     return tuple(sorted(seen))
 
@@ -319,16 +289,14 @@ def _level_objects(ns: int, np_: int, grade_bound: int):
     elements they sit below (this cross data is what makes the top merge
     invertible in the stability squares), and set layers are discrete.
     """
-    s_range = [("s", k) for k in range(1, ns + 1)]
-    p_range = [("p", k) for k in range(1, np_ + 1)]
     out = []
     for m in range(0, grade_bound + 1):
-        for colors in product(s_range + p_range, repeat=m):
-            p_positions = [e for e in range(m) if colors[e][0] == "p"]
-            s_positions = [e for e in range(m) if colors[e][0] == "s"]
+        for colors in product(range(1, ns + np_ + 1), repeat=m):
+            p_positions = [e for e in range(m) if colors[e] > ns]
+            s_positions = [e for e in range(m) if colors[e] <= ns]
             mp = len(p_positions)
             for rels0 in _labeled_posets(mp):
-                if not all(colors[p_positions[a]][1] <= colors[p_positions[b]][1]
+                if not all(colors[p_positions[a]] <= colors[p_positions[b]]
                            for a, b in rels0):
                     continue
                 p_rels = tuple((p_positions[a], p_positions[b]) for a, b in rels0)
@@ -367,7 +335,7 @@ def _layerings(kind):
                 for e in range(m):
                     if D >> e & 1:
                         layer[e] = n
-                yield (*shape, tuple((kind, l) for l in layer), rels)
+                yield (*shape, tuple(layer), rels)
                 return
             for U in masks:
                 if U != D and U & D == U:
@@ -380,23 +348,6 @@ def _layerings(kind):
             yield from peel((1 << m) - 1, 1)
 
     return fn
-
-
-def _layer_face(struct, v):
-    """d_v on the layers 1..n of a layered structure, set layers first: the
-    outer faces delete the first or last layer, an inner one joins layers
-    v and v+1 (two set layers, the last set layer into the first poset
-    layer, or two poset layers)."""
-    ns, np_ = struct[0], struct[1]
-    if v == 0:
-        return _delete_layer(struct, "s" if ns else "p", 1)
-    if v == ns + np_:
-        return _delete_layer(struct, "p", np_) if np_ else _delete_layer(struct, "s", ns)
-    if v > ns:
-        return _join_layers(struct, "p", v - ns)
-    if v < ns:
-        return _join_layers(struct, "s", v)
-    return _merge_top(struct)
 
 
 def _coaction_fiber(B, side, m):
@@ -415,14 +366,14 @@ def _coaction_fiber(B, side, m):
     size = len(colors)
     if side == "right":
         for U in _up_sets(size, rels):
-            sigma = (0, 2, tuple(("p", 2 if e in U else 1) for e in range(size)), rels)
+            sigma = (0, 2, tuple(2 if e in U else 1 for e in range(size)), rels)
             yield _layer_face(sigma, 2)[0], _layer_face(sigma, 0)[0]
         return
     above = {b for _a, b in rels}
     minimal = [e for e in range(size) if e not in above]
     for bits in product((False, True), repeat=len(minimal)):
         S = {e for e, bit in zip(minimal, bits) if bit}
-        sigma = (1, 1, tuple(("s", 1) if e in S else ("p", 1) for e in range(size)), rels)
+        sigma = (1, 1, tuple(1 if e in S else 2 for e in range(size)), rels)
         yield _layer_face(sigma, 0)[0], _layer_face(sigma, 2)[0]
 
 
@@ -468,7 +419,7 @@ def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimp
         lambda s, n, v: _op_functor(s.level(n), s.level(n - 1), _layer_face, v,
                                     name=f"d{v}@{n}"),
         lambda s, n, v: _op_functor(s.level(n), s.level(n + 1), _insert_layer,
-                                    kind, v + 1, name=f"s{v}@{n}"),
+                                    v + 1, kind == "s", name=f"s{v}@{n}"),
         grade_bound=grade_bound, fiber_fn=_layerings(kind), name=f"{letter}<={grade_bound}")
 
 
@@ -512,18 +463,17 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
                            name=f"d{v}@({i},{j})")
 
     def degen_fn(B, i, j, v):
-        kind, layer = ("s", v + 1) if v <= i else ("p", v - i + 1)
         return _op_functor(B.cell(i, j), B.degen_target(i, j, v), _insert_layer,
-                           kind, layer, name=f"s{v}@({i},{j})")
+                           v + 1, v <= i, name=f"s{v}@({i},{j})")
 
     def right_section_fn(B, i, j):
-        return _op_functor(B.cell(i, j - 1), B.cell(i, j), _insert_layer, "p", 1,
+        return _op_functor(B.cell(i, j - 1), B.cell(i, j), _insert_layer, i + 1, False,
                            name=f"s-1@({i},{j})")
 
     def left_section_fn(B, i, j):
         if i != 0:
             return None  # no canonical section of the merge at higher levels
-        return _op_functor(B.cell(-1, j), B.cell(0, j), _insert_layer, "p", 1,
+        return _op_functor(B.cell(-1, j), B.cell(0, j), _insert_layer, 1, False,
                            name=f"t-top@({i},{j})")
 
     return AugmentedBisimplicialGroupoid(
@@ -547,7 +497,7 @@ def enumerate_posets(n: int):
     out = []
     for rels in _plain_posets(n):
         P = FinPoset(range(n), rels)
-        key = (0, 1, (("p", 1),) * n, rels)
+        key = (0, 1, (1,) * n, rels)
         out.append((P, aut_order(key)))
     return out
 
@@ -556,8 +506,7 @@ def poset_key(P: FinPoset):
     """The canonical key of a plain poset as a 1-layered object of C."""
     index = {x: e for e, x in enumerate(P.elements)}
     rels = tuple(sorted((index[a], index[b]) for a, b in P.strict_pairs()))
-    colors = (("p", 1),) * len(P.elements)
-    key, _ = canonical_form((0, 1, colors, rels))
+    key, _ = canonical_form((0, 1, (1,) * len(P.elements), rels))
     return key
 
 

@@ -31,6 +31,7 @@ from moebiuskit.catposet import (
     check_adjunction,
     correspondence_bisimplicial,
     divisor_poset,
+    fibration_report,
     mapping_cylinder,
     nerve,
     poset_functor,
@@ -78,7 +79,7 @@ from conftest import random_poset, seeded
 def adjunction_nerve(max_i=3, max_j=3):
     F = poset_functor(chain_poset(3), chain_poset(2), {0: 0, 1: 0, 2: 1})
     G = poset_functor(chain_poset(2), chain_poset(3), {0: 1, 1: 2})
-    corr, _ = mapping_cylinder(F)
+    corr = mapping_cylinder(F)
     B = correspondence_bisimplicial(corr, max_i, max_j)
     adj = check_adjunction(F, G).adjunction
     return B, adj
@@ -519,8 +520,8 @@ def test_cylinder_without_right_adjoint_is_refused():
     # negative control: {a, b} -> 0 < 1 (a -> 0, b -> 1) has no right
     # adjoint, so nothing over 0 is a cartesian lift onto y = 1
     F = poset_functor(FinPoset(["a", "b"]), chain_poset(2), {"a": 0, "b": 1})
-    corr, report = mapping_cylinder(F)
-    assert report.cartesian[("y", 1)] is None
+    corr = mapping_cylinder(F)
+    assert fibration_report(corr).cartesian[("y", 1)] is None
     B = correspondence_bisimplicial(corr, 3, 3)
     assert B.left_section(0, 0) is None
     report = validate_configuration(B, 1)

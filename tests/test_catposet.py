@@ -17,6 +17,7 @@ from moebiuskit.catposet import (
     classical_mobius,
     correspondence_bisimplicial,
     divisor_poset,
+    fibration_report,
     is_mobius_category,
     mapping_cylinder,
     nerve,
@@ -170,9 +171,9 @@ def test_rota_direct_battery():
 def test_mapping_cylinder_identity_bicartesian():
     P = chain_poset(2)
     idf = poset_functor(P, P, {0: 0, 1: 1})
-    corr, report = mapping_cylinder(idf)
+    corr = mapping_cylinder(idf)
     corr.category.validate()
-    assert report.bicartesian
+    assert fibration_report(corr).bicartesian
     # mixed homs realize the order relation
     M = corr.category
     assert len(M.hom(("x", 0), ("y", 1))) == 1
@@ -201,7 +202,7 @@ def test_mapping_cylinder_lift_search_matches_adjunction():
     ]
     assert len(battery) == 10
     for F in battery:
-        _corr, report = mapping_cylinder(F)
+        report = fibration_report(mapping_cylinder(F))
         assert report.all_cocartesian
         X, Y = F.source, F.target
         yobs, xobs = list(Y.objects), list(X.objects)
@@ -222,7 +223,7 @@ def test_mapping_cylinder_without_right_adjoint():
     # two discrete points into a chain: no cartesian lift over the top
     disc = FinPoset(["a", "b"])
     F = poset_functor(disc, chain_poset(2), {"a": 0, "b": 1})
-    _corr, report = mapping_cylinder(F)
+    report = fibration_report(mapping_cylinder(F))
     assert report.all_cocartesian
     assert not report.all_cartesian
     assert report.cartesian[("y", 1)] is None
@@ -231,7 +232,7 @@ def test_mapping_cylinder_without_right_adjoint():
 def test_correspondence_labeling_invariant():
     P = chain_poset(2)
     idf = poset_functor(P, P, {0: 0, 1: 1})
-    corr, _ = mapping_cylinder(idf)
+    corr = mapping_cylinder(idf)
     bad_label = dict(corr.label)
     bad_label[("x", 0)] = 1  # creates a 1 -> 0 morphism
     with pytest.raises(StructureError):
@@ -240,7 +241,7 @@ def test_correspondence_labeling_invariant():
 
 def test_correspondence_bisimplicial_cells():
     F, G = chain_adjunction()
-    corr, _ = mapping_cylinder(F)
+    corr = mapping_cylinder(F)
     B = correspondence_bisimplicial(corr, 2, 2)
     # B_{0,0}: mixed arrows Fx <= y: 5 of them
     assert len(B.cell(0, 0).objects) == 5
@@ -259,7 +260,7 @@ def test_correspondence_bisimplicial_cells():
 
 def test_relative_nerve_cells_are_label_pattern_chains_of_the_nerve():
     F, _G = chain_adjunction()
-    corr, _ = mapping_cylinder(F)
+    corr = mapping_cylinder(F)
     B = correspondence_bisimplicial(corr, 2, 2)
     M = corr.category
     N = nerve(M, max_level=5)
@@ -276,7 +277,7 @@ def test_relative_nerve_cells_are_label_pattern_chains_of_the_nerve():
 
 def test_relative_nerve_borders_are_nerves_of_the_fibers():
     F, _G = chain_adjunction()
-    corr, _ = mapping_cylinder(F)
+    corr = mapping_cylinder(F)
     B = correspondence_bisimplicial(corr, 2, 2)
     M = corr.category
     for bit, border in ((0, B.x_space()), (1, B.y_space())):

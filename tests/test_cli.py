@@ -63,6 +63,37 @@ def test_check_malformed_json_exit_2(tmp_path, capsys):
     assert "input error" in err
 
 
+ONE_ARROW = {"kind": "category", "objects": ["*"],
+             "morphisms": [{"id": "i", "src": "*", "tgt": "*"}],
+             "compose": [["i", "i", "i"]], "identities": [["*", "i"]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "poset", "elements": "abc"},
+    {"kind": "poset", "elements": {"a": 1, "b": 2}},
+    dict(ONE_ARROW, objects="*"),
+    dict(ONE_ARROW, compose=["iii"]),
+    dict(ONE_ARROW, compose=[["i", "i", "i", "i"]]),
+    dict(ONE_ARROW, morphisms={"id": "i", "src": "*", "tgt": "*"}),
+    {"kind": "adjunction",
+     "left": {"kind": "poset", "elements": "ab", "relations": [["a", "b"]]},
+     "right": {"kind": "poset", "elements": [0, 1], "relations": [[0, 1]]},
+     "f": [["a", 0], ["b", 1]], "g": [[0, "a"], [1, "b"]]},
+], ids=["string elements", "object elements", "string objects", "string compose entry",
+        "4-item compose entry", "object morphisms", "string elements of a side"])
+def test_non_array_where_the_schema_says_list_exit_2(tmp_path, capsys, doc):
+    # a string or an object is iterable, but the schema asks for an array
+    path = write(tmp_path, "doc.json", doc)
+    code, out, err = run(capsys, "check", path, "--max-level", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ")
+
+
+def test_one_arrow_category_is_well_formed(tmp_path, capsys):
+    path = write(tmp_path, "doc.json", ONE_ARROW)
+    assert run(capsys, "check", path, "--max-level", "1")[0] == 0
+
+
 def test_check_builtin_layered_posets_segal_fails_with_witness(capsys):
     code, out, _ = run(capsys, "check", "builtin:layered-posets",
                        "--profile", "segal", "--grade", "2", "--max-level", "1")

@@ -11,6 +11,7 @@ and run the script without `--write` to print the SHA-256 of all outputs
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -67,6 +68,35 @@ def load_golden():
         return json.load(fh)
 
 
+def _diff_lines(text):
+    """The lines to diff: a JSON document pretty-printed, so that a change
+    in a one-line report shows as the entry that changed."""
+    try:
+        return json.dumps(json.loads(text), indent=1).splitlines()
+    except ValueError:
+        return text.splitlines()
+
+
+def output_diff(expected, got):
+    """A unified diff of the exit code, stdout and stderr of two records;
+    empty when they are equal."""
+    out = []
+    if expected["code"] != got["code"]:
+        out.append(f"exit code: golden {expected['code']}, now {got['code']}")
+    for stream in ("stdout", "stderr"):
+        if expected[stream] == got[stream]:
+            continue
+        # the raw lines if only the JSON layout differs, the repr if only line ends do
+        for split in (_diff_lines, str.splitlines, lambda text: [repr(text)]):
+            diff = list(difflib.unified_diff(split(expected[stream]), split(got[stream]),
+                                             f"golden {stream}", f"{stream} now",
+                                             lineterm=""))
+            if diff:
+                out.extend(diff)
+                break
+    return "\n".join(out)
+
+
 def test_golden_record_covers_the_commands():
     assert [entry["argv"] for entry in load_golden()] == COMMANDS
 
@@ -75,7 +105,23 @@ def test_golden_record_covers_the_commands():
                          ids=[" ".join(argv) for argv in COMMANDS])
 def test_cli_output_is_byte_identical(index):
     expected = load_golden()[index]
-    assert dict(argv=COMMANDS[index], **run_command(COMMANDS[index])) == expected
+    got = dict(argv=COMMANDS[index], **run_command(COMMANDS[index]))
+    assert got == expected, output_diff(expected, got)
+
+
+def test_a_changed_output_is_shown_as_a_diff():
+    expected = load_golden()[6]
+    changed = expected["stdout"].replace("(1, 1, (1, 2)", "(1, 1, (2, 2)", 1)
+    assert changed != expected["stdout"]
+    message = output_diff(expected, dict(expected, code=0, stdout=changed))
+    assert message.startswith("exit code: golden 1, now 0")
+    removed = [line for line in message.splitlines() if line.startswith("-  ")]
+    added = [line for line in message.splitlines() if line.startswith("+  ")]
+    assert len(removed) == len(added) == 1 and "(1, 1, (1, 2)" in removed[0]
+    assert output_diff(expected, dict(expected, stdout=expected["stdout"] + " ")).endswith("\n+ ")
+    assert "+" + repr(expected["stdout"][:-1]) in \
+        output_diff(expected, dict(expected, stdout=expected["stdout"][:-1]))
+    assert output_diff(expected, expected) == ""
 
 
 if __name__ == "__main__":

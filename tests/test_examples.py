@@ -49,9 +49,8 @@ def test_canonical_form_is_relabeling_invariant(data):
         return
     perm = data.draw(st.permutations(range(m)))
     rels = tuple(sorted((perm[a], perm[b]) for a, b in P.strict_pairs()))
-    colors = (("p", 1),) * m
-    key1, _ = canonical_form((0, 1, (("p", 1),) * m,
-                              tuple(sorted(P.strict_pairs()))))
+    colors = (1,) * m
+    key1, _ = canonical_form((0, 1, colors, tuple(sorted(P.strict_pairs()))))
     key2, _ = canonical_form((0, 1, colors, rels))
     assert key1 == key2
     assert aut_order(key1) >= 1
@@ -158,7 +157,7 @@ def test_mu_posets_unknown_route():
 def test_binomial_mobius():
     I = layered_sets(4, max_level=4)
     for n in range(5):
-        key = (1, 0, (("s", 1),) * n, ())
+        key = (1, 0, (1,) * n, ())
         assert mobius(I, key) == Fraction(-1) ** n
 
 
@@ -233,19 +232,71 @@ def test_layer_surgery_operators_follow_their_rule():
                     if n >= 1:
                         _assert_operator_follows(X.face(n, v), face, v)
                     if n < 3:
-                        _assert_operator_follows(X.degeneracy(n, v), insert, kind, v + 1)
+                        _assert_operator_follows(X.degeneracy(n, v), insert, v + 1,
+                                                 kind == "s")
         B = sets_posets_bicomodule(g, 2, 2)
         for i in range(3):
             for j in range(3):
                 for v in range(i + j + 2):
                     _assert_operator_follows(B.face(i, j, v), face, v)
                     # the empty layer after vertex v: a set layer on the X side
-                    kind, layer = ("s", v + 1) if v <= i else ("p", v - i + 1)
-                    if (i if kind == "s" else j) < 2:
-                        _assert_operator_follows(B.degen(i, j, v), insert, kind, layer)
-                _assert_operator_follows(B.right_section(i, j), insert, "p", 1)
+                    if (i if v <= i else j) < 2:
+                        _assert_operator_follows(B.degen(i, j, v), insert, v + 1, v <= i)
+                _assert_operator_follows(B.right_section(i, j), insert, i + 1, False)
         for j in range(3):
-            _assert_operator_follows(B.left_section(0, j), insert, "p", 1)
+            _assert_operator_follows(B.left_section(0, j), insert, 1, False)
+
+
+def _vertex_chain(struct):
+    """The vertices V_0 <= V_1 <= ... <= V_n of a structure with n layers:
+    V_k holds the elements of layers 1..k."""
+    ns, np_, colors, _rels = struct
+    return [frozenset(e for e, c in enumerate(colors) if c <= k) for k in range(ns + np_ + 1)]
+
+
+def _assert_face_follows_the_vertex_rule(face, sigma, v):
+    # d_v drops vertex V_v; an outer face also drops the elements of its layer
+    ns, np_, _colors, rels = sigma
+    V = _vertex_chain(sigma)
+    n = ns + np_
+    kept = sorted(V[n] - V[1] if v == 0 else V[n - 1] if v == n else V[n])
+    rank = {e: i for i, e in enumerate(kept)}
+    tau = face.ob(sigma)
+    assert _vertex_chain(tau) == [frozenset(rank[e] for e in Vk if e in rank)
+                                  for k, Vk in enumerate(V) if k != v]
+    assert tau[0] == ns - (max(v, 1) <= ns)
+    assert tau[3] == tuple(sorted((rank[a], rank[b]) for a, b in rels
+                                  if a in rank and b in rank))
+
+
+def _assert_degeneracy_follows_the_vertex_rule(degen, sigma, v, set_layer):
+    # s_v repeats vertex V_v; the new layer v+1 is a set layer or a poset layer
+    ns, np_, _colors, rels = sigma
+    V = _vertex_chain(sigma)
+    tau = degen.ob(sigma)
+    assert _vertex_chain(tau) == V[:v + 1] + V[v:]
+    assert tau[:2] == (ns + set_layer, np_ + (not set_layer))
+    assert tau[3] == rels
+
+
+def test_faces_and_degeneracies_follow_the_vertex_rule():
+    for X, set_layer in ((layered_sets(3, max_level=4), True),
+                         (layered_posets(3, max_level=4), False)):
+        for n in range(4):
+            for v in range(n + 1):
+                degen = X.degeneracy(n, v)
+                for sigma in X.level(n).objects:
+                    if n >= 1:
+                        _assert_face_follows_the_vertex_rule(X.face(n, v), sigma, v)
+                    _assert_degeneracy_follows_the_vertex_rule(degen, sigma, v, set_layer)
+    B = sets_posets_bicomodule(3)
+    for i in range(3):
+        for j in range(3):
+            for v in range(i + j + 2):
+                face, degen = B.face(i, j, v), B.degen(i, j, v)
+                for sigma in B.cell(i, j).objects:
+                    _assert_face_follows_the_vertex_rule(face, sigma, v)
+                    _assert_degeneracy_follows_the_vertex_rule(degen, sigma, v, v <= i)
 
 
 def test_axiom_checks_run_layer_surgery_once_per_object_and_operator(monkeypatch):

@@ -39,7 +39,7 @@ CHAIN2 = poset_key(FinPoset(["a", "b"], [("a", "b")]))
 
 
 def set_key(n):
-    return (1, 0, (("s", 1),) * n, ())
+    return (1, 0, (1,) * n, ())
 
 
 def test_comultiply_nerve_three_factorizations():

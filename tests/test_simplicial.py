@@ -107,7 +107,7 @@ def test_forgetful_map_posets_to_sets_not_culf():
 
         def ob(key):
             _ns, np_, colors, _rels = key
-            return (np_, 0, tuple(("s", l) for _k, l in colors), ())
+            return (np_, 0, colors, ())
 
         def mor(m):
             from moebiuskit.groupoid import Mor
@@ -168,7 +168,7 @@ def test_layered_poset_principal_edges_are_layers():
         if sigma[2] and len(sigma[2]) == 3:
             edges = principal_edges(C, 3, sigma)
             for i, e in enumerate(edges, start=1):
-                count = sum(1 for c in sigma[2] if c == ("p", i))
+                count = sum(1 for c in sigma[2] if c == i)
                 assert len(e[2]) == count
             break
 
