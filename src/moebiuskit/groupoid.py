@@ -20,6 +20,19 @@ is its representative.  The connectors and the automorphisms of the
 representatives generate the groupoid, so the strict-commutation check
 `functors_equal` compares two functors on them alone.
 
+Per-object class data is read once per groupoid, into its `_memo`: the
+automorphism group hom(a, a) under ("auts", a) and the connector
+a -> class_of(a) and its inverse under ("connector", a, inverse).  The
+iso-class table, `functors_equal`, the iso-comma keys, the pullback
+comparison, the automorphism test of `is_equivalence` and `skeletalize`
+read them there, so the levels shared by every square of an axiom check
+are read once for all of them.  No entry refers to its owner.
+
+An iso-comma of legs out of discrete groupoids (every class one object
+with a trivial Aut) is discrete: its hom-sets are the identities and
+each object is its own class, which is what the general rule computes,
+without its scans.
+
 Images and fibers both live in the functor.  A `tabulated` functor
 computes each object's image once, into its image table, and any functor
 builds its fiber table, {target class: the source class representatives
@@ -45,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 
 class Memo:
@@ -71,9 +84,12 @@ class DomainError(Exception):
     """An argument lies outside the domain of the requested operation."""
 
 
-@dataclass(frozen=True)
-class Mor:
-    """A morphism, identified by (src, tgt, label)."""
+class Mor(NamedTuple):
+    """A morphism, identified by (src, tgt, label).
+
+    A named tuple, so construction, hash and equality run in C, and its
+    hash is hash((src, tgt, label)).  A Mor compares equal to the plain
+    triple (src, tgt, label); no container of the library holds both."""
 
     src: Any
     tgt: Any
@@ -301,7 +317,7 @@ class IsoClassTable:
             members[rep] = tuple(group)
             for b in group:
                 class_of[b] = rep
-        aut_orders = {rep: len(G.hom(rep, rep)) for rep in reps}
+        aut_orders = {rep: len(_auts(G, rep)) for rep in reps}
         for rep, n in aut_orders.items():
             if n < 1:
                 raise StructureError(f"object {rep!r} has no automorphisms at all")
@@ -393,8 +409,8 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
     """Strict equality of two functors out of the same source S: the same
     object map on every object, and the same morphism map on a generating
     set of S.  The generators are, per iso class of S, the automorphisms
-    of its representative r and the connector `_connector(S, a, r)` of
-    each other member a.
+    of its representative r and the connector `_connector(S, a)` of each
+    other member a.
 
     That decides equality of functors: an m: a -> b in the class of r is
     c_b^{-1} . (c_b . m . c_a^{-1}) . c_a with the middle factor in
@@ -408,7 +424,7 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
     table = S.iso_classes()
     for rep in table.reps:
         for a in table.members[rep]:
-            for m in S.hom(rep, rep) if a == rep else (_connector(S, a, rep),):
+            for m in _auts(S, rep) if a == rep else (_connector(S, a),):
                 if F(m) != G(m):
                     return False
     return True
@@ -427,20 +443,51 @@ def full_subgroupoid(G: FiniteGroupoid, objects, name="") -> FiniteGroupoid:
 # -- fibers and pullbacks ---------------------------------------------------
 
 
-def _connector(G: FiniteGroupoid, a, rep) -> Optional[Mor]:
-    """An iso a -> rep, or None when a is rep."""
-    return None if a == rep else G.hom(a, rep)[0]
+def _auts(G: FiniteGroupoid, a) -> tuple:
+    """hom(a, a), read once per groupoid into its `_memo`."""
+    auts = G._memo.get(("auts", a))
+    if auts is None:
+        auts = G._memo["auts", a] = G.hom(a, a)
+    return auts
 
 
-def _transport(G: FiniteGroupoid, m: Mor, c_src: Optional[Mor],
+def _connector(G: FiniteGroupoid, a, inverse: bool = False) -> Optional[Mor]:
+    """An iso c: a -> class_of(a), or c^{-1} with `inverse`; None when a is
+    its representative.  Each is found once per groupoid, into its
+    `_memo`."""
+    key = ("connector", a, inverse)
+    try:
+        return G._memo[key]
+    except KeyError:
+        pass
+    if inverse:
+        c = _connector(G, a)
+        m = None if c is None else G.inverse(c)
+    else:
+        rep = G.iso_classes().class_of(a)
+        m = None if a == rep else G.hom(a, rep)[0]
+    G._memo[key] = m
+    return m
+
+
+def _transport(G: FiniteGroupoid, m: Mor, c_src_inv: Optional[Mor],
                c_tgt: Optional[Mor]) -> Mor:
-    """c_tgt . m . c_src^{-1}: m moved along the connectors of its ends; a
-    None connector (an end that is its representative) skips its factor."""
-    if c_src is not None:
-        m = G.compose(m, G.inverse(c_src))
+    """c_tgt . m . c_src^{-1}: m moved along the connectors of its ends,
+    given the inverse of the source's; a None factor (an end that is its
+    representative) is skipped."""
+    if c_src_inv is not None:
+        m = G.compose(m, c_src_inv)
     if c_tgt is not None:
         m = G.compose(c_tgt, m)
     return m
+
+
+def _is_discrete(G: FiniteGroupoid) -> bool:
+    """Every class of G is one object with a trivial Aut, so G has only
+    identities; read off its iso-class table."""
+    table = G.iso_classes()
+    return (len(table.reps) == len(G.objects)
+            and max(table.aut_orders.values(), default=1) == 1)
 
 
 def _skeleton(G: FiniteGroupoid) -> FiniteGroupoid:
@@ -538,18 +585,9 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
                 glued = A.grade(a) + B.grade(b) - C.grade(fa)
                 if glued > grade_bound:
                     continue
-            for phi in C.hom(fa, g.ob(b)):
+            gb = g.ob(b)
+            for phi in _auts(C, fa) if fa == gb else C.hom(fa, gb):
                 objs.append((a, b, phi))
-
-    def hom(x, y):
-        (a, b, phi), (a2, b2, phi2) = x, y
-        out = []
-        for alpha in A.hom(a, a2):
-            lhs = C.compose(phi2, f(alpha))
-            for beta in B.hom(b, b2):
-                if C.compose(g(beta), phi) == lhs:
-                    out.append(Mor(x, y, (alpha.label, beta.label)))
-        return tuple(out)
 
     def compose(q, p):
         al = A.compose(Mor(q.src[0], q.tgt[0], q.label[0]),
@@ -561,28 +599,47 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
     def identity(x):
         return Mor(x, x, (A.identity(x[0]).label, B.identity(x[1]).label))
 
-    atab, btab = A.iso_classes(), B.iso_classes()
+    if _is_discrete(A) and _is_discrete(B):
+        # only (id, id) can be a morphism, at x == y, and each object is
+        # its own class: the answers of the rule below, without its scans
+        def hom(x, y):
+            return (identity(x),) if x == y else ()
+
+        def iso_key(x):
+            return x
+    else:
+        def hom(x, y):
+            (a, b, phi), (a2, b2, phi2) = x, y
+            out = []
+            for alpha in A.hom(a, a2):
+                lhs = C.compose(phi2, f(alpha))
+                for beta in B.hom(b, b2):
+                    if C.compose(g(beta), phi) == lhs:
+                        out.append(Mor(x, y, (alpha.label, beta.label)))
+            return tuple(out)
+
+        # exact iso invariant via the double-coset orbit of the transported
+        # comparison iso under the images of Aut(rep_a) x Aut(rep_b), as a
+        # set of labels
+        atab, btab = A.iso_classes(), B.iso_classes()
+        f_auts: dict = {}
+        g_auts: dict = {}
+
+        def iso_key(x):
+            a, b, phi = x
+            ra, rb = atab.class_of(a), btab.class_of(b)
+            if ra not in f_auts:
+                f_auts[ra] = [f(alpha) for alpha in _auts(A, ra)]
+            if rb not in g_auts:
+                g_auts[rb] = [g(beta) for beta in _auts(B, rb)]
+            ca_inv, cb = _connector(A, a, inverse=True), _connector(B, b)
+            tilde = _transport(C, phi, ca_inv and f(ca_inv), cb and g(cb))
+            return ra, rb, frozenset(C.compose(v, C.compose(tilde, u)).label
+                                     for u in f_auts[ra] for v in g_auts[rb])
+
     grade_fn = None
     if graded:
         grade_fn = lambda x: A.grade(x[0]) + B.grade(x[1]) - C.grade(f.ob(x[0]))
-
-    # exact iso invariant via the double-coset orbit of the transported
-    # comparison iso under the images of Aut(rep_a) x Aut(rep_b), as a set
-    # of labels
-    f_auts: dict = {}
-    g_auts: dict = {}
-
-    def iso_key(x):
-        a, b, phi = x
-        ra, rb = atab.class_of(a), btab.class_of(b)
-        if ra not in f_auts:
-            f_auts[ra] = [f(alpha) for alpha in A.hom(ra, ra)]
-        if rb not in g_auts:
-            g_auts[rb] = [g(beta) for beta in B.hom(rb, rb)]
-        ca, cb = _connector(A, a, ra), _connector(B, b, rb)
-        tilde = _transport(C, phi, ca and f(ca), cb and g(cb))
-        return ra, rb, frozenset(C.compose(v, C.compose(tilde, u)).label
-                                 for u in f_auts[ra] for v in g_auts[rb])
 
     P = FiniteGroupoid(
         objs, hom, compose, identity, grade=grade_fn, iso_key=iso_key,
@@ -628,11 +685,11 @@ def _class_image(F: GroupoidFunctor):
 def _aut_witness(F: GroupoidFunctor) -> Optional[str]:
     """The first source class whose automorphism map is not a bijection
     Aut(rep) -> Aut(F rep)."""
-    for rep in F.source.iso_classes().reps:
-        auts = F.source.hom(rep, rep)
+    S, T = F.source, F.target
+    for rep in S.iso_classes().reps:
+        auts = _auts(S, rep)
         images = {F(alpha) for alpha in auts}
-        frep = F.ob(rep)
-        target_auts = F.target.hom(frep, frep)
+        target_auts = _auts(T, F.ob(rep))
         if len(images) != len(auts) or len(auts) != len(target_auts):
             return (f"automorphism map not bijective at class {rep!r}: "
                     f"|Aut|={len(auts)} vs |Aut(F rep)|={len(target_auts)}")
@@ -718,17 +775,19 @@ def is_pullback_square(
     P, _, _ = homotopy_pullback(on_reps(f), on_reps(g), grade_bound=grade_bound)
 
     def to_reps(w):
-        # (image, c_a, c_b); None connectors for ends already at their reps
+        # (image, c_a, c_a^-1, c_b, c_b^-1); None connectors for ends
+        # already at their reps
         a, b = p.ob(w), q.ob(w)
-        ra, rb = atab.class_of(a), btab.class_of(b)
-        ca, cb = _connector(A, a, ra), _connector(B, b, rb)
-        phi = _transport(C, C.identity(f.ob(a)), ca and f(ca), cb and g(cb))
-        return (ra, rb, phi), ca, cb
+        ca, cb = _connector(A, a), _connector(B, b)
+        ca_inv, cb_inv = _connector(A, a, inverse=True), _connector(B, b, inverse=True)
+        phi = _transport(C, C.identity(f.ob(a)), ca_inv and f(ca_inv), cb and g(cb))
+        return (atab.class_of(a), btab.class_of(b), phi), ca, ca_inv, cb, cb_inv
 
     def mor(m, src, tgt):
-        (x, ca, cb), (y, ca2, cb2) = src, tgt
-        return Mor(x, y, (_transport(A, p(m), ca, ca2).label,
-                          _transport(B, q(m), cb, cb2).label))
+        x, _, ca_inv, _, cb_inv = src
+        y, ca2, _, cb2, _ = tgt
+        return Mor(x, y, (_transport(A, p(m), ca_inv, ca2).label,
+                          _transport(B, q(m), cb_inv, cb2).label))
 
     result = is_equivalence(GroupoidFunctor.tabulated(W, P, to_reps, mor, name="cmp"))
     return SquareResult(result.passed, result.witness, name=name)
@@ -742,5 +801,5 @@ def skeletalize(G: FiniteGroupoid):
     """
     S, class_of = _skeleton(G), G.iso_classes().class_of
     return S, GroupoidFunctor.tabulated(
-        G, S, lambda x: (class_of(x), _connector(G, x, class_of(x))),
-        lambda m, x, y: _transport(G, m, x[1], y[1]), name="sk")
+        G, S, lambda x: (class_of(x), _connector(G, x, inverse=True), _connector(G, x)),
+        lambda m, x, y: _transport(G, m, x[1], y[2]), name="sk")

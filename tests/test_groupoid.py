@@ -8,6 +8,7 @@ import pytest
 
 from moebiuskit import bicomodule, examples, groupoid, simplicial
 from moebiuskit.bicomodule import validate_configuration
+from moebiuskit.catposet import nerve
 from moebiuskit.examples import layered_posets, sets_posets_bicomodule
 from moebiuskit.groupoid import (
     DomainError,
@@ -36,8 +37,11 @@ from conftest import (
     criterion_4_nerves,
     random_cluster_functor,
     random_cluster_groupoid,
+    random_poset,
+    random_quiver_category,
     seeded,
 )
+from test_cli_golden import COMMANDS, load_golden, run_command
 
 
 def bc2():
@@ -284,7 +288,9 @@ def test_functors_equal_compares_the_connectors():
 def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     # fresh levels and spaces, so that the count does not depend on which
     # tests ran before; an iso-class table built inside the check reads
-    # one more hom-set per class
+    # one more hom-set per class.  Aut(a) and the connector of a are kept
+    # in the groupoid's memo, so the levels that the 25 squares share are
+    # read once, not once per check
     for name in ("_layered_level", "_layered_space"):
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
     isos, precheck = examples._isos, groupoid.functors_equal
@@ -310,7 +316,8 @@ def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     assert len(calls) == 25
     for homs, W in calls:
         assert homs <= len(W.objects) + len(W.iso_classes().reps)
-    assert sum(homs for homs, _ in calls) == 12931   # 66,923 listing every morphism
+    # 12,931 reading each level once per check, 66,923 listing every morphism
+    assert sum(homs for homs, _ in calls) == 2010
 
 
 def test_a_conjugated_face_fails_the_identities_on_both_checks(monkeypatch):
@@ -798,3 +805,168 @@ def test_a_dropped_iso_comma_is_freed_without_the_cycle_collector(no_cycle_colle
     iso_comma = weakref.ref(P)
     del P, pa, pb
     assert iso_comma() is None
+
+
+# -- the kernel's memo of automorphisms and connectors; discrete iso-commas ------
+
+
+def test_mor_is_a_named_triple():
+    m = Mor("a", "b", 3)
+    assert repr(m) == "Mor('a' -> 'b': 3)"
+    assert hash(m) == hash(("a", "b", 3))
+    assert (m.src, m.tgt, m.label) == tuple(m) == ("a", "b", 3)
+    for field in ("src", "tgt", "label"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, None)
+
+
+def _small_nerves(seed):
+    """Nerves of three seeded posets and two free quiver categories."""
+    rng = seeded(seed)
+    return ([nerve(random_poset(rng, max_size=5), max_level=4) for _ in range(3)]
+            + [nerve(random_quiver_category(rng), max_level=4) for _ in range(2)])
+
+
+def test_a_nerve_check_reads_each_automorphism_group_once():
+    # the levels are shared by every square of a check, and Aut(a) and the
+    # connector of a sit in the level's memo, so no hom-set of a level is
+    # read twice over a whole check_axioms run
+    for N in _small_nerves(18):
+        reads = collections.Counter()
+        for n in range(N.max_level + 1):
+            G = N.level(n)
+
+            def counted(a, b, hom=G._hom, n=n):
+                reads[n, a, b] += 1
+                return hom(a, b)
+
+            G._hom = counted
+        for profile in ("segal", "decomposition", "complete"):
+            assert check_axioms(N, profile, 2).passed
+        # a nerve level is discrete: every object is its class representative
+        assert reads and all(a == b for _, a, b in reads)
+        assert max(reads.values()) == 1
+
+
+def _brute_force_hom(f, g, x, y):
+    """The labels (alpha, beta) of the iso-comma morphisms x -> y, by the
+    definition g(beta) . phi = phi' . f(alpha), over every pair (alpha, beta)."""
+    A, B, C = f.source, g.source, f.target
+    (a, b, phi), (a2, b2, phi2) = x, y
+    return sorted((al.label, be.label) for al in A.hom(a, a2) for be in B.hom(b, b2)
+                  if C.compose(g(be), phi) == C.compose(phi2, f(al)))
+
+
+def _recorded_iso_commas(monkeypatch):
+    """Record (P, f, g, discrete) for every homotopy_pullback that a check
+    builds, where discrete says that both legs leave discrete groupoids."""
+    made = []
+
+    def recorded(f, g, grade_bound=None):
+        result = homotopy_pullback(f, g, grade_bound)
+        discrete = groupoid._is_discrete(f.source) and groupoid._is_discrete(g.source)
+        made.append((result[0], f, g, discrete))
+        return result
+
+    monkeypatch.setattr(groupoid, "homotopy_pullback", recorded)
+    return made
+
+
+def _check_against_brute_force(P, f, g):
+    for x in P.objects:
+        for y in P.objects:
+            homs = P.hom(x, y)
+            assert all((m.src, m.tgt) == (x, y) for m in homs)
+            assert sorted(m.label for m in homs) == _brute_force_hom(f, g, x, y)
+
+
+def test_discrete_iso_commas_match_the_brute_force_hom(monkeypatch):
+    made = _recorded_iso_commas(monkeypatch)
+    for N in _small_nerves(19):
+        for profile in ("segal", "decomposition"):
+            assert check_axioms(N, profile, 2).passed
+    assert len(made) == 5 * 20   # segal and decomposition squares at n <= 2
+    for P, f, g, discrete in made:
+        assert discrete
+        assert all(P._iso_key(x) == x for x in P.objects)   # the discrete rule
+        _check_against_brute_force(P, f, g)
+    # control: legs with nontrivial automorphisms take the general rule
+    made.clear()
+    check_axioms(layered_posets(2), "decomposition", 1)
+    assert any(not discrete for *_, discrete in made)
+    for P, f, g, discrete in made:
+        assert discrete == all(P._iso_key(x) == x for x in P.objects)
+        _check_against_brute_force(P, f, g)
+
+
+def _oracle_failures(monkeypatch):
+    """The oracles that fail on fresh layered spaces and nerves: the golden
+    outputs of the layered-posets checks, the identities, the cardinality
+    route on every passed square, and the verdict on a map that sends an
+    automorphism outside Aut(F rep)."""
+    for name in ("_layered_level", "_layered_space"):
+        monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
+    failed = set()
+    golden = load_golden()
+    for index, argv in enumerate(COMMANDS):
+        if argv[:2] == ["check", "builtin:layered-posets"]:
+            if dict(argv=argv, **run_command(argv)) != golden[index]:
+                failed.add("golden")
+    if not check_axioms(layered_posets(2), "identities", 2).passed:
+        failed.add("identities")
+
+    def checked(p, q, f, g, grade_bound=None, name=""):
+        result = is_pullback_square(p, q, f, g, grade_bound, name)
+        if result.passed:
+            try:
+                _check_fiber_cardinalities(p, f, g, grade_bound)
+            except AssertionError:
+                failed.add("cardinality")
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(simplicial, "is_pullback_square", checked)
+        for X in [layered_posets(g) for g in (2, 3)] + _small_nerves(20):
+            for profile in ("decomposition", "segal"):
+                check_axioms(X, profile, 1)
+    G = bc2()
+    x = G.objects[0]
+    if is_equivalence(GroupoidFunctor(G, G, lambda a: a, lambda m: Mor(x, x, m.label + 2))):
+        failed.add("not a functor")
+    return failed
+
+
+def _twisted_connector(connector):
+    """The connector c: a -> r composed with a nontrivial automorphism of r,
+    while its inverse stays the inverse of c."""
+    def twisted(G, a, inverse=False):
+        c = connector(G, a)
+        if c is None or inverse:
+            return c and G.inverse(c)
+        auts = groupoid._auts(G, c.tgt)
+        return G.compose(auts[-1], c)
+
+    return twisted
+
+
+def _aut_witness_by_count(F):
+    """_aut_witness without the test that each F(alpha) lies in Aut(F rep)."""
+    for rep in F.source.iso_classes().reps:
+        auts = groupoid._auts(F.source, rep)
+        target_auts = groupoid._auts(F.target, F.ob(rep))
+        if len({F(alpha) for alpha in auts}) != len(auts) or len(auts) != len(target_auts):
+            return "automorphism map not bijective"
+    return None
+
+
+def test_each_kernel_fault_fails_an_oracle(monkeypatch):
+    assert _oracle_failures(monkeypatch) == set()
+    faults = {
+        "twisted connector": ("_connector", _twisted_connector(groupoid._connector), "golden"),
+        "aut count only": ("_aut_witness", _aut_witness_by_count, "not a functor"),
+        "discrete rule forced": ("_is_discrete", lambda G: True, "golden"),
+    }
+    for fault, (name, mutant, oracle) in faults.items():
+        with monkeypatch.context() as m:
+            m.setattr(groupoid, name, mutant)
+            assert oracle in _oracle_failures(m), fault
