@@ -31,7 +31,6 @@ from .incidence import (
     CarrierMismatchError,
     Functional,
     MobiusCertificateError,
-    WeightedTensorList,
     comultiply,
     convolve,
     counit,

@@ -21,6 +21,10 @@ those simplices with stabilizer Aut sigma, and the number of them with a
 label is the weight sum_sigma |Aut m|/|Aut sigma| of that label in the
 homotopy fiber (orbit-stabilizer).  The coaction then never builds
 B_{0,1} or B_{1,0}.  Grids without one read the fiber of the leg.
+Either way the coaction is the fiber table's format, {(left class, right
+class): weight}, with no `repr` ordering; `coact` memoises it read-only.
+The essential image of a pointing is the key set of its bottom
+section's fiber table, which the completeness check builds.
 
 Optional pointings s_{-1} (right) and t_{top+1} (left) are extra sections
 of the outer operators; they give the counit-style functionals delta^R,
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional
 
 from .groupoid import (
@@ -48,6 +53,7 @@ from .groupoid import (
     GroupoidFunctor,
     Memo,
     SquareResult,
+    _fiber_table,
     fiber_cardinality,
     full_subgroupoid,
     functors_equal,
@@ -57,8 +63,7 @@ from .groupoid import (
 )
 from .incidence import (
     Functional,
-    MobiusCertificateError,
-    WeightedTensorList,
+    grade_certificate,
     mobius_functional,
     phi_n,
 )
@@ -340,9 +345,7 @@ class ComoduleConfiguration(Memo):
         return self._get(("pointing_image",), self._pointing_image_classes)
 
     def _pointing_image_classes(self) -> frozenset:
-        tab = self.space.level(0).iso_classes()
-        s = self.bottom_section()
-        return frozenset(tab.class_of(s.ob(x)) for x in s.source.objects)
+        return frozenset(_fiber_table(self.bottom_section()))
 
     def vertex_functor(self, n: int) -> GroupoidFunctor:
         """C_n -> C_0 picking out the distinguished vertex."""
@@ -502,6 +505,11 @@ def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
     reduction (full family behind `full_stability`), culf augmentations,
     decomposition axioms on both borders, and the pointing identities and
     completeness where pointings are attached.
+
+    The reduction is valid for double Segal spaces only.  On a grid that
+    is not (a failed rows or columns Segal section, as on the sets/posets
+    grid), a passed reduced section is no proof of stability; the full
+    family is.
     """
     if B.max_i < 2 or B.max_j < 2:
         raise InsufficientLevelsError(2, min(B.max_i, B.max_j),
@@ -546,21 +554,21 @@ def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
 # -- coactions and convolution actions ------------------------------------------
 
 
-def coact(B: AugmentedBisimplicialGroupoid, side: str, m) -> WeightedTensorList:
+def coact(B: AugmentedBisimplicialGroupoid, side: str, m) -> MappingProxyType:
     """Weighted coaction decomposition of a class m of B_{0,0}, memoized per
-    class: `config_coact` of the right or the left comodule of B.
+    class: `config_coact` of the right or the left comodule of B, read-only.
 
-    Right side: terms (w, class in B_{0,0}, class in Y_1) from the fiber
-    of d_0 : B_{0,1} -> B_{0,0}.  Left side: terms (w, class in X_1,
-    class in B_{0,0}) from the fiber of e_1 : B_{1,0} -> B_{0,0}.  On a
-    grid with a coaction generator the fiber is generated, not read off
-    the whole cell.
+    Right side: {(class in B_{0,0}, class in Y_1): w} from the fiber of
+    d_0 : B_{0,1} -> B_{0,0}.  Left side: {(class in X_1, class in
+    B_{0,0}): w} from the fiber of e_1 : B_{1,0} -> B_{0,0}.  On a grid
+    with a coaction generator the fiber is generated, not read off the
+    whole cell.
     """
     if side not in ("right", "left"):
         raise DomainError("side must be 'right' or 'left'")
     config = right_comodule(B) if side == "right" else left_comodule(B)
     return B._get(("coact", side, B.cell(0, 0).iso_classes().class_of(m)),
-                  config_coact, config, m)
+                  lambda: MappingProxyType(config_coact(config, m)))
 
 
 def convolve_action(B: AugmentedBisimplicialGroupoid, side: str,
@@ -575,12 +583,12 @@ def convolve_action(B: AugmentedBisimplicialGroupoid, side: str,
     if side == "right":
         if outer.carrier is not B.cell(-1, 1):
             raise DomainError("outer functional does not live on Y_1")
-        return sum((w * inner(c) * outer(y) for w, c, y in coact(B, side, m)),
-                   Fraction(0))
+        terms = coact(B, side, m).items()
+        return sum((w * inner(c) * outer(y) for (c, y), w in terms), Fraction(0))
     if outer.carrier is not B.cell(1, -1):
         raise DomainError("outer functional does not live on X_1")
-    return sum((w * outer(x) * inner(c) for w, x, c in coact(B, side, m)),
-               Fraction(0))
+    terms = coact(B, side, m).items()
+    return sum((w * outer(x) * inner(c) for (x, c), w in terms), Fraction(0))
 
 
 @dataclass
@@ -688,9 +696,9 @@ def _filtered_leg(config: ComoduleConfiguration, n: int) -> GroupoidFunctor:
     return config.leg_functor(n).restrict(full_subgroupoid(level, keep, name=f"C_b{'a' * n}"))
 
 
-def config_coact(config: ComoduleConfiguration, m) -> WeightedTensorList:
+def config_coact(config: ComoduleConfiguration, m) -> dict:
     """The coaction of a configuration: fiber of the level-1 leg over m,
-    labelled by (C_0 class, base edge class), base label first on the
+    as {(C_0 class, base edge class): weight}, base label first on the
     left side.
 
     With a coaction generator the weight of a label is the number of
@@ -707,15 +715,15 @@ def config_coact(config: ComoduleConfiguration, m) -> WeightedTensorList:
         for vertex_face, edge in generated:
             c, e = tab0.class_of(vertex_face), btab.class_of(edge)
             key = (c, e) if config.side == "right" else (e, c)
-            parts[key] = parts.get(key, 0) + 1
-        return WeightedTensorList.from_parts({k: Fraction(w) for k, w in parts.items()})
+            parts[key] = parts.get(key, Fraction(0)) + 1
+        return parts
     vertex = config.vertex_functor(1)
     f1 = config.base_map.level_map(1)
     if config.side == "right":
         label = lambda rep: (tab0.class_of(vertex.ob(rep)), btab.class_of(f1.ob(rep)))
     else:
         label = lambda rep: (btab.class_of(f1.ob(rep)), tab0.class_of(vertex.ob(rep)))
-    return WeightedTensorList.from_parts(weighted_fiber(config.leg_functor(1), m, label))
+    return weighted_fiber(config.leg_functor(1), m, label)
 
 
 @dataclass
@@ -765,30 +773,16 @@ def comodule_mobius_check(config: ComoduleConfiguration, sample=None,
         mu_base = mobius_functional(config.base, length_bound)
     rows = []
     for m in sample:
-        if length_bound is None:
-            if not C0.is_graded():
-                raise MobiusCertificateError(
-                    "cannot certify locally finite length for the comodule: "
-                    "ungraded C_0 and no bound supplied")
-            bound = C0.grade(C0.iso_classes().class_of(m))
-        else:
-            bound = length_bound
-        action = config_coact(config, m)
+        bound = grade_certificate(C0, m, length_bound)
+        # the base class of each term: the right one on the right side
+        action = [(w, pair[1] if config.side == "right" else pair[0])
+                  for pair, w in config_coact(config, m).items()]
         per_n = []
-        summed = Fraction(0)
         for n in range(0, bound + 1):
-            if config.side == "right":
-                lhs = sum((w * phi_n(config.base, y, n) for w, _c, y in action),
-                          Fraction(0))
-            else:
-                lhs = sum((w * phi_n(config.base, x, n) for w, x, _c in action),
-                          Fraction(0))
+            lhs = sum((w * phi_n(config.base, e, n) for w, e in action), Fraction(0))
             rhs = phi_comodule(config, m, n - 1) + phi_comodule(config, m, n)
             per_n.append((n, lhs, rhs))
-        if config.side == "right":
-            summed = sum((w * mu_base(y) for w, _c, y in action), Fraction(0))
-        else:
-            summed = sum((w * mu_base(x) for w, x, _c in action), Fraction(0))
+        summed = sum((w * mu_base(e) for w, e in action), Fraction(0))
         rows.append(ComoduleInversionRow(m, per_n, summed, pointing_delta(config, m)))
     return ComoduleInversionReport(config.side, rows)
 

@@ -611,9 +611,9 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
         def hom(x, y):
             (a, b, phi), (a2, b2, phi2) = x, y
             out = []
-            for alpha in A.hom(a, a2):
+            for alpha in _auts(A, a) if a == a2 else A.hom(a, a2):
                 lhs = C.compose(phi2, f(alpha))
-                for beta in B.hom(b, b2):
+                for beta in _auts(B, b) if b == b2 else B.hom(b, b2):
                     if C.compose(g(beta), phi) == lhs:
                         out.append(Mor(x, y, (alpha.label, beta.label)))
             return tuple(out)

@@ -9,6 +9,11 @@ edges nondegenerate, and the Mobius functional is the alternating sum
 Phi_even - Phi_odd, which requires a vanishing certificate (the grade of
 the argument on graded spaces, or an explicit length bound).
 
+A decomposition is held in the format of the fiber table it is read
+from: `comultiply` returns the mapping {(left class, right class):
+weight} of `weighted_fiber`, in the table's source-class order, and no
+value is ordered by `repr`.
+
 Callers are expected to have validated the decomposition-space axioms at
 their chosen truncation; the operations here check carriers and level
 availability, not the axioms themselves.
@@ -71,33 +76,6 @@ class Functional(Memo):
         return cls(carrier, lambda rep: v, name=name)
 
 
-@dataclass(frozen=True)
-class WeightedTensorList:
-    """Terms (weight, left class, right class) with positive weights."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        for w, _, _ in self.terms:
-            if w <= 0:
-                raise DomainError("weights of a tensor decomposition must be positive")
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def as_dict(self) -> dict:
-        return {(l, r): w for w, l, r in self.terms}
-
-    @classmethod
-    def from_parts(cls, parts: dict) -> "WeightedTensorList":
-        """Terms from {(left, right): weight}, sorted by the classes' reprs."""
-        return cls(tuple(sorted(((w, l, r) for (l, r), w in parts.items()),
-                                key=lambda t: (repr(t[1]), repr(t[2])))))
-
-
 def _require_class(X: TruncatedSimplicialGroupoid, f):
     carrier = X.level(1)
     if not carrier.has_object(f):
@@ -105,8 +83,9 @@ def _require_class(X: TruncatedSimplicialGroupoid, f):
     return carrier.iso_classes().class_of(f)
 
 
-def comultiply(X: TruncatedSimplicialGroupoid, f) -> WeightedTensorList:
-    """Delta(f): weighted (d_2, d_0)-decomposition of the d_1-fiber over f.
+def comultiply(X: TruncatedSimplicialGroupoid, f) -> dict:
+    """Delta(f): weighted (d_2, d_0)-decomposition of the d_1-fiber over f,
+    as {(left class, right class): weight} in fiber-table order.
 
     The weight of a term is the cardinality of the corresponding part of
     the homotopy fiber, i.e. |Aut f| / |Aut sigma| summed over the
@@ -116,7 +95,7 @@ def comultiply(X: TruncatedSimplicialGroupoid, f) -> WeightedTensorList:
     tab1 = X.level(1).iso_classes()
     d2, d0 = X.face(2, 2), X.face(2, 0)
     label = lambda rep: (tab1.class_of(d2.ob(rep)), tab1.class_of(d0.ob(rep)))
-    return WeightedTensorList.from_parts(weighted_fiber(X.face(2, 1), f, label))
+    return weighted_fiber(X.face(2, 1), f, label)
 
 
 def counit(X: TruncatedSimplicialGroupoid, f) -> Fraction:
@@ -142,7 +121,7 @@ def convolve(X: TruncatedSimplicialGroupoid, alpha: Functional, beta: Functional
                 f"functional {func.name or '<anon>'} lives on a different carrier")
 
     def fn(rep):
-        return sum((w * alpha(l) * beta(r) for w, l, r in comultiply(X, rep)),
+        return sum((w * alpha(l) * beta(r) for (l, r), w in comultiply(X, rep).items()),
                    Fraction(0))
 
     return Functional(carrier, fn, name=f"({alpha.name}*{beta.name})")
@@ -171,12 +150,11 @@ def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
                   lambda: Fraction(sum(1 for _ in X.fiber_simplices(n, rep))))
 
 
-def grade_certificate(X: TruncatedSimplicialGroupoid, f,
-                      length_bound: Optional[int]) -> int:
-    """Resolve a vanishing bound for the Phi functors at f, or refuse."""
+def grade_certificate(carrier: FiniteGroupoid, f, length_bound: Optional[int]) -> int:
+    """Resolve a vanishing bound for the Phi functors at an object f of
+    their carrier (X_1, or C_0 for a comodule), or refuse."""
     if length_bound is not None:
         return length_bound
-    carrier = X.level(1)
     if carrier.is_graded():
         return carrier.grade(carrier.iso_classes().class_of(f))
     raise MobiusCertificateError(
@@ -190,7 +168,7 @@ def mobius(X: TruncatedSimplicialGroupoid, f, length_bound: Optional[int] = None
     The bound certifies phi_n(X, f, n) = 0 for n beyond it; graded spaces
     certify it by grade(f) (each nondegenerate layer carries grade >= 1).
     """
-    bound = grade_certificate(X, f, length_bound)
+    bound = grade_certificate(X.level(1), f, length_bound)
     total = Fraction(0)
     for n in range(0, bound + 1):
         term = phi_n(X, f, n)

@@ -12,6 +12,8 @@ Checks provided: strict simplicial identities, the Segal squares, the four
 square families of the decomposition-space condition, completeness
 (the bottom degeneracy is a monomorphism), and culf-ness of simplicial
 maps (cartesian naturality squares on codegeneracies and inner cofaces).
+The degenerate edge classes, the essential image of s_0, are the key set
+of the fiber table of s_0 that the completeness check builds.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .groupoid import (
     GroupoidFunctor,
     Memo,
     SquareResult,
+    _fiber_table,
     full_subgroupoid,
     functors_equal,
     is_monomorphism,
@@ -150,13 +153,12 @@ class TruncatedSimplicialGroupoid(Memo):
         return obj
 
     def degenerate_edge_classes(self) -> frozenset:
-        """Iso classes of level-1 objects in the essential image of s_0."""
+        """Iso classes of level-1 objects in the essential image of s_0:
+        the keys of the fiber table of s_0."""
         return self._get(("degenerate_edges",), self._degenerate_edge_classes)
 
     def _degenerate_edge_classes(self) -> frozenset:
-        tab = self.level(1).iso_classes()
-        s0 = self.degeneracy(0, 0)
-        return frozenset(tab.class_of(s0.ob(x)) for x in self.level(0).objects)
+        return frozenset(_fiber_table(self.degeneracy(0, 0)))
 
     def is_complete(self) -> bool:
         return self._get(("complete",), is_monomorphism, self.degeneracy(0, 0))

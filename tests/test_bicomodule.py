@@ -59,7 +59,7 @@ from moebiuskit.groupoid import (
 )
 from moebiuskit.incidence import (
     Functional,
-    WeightedTensorList,
+    MobiusCertificateError,
     comultiply,
     mobius,
     mobius_functional,
@@ -111,6 +111,17 @@ def test_validate_sets_posets_sections():
     assert B.left_section(1, 0) is None
     assert report.sections["pointings"].checks[-1].name == (
         "e_top . t_{top+1} = id at (1,0): n/a, no left pointing")
+
+
+def test_validate_sets_posets_full_stability():
+    # the grid is not double Segal (its columns fail), so the two-square
+    # reduction proves nothing about stability there; the full family does
+    report = validate_configuration(sets_posets_bicomodule(2, max_i=2, max_j=2), 1,
+                                    full_stability=True)
+    stability = report.sections["stability"]
+    assert stability.note == "full family at truncation"
+    assert stability.passed and len(stability.checks) == 58
+    assert not report.sections["columns segal"].passed
 
 
 def test_stability_mutation_fails_with_witness_and_breaks_associativity():
@@ -179,33 +190,35 @@ def test_coact_right_adjunction_nerve_counts_factorizations():
     B, _ = adjunction_nerve()
     # m: the mixed arrow F(0) = 0 <= 1 factors through y' in {0, 1}
     m = (("mix", 0, ("le", 0, 1)),)
-    terms = coact(B, "right", m)
-    assert sum(w for w, _c, _y in terms) == 2
+    assert sum(coact(B, "right", m).values()) == 2
     total = convolve_action(B, "right", zeta(B.y_space()),
                             Functional.constant(B.cell(0, 0), 1), m)
     assert total == 2
     # and one with a single factorization: F(2) = 1 <= 1
     m1 = (("mix", 2, ("le", 1, 1)),)
-    assert sum(w for w, _c, _y in coact(B, "right", m1)) == 1
+    assert sum(coact(B, "right", m1).values()) == 1
 
 
 def test_coact_total_decalage_matches_comultiply():
     N = nerve(chain_poset(3), max_level=6)
     TD = total_decalage(N, 2, 2)
     f = (("le", 0, 2),)
-    terms = coact(TD, "right", f)
-    delta_terms = comultiply(N, f)
-    assert sorted(w for w, _l, _r in terms) == sorted(w for w, _l, _r in delta_terms)
     # right coaction labels: (first factor as B00 class, second as Y1 class)
-    assert {(l, r) for _w, l, r in terms} == {(l, r) for _w, l, r in delta_terms}
+    assert coact(TD, "right", f) == comultiply(N, f)
 
 
 def test_coact_is_config_coact_of_either_comodule():
     grids = [sets_posets_bicomodule(3), adjunction_nerve()[0]]
     for B in grids:
         for m in B.cell(0, 0).iso_classes().reps:
-            assert coact(B, "right", m) == config_coact(right_comodule(B), m)
-            assert coact(B, "left", m) == config_coact(left_comodule(B), m)
+            for side, config in (("right", right_comodule(B)), ("left", left_comodule(B))):
+                terms = coact(B, side, m)
+                assert terms == config_coact(config, m)
+                # a count >= 1 on the generated route, a sum of |Aut m|/|Aut sigma| off it
+                assert all(type(w) is Fraction and w > 0 for w in terms.values())
+                assert coact(B, side, m) is terms
+                with pytest.raises(TypeError):   # memoised values are read-only
+                    terms[None] = Fraction(1)
 
 
 def whole_cell_coact(config, m):
@@ -219,7 +232,7 @@ def whole_cell_coact(config, m):
         c, e = tab0.class_of(vertex.ob(sigma)), btab.class_of(edge.ob(sigma))
         return (c, e) if config.side == "right" else (e, c)
 
-    return WeightedTensorList.from_parts(weighted_fiber(config.leg_functor(1), m, label))
+    return weighted_fiber(config.leg_functor(1), m, label)
 
 
 def test_generated_coaction_matches_the_whole_cell_route():
@@ -232,8 +245,9 @@ def test_generated_coaction_matches_the_whole_cell_route():
                 assert config.coaction_fiber(rep) is not None   # the generated route
                 members = tab.members[rep]
                 for m in (rep, members[-1]) if len(members) > 1 else (rep,):
-                    assert config_coact(config, m) == whole_cell_coact(config, m), \
-                        (g, config.side, m)
+                    terms = config_coact(config, m)
+                    assert terms == whole_cell_coact(config, m), (g, config.side, m)
+                    assert all(type(w) is Fraction and w > 0 for w in terms.values())
                 cases += 1
     assert cases == 82
     # grids without a generator read the whole cell
@@ -416,6 +430,14 @@ def test_comodule_mobius_check_filters_each_degree_once(monkeypatch):
     config = decalage(layered_posets(3, max_level=4), "bottom")   # a fresh configuration
     assert comodule_mobius_check(config).passed
     assert sorted(restricted) == ["C_ba", "C_baa", "C_baaa"]   # 32 when filtered per class
+
+
+def test_comodule_mobius_check_refuses_an_ungraded_c0_without_a_bound():
+    config = decalage(nerve(chain_poset(3), max_level=3), "bottom")
+    assert not config.space.level(0).is_graded()
+    with pytest.raises(MobiusCertificateError, match="locally finite length"):
+        comodule_mobius_check(config)
+    assert comodule_mobius_check(config, length_bound=2).passed
 
 
 def test_phi_comodule_refuses_an_incomplete_base(monkeypatch):

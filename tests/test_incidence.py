@@ -46,14 +46,13 @@ def test_comultiply_nerve_three_factorizations():
     f = (("le", 0, 2),)
     terms = comultiply(CHAIN3, f)
     assert len(terms) == 3
-    assert all(w == 1 for w, _l, _r in terms)
-    lefts = sorted(repr(l) for _w, l, r in terms)
+    assert all(w == 1 for w in terms.values())
+    lefts = sorted(repr(l) for l, _r in terms)
     assert len(set(lefts)) == 3
 
 
 def test_comultiply_layered_posets_weight_two():
-    terms = comultiply(C3, DISC2)
-    by_pair = terms.as_dict()
+    by_pair = comultiply(C3, DISC2)
     # empty (x) whole + whole (x) empty + twice point (x) point
     assert len(by_pair) == 3
     assert sorted(by_pair.values()) == [1, 1, 2]
@@ -64,8 +63,15 @@ def test_comultiply_layered_posets_weight_two():
 def test_comultiply_degenerate_term():
     s0 = C3.degeneracy(0, 0)
     f = s0.ob(C3.level(0).objects[0])
-    by_pair = comultiply(C3, f).as_dict()
+    by_pair = comultiply(C3, f)
     assert by_pair.get((f, f), 0) >= 1
+
+
+def test_every_comultiply_weight_is_a_positive_fraction():
+    # a weight is a sum of |Aut f|/|Aut sigma| over classes of 2-simplices
+    for X in (CHAIN3, C3, I4):
+        for f in X.level(1).iso_classes().reps:
+            assert all(type(w) is Fraction and w > 0 for w in comultiply(X, f).values())
 
 
 def test_counit_values():
@@ -103,11 +109,11 @@ def _triple_list(X, f):
     """Iterated comultiplication, once through the left factor and once
     through the right; both must agree as weighted triple multisets."""
     left, right = {}, {}
-    for w, l, r in comultiply(X, f):
-        for w2, a, b in comultiply(X, l):
+    for (l, r), w in comultiply(X, f).items():
+        for (a, b), w2 in comultiply(X, l).items():
             key = (a, b, r)
             left[key] = left.get(key, Fraction(0)) + w * w2
-        for w2, b, c in comultiply(X, r):
+        for (b, c), w2 in comultiply(X, r).items():
             key = (l, b, c)
             right[key] = right.get(key, Fraction(0)) + w * w2
     return left, right
