@@ -28,10 +28,13 @@ comparison, the automorphism test of `is_equivalence` and `skeletalize`
 read them there, so the levels shared by every square of an axiom check
 are read once for all of them.  No entry refers to its owner.
 
-An iso-comma of legs out of discrete groupoids (every class one object
-with a trivial Aut) is discrete: its hom-sets are the identities and
-each object is its own class, which is what the general rule computes,
-without its scans.
+A square of sets, with W, A and B discrete (every class one object with
+a trivial Aut, as on nerve levels), is checked as a pullback of sets:
+its iso-comma is discrete too, so the square is a pullback iff
+w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  The
+check reads only that object list, with no comparison functor, class
+table of the iso-comma or automorphism test, and gives the general
+rule's verdicts, witnesses and errors.
 
 Images and fibers both live in the functor.  A `tabulated` functor
 computes each object's image once, into its image table, and any functor
@@ -416,7 +419,11 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
     c_b^{-1} . (c_b . m . c_a^{-1}) . c_a with the middle factor in
     Aut(r), so F and G agree on m once they agree on the connectors and on
     Aut(r).  The check reads one hom-set per object, where listing every
-    morphism reads n^2 of them for a class of n objects."""
+    morphism reads n^2 of them for a class of n objects.
+
+    An identity is no generator: F and G send it to the identity of the
+    same image.  So a trivial Aut(r) adds nothing, and on a discrete S the
+    check compares the object maps alone."""
     S = F.source
     for a in S.objects:
         if F.ob(a) != G.ob(a):
@@ -424,7 +431,13 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
     table = S.iso_classes()
     for rep in table.reps:
         for a in table.members[rep]:
-            for m in _auts(S, rep) if a == rep else (_connector(S, a),):
+            if a != rep:
+                gens = (_connector(S, a),)
+            elif table.aut_orders[rep] > 1:
+                gens = _auts(S, rep)
+            else:
+                continue
+            for m in gens:
                 if F(m) != G(m):
                     return False
     return True
@@ -599,43 +612,34 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
     def identity(x):
         return Mor(x, x, (A.identity(x[0]).label, B.identity(x[1]).label))
 
-    if _is_discrete(A) and _is_discrete(B):
-        # only (id, id) can be a morphism, at x == y, and each object is
-        # its own class: the answers of the rule below, without its scans
-        def hom(x, y):
-            return (identity(x),) if x == y else ()
+    def hom(x, y):
+        (a, b, phi), (a2, b2, phi2) = x, y
+        out = []
+        for alpha in _auts(A, a) if a == a2 else A.hom(a, a2):
+            lhs = C.compose(phi2, f(alpha))
+            for beta in _auts(B, b) if b == b2 else B.hom(b, b2):
+                if C.compose(g(beta), phi) == lhs:
+                    out.append(Mor(x, y, (alpha.label, beta.label)))
+        return tuple(out)
 
-        def iso_key(x):
-            return x
-    else:
-        def hom(x, y):
-            (a, b, phi), (a2, b2, phi2) = x, y
-            out = []
-            for alpha in _auts(A, a) if a == a2 else A.hom(a, a2):
-                lhs = C.compose(phi2, f(alpha))
-                for beta in _auts(B, b) if b == b2 else B.hom(b, b2):
-                    if C.compose(g(beta), phi) == lhs:
-                        out.append(Mor(x, y, (alpha.label, beta.label)))
-            return tuple(out)
+    # exact iso invariant via the double-coset orbit of the transported
+    # comparison iso under the images of Aut(rep_a) x Aut(rep_b), as a
+    # set of labels
+    atab, btab = A.iso_classes(), B.iso_classes()
+    f_auts: dict = {}
+    g_auts: dict = {}
 
-        # exact iso invariant via the double-coset orbit of the transported
-        # comparison iso under the images of Aut(rep_a) x Aut(rep_b), as a
-        # set of labels
-        atab, btab = A.iso_classes(), B.iso_classes()
-        f_auts: dict = {}
-        g_auts: dict = {}
-
-        def iso_key(x):
-            a, b, phi = x
-            ra, rb = atab.class_of(a), btab.class_of(b)
-            if ra not in f_auts:
-                f_auts[ra] = [f(alpha) for alpha in _auts(A, ra)]
-            if rb not in g_auts:
-                g_auts[rb] = [g(beta) for beta in _auts(B, rb)]
-            ca_inv, cb = _connector(A, a, inverse=True), _connector(B, b)
-            tilde = _transport(C, phi, ca_inv and f(ca_inv), cb and g(cb))
-            return ra, rb, frozenset(C.compose(v, C.compose(tilde, u)).label
-                                     for u in f_auts[ra] for v in g_auts[rb])
+    def iso_key(x):
+        a, b, phi = x
+        ra, rb = atab.class_of(a), btab.class_of(b)
+        if ra not in f_auts:
+            f_auts[ra] = [f(alpha) for alpha in _auts(A, ra)]
+        if rb not in g_auts:
+            g_auts[rb] = [g(beta) for beta in _auts(B, rb)]
+        ca_inv, cb = _connector(A, a, inverse=True), _connector(B, b)
+        tilde = _transport(C, phi, ca_inv and f(ca_inv), cb and g(cb))
+        return ra, rb, frozenset(C.compose(v, C.compose(tilde, u)).label
+                                 for u in f_auts[ra] for v in g_auts[rb])
 
     grade_fn = None
     if graded:
@@ -725,6 +729,38 @@ def is_monomorphism(F: GroupoidFunctor) -> bool:
     return _class_image(F)[1] is None and _aut_witness(F) is None
 
 
+def _set_pullback_witness(p, q, f, g, grade_bound) -> Optional[str]:
+    """The witness of `is_pullback_square` on a square of sets (W, A and B
+    discrete), None when it passes.  The iso-comma P of (f, g) is then
+    discrete, and the comparison w -> (p w, q w, id) must be a bijection
+    onto its objects.  As `is_equivalence` of the comparison would, it
+    raises at the first w, in W order, whose image is not an object of P,
+    before any witness; then it names the first w whose image an earlier w
+    already has, then the first object of P, in P order, that no w hits."""
+    # class_of is the identity on A and B, and raises off them as the
+    # general rule's connectors do
+    class_a, class_b = f.source.iso_classes().class_of, g.source.iso_classes().class_of
+    C, W = f.target, p.source.objects
+    P = homotopy_pullback(f, g, grade_bound)[0]
+    images = []
+    for w in W:
+        a, b = p.ob(w), q.ob(w)
+        x = (class_a(a), class_b(b), C.identity(f.ob(a)))
+        if not P.has_object(x):
+            raise DomainError(f"{x!r} not an object of the carrier")
+        images.append(x)
+    first: dict = {}
+    for w, x in zip(W, images):
+        if x in first:
+            return ("not fully faithful: source classes "
+                    f"{first[x]!r} and {w!r} share target class {x!r}")
+        first[x] = w
+    for x in P.objects:
+        if x not in first:
+            return f"not essentially surjective: target class {x!r} missed"
+    return None
+
+
 def is_pullback_square(
     p: GroupoidFunctor,
     q: GroupoidFunctor,
@@ -757,6 +793,11 @@ def is_pullback_square(
     P class meets it, so W -> P' is an equivalence iff W -> P is.  P'
     lists its objects in P's order and holds each P class's first member,
     so classes, representatives and witnesses are P's.
+
+    A square of sets, with W, A and B discrete (nerve levels are), is
+    checked as a pullback of sets by `_set_pullback_witness`, with the
+    verdicts, witnesses and errors of the rule above and none of its
+    tables; a square with a non-discrete corner takes the rule above.
     """
     W = p.source
     if q.source is not W:
@@ -766,6 +807,9 @@ def is_pullback_square(
     if not functors_equal(fp, gq):
         raise DomainError(f"square {name or ''} does not commute strictly")
     A, B, C = f.source, g.source, f.target
+    if _is_discrete(W) and _is_discrete(A) and _is_discrete(B):
+        witness = _set_pullback_witness(p, q, f, g, grade_bound)
+        return SquareResult(witness is None, witness, name=name)
     atab, btab = A.iso_classes(), B.iso_classes()
 
     def on_reps(h):

@@ -600,6 +600,34 @@ def _random_squares(rng, count):
     return squares
 
 
+def _random_set_squares(rng, count):
+    """At least count squares over random cospans of maps between discrete
+    groupoids, alternately over a discrete and a cluster target: the
+    squares of `_squares_over`, and its strict pullback with one object
+    doubled, since on sets only a map that is not injective collides."""
+    squares, discrete_target = [], False
+    while len(squares) < count:
+        if discrete_target:
+            C = discrete_groupoid(range(rng.randint(1, 3)), name="tgt")
+        else:
+            C, _ = random_cluster_groupoid(rng, max_size=2, max_order=3, name="tgt")
+        discrete_target = not discrete_target
+        f, g = [discrete_functor(S, C, {a: rng.choice(C.objects) for a in S.objects}.__getitem__)
+                for S in (discrete_groupoid(range(rng.randint(1, 3)), name=leg) for leg in "AB")]
+        squares += _squares_over(f, g, rng)
+        pairs = [(a, b) for a in f.source.objects for b in g.source.objects if f.ob(a) == g.ob(b)]
+        if pairs:
+            D = discrete_groupoid(pairs + ["copy"])
+            ob = dict(zip(D.objects, pairs + pairs[:1]))
+            squares.append((discrete_functor(D, f.source, lambda w, ob=ob: ob[w][0]),
+                            discrete_functor(D, g.source, lambda w, ob=ob: ob[w][1]), f, g))
+    return squares
+
+
+def _is_square_of_sets(p, f, g):
+    return all(groupoid._is_discrete(G) for G in (p.source, f.source, g.source))
+
+
 def _witness_kind(witness):
     if witness is None:
         return "pass"
@@ -625,16 +653,42 @@ def _check_comparison_morphisms(monkeypatch):
 
 
 def test_pullback_square_matches_the_whole_iso_comma_random(monkeypatch):
-    # the check on class representatives gives the verdict and the witness
-    # of the untransported comparison into the whole iso-comma
+    # the check on class representatives, and the set rule on squares of
+    # sets, give the verdict and the witness of the untransported
+    # comparison into the whole iso-comma
     _check_comparison_morphisms(monkeypatch)
-    kinds = collections.Counter()
-    for p, q, f, g in _random_squares(seeded(29), 210):
+    kinds, set_kinds = collections.Counter(), collections.Counter()
+    for p, q, f, g in _random_squares(seeded(29), 210) + _random_set_squares(seeded(43), 150):
         got = is_pullback_square(p, q, f, g)
         want = _whole_comparison(p, q, f, g)
         assert (got.passed, got.witness) == (want.passed, want.witness)
         kinds[_witness_kind(got.witness)] += 1
+        if _is_square_of_sets(p, f, g):
+            set_kinds[_witness_kind(got.witness)] += 1
     assert set(kinds) == {"pass", "collision", "missed", "aut"}, kinds
+    assert set(set_kinds) == {"pass", "collision", "missed"}, set_kinds
+
+
+def _graded_set_square():
+    """W = {(0, b), (1, b)} over A = {0, 1} and B = {b}, graded by a and 1,
+    with C = {c} at grade 0: (1, b) glues to grade 2."""
+    A = discrete_groupoid([0, 1], grade=lambda a: a, name="A")
+    B = discrete_groupoid(["b"], grade=lambda b: 1, name="B")
+    C = discrete_groupoid(["c"], grade=lambda c: 0, name="C")
+    W = discrete_groupoid([(0, "b"), (1, "b")], name="W")
+    return (discrete_functor(W, A, lambda w: w[0]), discrete_functor(W, B, lambda w: w[1]),
+            discrete_functor(A, C, lambda a: "c"), discrete_functor(B, C, lambda b: "c"))
+
+
+def test_a_set_square_off_the_bounded_iso_comma_raises_as_the_general_rule(monkeypatch):
+    messages = []
+    for rule in ("set", "general"):
+        with pytest.raises(DomainError) as raised:
+            is_pullback_square(*_graded_set_square(), grade_bound=1)
+        messages.append(str(raised.value))
+        monkeypatch.setattr(groupoid, "_is_discrete", lambda G: False)
+    assert messages == 2 * ["(1, 'b', Mor('c' -> 'c': 'id')) not an object of the carrier"]
+    assert is_pullback_square(*_graded_set_square(), grade_bound=2).passed
 
 
 def test_pullback_checks_of_the_spaces_match_the_whole_iso_comma(monkeypatch):
@@ -910,23 +964,58 @@ def test_discrete_iso_commas_match_the_brute_force_hom(monkeypatch):
     assert len(made) == 5 * 20   # segal and decomposition squares at n <= 2
     for P, f, g, discrete in made:
         assert discrete
-        assert all(P._iso_key(x) == x for x in P.objects)   # the discrete rule
         _check_against_brute_force(P, f, g)
-    # control: legs with nontrivial automorphisms take the general rule
+    # control: legs with nontrivial automorphisms
     made.clear()
     check_axioms(layered_posets(2), "decomposition", 1)
     assert any(not discrete for *_, discrete in made)
     for P, f, g, discrete in made:
-        assert discrete == all(P._iso_key(x) == x for x in P.objects)
         _check_against_brute_force(P, f, g)
+
+
+def test_a_nerve_check_reads_only_the_objects_of_its_iso_commas(monkeypatch):
+    # nerve squares are squares of sets: the set rule lists each iso-comma's
+    # objects and builds no class table of it and no equivalence test, and
+    # the precheck of a discrete W compares object maps only
+    made = _recorded_iso_commas(monkeypatch)
+    calls = collections.Counter()
+    precheck, equivalence = groupoid.functors_equal, groupoid.is_equivalence
+    call = GroupoidFunctor.__call__
+    open_prechecks = []
+
+    def counted_precheck(F, G):
+        open_prechecks.append(F)
+        try:
+            return precheck(F, G)
+        finally:
+            open_prechecks.pop()
+
+    def counted_equivalence(F):
+        calls["is_equivalence"] += 1
+        return equivalence(F)
+
+    def counted_call(F, m):
+        calls["morphisms in functors_equal"] += bool(open_prechecks)
+        return call(F, m)
+
+    monkeypatch.setattr(groupoid, "functors_equal", counted_precheck)
+    monkeypatch.setattr(groupoid, "is_equivalence", counted_equivalence)
+    monkeypatch.setattr(GroupoidFunctor, "__call__", counted_call)
+    for N in _small_nerves(21):
+        for profile in ("segal", "decomposition"):
+            assert check_axioms(N, profile, 2).passed
+    assert len(made) == 5 * 20
+    assert not [P for P, *_ in made if ("iso_classes",) in P._memo]
+    assert calls["is_equivalence"] == calls["morphisms in functors_equal"] == 0
 
 
 def _oracle_failures(monkeypatch):
     """The oracles that fail on fresh layered spaces and nerves: the golden
     outputs of the layered-posets checks, the identities, the cardinality
-    route on every passed square, and the verdict on a map that sends an
-    automorphism outside Aut(F rep).  A library call that raises ends the
-    run as the failure "raised"."""
+    route on every passed square, the verdict on a map that sends an
+    automorphism outside Aut(F rep), and the whole iso-comma on random
+    squares of sets.  A library call that raises ends the run as the
+    failure "raised"."""
     for name in ("_layered_level", "_layered_space"):
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
     failed = set()
@@ -957,6 +1046,10 @@ def _oracle_failures(monkeypatch):
         x = G.objects[0]
         if is_equivalence(GroupoidFunctor(G, G, lambda a: a, lambda m: Mor(x, x, m.label + 2))):
             failed.add("not a functor")
+        for p, q, f, g in _random_set_squares(seeded(43), 40):
+            got, want = is_pullback_square(p, q, f, g), _whole_comparison(p, q, f, g)
+            if (got.passed, got.witness) != (want.passed, want.witness):
+                failed.add("whole iso-comma")
     except Exception:   # a faulty kernel may raise where a sound one answers
         failed.add("raised")
     return failed
@@ -990,12 +1083,24 @@ def _one_ended_transport(G, m, c_src_inv, c_tgt):
     return m if c_tgt is None else G.compose(c_tgt, m)
 
 
+def _without_missed_scan(rule):
+    """The set rule passing every square that only misses an object."""
+    def mutant(*args):
+        witness = rule(*args)
+        return None if _witness_kind(witness) == "missed" else witness
+
+    return mutant
+
+
 def test_each_kernel_fault_fails_an_oracle(monkeypatch):
     assert _oracle_failures(monkeypatch) == set()
     faults = {
         "twisted connector": ("_connector", _twisted_connector(groupoid._connector), "golden"),
         "aut count only": ("_aut_witness", _aut_witness_by_count, "not a functor"),
-        "discrete rule forced": ("_is_discrete", lambda G: True, "golden"),
+        "set rule forced": ("_is_discrete", lambda G: True, "golden"),
+        "set rule without the missed scan": (
+            "_set_pullback_witness", _without_missed_scan(groupoid._set_pullback_witness),
+            "whole iso-comma"),
         "one-ended conjugation": ("_transport", _one_ended_transport, "golden"),
     }
     for fault, (name, mutant, oracle) in faults.items():
