@@ -41,9 +41,12 @@ class InputError(Exception):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read instance file {path!r}: {e}")
+    if not isinstance(doc, dict):
+        raise InputError(f"instance file {path!r} must hold a JSON object")
+    return doc
 
 
 def _as_list(raw, what):
@@ -83,25 +86,32 @@ def load_category(doc) -> cp.FinCategory:
 
 
 def _load_side(doc):
+    if not isinstance(doc, dict):
+        raise InputError("an adjunction side must be a JSON object")
     if doc.get("kind", "poset") == "poset":
-        P = load_poset(doc)
-        return P, cp.FinCategory.from_poset(P)
-    return None, load_category(doc)
+        return cp.FinCategory.from_poset(load_poset(doc))
+    return load_category(doc)
 
 
-def load_adjunction(doc):
+def _checked_adjunction(F, G) -> cp.Adjunction:
+    checked = cp.check_adjunction(F, G)
+    if not checked:
+        raise InputError(f"not an adjunction: witness {checked.witness!r}")
+    return checked.adjunction
+
+
+def load_adjunction(doc) -> cp.Adjunction:
+    """The checked adjunction F -| G of a document: g right adjoint to f."""
     try:
-        _, X = _load_side(doc["left"])
-        _, Y = _load_side(doc["right"])
-        fmap = dict(_as_tuples(doc["f"], "f"))
-        gmap = dict(_as_tuples(doc["g"], "g"))
-        F = cp.FinFunctor(X, Y, fmap)
-        G = cp.FinFunctor(Y, X, gmap)
-        return F, G
+        X = _load_side(doc["left"])
+        Y = _load_side(doc["right"])
+        F = cp.FinFunctor(X, Y, dict(_as_tuples(doc["f"], "f")))
+        G = cp.FinFunctor(Y, X, dict(_as_tuples(doc["g"], "g")))
     except (KeyError, TypeError) as e:
         raise InputError(f"invalid adjunction document: {e}")
     except StructureError as e:
         raise InputError(f"invalid adjunction data: {e}")
+    return _checked_adjunction(F, G)
 
 
 def load_correspondence(doc):
@@ -115,13 +125,23 @@ def load_correspondence(doc):
         raise InputError(f"invalid correspondence: {e}")
 
 
-def chain_adjunction():
+def chain_adjunction() -> cp.Adjunction:
     """The battery adjunction F : {0<1<2} <-> {0<1} : G."""
     P = cp.chain_poset(3)
     Q = cp.chain_poset(2)
-    F = cp.poset_functor(P, Q, {0: 0, 1: 0, 2: 1})
-    G = cp.poset_functor(Q, P, {0: 1, 1: 2})
-    return F, G
+    return _checked_adjunction(cp.poset_functor(P, Q, {0: 0, 1: 0, 2: 1}),
+                               cp.poset_functor(Q, P, {0: 1, 1: 2}))
+
+
+def _load_target(target):
+    """The checked adjunction of builtin:chain-adjunction or of an
+    adjunction document, else the document of an instance file."""
+    if target == "builtin:chain-adjunction":
+        return chain_adjunction()
+    if target.startswith("builtin:"):
+        raise InputError(f"unknown builtin {target!r}")
+    doc = _load_json(target)
+    return load_adjunction(doc) if doc.get("kind") == "adjunction" else doc
 
 
 def poset_json(P: cp.FinPoset) -> dict:
@@ -167,20 +187,14 @@ def _space_for_check(target, args):
         return ex.layered_sets(args.grade), None
     if target == "builtin:sets-posets":
         return None, ex.sets_posets_bicomodule(args.grade)
-    if target == "builtin:chain-adjunction":
-        F, G = chain_adjunction()
-        return None, cp.correspondence_bisimplicial(cp.mapping_cylinder(F), 3, 3)
-    if target.startswith("builtin:"):
-        raise InputError(f"unknown builtin {target!r}")
-    doc = _load_json(target)
+    doc = _load_target(target)
+    if isinstance(doc, cp.Adjunction):
+        return None, cp.correspondence_bisimplicial(cp.mapping_cylinder(doc.F), 3, 3)
     kind = doc.get("kind")
     if kind == "poset":
         return cp.nerve(load_poset(doc), max_level=args.max_level + 3), None
     if kind == "category":
         return cp.nerve(load_category(doc), max_level=args.max_level + 3), None
-    if kind == "adjunction":
-        F, G = load_adjunction(doc)
-        return None, cp.correspondence_bisimplicial(cp.mapping_cylinder(F), 3, 3)
     if kind == "correspondence":
         corr = load_correspondence(doc)
         return None, cp.correspondence_bisimplicial(corr, 3, 3)
@@ -268,41 +282,27 @@ def cmd_mobius(args) -> int:
 # -- rota -----------------------------------------------------------------------
 
 
-def _adjunction_rows(F, G, bound):
-    checked = cp.check_adjunction(F, G)
-    if not checked:
-        raise InputError(f"not an adjunction: witness {checked.witness!r}")
-    adj = checked.adjunction
-    rows = []
-    for x in F.source.objects:
-        for y in F.target.objects:
-            lhs, rhs = cp.rota_direct(adj, x, y, bound)
-            rows.append(((x, y), lhs, rhs, "ok" if lhs == rhs else "MISMATCH"))
-    return rows
+def _adjunction_rows(adj: cp.Adjunction, bound):
+    return [((x, y), *cp.rota_direct(adj, x, y, bound))
+            for x in adj.F.source.objects for y in adj.F.target.objects]
 
 
 def cmd_rota(args) -> int:
     if args.target == "builtin:sets-posets":
         B = ex.sets_posets_bicomodule(args.grade, max_i=max(2, args.grade),
                                       max_j=max(2, args.grade))
-        rows = []
-        for key in B.cell(0, 0).iso_classes().reps:
-            lhs, rhs = bc.rota_evaluate(B, key)
-            rows.append((_describe_key(key), lhs, rhs,
-                         "ok" if lhs == rhs else "MISMATCH"))
-    elif args.target == "builtin:chain-adjunction":
-        F, G = chain_adjunction()
-        rows = _adjunction_rows(F, G, args.bound)
+        rows = [(_describe_key(key), *bc.rota_evaluate(B, key))
+                for key in B.cell(0, 0).iso_classes().reps]
     else:
-        doc = _load_json(args.target)
-        if doc.get("kind") != "adjunction":
+        adj = _load_target(args.target)
+        if not isinstance(adj, cp.Adjunction):
             raise InputError("rota needs an adjunction document or a builtin")
-        F, G = load_adjunction(doc)
-        rows = _adjunction_rows(F, G, args.bound)
+        rows = _adjunction_rows(adj, args.bound)
     if args.at:
         rows = [r for r in rows if str(r[0]) == args.at]
         if not rows:
             raise InputError(f"--at {args.at!r} matches no row")
+    rows = [(at, lhs, rhs, "ok" if lhs == rhs else "MISMATCH") for at, lhs, rhs in rows]
     emit_rows(rows, ["at", "lhs", "rhs", "verdict"], args.format)
     return EXIT_OK if all(r[3] == "ok" for r in rows) else EXIT_FAIL
 

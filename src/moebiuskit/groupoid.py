@@ -106,9 +106,9 @@ class FiniteGroupoid(Memo):
     """A finite groupoid given by objects plus hom/compose/identity rules.
 
     `hom`, `compose` and `identity` may be arbitrary callables; use
-    `FiniteGroupoid.from_tables` for fully explicit table-backed data (the
-    form accepted from instance files), and `validate` to scan the tables
-    for associativity, units, inverses and hom-set disjointness.
+    `FiniteGroupoid.from_tables` for fully explicit table-backed data, and
+    `validate` to scan the tables for associativity, units, inverses and
+    hom-set disjointness.
 
     `iso_key` is an exact invariant: objects are isomorphic if and only if
     their keys agree, and the iso-class table groups the objects by it

@@ -120,8 +120,26 @@ def test_validate_sets_posets_full_stability():
                                     full_stability=True)
     stability = report.sections["stability"]
     assert stability.note == "full family at truncation"
-    assert stability.passed and len(stability.checks) == 58
+    assert stability.passed and len(stability.checks) == 56
     assert not report.sections["columns segal"].passed
+
+
+def test_square_names_are_unique_and_the_reduction_is_the_11_slice():
+    # the reduction is the (1,1) slice of the face/face family, which the
+    # full family starts with; no section checks a square twice
+    grids = [sets_posets_bicomodule(2, max_i=2, max_j=2),
+             total_decalage(nerve(chain_poset(3), max_level=6), 2, 2),
+             adjunction_nerve()[0]]
+    for B in grids:
+        reduced = validate_configuration(B, 1)
+        full = validate_configuration(B, 1, full_stability=True)
+        for report in (reduced, full):
+            for key, section in report.sections.items():
+                names = [c.name for c in section.checks]
+                assert len(names) == len(set(names)), (B.name, key)
+        assert reduced.sections["stability"].checks == full.sections["stability"].checks[:2]
+        assert [c.name for c in reduced.sections["stability"].checks] == [
+            "stability d_0/e_0 at (1,1)", "stability d_1/e_1 at (1,1)"]
 
 
 def test_stability_mutation_fails_with_witness_and_breaks_associativity():

@@ -79,8 +79,12 @@ ONE_ARROW = {"kind": "category", "objects": ["*"],
      "left": {"kind": "poset", "elements": "ab", "relations": [["a", "b"]]},
      "right": {"kind": "poset", "elements": [0, 1], "relations": [[0, 1]]},
      "f": [["a", 0], ["b", 1]], "g": [[0, "a"], [1, "b"]]},
+    [ONE_ARROW],
+    {"kind": "adjunction", "left": [0, 1], "right": {"kind": "poset", "elements": [0]},
+     "f": [[0, 0], [1, 0]], "g": [[0, 1]]},
 ], ids=["string elements", "object elements", "string objects", "string compose entry",
-        "4-item compose entry", "object morphisms", "string elements of a side"])
+        "4-item compose entry", "object morphisms", "string elements of a side",
+        "array document", "array side"])
 def test_non_array_where_the_schema_says_list_exit_2(tmp_path, capsys, doc):
     # a string or an object is iterable, but the schema asks for an array
     path = write(tmp_path, "doc.json", doc)
@@ -216,6 +220,27 @@ def test_rota_non_adjunction_rejected(tmp_path, capsys):
     code, _out, err = run(capsys, "rota", path)
     assert code == 2
     assert "not an adjunction" in err
+
+
+README_ADJUNCTION = os.path.join(os.path.dirname(__file__), "data", "readme_adjunction.json")
+
+
+def test_check_and_rota_refuse_a_non_adjunction_alike(tmp_path, capsys):
+    with open(README_ADJUNCTION, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["g"] = [[0, 0], [1, 0]]   # monotone, but not right adjoint to f
+    path = write(tmp_path, "wrong_g.json", doc)
+    refusal = (2, "", "input error: not an adjunction: witness (1, 0)\n")
+    assert run(capsys, "check", path, "--max-level", "1") == refusal
+    assert run(capsys, "rota", path) == refusal
+
+
+def test_check_report_states_the_segal_range(capsys):
+    # the CLI grid is 3 x 3, so Segal is checked up to n = 2 only
+    code, out, _ = run(capsys, "check", README_ADJUNCTION, "--max-level", "4")
+    assert code == 0
+    assert "verified range: rows 0..3, n = 1..2" in out
+    assert "verified range: columns 0..3, n = 1..2" in out
 
 
 def test_rota_builtin_sets_posets(capsys):
