@@ -3,9 +3,11 @@
 The nerve of a finite category is a truncated simplicial groupoid with
 discrete levels (chains of composable arrows), which feeds the generic
 axiom checkers and the incidence machinery; it generates its Phi fibers
-(the chains of non-identity arrows over an arrow).  Mobius categories are
-detected by exhaustive identity-free chain search, and the classical
-Mobius function is the alternating count of identity-free factorizations.
+(the chains of non-identity arrows over an arrow).  Composable pairs are
+read off a category's index of the arrows out of each object.  Its
+identity-free chains are counted layer by layer: the counts decide
+whether it is Mobius and give the classical Mobius function as their
+alternating sum.
 
 Adjunctions are checked through the universal-arrow property (for posets
 this is exactly the Galois-connection condition), and mapping cylinders
@@ -97,7 +99,8 @@ def divisor_poset(n: int) -> FinPoset:
 
 class FinCategory(Memo):
     """A finite category: objects, morphisms with source/target, a total
-    composition table and designated identities."""
+    composition table and designated identities; its hom-sets and the
+    arrows out of each object are indexed once, in morphism order."""
 
     def __init__(self, objects, morphisms, compose, identities, name=""):
         super().__init__()
@@ -106,9 +109,12 @@ class FinCategory(Memo):
         self._compose = dict(compose)             # (f, g) -> id of g after f
         self.identities = dict(identities)        # obj -> id
         self.name = name
-        self._hom: dict = {}
+        hom, out = {}, {}
         for m, (a, b) in self.morphisms.items():
-            self._hom.setdefault((a, b), []).append(m)
+            hom.setdefault((a, b), []).append(m)
+            out.setdefault(a, []).append(m)
+        self._hom = {ab: tuple(ms) for ab, ms in hom.items()}
+        self._out = {a: tuple(ms) for a, ms in out.items()}
         self._poset: Optional[FinPoset] = None   # set by from_poset
 
     def src(self, m):
@@ -118,7 +124,11 @@ class FinCategory(Memo):
         return self.morphisms[m][1]
 
     def hom(self, a, b):
-        return tuple(self._hom.get((a, b), ()))
+        return self._hom.get((a, b), ())
+
+    def out_arrows(self, a):
+        """The arrows out of a, in morphism order."""
+        return self._out.get(a, ())
 
     def is_identity(self, m) -> bool:
         return self.identities.get(self.src(m)) == m
@@ -141,16 +151,12 @@ class FinCategory(Memo):
                 raise StructureError(f"right unit fails at {f!r}")
             if self.compose(self.identities[b], f) != f:
                 raise StructureError(f"left unit fails at {f!r}")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.src(g) != self.tgt(f):
-                    continue
+        for f, (a, b) in self.morphisms.items():
+            for g in self.out_arrows(b):
                 gf = self.compose(g, f)
-                if self.morphisms[gf] != (self.src(f), self.tgt(g)):
+                if self.morphisms[gf] != (a, self.tgt(g)):
                     raise StructureError(f"composite {gf!r} has wrong endpoints")
-                for h in self.morphisms:
-                    if self.src(h) != self.tgt(g):
-                        continue
+                for h in self.out_arrows(self.tgt(g)):
                     if self.compose(h, gf) != self.compose(self.compose(h, g), f):
                         raise StructureError("associativity fails")
 
@@ -233,9 +239,7 @@ class FinFunctor:
             if T.morphisms[self.mor[m]] != (self.ob[a], self.ob[b]):
                 raise StructureError(f"endpoints not preserved at {m!r}")
         for f in S.morphisms:
-            for g in S.morphisms:
-                if S.src(g) != S.tgt(f):
-                    continue
+            for g in S.out_arrows(S.tgt(f)):
                 if self.mor[S.compose(g, f)] != T.compose(self.mor[g], self.mor[f]):
                     raise StructureError(f"composition not preserved at {f!r},{g!r}")
 
@@ -274,35 +278,36 @@ def _nerve_degeneracy(C, n, i, c):
 def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
     """The nerve of a finite category or poset, with discrete levels.
 
-    Level n is the set of composable n-chains; faces compose or truncate,
-    degeneracies insert identities.  Passes the Segal profile, hence the
-    decomposition profile, and is complete.  Faces and degeneracies are
-    discrete functors, so each computes a chain's image once, into a table
-    it holds, and the pullback checks, the fiber tables of the incidence
-    coalgebra and the relative-nerve cuts redo no chain surgery.
+    Level n is the set of composable n-chains, in lexicographic morphism
+    order: level n >= 2 extends each chain of level n - 1 by an arrow out
+    of its end.  Faces compose or truncate, degeneracies insert identities.
+    Passes the Segal profile, hence the decomposition profile, and is
+    complete.  Faces and degeneracies are discrete functors, so each
+    computes a chain's image once, into a table it holds, and the pullback
+    checks, the fiber tables of the incidence coalgebra and the
+    relative-nerve cuts redo no chain surgery.
 
     The nerve generates its Phi fibers: the nondegenerate n-simplices over
     f = (m,) are the chains of n non-identity arrows whose composite is m.
-    They are found by a walk over hom-sets from src(m) that keeps a partial
-    composite g only while g is a left factor of m (h . g = m for some h);
-    the left factors of m are memoised on the nerve.  The walk does not
-    stop at an identity m, since non-identity isomorphisms can compose to
-    one.  Phi_n on a nerve thus builds no level beyond 1.
+    They are found by a walk over the arrows out of each object, from
+    src(m), that keeps a partial composite g only while g is a left factor
+    of m (h . g = m for some h); the left factors of m are memoised on the
+    nerve.  The walk does not stop at an identity m, since non-identity
+    isomorphisms can compose to one.  Phi_n on a nerve thus builds no
+    level beyond 1.
     """
     if isinstance(C, FinPoset):
         C = FinCategory.from_poset(C)
 
-    def chains(n):
-        if n == 0:
-            return list(C.objects)
-        out = [(m,) for m in C.morphisms]
-        for _ in range(n - 1):
-            out = [c + (m,) for c in out for m in C.morphisms
-                   if C.src(m) == C.tgt(c[-1])]
-        return out
-
     def level_fn(space, n):
-        return discrete_groupoid(chains(n), name=f"N{n}")
+        if n == 0:
+            chains = C.objects
+        elif n == 1:
+            chains = [(m,) for m in C.morphisms]
+        else:
+            chains = [c + (e,) for c in space.level(n - 1).objects
+                      for e in C.out_arrows(C.tgt(c[-1]))]
+        return discrete_groupoid(chains, name=f"N{n}")
 
     def face_fn(space, n, i):
         return discrete_functor(space.level(n), space.level(n - 1),
@@ -313,24 +318,16 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
                                 partial(_nerve_degeneracy, C, n, i), name=f"s{i}@{n}")
 
     def left_factors(m):
-        a, b = C.src(m), C.tgt(m)
-        return frozenset(g for x in C.objects for g in C.hom(a, x)
-                         if any(C.compose(h, g) == m for h in C.hom(x, b)))
-
-    def non_identity_arrows():
-        out = {x: [] for x in C.objects}
-        for e in C.morphisms:
-            if not C.is_identity(e):
-                out[C.src(e)].append(e)
-        return out
+        b = C.tgt(m)
+        return frozenset(g for g in C.out_arrows(C.src(m))
+                         if any(C.compose(h, g) == m for h in C.hom(C.tgt(g), b)))
 
     def fiber_fn(space, n, f):
         (m,) = f
         factors = space._get(("left_factors", m), left_factors, m)
-        out = space._get(("non_identity_arrows",), non_identity_arrows)
         b = C.tgt(m)
         # partial chains with their composites; the children of each are
-        # pushed in reverse, so that the chains come out in hom-set order
+        # pushed in reverse, so that the chains come out in morphism order
         stack = [(C.identities[C.src(m)], ())]
         while stack:
             g, chain = stack.pop()
@@ -340,10 +337,11 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
                     if not C.is_identity(e) and C.compose(e, g) == m:
                         yield chain + (e,)
                 continue
-            for e in reversed(out[x]):
-                h = C.compose(e, g)
-                if h in factors:
-                    stack.append((h, chain + (e,)))
+            for e in reversed(C.out_arrows(x)):
+                if not C.is_identity(e):
+                    h = C.compose(e, g)
+                    if h in factors:
+                        stack.append((h, chain + (e,)))
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
                                        fiber_fn=fiber_fn, name=name or f"N({C.name})")
@@ -363,100 +361,70 @@ class MobiusCategoryReport:
 
 
 def is_mobius_category(C: FinCategory, chain_bound: Optional[int] = None) -> MobiusCategoryReport:
-    """Search for unbounded identity-free composable chains.
+    """Decide whether C is Mobius from its identity-free chain counts.
 
-    A finite category is Mobius exactly when no composable cycle of
-    non-identity morphisms exists; the report carries the maximal
-    identity-free chain length, or a witness morphism on a cycle (a
-    non-identity isomorphism or idempotent makes the Phi counts infinite).
-    The report is memoised on C.
+    A finite category is Mobius exactly when its identity-free chains have
+    bounded length, that is when no composable cycle of non-identity
+    morphisms exists; the report carries the maximal identity-free chain
+    length, or a witness morphism on a cycle (a non-identity isomorphism or
+    idempotent makes the Phi counts infinite).  The counts are memoised on C.
     """
-    return C._get(("mobius_category", chain_bound), _mobius_category_search, C, chain_bound)
-
-
-def _mobius_category_search(C: FinCategory, chain_bound: Optional[int]) -> MobiusCategoryReport:
-    nonid = [m for m in C.morphisms if not C.is_identity(m)]
-    if chain_bound is None:
-        chain_bound = len(nonid)
-    succ = {f: [g for g in nonid if C.src(g) == C.tgt(f)] for f in nonid}
-    state: dict = {}
-    order = []
-
-    def visit(f):
-        stack = [(f, iter(succ[f]))]
-        state[f] = "open"
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for g in it:
-                if state.get(g) == "open":
-                    return g
-                if g not in state:
-                    state[g] = "open"
-                    stack.append((g, iter(succ[g])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = "done"
-                order.append(node)
-                stack.pop()
-        return None
-
-    for f in nonid:
-        if f not in state:
-            bad = visit(f)
-            if bad is not None:
-                return MobiusCategoryReport(False, None,
-                                            f"composable cycle through {bad!r}")
-    longest = {}
-    for f in order:  # reverse-topological
-        longest[f] = 1 + max((longest[g] for g in succ[f]), default=0)
-    max_len = max(longest.values(), default=0)
-    if max_len > chain_bound:
+    layers, cyclic = C._get(("chain_counts",), _chain_counts, C)
+    if cyclic is not None:
+        return MobiusCategoryReport(False, None, f"composable cycle through {cyclic!r}")
+    max_len = len(layers) - 1
+    if chain_bound is not None and max_len > chain_bound:
         return MobiusCategoryReport(False, max_len,
                                     f"identity-free chain of length {max_len} "
                                     f"exceeds bound {chain_bound}")
     return MobiusCategoryReport(True, max_len)
 
 
-def _factorization_counts(C: FinCategory, k_max: int):
-    """[{m: number of identity-free k-factorizations of m} for k = 0..k_max]."""
-    pairs = {}
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if C.src(g) == C.tgt(f):
-                pairs.setdefault(C.compose(g, f), []).append((f, g))
-    counts = [{m: 1 if C.is_identity(m) else 0 for m in C.morphisms}]
-    for _ in range(k_max):
-        prev = counts[-1]
-        nxt = {m: 0 for m in C.morphisms}
-        for m in C.morphisms:
-            for f, g in pairs.get(m, ()):
-                if not C.is_identity(f):
-                    nxt[m] += prev[g]
-        counts.append(nxt)
-    return counts
+def _chain_counts(C: FinCategory):
+    """The identity-free chain counts of C, and an arrow on a composable
+    cycle or None.
+
+    Layer k maps an arrow m to the number of chains of k non-identity
+    arrows composing to m; layer k+1 extends each chain by an arrow out of
+    its end, and the layers stop before the first that vanishes.  With N
+    non-identity arrows, a nonzero layer N+1 holds a chain that repeats an
+    arrow, and the arrows from one repeat to the next compose around a
+    cycle: the chain is walked back through the layers to its first repeat.
+    """
+    after = {m: {e: C.compose(e, m) for e in C.out_arrows(C.tgt(m)) if not C.is_identity(e)}
+             for m in C.morphisms}     # m -> {non-identity e: e . m}
+    n = sum(not C.is_identity(m) for m in C.morphisms)
+    layers = [{C.identities[x]: 1 for x in C.objects}]
+    while len(layers) <= n + 1:
+        nxt: dict = {}
+        for m, count in layers[-1].items():
+            for h in after[m].values():
+                nxt[h] = nxt.get(h, 0) + count
+        if not nxt:
+            return layers, None
+        layers.append(nxt)
+    m, seen = next(iter(layers[-1])), set()
+    for prev in reversed(layers[:-1]):
+        e, m = next((e, g) for g in prev for e, h in after[g].items() if h == m)
+        if e in seen:
+            return layers, e
+        seen.add(e)
 
 
 def classical_mobius(C: FinCategory, f, chain_bound: Optional[int] = None) -> Fraction:
-    """mu(f) = sum_k (-1)^k #(identity-free k-factorizations of f)."""
+    """mu(f) = sum_k (-1)^k #(chains of k non-identity arrows composing to f),
+    read off the identity-free chain counts."""
     if f not in C.morphisms:
         raise DomainError(f"{f!r} is not a morphism of {C.name or 'the category'}")
     report = is_mobius_category(C, chain_bound)
     if not report:
         raise DomainError(f"not a Mobius category: {report.witness}")
-    k_max = report.max_chain_length
-    counts = C._get(("factorizations", k_max), _factorization_counts, C, k_max)
-    total = 0
-    for k, table in enumerate(counts):
-        total += table[f] if k % 2 == 0 else -table[f]
-    return Fraction(total)
+    layers, _ = C._get(("chain_counts",), _chain_counts, C)
+    return Fraction(sum((-1) ** k * layer.get(f, 0) for k, layer in enumerate(layers)))
 
 
-def poset_mobius(P: FinPoset, a, b, C: Optional[FinCategory] = None) -> Fraction:
-    if C is None:
-        C = FinCategory.from_poset(P)
-    return classical_mobius(C, ("le", a, b))
+def poset_mobius(P: FinPoset, a, b) -> Fraction:
+    return classical_mobius(FinCategory.from_poset(P), ("le", a, b))
 
 
 # -- adjunctions ----------------------------------------------------------------
@@ -482,9 +450,7 @@ class Adjunction:
                 raise StructureError(f"bijection at ({x!r},{y!r}) not surjective")
         for (x, y), table in self.bijections.items():
             for h, ph in table.items():
-                for g in Y.morphisms:          # naturality in y
-                    if Y.src(g) != y:
-                        continue
+                for g in Y.out_arrows(y):      # naturality in y
                     lhs = self.bijections[(x, Y.tgt(g))][Y.compose(g, h)]
                     if lhs != X.compose(self.G.mor[g], ph):
                         raise StructureError("bijection not natural in y")
@@ -598,8 +564,8 @@ class CorrespondenceCat:
         objects = self.objects_over(bit)
         mors = {m: (a, b) for m, (a, b) in C.morphisms.items()
                 if self.label[a] == bit and self.label[b] == bit}
-        compose = {(f, g): C.compose(g, f) for f in mors for g in mors
-                   if C.tgt(f) == C.src(g)}
+        compose = {(f, g): C.compose(g, f) for f in mors
+                   for g in C.out_arrows(C.tgt(f)) if g in mors}
         return FinCategory(objects, mors, compose,
                            {a: C.identities[a] for a in objects},
                            name=f"{C.name}_{bit}")

@@ -39,6 +39,8 @@ class InputError(Exception):
 
 
 def _load_json(path):
+    if path.startswith("builtin:"):
+        raise InputError(f"unknown builtin {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -138,8 +140,6 @@ def _load_target(target):
     adjunction document, else the document of an instance file."""
     if target == "builtin:chain-adjunction":
         return chain_adjunction()
-    if target.startswith("builtin:"):
-        raise InputError(f"unknown builtin {target!r}")
     doc = _load_json(target)
     return load_adjunction(doc) if doc.get("kind") == "adjunction" else doc
 
@@ -259,7 +259,7 @@ def cmd_mobius(args) -> int:
                 rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))]
             else:
                 rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))
-                        for (a, b) in sorted(P.intervals(), key=repr)]
+                        for (a, b) in P.intervals()]
         except DomainError as e:
             print(f"refused: {e} (locally finite length hypothesis)", file=sys.stderr)
             return EXIT_FAIL
@@ -272,8 +272,7 @@ def cmd_mobius(args) -> int:
             print(f"refused: not a Mobius category ({report.witness}); "
                   "the locally finite length hypothesis fails", file=sys.stderr)
             return EXIT_FAIL
-        rows = [(m, cp.classical_mobius(C, m, args.bound))
-                for m in sorted(C.morphisms, key=repr)]
+        rows = [(m, cp.classical_mobius(C, m, args.bound)) for m in C.morphisms]
         emit_rows(rows, ["morphism", "mu"], fmt)
         return EXIT_OK
     raise InputError(f"mobius does not support kind {kind!r}")
@@ -291,8 +290,8 @@ def cmd_rota(args) -> int:
     if args.target == "builtin:sets-posets":
         B = ex.sets_posets_bicomodule(args.grade, max_i=max(2, args.grade),
                                       max_j=max(2, args.grade))
-        rows = [(_describe_key(key), *bc.rota_evaluate(B, key))
-                for key in B.cell(0, 0).iso_classes().reps]
+        rows = [(_describe_key(ex.canonical_key(rep)), *bc.rota_evaluate(B, rep))
+                for rep in B.cell(0, 0).iso_classes().reps]
     else:
         adj = _load_target(args.target)
         if not isinstance(adj, cp.Adjunction):

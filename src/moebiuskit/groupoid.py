@@ -331,9 +331,6 @@ class IsoClassTable:
             raise DomainError(f"{a!r} not an object of the carrier")
         return self._class_of[a]
 
-    def aut_order(self, a) -> int:
-        return self.aut_orders[self.class_of(a)]
-
     def cardinality(self) -> Fraction:
         return sum((Fraction(1, n) for n in self.aut_orders.values()), Fraction(0))
 
@@ -688,19 +685,21 @@ def _class_image(F: GroupoidFunctor):
 
 def _aut_witness(F: GroupoidFunctor) -> Optional[str]:
     """The first source class whose automorphism map is not a bijection
-    Aut(rep) -> Aut(F rep)."""
+    Aut(rep) -> Aut(F rep), naming the first image, in hom(rep, rep) order,
+    that lies outside Aut(F rep)."""
     S, T = F.source, F.target
     for rep in S.iso_classes().reps:
         auts = _auts(S, rep)
-        images = {F(alpha) for alpha in auts}
+        images = [F(alpha) for alpha in auts]
         target_auts = _auts(T, F.ob(rep))
-        if len(images) != len(auts) or len(auts) != len(target_auts):
+        if len(set(images)) != len(auts) or len(auts) != len(target_auts):
             return (f"automorphism map not bijective at class {rep!r}: "
                     f"|Aut|={len(auts)} vs |Aut(F rep)|={len(target_auts)}")
-        outside = images.difference(target_auts)
+        inside = set(target_auts)
+        outside = [g for g in images if g not in inside]
         if outside:
             return (f"automorphism map not bijective at class {rep!r}: "
-                    f"{min(outside, key=repr)!r} is not in Aut(F rep)")
+                    f"{outside[0]!r} is not in Aut(F rep)")
     return None
 
 

@@ -64,11 +64,11 @@ class Functional(Memo):
         return value
 
     @classmethod
-    def from_table(cls, carrier, table: dict, default=Fraction(0), name=""):
+    def from_table(cls, carrier, table: dict, name=""):
         tab = carrier.iso_classes()
         normalized = {tab.class_of(k): Fraction(v) for k, v in table.items()
                       if Fraction(v) != 0}
-        return cls(carrier, lambda rep: normalized.get(rep, default), name=name)
+        return cls(carrier, lambda rep: normalized.get(rep, Fraction(0)), name=name)
 
     @classmethod
     def constant(cls, carrier, value, name=""):

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from moebiuskit.groupoid import DomainError, StructureError
 from moebiuskit.incidence import verify_inversion
 from moebiuskit.simplicial import check_axioms
 
-from conftest import poset_mobius_oracle, seeded
+from conftest import poset_mobius_oracle, random_poset, random_quiver_category, seeded
 
 
 def boolean_lattice_2():
@@ -50,6 +51,32 @@ def involution_category():
     compose = {("id", "id"): "id", ("id", "g"): "g",
                ("g", "id"): "g", ("g", "g"): "id"}
     return FinCategory(["*"], mors, compose, {"*": "id"}, name="BZ2")
+
+
+def cyclic_group_category(n):
+    """One object whose arrows g0..g{n-1} compose as Z_n."""
+    mors = {f"g{i}": ("*", "*") for i in range(n)}
+    compose = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
+    return FinCategory(["*"], mors, compose, {"*": "g0"}, name=f"BZ{n}")
+
+
+def idempotent_category():
+    """One object with a non-identity idempotent e, e.e = e."""
+    mors = {"id": ("*", "*"), "e": ("*", "*")}
+    compose = {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e", ("e", "e"): "e"}
+    return FinCategory(["*"], mors, compose, {"*": "id"}, name="idempotent")
+
+
+def iso_pair_with_tail():
+    """Objects a, b with inverse isomorphisms u: a -> b, v: b -> a, and an
+    arrow t: b -> c leaving the pair (with t.u: a -> c)."""
+    ends = {"ia": ("a", "a"), "ib": ("b", "b"), "ic": ("c", "c"), "u": ("a", "b"),
+            "v": ("b", "a"), "t": ("b", "c"), "tu": ("a", "c")}
+    compose = {("u", "v"): "ia", ("v", "u"): "ib", ("u", "t"): "tu", ("v", "tu"): "t"}
+    for m, (a, b) in ends.items():
+        compose["i" + a, m] = compose[m, "i" + b] = m
+    return FinCategory(["a", "b", "c"], ends, compose,
+                       {"a": "ia", "b": "ib", "c": "ic"}, name="iso pair with tail")
 
 
 def test_poset_closure_and_cycle_rejection():
@@ -92,6 +119,54 @@ def test_is_mobius_category():
                                         [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)])
     report = is_mobius_category(quiver)
     assert report and report.max_chain_length == 3
+
+
+def identity_free_runs(C, max_len):
+    """Every composable run of 1..max_len non-identity arrows, by brute force."""
+    arrows = [m for m in C.morphisms if not C.is_identity(m)]
+    runs = out = [(m,) for m in arrows]
+    for _ in range(max_len - 1):
+        runs = [r + (m,) for r in runs for m in arrows if C.src(m) == C.tgt(r[-1])]
+        out = out + runs
+    return out
+
+
+def oracle_categories(seed):
+    rng = seeded(seed)
+    cats = [FinCategory.from_poset(random_poset(rng)) for _ in range(10)]
+    cats += [random_quiver_category(rng) for _ in range(10)]
+    cats += [cyclic_group_category(n) for n in (2, 3, 4)]
+    return cats + [idempotent_category(), iso_pair_with_tail()]
+
+
+def test_is_mobius_category_matches_brute_force_runs():
+    # Mobius exactly when no run of at most N + 1 non-identity arrows repeats
+    # an arrow (N non-identity arrows); the length is the longest run, and a
+    # cycle witness starts a run that returns to its source
+    cyclic = 0
+    for C in oracle_categories(11):
+        C.validate()
+        n = sum(not C.is_identity(m) for m in C.morphisms)
+        runs = identity_free_runs(C, n + 1)
+        report = is_mobius_category(C)
+        assert report.is_mobius == all(len(set(r)) == len(r) for r in runs)
+        if report:
+            assert report.max_chain_length == max(map(len, runs), default=0)
+            continue
+        cyclic += 1
+        (f,) = [m for m in C.morphisms if report.witness == f"composable cycle through {m!r}"]
+        assert any(r[0] == f and C.tgt(r[-1]) == C.src(f) for r in runs)
+    assert cyclic == 5
+
+
+def test_nerve_levels_are_the_composable_chains_in_morphism_order():
+    for C in oracle_categories(12):
+        N = nerve(C, max_level=4)
+        assert N.level(0).objects == C.objects
+        for n in range(1, 5):
+            chains = tuple(c for c in itertools.product(C.morphisms, repeat=n)
+                           if all(C.tgt(f) == C.src(g) for f, g in zip(c, c[1:])))
+            assert N.level(n).objects == chains
 
 
 def test_classical_mobius_chain_values():
@@ -302,9 +377,9 @@ def test_classical_mobius_rejects_unknown_morphism():
 
 def test_mobius_category_search_runs_once_per_category(monkeypatch):
     calls = []
-    search = catposet._mobius_category_search
-    monkeypatch.setattr(catposet, "_mobius_category_search",
-                        lambda C, bound: calls.append(C) or search(C, bound))
+    counts = catposet._chain_counts
+    monkeypatch.setattr(catposet, "_chain_counts",
+                        lambda C: calls.append(C) or counts(C))
     C = FinCategory.from_poset(divisor_poset(12))
     table = {f: classical_mobius(C, f) for f in C.morphisms}
     assert len(calls) == 1

@@ -201,6 +201,36 @@ def test_mobius_refusal_names_hypothesis(tmp_path, capsys):
     assert "locally finite length" in err
 
 
+@pytest.mark.parametrize("target", ["builtin:foo", "builtin:chain-adjunction",
+                                    "builtin:sets-posets"])
+def test_mobius_names_a_builtin_it_does_not_serve(capsys, target):
+    assert run(capsys, "mobius", target) == (2, "", f"input error: unknown builtin {target!r}\n")
+
+
+def test_mobius_file_rows_follow_the_document(tmp_path, capsys):
+    # intervals in element order: (1, 2) before (1, 12), (2, 2) before (12, 12)
+    P = divisor_poset(12)
+    doc = {"kind": "poset", "elements": list(P.elements),
+           "relations": sorted(P.strict_pairs())}
+    code, out, _ = run(capsys, "mobius", write(tmp_path, "divisors12.json", doc),
+                       "--format", "json")
+    assert code == 0
+    assert [tuple(row["interval"]) for row in json.loads(out)] == P.intervals()
+    # morphisms in document order
+    C = FinCategory.from_poset(P)
+    name = {m: f"{m[1]}|{m[2]}" for m in C.morphisms}
+    doc = {"kind": "category", "objects": list(C.objects),
+           "morphisms": [{"id": name[m], "src": m[1], "tgt": m[2]}
+                         for m in reversed(list(C.morphisms))],
+           "compose": [[name[f], name[g], name[C.compose(g, f)]]
+                       for f in C.morphisms for g in C.out_arrows(C.tgt(f))],
+           "identities": [[a, name[C.identities[a]]] for a in C.objects]}
+    code, out, _ = run(capsys, "mobius", write(tmp_path, "divisors12_cat.json", doc),
+                       "--format", "json")
+    assert code == 0
+    assert [row["morphism"] for row in json.loads(out)] == [m["id"] for m in doc["morphisms"]]
+
+
 def test_rota_chain_adjunction_builtin(capsys):
     code, out, _ = run(capsys, "rota", "builtin:chain-adjunction")
     assert code == 0
@@ -247,6 +277,20 @@ def test_rota_builtin_sets_posets(capsys):
     code, out, _ = run(capsys, "rota", "builtin:sets-posets", "--grade", "2")
     assert code == 0
     assert "MISMATCH" not in out
+
+
+def test_rota_and_mobius_label_poset_classes_alike(capsys):
+    code, out, _ = run(capsys, "rota", "builtin:sets-posets", "--grade", "4",
+                       "--format", "json")
+    assert code == 0
+    rota = {row["at"] for row in json.loads(out)}
+    mobius = set()
+    for n in range(5):
+        code, out, _ = run(capsys, "mobius", "builtin:posets", "--n", str(n),
+                           "--format", "json")
+        assert code == 0
+        mobius |= {row["class"] for row in json.loads(out)}
+    assert len(rota) == 25 and rota == mobius
 
 
 def test_output_deterministic(capsys):

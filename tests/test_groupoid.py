@@ -391,6 +391,17 @@ def test_automorphism_map_must_land_in_aut_of_the_image():
         f"automorphism map not bijective at class {x!r}: |Aut|=2 vs |Aut(F rep)|=1")
 
 
+def test_aut_witness_is_the_first_automorphism_image_outside():
+    # on Z_3, alpha |-> alpha + 8 sends every automorphism outside Aut(F rep);
+    # the witness is the image of the first one in hom order, label 0 -> 8
+    G = cluster_groupoid([("c", 1, 3)])
+    x = G.objects[0]
+    shifted = GroupoidFunctor(G, G, lambda a: a, lambda m: Mor(m.src, m.tgt, m.label + 8))
+    assert is_equivalence(shifted).witness == (
+        f"automorphism map not bijective at class {x!r}: "
+        f"{Mor(x, x, 8)!r} is not in Aut(F rep)")
+
+
 def test_is_monomorphism_matches_fiber_definition_random():
     # the definition: every homotopy fiber over a target class is empty
     # or contractible (one class, trivial automorphisms)
