@@ -287,14 +287,15 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
     checks, the fiber tables of the incidence coalgebra and the
     relative-nerve cuts redo no chain surgery.
 
-    The nerve generates its Phi fibers: the nondegenerate n-simplices over
-    f = (m,) are the chains of n non-identity arrows whose composite is m.
-    They are found by a walk over the arrows out of each object, from
-    src(m), that keeps a partial composite g only while g is a left factor
-    of m (h . g = m for some h); the left factors of m are memoised on the
-    nerve.  The walk does not stop at an identity m, since non-identity
-    isomorphisms can compose to one.  Phi_n on a nerve thus builds no
-    level beyond 1.
+    The nerve generates its Phi fibers: the nondegenerate k-simplices over
+    f = (m,) are the chains of k non-identity arrows whose composite is m.
+    One walk over the arrows out of each object, from src(m), finds those
+    of every length k <= n: it yields a chain whenever its partial
+    composite g is m, and extends it while g is a left factor of m
+    (h . g = m for some h) and the chain is shorter than n.  The left
+    factors of m are read once, at the start of the walk.  The walk does
+    not stop at an identity m, since non-identity isomorphisms can compose
+    to one.  Phi on a nerve thus builds no level beyond 1.
     """
     if isinstance(C, FinPoset):
         C = FinCategory.from_poset(C)
@@ -317,31 +318,25 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
         return discrete_functor(space.level(n), space.level(n + 1),
                                 partial(_nerve_degeneracy, C, n, i), name=f"s{i}@{n}")
 
-    def left_factors(m):
-        b = C.tgt(m)
-        return frozenset(g for g in C.out_arrows(C.src(m))
-                         if any(C.compose(h, g) == m for h in C.hom(C.tgt(g), b)))
-
     def fiber_fn(space, n, f):
         (m,) = f
-        factors = space._get(("left_factors", m), left_factors, m)
-        b = C.tgt(m)
-        # partial chains with their composites; the children of each are
-        # pushed in reverse, so that the chains come out in morphism order
-        stack = [(C.identities[C.src(m)], ())]
+        a, b = C.src(m), C.tgt(m)
+        factors = {g for g in C.out_arrows(a)
+                   if any(C.compose(h, g) == m for h in C.hom(C.tgt(g), b))}
+        # partial chains with their composites, yielded when the composite
+        # is m; the children of each are pushed in reverse, so that the
+        # chains of each length come out in morphism order
+        stack = [(C.identities[a], ())]
         while stack:
             g, chain = stack.pop()
-            x = C.tgt(g)
-            if len(chain) == n - 1:
-                for e in C.hom(x, b):
-                    if not C.is_identity(e) and C.compose(e, g) == m:
-                        yield chain + (e,)
-                continue
-            for e in reversed(C.out_arrows(x)):
-                if not C.is_identity(e):
-                    h = C.compose(e, g)
-                    if h in factors:
-                        stack.append((h, chain + (e,)))
+            if g == m and chain:
+                yield len(chain), chain
+            if len(chain) < n:
+                for e in reversed(C.out_arrows(C.tgt(g))):
+                    if not C.is_identity(e):
+                        h = C.compose(e, g)
+                        if h in factors:
+                            stack.append((h, chain + (e,)))
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
                                        fiber_fn=fiber_fn, name=name or f"N({C.name})")
@@ -386,29 +381,40 @@ def _chain_counts(C: FinCategory):
 
     Layer k maps an arrow m to the number of chains of k non-identity
     arrows composing to m; layer k+1 extends each chain by an arrow out of
-    its end, and the layers stop before the first that vanishes.  With N
-    non-identity arrows, a nonzero layer N+1 holds a chain that repeats an
-    arrow, and the arrows from one repeat to the next compose around a
-    cycle: the chain is walked back through the layers to its first repeat.
+    its end, and the layers stop before the first that vanishes.  A chain
+    of L = min(N + 1, |Ob|) non-identity arrows (N of them in C) passes
+    L + 1 vertices, so it repeats an object, and the arrows between the
+    repeats compose around a cycle; when layer L is nonzero one such chain
+    is walked back through the layers to its first repeated object, and
+    the arrow leaving that object is the witness.
     """
-    after = {m: {e: C.compose(e, m) for e in C.out_arrows(C.tgt(m)) if not C.is_identity(e)}
-             for m in C.morphisms}     # m -> {non-identity e: e . m}
-    n = sum(not C.is_identity(m) for m in C.morphisms)
+    after: dict = {}     # m -> {non-identity e: e . m}, for the arrows the layers reach
+
+    def successors(m):
+        if m not in after:
+            after[m] = {e: C.compose(e, m) for e in C.out_arrows(C.tgt(m))
+                        if not C.is_identity(e)}
+        return after[m]
+
+    limit = min(sum(not C.is_identity(m) for m in C.morphisms) + 1, len(C.objects))
     layers = [{C.identities[x]: 1 for x in C.objects}]
-    while len(layers) <= n + 1:
+    while len(layers) <= limit:
         nxt: dict = {}
         for m, count in layers[-1].items():
-            for h in after[m].values():
+            for h in successors(m).values():
                 nxt[h] = nxt.get(h, 0) + count
         if not nxt:
             return layers, None
         layers.append(nxt)
-    m, seen = next(iter(layers[-1])), set()
+    if not C.objects:
+        return layers, None
+    m = next(iter(layers[-1]))
+    seen = {C.tgt(m)}
     for prev in reversed(layers[:-1]):
         e, m = next((e, g) for g in prev for e, h in after[g].items() if h == m)
-        if e in seen:
+        if C.src(e) in seen:
             return layers, e
-        seen.add(e)
+        seen.add(C.src(e))
 
 
 def classical_mobius(C: FinCategory, f, chain_bound: Optional[int] = None) -> Fraction:

@@ -316,33 +316,34 @@ def _level_objects(ns: int, np_: int, grade_bound: int):
 def _layerings(kind):
     """The fiber generator of layered sets or posets.
 
-    The n-simplices over a 1-layered f with every layer nonempty are its
-    layerings: strict chains f = D_1 > D_2 > ... > D_n > {} of up-sets
-    (all subsets for sets), with element e in layer max{k : e in D_k}.
-    Each keeps the relations of f, as joining all layers does.
+    The k-simplices over a 1-layered f with every layer nonempty are its
+    k-layerings: strict chains f = D_1 > D_2 > ... > D_k > {} of up-sets
+    (all subsets for sets), with element e in layer max{j : e in D_j}.
+    Each keeps the relations of f, as joining all layers does.  One walk
+    peels the chains of every length k <= n: the node of a chain
+    D_1 > ... > D_k yields the layering that ends there, then peels each
+    nonempty up-set strictly inside D_k while k < n.
     """
 
     def fn(space, n, f):
         _ns, _np, colors, rels = f
         m = len(colors)
         masks = [sum(1 << e for e in U) for U in _up_sets(m, rels) if U]
-        shape = (n, 0) if kind == "s" else (0, n)
+        members = {U: [e for e in range(m) if U >> e & 1] for U in masks}
         layer = [0] * m
 
         def peel(D, k):
-            """Layers k.. of the elements of D = D_k."""
-            if k == n:
-                for e in range(m):
-                    if D >> e & 1:
-                        layer[e] = n
-                yield (*shape, tuple(layer), rels)
-                return
-            for U in masks:
-                if U != D and U & D == U:
-                    for e in range(m):
-                        if (D & ~U) >> e & 1:
+            """The layerings whose k-th up-set is D = D_k."""
+            for e in members[D]:
+                layer[e] = k
+            ns, np_ = (k, 0) if kind == "s" else (0, k)
+            yield k, (ns, np_, tuple(layer), rels)
+            if k < n:
+                for U in masks:
+                    if U != D and U & D == U:
+                        yield from peel(U, k + 1)
+                        for e in members[U]:
                             layer[e] = k
-                    yield from peel(U, k + 1)
 
         if m:
             yield from peel((1 << m) - 1, 1)

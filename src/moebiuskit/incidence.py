@@ -5,9 +5,11 @@ The comultiplication of an edge f is the weighted decomposition of the
 fiber of d_1 : X_2 -> X_1 over f into (d_2, d_0)-labelled components; the
 counit is the fiber cardinality of s_0; convolution is dual to the
 comultiplication.  The Phi functors count simplices with all principal
-edges nondegenerate, and the Mobius functional is the alternating sum
-Phi_even - Phi_odd, which requires a vanishing certificate (the grade of
-the argument on graded spaces, or an explicit length bound).
+edges nondegenerate; every length is read off one histogram per class,
+counted in one walk of the space's fiber generator.  The Mobius
+functional is the alternating sum Phi_even - Phi_odd of that histogram,
+which requires a vanishing certificate (the grade of the argument on
+graded spaces, or an explicit length bound).
 
 A decomposition is held in the format of the fiber table it is read
 from: `comultiply` returns the mapping {(left class, right class):
@@ -134,20 +136,35 @@ def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
     Phi_0 is the counit-style fiber through the s_0-image, Phi_1(f) is 1
     exactly when f itself is nondegenerate.
 
-    For n >= 1 the value is the number of simplices X's fiber generator
-    yields over the class representative of f: the composite d_1^{n-1} is
-    the identity on labels there, so the strict fiber is discrete and has
-    the homotopy fiber's cardinality.  The count is memoised on X.  A
-    space without a generator, an incomplete space and an n beyond the
-    truncation are refused by `fiber_simplices`.
+    For n >= 1 the value is entry n of the Phi histogram of f's class:
+    the number of simplices of each length that one walk of X's fiber
+    generator yields over the class representative, to the truncation.
+    The long edge d_1^{k-1} is the identity on labels there, so each
+    strict fiber is discrete and has the homotopy fiber's cardinality.
+    A space without a generator, an incomplete space and an n beyond the
+    truncation are refused, in that order.
     """
     if n < 0:
         raise DomainError("phi_n needs n >= 0")
     rep = _require_class(X, f)
     if n == 0:
         return counit(X, f)
-    return X._get(("phi", n, rep),
-                  lambda: Fraction(sum(1 for _ in X.fiber_simplices(n, rep))))
+    return Fraction(_phi_histogram(X, rep, n)[n])
+
+
+def _phi_histogram(X: TruncatedSimplicialGroupoid, rep, n: int) -> list:
+    """[0, Phi_1, ..., Phi_N] at the class representative rep, N the
+    truncation, counted in one walk of the fiber generator and memoised
+    on X; a walk to length n must be possible."""
+    X.check_fiber_walk(n)
+    return X._get(("phi", rep), _count_walk, X, rep)
+
+
+def _count_walk(X: TruncatedSimplicialGroupoid, rep) -> list:
+    counts = [0] * (X.max_level + 1)
+    for k, _sigma in X.fiber_walk(X.max_level, rep):
+        counts[k] += 1
+    return counts
 
 
 def grade_certificate(carrier: FiniteGroupoid, f, length_bound: Optional[int]) -> int:
@@ -163,17 +180,19 @@ def grade_certificate(carrier: FiniteGroupoid, f, length_bound: Optional[int]) -
 
 
 def mobius(X: TruncatedSimplicialGroupoid, f, length_bound: Optional[int] = None) -> Fraction:
-    """|mu|(f) = sum_{n <= bound} (-1)^n |Phi_n|(f).
+    """|mu|(f) = sum_{n <= bound} (-1)^n |Phi_n|(f): the counit plus the
+    alternating sum of f's Phi histogram up to the bound.
 
     The bound certifies phi_n(X, f, n) = 0 for n beyond it; graded spaces
     certify it by grade(f) (each nondegenerate layer carries grade >= 1).
+    Bound 0 needs no fiber generator; a bound beyond the truncation is
+    refused after the generator and completeness checks.
     """
     bound = grade_certificate(X.level(1), f, length_bound)
-    total = Fraction(0)
-    for n in range(0, bound + 1):
-        term = phi_n(X, f, n)
-        total += term if n % 2 == 0 else -term
-    return total
+    if bound < 1:
+        return counit(X, f) if bound == 0 else Fraction(0)
+    counts = _phi_histogram(X, _require_class(X, f), bound)
+    return counit(X, f) + sum((-1) ** k * counts[k] for k in range(1, bound + 1))
 
 
 def mobius_functional(X: TruncatedSimplicialGroupoid,

@@ -59,16 +59,18 @@ class TruncatedSimplicialGroupoid(Memo):
 
     A space may also supply a fiber generator,
 
-        fiber_fn(space, n, f)   -> iterable of n-simplices, n >= 1,
+        fiber_fn(space, n, f)   -> iterable of pairs (k, sigma), n >= 1,
 
-    yielding each n-simplex sigma with every principal edge nondegenerate
-    whose inner-face composite d_1^{n-1} sends sigma to the level-1 object
-    f on the nose.  The contract is that this composite is the identity on
-    morphism labels, so the strict fiber is discrete and its size is the
-    homotopy-fiber cardinality over f; `incidence.phi_n` counts it.
+    yielding, in one walk that shares prefixes, each k-simplex sigma with
+    1 <= k <= n, every principal edge nondegenerate and inner-face
+    composite d_1^{k-1} sending sigma to the level-1 object f on the nose,
+    each exactly once.  The contract is that this composite is the
+    identity on morphism labels, so each strict fiber is discrete and its
+    size is the homotopy-fiber cardinality over f; `incidence.phi_n` reads
+    the sizes of all lengths off one walk to the truncation.
 
     Levels, operators and the values derived from them (face powers,
-    degenerate edge classes, completeness, Phi counts, reference word
+    degenerate edge classes, completeness, Phi histograms, reference word
     groupoids) live in the space's `_memo`.  Only valid indices are ever
     stored, so a hit needs no range check.
     """
@@ -112,9 +114,9 @@ class TruncatedSimplicialGroupoid(Memo):
             F = self._get(("degeneracy", n, i), self._degen_fn, self, n, i)
         return F
 
-    def fiber_simplices(self, n: int, f):
-        """The nondegenerate n-simplices over f from the fiber generator;
-        this needs a generator and a complete space."""
+    def check_fiber_walk(self, n: int) -> None:
+        """Refuse a fiber walk to length n on a space without a generator,
+        on an incomplete space and beyond the truncation, in that order."""
         if self._fiber_fn is None:
             raise DomainError(f"{self.name or 'the space'} has no fiber generator")
         _require_complete(self)
@@ -122,7 +124,17 @@ class TruncatedSimplicialGroupoid(Memo):
             raise InsufficientLevelsError(n, self.max_level, self.name)
         if n < 1:
             raise DomainError("the fiber generator needs n >= 1")
+
+    def fiber_walk(self, n: int, f):
+        """The pairs (k, sigma) of the nondegenerate k-simplices over f,
+        1 <= k <= n, from one walk of the fiber generator."""
+        self.check_fiber_walk(n)
         return self._fiber_fn(self, n, f)
+
+    def fiber_simplices(self, n: int, f):
+        """The nondegenerate n-simplices over f: the walk's simplices of
+        length n."""
+        return (sigma for k, sigma in self.fiber_walk(n, f) if k == n)
 
     # -- derived accessors -------------------------------------------------
 

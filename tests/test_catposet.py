@@ -159,6 +159,22 @@ def test_is_mobius_category_matches_brute_force_runs():
     assert cyclic == 5
 
 
+def test_a_one_object_group_is_refused_at_its_first_layer(monkeypatch):
+    # a chain of |Ob| non-identity arrows repeats an object, so on Z_200 the
+    # first layer shows the cycle: only the arrows out of the identity are
+    # composed, not the 200 layers of N + 1 arrows
+    C = cyclic_group_category(200)
+    compose, calls = C.compose, []
+    monkeypatch.setattr(C, "compose", lambda g, f: calls.append((g, f)) or compose(g, f))
+    report = is_mobius_category(C)
+    assert not report and report.max_chain_length is None
+    (f,) = [m for m in C.morphisms if report.witness == f"composable cycle through {m!r}"]
+    assert not C.is_identity(f) and C.src(f) == C.tgt(f)    # a cycle of one arrow
+    assert len(calls) < len(C.morphisms)
+    with pytest.raises(DomainError, match="not a Mobius category"):
+        classical_mobius(C, f)
+
+
 def test_nerve_levels_are_the_composable_chains_in_morphism_order():
     for C in oracle_categories(12):
         N = nerve(C, max_level=4)

@@ -263,14 +263,19 @@ def test_nerve_generated_fiber_equals_whole_level_route():
     assert sum(_check_generated_fibers(N) for N in criterion_4_nerves()) == 558
 
 
-def test_nerve_fiber_counts_non_identity_chains_onto_an_identity():
-    # one object with a non-identity involution s: s . s = 1, so the chain
-    # (s, s) of non-identity arrows composes to the identity
+def _involution_nerve():
+    """The nerve, truncated at 4, of one object with a non-identity
+    involution s: s . s = 1, so the chain (s, s) of non-identity arrows
+    composes to the identity."""
     C = FinCategory(["*"], {"1": ("*", "*"), "s": ("*", "*")},
                     {("1", "1"): "1", ("1", "s"): "s", ("s", "1"): "s", ("s", "s"): "1"},
                     {"*": "1"})
     C.validate()
-    N = nerve(C, max_level=4)
+    return nerve(C, max_level=4)
+
+
+def test_nerve_fiber_counts_non_identity_chains_onto_an_identity():
+    N = _involution_nerve()
     assert list(N.fiber_simplices(2, ("1",))) == [("s", "s")]
     assert phi_n(N, ("1",), 2) == 1
     assert [phi_n(N, ("s",), n) for n in range(1, 5)] == [1, 0, 1, 0]
@@ -299,6 +304,69 @@ def test_nerve_inversion_classifies_each_2_simplex_once(monkeypatch):
     assert verify_inversion(N, length_bound=4).passed
     assert set(calls) == set(N.level(2).iso_classes().reps)
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: nerve(divisor_poset(12), max_level=6), 3),
+    (lambda: layered_posets(4), None),
+], ids=["divisors of 12", "layered posets 4"])
+def test_mobius_walks_each_class_fiber_once(monkeypatch, build, bound):
+    # one walk of the fiber generator gives Phi of every length, so mu and
+    # the inversion check ask for it once per class whose bound is >= 1
+    X = build()
+    monkeypatch.setattr(X, "_memo", {k: v for k, v in X._memo.items() if k[0] != "phi"})
+    walk = X._fiber_fn
+    calls = collections.Counter()
+
+    def counted(space, n, f):
+        calls[f] += 1
+        return walk(space, n, f)
+
+    monkeypatch.setattr(X, "_fiber_fn", counted)
+    mu = mobius_functional(X, bound)
+    assert verify_inversion(X, length_bound=bound, mu=mu).passed
+    carrier = X.level(1)
+    walked = {rep for rep in carrier.iso_classes().reps
+              if (carrier.grade(rep) if bound is None else bound) >= 1}
+    assert set(calls) == walked and set(calls.values()) == {1}
+
+
+def test_one_fiber_walk_yields_each_simplex_of_every_length_once():
+    for X in (layered_sets(3), layered_posets(3), nerve(divisor_poset(12), max_level=6),
+              _involution_nerve()):
+        top = X.max_level
+        for f in X.level(1).iso_classes().reps:
+            pairs = list(X.fiber_walk(top, f))
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == {(k, sigma) for k in range(1, top + 1)
+                                  for sigma in X.fiber_simplices(k, f)}
+            lengths = collections.Counter(k for k, _sigma in pairs)
+            assert [phi_n(X, f, k) for k in range(1, top + 1)] == [
+                lengths[k] for k in range(1, top + 1)]
+
+
+def test_mobius_is_the_alternating_sum_of_phi_up_to_the_bound():
+    # a bound below the longest chain cuts the sum: [1, 12] in the divisors
+    # of 12 has 1, 4 and 3 chains of 1, 2 and 3 arrows
+    N = nerve(divisor_poset(12), max_level=6)
+    f = (("le", 1, 12),)
+    partial = [sum((-1) ** n * phi_n(N, f, n) for n in range(bound + 1)) for bound in range(7)]
+    assert partial == [0, -1, 3, 0, 0, 0, 0]
+    assert [mobius(N, f, length_bound=bound) for bound in range(7)] == partial
+    # bound 0 is the counit and needs no fiber generator
+    row = total_decalage(nerve(chain_poset(3), max_level=6), 2, 2).row(0)
+    for e in row.level(1).iso_classes().reps:
+        assert mobius(row, e, length_bound=0) == counit(row, e)
+        with pytest.raises(DomainError, match="has no fiber generator"):
+            mobius(row, e, length_bound=1)
+    # the involution's Phi histogram alternates up to the truncation, and a
+    # bound beyond it is refused with the bound as the level it needs
+    I = _involution_nerve()
+    assert [phi_n(I, ("s",), n) for n in range(1, 5)] == [1, 0, 1, 0]
+    assert [mobius(I, ("s",), length_bound=bound) for bound in range(5)] == [0, -1, -1, -2, -2]
+    with pytest.raises(InsufficientLevelsError) as err:
+        mobius(I, ("s",), length_bound=6)
+    assert (err.value.needed, err.value.available) == (6, 4)
 
 
 @st.composite
