@@ -23,18 +23,11 @@ representatives generate the groupoid, so the strict-commutation check
 Per-object class data is read once per groupoid, into its `_memo`: the
 automorphism group hom(a, a) under ("auts", a) and the connector
 a -> class_of(a) and its inverse under ("connector", a, inverse).  The
-iso-class table, `functors_equal`, the iso-comma keys, the pullback
-comparison, the automorphism test of `is_equivalence` and `skeletalize`
-read them there, so the levels shared by every square of an axiom check
-are read once for all of them.  No entry refers to its owner.
-
-A square of sets, with W, A and B discrete (every class one object with
-a trivial Aut, as on nerve levels), is checked as a pullback of sets:
-its iso-comma is discrete too, so the square is a pullback iff
-w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  The
-check reads only that object list, with no comparison functor, class
-table of the iso-comma or automorphism test, and gives the general
-rule's verdicts, witnesses and errors.
+iso-class table, `functors_equal`, the iso-comma keys, the orbit walk of
+a pullback check, the automorphism test of `is_equivalence` and
+`skeletalize` read them there, so the levels shared by every square of
+an axiom check are read once for all of them.  No entry refers to its
+owner.
 
 Images and fibers both live in the functor.  A `tabulated` functor
 computes each object's image once, into its image table, and any functor
@@ -45,11 +38,28 @@ image behind `is_equivalence` and `is_monomorphism` reads all of it.  A
 functor built for one call, by `restrict` or `compose`, gets a fresh
 fiber table.
 
-A pullback square is checked against the iso-comma of the legs restricted
-to the class representatives of A and B.  That iso-comma is a full
-subgroupoid of the whole one, equivalent to it, and holds the first
-member of each of its classes, so the verdict, the class representatives
-and every witness are those of the whole iso-comma.
+A square of sets, with W, A and B discrete (every class one object with
+a trivial Aut, as on nerve levels), is checked as a pullback of sets:
+its iso-comma is discrete too, so the square is a pullback iff
+w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  The
+check reads only that object list and gives the verdicts, witnesses and
+errors of the orbit rule below.
+
+A square with a non-discrete corner is checked through the orbits of
+its legs, with no iso-comma groupoid, class table or comparison functor.
+Over class representatives r_a, r_b of A and B, an iso-comma class is a
+double coset f(Aut r_a) \\ Iso(f r_a, g r_b) / g(Aut r_b), and its
+automorphism group is the stabilizer of one member.  One walk of
+Iso(f r_a, g r_b) opens a class at each phi that no earlier orbit holds,
+computes that orbit once and, by orbit-stabilizer, gives the class
+|Aut r_a| |Aut r_b| / |orbit| automorphisms.  The classes, their
+representatives and their orders are those of the class table of the
+iso-comma on class representatives, in its order; that iso-comma is
+equivalent to the whole one and holds the first member of each of its
+classes, so the verdict and every witness are those of the whole
+iso-comma.  The automorphism test still checks that each image
+(alpha, beta) of an automorphism of W fixes its phi: the orbit gives the
+order of the stabilizer, not its members.
 
 Morphisms are identified by the triple (source, target, label); labels are
 opaque and compared by equality.  Composition is written `compose(g, f)`
@@ -760,6 +770,114 @@ def _set_pullback_witness(p, q, f, g, grade_bound) -> Optional[str]:
     return None
 
 
+def _double_coset(C: FiniteGroupoid, phi: Mor, left, right) -> set:
+    """The labels of the orbit {v . phi . u : u in left, v in right} of
+    phi: f(r_a) -> g(r_b), for the images `left` of Aut(r_a) under f and
+    `right` of Aut(r_b) under g."""
+    half = [C.compose(phi, u) for u in left]
+    return {C.compose(v, m).label for m in half for v in right}
+
+
+def _iso_comma_classes(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
+    """(reps, class_of, aut_orders): the iso classes of the iso-comma P' of
+    f and g on the class representatives of A and B, as the class table
+    of homotopy_pullback(f|sk A, g|sk B) would list them, with no groupoid
+    and no table built.
+
+    The pairs (r_a, r_b) over one C class, within the grade bound, are
+    walked in P' object order, and Iso(f r_a, g r_b) in hom order.  The
+    first phi not yet classified opens the class (r_a, r_b, phi): its
+    orbit under the images of Aut(r_a) x Aut(r_b) is computed once, and
+    each orbit label is mapped to it in class_of[r_a, r_b].  By
+    orbit-stabilizer its automorphism group, the stabilizer of phi, has
+    |Aut r_a| |Aut r_b| / |orbit| elements; when that product is 1 the
+    orbit is {phi}."""
+    A, B, C = f.source, g.source, f.target
+    atab, btab, ctab = A.iso_classes(), B.iso_classes(), C.iso_classes()
+    graded = (grade_bound is not None and A.is_graded() and B.is_graded()
+              and C.is_graded())
+    by_class: dict = {}
+    for rb in btab.reps:
+        by_class.setdefault(ctab.class_of(g.ob(rb)), []).append(rb)
+    reps, class_of, aut_orders = [], {}, {}
+    g_auts: dict = {}
+    for ra in atab.reps:
+        fa = f.ob(ra)
+        n_a, f_auts = atab.aut_orders[ra], None
+        for rb in by_class.get(ctab.class_of(fa), ()):
+            if graded and A.grade(ra) + B.grade(rb) - C.grade(fa) > grade_bound:
+                continue
+            gb = g.ob(rb)
+            n = n_a * btab.aut_orders[rb]
+            labels = class_of[ra, rb] = {}
+            for phi in _auts(C, fa) if fa == gb else C.hom(fa, gb):
+                if phi.label in labels:
+                    continue
+                x = (ra, rb, phi)
+                reps.append(x)
+                if n == 1:
+                    labels[phi.label] = x
+                    aut_orders[x] = 1
+                    continue
+                if f_auts is None:
+                    f_auts = list(dict.fromkeys(f(alpha) for alpha in _auts(A, ra)))
+                if rb not in g_auts:
+                    g_auts[rb] = list(dict.fromkeys(g(beta) for beta in _auts(B, rb)))
+                orbit = _double_coset(C, phi, f_auts, g_auts[rb])
+                for label in orbit:
+                    labels[label] = x
+                aut_orders[x] = n // len(orbit)
+    return reps, class_of, aut_orders
+
+
+def _orbit_witness(p, q, f, g, grade_bound) -> Optional[str]:
+    """The witness of `is_pullback_square` on a square with a non-discrete
+    corner, None when it passes; see there."""
+    A, B, C, W = f.source, g.source, f.target, p.source
+    atab, btab = A.iso_classes(), B.iso_classes()
+    reps, class_of, aut_orders = _iso_comma_classes(f, g, grade_bound)
+    images = []
+    for w in W.iso_classes().reps:
+        a, b = p.ob(w), q.ob(w)
+        ca, cb = _connector(A, a), _connector(B, b)
+        ca_inv, cb_inv = _connector(A, a, inverse=True), _connector(B, b, inverse=True)
+        phi = _transport(C, C.identity(f.ob(a)), ca_inv and f(ca_inv), cb and g(cb))
+        ra, rb = atab.class_of(a), btab.class_of(b)
+        x = (ra, rb, phi)
+        labels = class_of.get((ra, rb))
+        # a label names a morphism only within its hom-set
+        if (labels is None or phi.label not in labels
+                or (phi.src, phi.tgt) != (f.ob(ra), g.ob(rb))):
+            raise DomainError(f"{x!r} not an object of the carrier")
+        images.append((w, x, labels[phi.label], (ca, ca_inv, cb, cb_inv)))
+    first: dict = {}
+    for w, _, cls, _ in images:
+        if cls in first:
+            return ("not fully faithful: source classes "
+                    f"{first[cls]!r} and {w!r} share target class {cls!r}")
+        first[cls] = w
+    for x in reps:
+        if x not in first:
+            return f"not essentially surjective: target class {x!r} missed"
+    for w, x, cls, (ca, ca_inv, cb, cb_inv) in images:
+        auts = _auts(W, w)
+        pairs = [(_transport(A, p(m), ca_inv, ca).label, _transport(B, q(m), cb_inv, cb).label)
+                 for m in auts]
+        if len(set(pairs)) != len(auts) or len(auts) != aut_orders[cls]:
+            return (f"automorphism map not bijective at class {w!r}: "
+                    f"|Aut|={len(auts)} vs |Aut(F rep)|={aut_orders[cls]}")
+        ra, rb, phi = x
+        a_auts = {m.label: m for m in _auts(A, ra)}
+        b_auts = {m.label: m for m in _auts(B, rb)}
+        for la, lb in pairs:
+            alpha, beta = a_auts.get(la), b_auts.get(lb)
+            if (alpha is None or beta is None
+                    or C.compose(g(beta), phi) != C.compose(phi, f(alpha))):
+                return (f"automorphism map not bijective at class {w!r}: "
+                        f"{Mor(x, x, (la, lb))!r} is not in Aut(F rep)")
+    return None
+
+
 def is_pullback_square(
     p: GroupoidFunctor,
     q: GroupoidFunctor,
@@ -776,27 +894,35 @@ def is_pullback_square(
         v        v
         A --f--> C
 
-    is a homotopy pullback: the comparison functor from W into the
-    iso-comma groupoid of (f, g) must be an equivalence.  Non-commuting
-    squares are a domain error, distinct from a failed pullback check;
+    is a homotopy pullback: the comparison from W into the iso-comma
+    groupoid of (f, g) must be an equivalence.  Non-commuting squares are
+    a domain error, distinct from a failed pullback check;
     `functors_equal` decides commutation on the generators of W, the
     automorphisms of its class representatives and the connectors to
     them.
 
-    The comparison lands in the iso-comma P' of f and g restricted to the
-    class representatives of A and B (to A or B itself where every class
-    is one object).  It sends w to (r_a, r_b, g(c_b) . f(c_a)^{-1}), with
-    c_a: p(w) -> r_a and c_b: q(w) -> r_b the class connectors, and a
-    morphism to its conjugate along them.  P' is the full subgroupoid of
-    the whole iso-comma P on the objects over representatives, and each
-    P class meets it, so W -> P' is an equivalence iff W -> P is.  P'
-    lists its objects in P's order and holds each P class's first member,
-    so classes, representatives and witnesses are P's.
+    The comparison is read on iso classes, with no iso-comma groupoid, no
+    class table of it and no comparison functor.  The iso-comma P' of f
+    and g on the class representatives of A and B is equivalent to the
+    whole one and holds the first member of each of its classes.  A P'
+    class over (r_a, r_b) is a double coset f(Aut r_a) \\ Iso(f r_a, g r_b)
+    / g(Aut r_b), and its automorphism group is the stabilizer of one of
+    its members; `_iso_comma_classes` walks the orbits once, in P' order.
+    Each class representative w of W goes to the class of
+    (r_a, r_b, g(c_b) . f(c_a)^{-1}), with c_a: p(w) -> r_a and
+    c_b: q(w) -> r_b the class connectors; an image that is not an object
+    of P' raises.  Then, as `is_equivalence` of that comparison would,
+    the witness names the first w whose class an earlier w already hit,
+    else the first class, in P' order, that no w hits, else the first w
+    whose automorphisms, moved along the same connectors, are not
+    distinct or not as many as the stabilizer's order.  The last test
+    also requires each image (alpha, beta) to fix the phi of w's image,
+    g(beta) . phi = phi . f(alpha), since the orbit gives the stabilizer's
+    order, not its members.
 
     A square of sets, with W, A and B discrete (nerve levels are), is
     checked as a pullback of sets by `_set_pullback_witness`, with the
-    verdicts, witnesses and errors of the rule above and none of its
-    tables; a square with a non-discrete corner takes the rule above.
+    verdicts, witnesses and errors of the rule above and no orbit walk.
     """
     W = p.source
     if q.source is not W:
@@ -805,35 +931,11 @@ def is_pullback_square(
     gq = GroupoidFunctor.compose(g, q)
     if not functors_equal(fp, gq):
         raise DomainError(f"square {name or ''} does not commute strictly")
-    A, B, C = f.source, g.source, f.target
-    if _is_discrete(W) and _is_discrete(A) and _is_discrete(B):
+    if _is_discrete(W) and _is_discrete(f.source) and _is_discrete(g.source):
         witness = _set_pullback_witness(p, q, f, g, grade_bound)
-        return SquareResult(witness is None, witness, name=name)
-    atab, btab = A.iso_classes(), B.iso_classes()
-
-    def on_reps(h):
-        G = h.source
-        return h if len(G.iso_classes().reps) == len(G.objects) else h.restrict(_skeleton(G))
-
-    P, _, _ = homotopy_pullback(on_reps(f), on_reps(g), grade_bound=grade_bound)
-
-    def to_reps(w):
-        # (image, c_a, c_a^-1, c_b, c_b^-1); None connectors for ends
-        # already at their reps
-        a, b = p.ob(w), q.ob(w)
-        ca, cb = _connector(A, a), _connector(B, b)
-        ca_inv, cb_inv = _connector(A, a, inverse=True), _connector(B, b, inverse=True)
-        phi = _transport(C, C.identity(f.ob(a)), ca_inv and f(ca_inv), cb and g(cb))
-        return (atab.class_of(a), btab.class_of(b), phi), ca, ca_inv, cb, cb_inv
-
-    def mor(m, src, tgt):
-        x, _, ca_inv, _, cb_inv = src
-        y, ca2, _, cb2, _ = tgt
-        return Mor(x, y, (_transport(A, p(m), ca_inv, ca2).label,
-                          _transport(B, q(m), cb_inv, cb2).label))
-
-    result = is_equivalence(GroupoidFunctor.tabulated(W, P, to_reps, mor, name="cmp"))
-    return SquareResult(result.passed, result.witness, name=name)
+    else:
+        witness = _orbit_witness(p, q, f, g, grade_bound)
+    return SquareResult(witness is None, witness, name=name)
 
 
 def skeletalize(G: FiniteGroupoid):

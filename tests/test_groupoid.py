@@ -913,12 +913,27 @@ def test_a_nerve_check_reads_each_automorphism_group_once():
         assert max(reads.values()) == 1
 
 
-def test_an_iso_comma_reads_each_leg_automorphism_group_once(monkeypatch):
-    # the general-rule hom of an iso-comma reads Aut(a) and Aut(b) of its
-    # legs' sources from their memo, so each is read once per groupoid
+def _recorded_orbit_walks(monkeypatch):
+    """Record (f, g, grade_bound, (reps, class_of, aut_orders)) for every
+    orbit walk that a pullback check makes."""
+    walks = []
+    walk = groupoid._iso_comma_classes
+
+    def recorded(f, g, grade_bound):
+        result = walk(f, g, grade_bound)
+        walks.append((f, g, grade_bound, result))
+        return result
+
+    monkeypatch.setattr(groupoid, "_iso_comma_classes", recorded)
+    return walks
+
+
+def test_the_orbit_walk_reads_each_leg_automorphism_group_once(monkeypatch):
+    # the orbit walk and the automorphism test read Aut(a) and Aut(b) of
+    # the legs' sources from their memo, so each is read once per groupoid
     for name in ("_layered_level", "_layered_space"):
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
-    made = _recorded_iso_commas(monkeypatch)
+    walks = _recorded_orbit_walks(monkeypatch)
     reads = collections.Counter()
     hom = FiniteGroupoid.hom
 
@@ -931,8 +946,46 @@ def test_an_iso_comma_reads_each_leg_automorphism_group_once(monkeypatch):
     X = layered_posets(3)
     assert check_axioms(X, "decomposition", 1).passed
     assert not check_axioms(X, "segal", 1).passed
-    legs = {h.source for P, f, g, discrete in made if not discrete for h in (f, g)}
+    legs = {h.source for f, g, *_ in walks for h in (f, g)}
     assert legs and all(reads[G, a] <= 1 for G in legs for a in G.objects)
+
+
+def _check_orbit_classes(f, g, grade_bound, walked):
+    """The orbit walk's classes are those of the class table of the
+    iso-comma on class representatives: the same representatives in the
+    same order, every object in its class and no other label classified,
+    and the same automorphism orders, which the table reads by a hom scan.
+    Returns that iso-comma and its legs."""
+    reps, class_of, aut_orders = walked
+    sk_f = f.restrict(groupoid._skeleton(f.source))
+    sk_g = g.restrict(groupoid._skeleton(g.source))
+    P = homotopy_pullback(sk_f, sk_g, grade_bound)[0]
+    table = P.iso_classes()
+    assert reps == list(table.reps)
+    assert [aut_orders[x] for x in reps] == [table.aut_orders[x] for x in table.reps]
+    assert all(class_of[a, b][phi.label] == table.class_of((a, b, phi))
+               for a, b, phi in P.objects)
+    assert sum(map(len, class_of.values())) == len(P.objects)
+    return P, sk_f, sk_g
+
+
+def test_orbit_classes_match_the_iso_comma_class_table(monkeypatch):
+    walks = _recorded_orbit_walks(monkeypatch)
+    check_axioms(layered_posets(2), "decomposition", 1)
+    # the legs of layered squares have nontrivial automorphisms; the hom of
+    # their iso-commas is the definition's
+    assert any(max(f.source.iso_classes().aut_orders.values()) > 1 for f, *_ in walks)
+    for f, g, grade_bound, walked in walks:
+        _check_against_brute_force(*_check_orbit_classes(f, g, grade_bound, walked))
+    walks.clear()
+    for g in (2, 3):
+        for profile in ("decomposition", "segal"):
+            check_axioms(layered_posets(g), profile, 1)
+    for p, q, f, g in _random_squares(seeded(29), 210):
+        is_pullback_square(p, q, f, g)
+    assert len(walks) > 100
+    for f, g, grade_bound, walked in walks:
+        _check_orbit_classes(f, g, grade_bound, walked)
 
 
 def _brute_force_hom(f, g, x, y):
@@ -975,12 +1028,6 @@ def test_discrete_iso_commas_match_the_brute_force_hom(monkeypatch):
     assert len(made) == 5 * 20   # segal and decomposition squares at n <= 2
     for P, f, g, discrete in made:
         assert discrete
-        _check_against_brute_force(P, f, g)
-    # control: legs with nontrivial automorphisms
-    made.clear()
-    check_axioms(layered_posets(2), "decomposition", 1)
-    assert any(not discrete for *_, discrete in made)
-    for P, f, g, discrete in made:
         _check_against_brute_force(P, f, g)
 
 
@@ -1025,8 +1072,8 @@ def _oracle_failures(monkeypatch):
     outputs of the layered-posets checks, the identities, the cardinality
     route on every passed square, the verdict on a map that sends an
     automorphism outside Aut(F rep), and the whole iso-comma on random
-    squares of sets.  A library call that raises ends the run as the
-    failure "raised"."""
+    squares of sets and on random squares of cluster groupoids.  A library
+    call that raises ends the run as the failure "raised"."""
     for name in ("_layered_level", "_layered_space"):
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
     failed = set()
@@ -1061,6 +1108,10 @@ def _oracle_failures(monkeypatch):
             got, want = is_pullback_square(p, q, f, g), _whole_comparison(p, q, f, g)
             if (got.passed, got.witness) != (want.passed, want.witness):
                 failed.add("whole iso-comma")
+        for p, q, f, g in _random_squares(seeded(29), 40):
+            got, want = is_pullback_square(p, q, f, g), _whole_comparison(p, q, f, g)
+            if (got.passed, got.witness) != (want.passed, want.witness):
+                failed.add("whole iso-comma of groupoids")
     except Exception:   # a faulty kernel may raise where a sound one answers
         failed.add("raised")
     return failed
@@ -1103,6 +1154,26 @@ def _without_missed_scan(rule):
     return mutant
 
 
+def _orbit_size_as_aut_order(walk):
+    """The orbit walk giving a class the order |orbit| of its orbit, not
+    the stabilizer's |Aut r_a| |Aut r_b| / |orbit|."""
+    def mutant(f, g, grade_bound):
+        reps, class_of, aut_orders = walk(f, g, grade_bound)
+        atab, btab = f.source.iso_classes(), g.source.iso_classes()
+        return reps, class_of, {x: atab.aut_orders[x[0]] * btab.aut_orders[x[1]] // n
+                                for x, n in aut_orders.items()}
+
+    return mutant
+
+
+def _left_coset_only(double_coset):
+    """The orbit of phi under f(Aut r_a) alone."""
+    def mutant(C, phi, left, right):
+        return double_coset(C, phi, left, [C.identity(phi.tgt)])
+
+    return mutant
+
+
 def test_each_kernel_fault_fails_an_oracle(monkeypatch):
     assert _oracle_failures(monkeypatch) == set()
     faults = {
@@ -1113,6 +1184,12 @@ def test_each_kernel_fault_fails_an_oracle(monkeypatch):
             "_set_pullback_witness", _without_missed_scan(groupoid._set_pullback_witness),
             "whole iso-comma"),
         "one-ended conjugation": ("_transport", _one_ended_transport, "golden"),
+        "orbit size as the aut order": (
+            "_iso_comma_classes", _orbit_size_as_aut_order(groupoid._iso_comma_classes),
+            "whole iso-comma of groupoids"),
+        "orbit of f(Aut r_a) alone": (
+            "_double_coset", _left_coset_only(groupoid._double_coset),
+            "whole iso-comma of groupoids"),
     }
     for fault, (name, mutant, oracle) in faults.items():
         with monkeypatch.context() as m:

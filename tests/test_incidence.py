@@ -331,6 +331,37 @@ def test_mobius_walks_each_class_fiber_once(monkeypatch, build, bound):
     assert set(calls) == walked and set(calls.values()) == {1}
 
 
+def _cyclic_group_nerve(k, max_level):
+    """The nerve of the one-object category Z_k, whose non-identity chains
+    compose without end, so a fiber walk runs to the length asked."""
+    arrows = {f"r{i}": ("*", "*") for i in range(k)}
+    composites = {(f"r{i}", f"r{j}"): f"r{(i + j) % k}" for i in range(k) for j in range(k)}
+    return nerve(FinCategory(["*"], arrows, composites, {"*": "r0"}), max_level=max_level)
+
+
+def test_phi_walks_each_class_fiber_to_the_longest_length_asked(monkeypatch):
+    # Phi_1 of Z_6 walks to length 1, not to the truncation 6; a longer
+    # length walks again, once, and a shorter one reads that walk
+    want = {n: [len(list(_cyclic_group_nerve(6, 3).fiber_simplices(n, (f"r{i}",))))
+                for i in range(6)] for n in (1, 2, 3)}
+    N = _cyclic_group_nerve(6, max_level=6)
+    walk = N._fiber_fn
+    lengths = []
+
+    def counted(space, n, f):
+        lengths.append(n)
+        return walk(space, n, f)
+
+    monkeypatch.setattr(N, "_fiber_fn", counted)
+    arrows = [(f"r{i}",) for i in range(6)]
+    assert [phi_n(N, f, 1) for f in arrows] == want[1] == [0, 1, 1, 1, 1, 1]
+    assert lengths == [1] * 6
+    lengths.clear()
+    assert [phi_n(N, f, 3) for f in arrows] == want[3]
+    assert [phi_n(N, f, n) for n in (1, 2) for f in arrows] == want[1] + want[2]
+    assert lengths == [3] * 6
+
+
 def test_one_fiber_walk_yields_each_simplex_of_every_length_once():
     for X in (layered_sets(3), layered_posets(3), nerve(divisor_poset(12), max_level=6),
               _involution_nerve()):
