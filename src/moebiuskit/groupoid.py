@@ -41,9 +41,14 @@ fiber table.
 A square of sets, with W, A and B discrete (every class one object with
 a trivial Aut, as on nerve levels), is checked as a pullback of sets:
 its iso-comma is discrete too, so the square is a pullback iff
-w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  The
-check reads only that object list and gives the verdicts, witnesses and
-errors of the orbit rule below.
+w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  One
+walk of W decides strict commutation and that bijection from the object
+maps alone: the images must be distinct objects of the iso-comma, and as
+many as it has, a number read off the legs.  No iso-comma is built unless
+a missed object must be named, and the verdicts, witnesses and errors
+are those of the precheck and the orbit rule below.  A discrete groupoid
+carries its class table from construction, so telling a square of sets
+reads no hom-set.
 
 A square with a non-discrete corner is checked through the orbits of
 its legs, with no iso-comma groupoid, class table or comparison functor.
@@ -273,7 +278,11 @@ class FiniteGroupoid(Memo):
 
 
 def discrete_groupoid(objects, grade=None, name="") -> FiniteGroupoid:
-    """The groupoid with the given objects and only identity morphisms."""
+    """The groupoid with the given objects and only identity morphisms.
+
+    It carries its iso-class table from construction, each object its own
+    class with a trivial Aut: the table `IsoClassTable._build` would read
+    off one hom-set per object."""
 
     def hom(a, b):
         return (Mor(a, a, "id"),) if a == b else ()
@@ -284,8 +293,12 @@ def discrete_groupoid(objects, grade=None, name="") -> FiniteGroupoid:
     def identity(a):
         return Mor(a, a, "id")
 
-    return FiniteGroupoid(objects, hom, compose, identity, grade=grade,
-                          iso_key=lambda a: a, name=name)
+    G = FiniteGroupoid(objects, hom, compose, identity, grade=grade,
+                       iso_key=lambda a: a, name=name)
+    objs = G.objects
+    G._memo["iso_classes",] = IsoClassTable(
+        objs, {a: (a,) for a in objs}, dict(zip(objs, objs)), dict.fromkeys(objs, 1))
+    return G
 
 
 def discrete_functor(source, target, ob, name="") -> "GroupoidFunctor":
@@ -738,34 +751,92 @@ def is_monomorphism(F: GroupoidFunctor) -> bool:
     return _class_image(F)[1] is None and _aut_witness(F) is None
 
 
-def _set_pullback_witness(p, q, f, g, grade_bound) -> Optional[str]:
+def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
+    """The number of objects of homotopy_pullback(f, g, grade_bound), read
+    off the legs with no groupoid built: a pair (a, b) whose images lie in
+    one class of C, within the grade bound, has as many isos f(a) -> g(b)
+    as that class has automorphisms.  It raises where that construction
+    does."""
+    A, B, C = f.source, g.source, f.target
+    if g.target is not C and g.target.objects != C.objects:
+        raise DomainError("cospan legs do not share a codomain")
+    graded = (grade_bound is not None and A.is_graded() and B.is_graded()
+              and C.is_graded())
+    ctab = C.iso_classes()
+    by_class: dict = {}
+    for b in B.objects:
+        by_class.setdefault(ctab.class_of(g.ob(b)), []).append(b)
+    size = 0
+    for a in A.objects:
+        fa = f.ob(a)
+        cls = ctab.class_of(fa)
+        over = by_class.get(cls, ())
+        if graded:
+            bound = grade_bound - A.grade(a) + C.grade(fa)
+            pairs = sum(B.grade(b) <= bound for b in over)
+        else:
+            pairs = len(over)
+        size += pairs * ctab.aut_orders[cls]
+    return size
+
+
+def _set_pullback_witness(p, q, f, g, grade_bound, name) -> Optional[str]:
     """The witness of `is_pullback_square` on a square of sets (W, A and B
     discrete), None when it passes.  The iso-comma P of (f, g) is then
     discrete, and the comparison w -> (p w, q w, id) must be a bijection
-    onto its objects.  As `is_equivalence` of the comparison would, it
-    raises at the first w, in W order, whose image is not an object of P,
-    before any witness; then it names the first w whose image an earlier w
-    already has, then the first object of P, in P order, that no w hits."""
-    # class_of is the identity on A and B, and raises off them as the
-    # general rule's connectors do
-    class_a, class_b = f.source.iso_classes().class_of, g.source.iso_classes().class_of
-    C, W = f.target, p.source.objects
-    P = homotopy_pullback(f, g, grade_bound)[0]
-    images = []
-    for w in W:
-        a, b = p.ob(w), q.ob(w)
-        x = (class_a(a), class_b(b), C.identity(f.ob(a)))
-        if not P.has_object(x):
-            raise DomainError(f"{x!r} not an object of the carrier")
-        images.append(x)
+    onto its objects.
+
+    One walk of W reads p w and q w once each.  It raises at the first w
+    with f(p w) != g(q w): on a discrete W that is all of the
+    strict-commutation precheck.  Then, as `is_equivalence` of the
+    comparison would, it raises at the first w whose image is not an
+    object of P, names the first w whose image an earlier w already has,
+    and else needs as many images as P has objects, counted by
+    `_iso_comma_size`.  Only a square that misses an object builds P, to
+    name the first object, in P order, that no w hits."""
+    A, B, C = f.source, g.source, f.target
+    graded = (grade_bound is not None and A.is_graded() and B.is_graded()
+              and C.is_graded())
+    in_a, in_b = A._object_set, B._object_set
+    p_ob, q_ob, f_ob, g_ob = p._ob, q._ob, f._ob, g._ob
     first: dict = {}
-    for w, x in zip(W, images):
-        if x in first:
-            return ("not fully faithful: source classes "
-                    f"{first[x]!r} and {w!r} share target class {x!r}")
-        first[x] = w
-    for x in P.objects:
-        if x not in first:
+    off = collision = None
+    for w in p.source.objects:
+        a = p_ob(w)
+        fa = f_ob(a)
+        b = q_ob(w)
+        if fa != g_ob(b):
+            raise DomainError(f"square {name or ''} does not commute strictly")
+        if off is not None:
+            continue
+        if (a not in in_a or b not in in_b or graded
+                and A.grade(a) + B.grade(b) - C.grade(fa) > grade_bound):
+            off = w
+        elif collision is None:
+            if (a, b) in first:
+                collision = w
+            else:
+                first[a, b] = w
+    size = _iso_comma_size(f, g, grade_bound)
+
+    def image(w):
+        a, b = p.ob(w), q.ob(w)
+        return (a, b, C.identity(f.ob(a)))
+
+    if off is not None:
+        # the messages of class_of on A and B, then of P's carrier
+        a, b = p.ob(off), q.ob(off)
+        x = a if a not in in_a else b if b not in in_b else image(off)
+        raise DomainError(f"{x!r} not an object of the carrier")
+    if collision is not None:
+        x = image(collision)
+        return ("not fully faithful: source classes "
+                f"{first[x[:2]]!r} and {collision!r} share target class {x!r}")
+    if len(first) == size:
+        return None
+    hit = {image(w) for w in first.values()}
+    for x in homotopy_pullback(f, g, grade_bound)[0].objects:
+        if x not in hit:
             return f"not essentially surjective: target class {x!r} missed"
     return None
 
@@ -896,10 +967,18 @@ def is_pullback_square(
 
     is a homotopy pullback: the comparison from W into the iso-comma
     groupoid of (f, g) must be an equivalence.  Non-commuting squares are
-    a domain error, distinct from a failed pullback check;
-    `functors_equal` decides commutation on the generators of W, the
-    automorphisms of its class representatives and the connectors to
-    them.
+    a domain error, distinct from a failed pullback check.
+
+    A square of sets, with A, B and W discrete (nerve levels are; A and B
+    are tested first), is decided by `_set_pullback_witness` in one walk
+    of W that compares the object maps for commutation and counts the
+    images against the iso-comma's size; it gives the verdicts, witnesses
+    and errors of the general rule below and builds no iso-comma on a
+    pass.
+
+    Any other square is first checked to commute by `functors_equal` on
+    the generators of W, the automorphisms of its class representatives
+    and the connectors to them.
 
     The comparison is read on iso classes, with no iso-comma groupoid, no
     class table of it and no comparison functor.  The iso-comma P' of f
@@ -919,21 +998,15 @@ def is_pullback_square(
     also requires each image (alpha, beta) to fix the phi of w's image,
     g(beta) . phi = phi . f(alpha), since the orbit gives the stabilizer's
     order, not its members.
-
-    A square of sets, with W, A and B discrete (nerve levels are), is
-    checked as a pullback of sets by `_set_pullback_witness`, with the
-    verdicts, witnesses and errors of the rule above and no orbit walk.
     """
     W = p.source
     if q.source is not W:
         raise DomainError("square corner mismatch")
-    fp = GroupoidFunctor.compose(f, p)
-    gq = GroupoidFunctor.compose(g, q)
-    if not functors_equal(fp, gq):
-        raise DomainError(f"square {name or ''} does not commute strictly")
-    if _is_discrete(W) and _is_discrete(f.source) and _is_discrete(g.source):
-        witness = _set_pullback_witness(p, q, f, g, grade_bound)
+    if _is_discrete(f.source) and _is_discrete(g.source) and _is_discrete(W):
+        witness = _set_pullback_witness(p, q, f, g, grade_bound, name)
     else:
+        if not functors_equal(GroupoidFunctor.compose(f, p), GroupoidFunctor.compose(g, q)):
+            raise DomainError(f"square {name or ''} does not commute strictly")
         witness = _orbit_witness(p, q, f, g, grade_bound)
     return SquareResult(witness is None, witness, name=name)
 

@@ -650,24 +650,10 @@ def _witness_kind(witness):
     raise AssertionError(f"unknown witness {witness!r}")
 
 
-def _check_comparison_morphisms(monkeypatch):
-    """Make each comparison assert that it sends the automorphisms of W's
-    class representatives into the iso-comma's automorphism groups: its
-    verdict reads the morphism map only through their sizes."""
-    def checked(F):
-        for w in F.source.iso_classes().reps:
-            x = F.ob(w)
-            assert all(F(m) in F.target.hom(x, x) for m in F.source.hom(w, w))
-        return is_equivalence(F)
-
-    monkeypatch.setattr(groupoid, "is_equivalence", checked)
-
-
-def test_pullback_square_matches_the_whole_iso_comma_random(monkeypatch):
+def test_pullback_square_matches_the_whole_iso_comma_random():
     # the check on class representatives, and the set rule on squares of
     # sets, give the verdict and the witness of the untransported
     # comparison into the whole iso-comma
-    _check_comparison_morphisms(monkeypatch)
     kinds, set_kinds = collections.Counter(), collections.Counter()
     for p, q, f, g in _random_squares(seeded(29), 210) + _random_set_squares(seeded(43), 150):
         got = is_pullback_square(p, q, f, g)
@@ -702,6 +688,27 @@ def test_a_set_square_off_the_bounded_iso_comma_raises_as_the_general_rule(monke
     assert is_pullback_square(*_graded_set_square(), grade_bound=2).passed
 
 
+def test_a_set_square_that_does_not_commute_raises_before_its_carrier_error(monkeypatch):
+    # f(2) = d but g(b) = c, so the square does not commute at (2, b), whose
+    # image glues to grade 3, off the iso-comma bounded at 1; (1, b) before
+    # it commutes and glues to grade 2, also off
+    A = discrete_groupoid([0, 1, 2], grade=lambda a: a, name="A")
+    B = discrete_groupoid(["b"], grade=lambda b: 1, name="B")
+    C = discrete_groupoid(["c", "d"], grade=lambda c: 0, name="C")
+    f, g = discrete_functor(A, C, "ccd".__getitem__), discrete_functor(B, C, lambda b: "c")
+    for objects in ([(2, "b")], [(1, "b"), (2, "b")], [(0, "b"), (2, "b")]):
+        W = discrete_groupoid(objects, name="W")
+        square = (discrete_functor(W, A, lambda w: w[0]), discrete_functor(W, B, lambda w: w[1]),
+                  f, g)
+        assert _is_square_of_sets(square[0], f, g)
+        for rule in ("set", "general"):
+            with monkeypatch.context() as m:
+                if rule == "general":
+                    m.setattr(groupoid, "_is_discrete", lambda G: False)
+                with pytest.raises(DomainError, match="^square s does not commute strictly$"):
+                    is_pullback_square(*square, grade_bound=1, name="s")
+
+
 def test_pullback_checks_of_the_spaces_match_the_whole_iso_comma(monkeypatch):
     kinds = collections.Counter()
 
@@ -712,7 +719,6 @@ def test_pullback_checks_of_the_spaces_match_the_whole_iso_comma(monkeypatch):
         kinds[_witness_kind(got.witness)] += 1
         return got
 
-    _check_comparison_morphisms(monkeypatch)
     monkeypatch.setattr(simplicial, "is_pullback_square", checked)
     monkeypatch.setattr(bicomodule, "is_pullback_square", checked)
     for g in (2, 3):
@@ -885,6 +891,27 @@ def test_mor_is_a_named_triple():
             setattr(m, field, None)
 
 
+@pytest.mark.parametrize("objects, grade", [([], None), (["x"], None),
+                                            ([(0, 1), (1,), (), (1, 0)], len)])
+def test_a_discrete_groupoid_carries_the_class_table_of_its_hom(objects, grade):
+    G = discrete_groupoid(objects, grade=grade)
+    reads = []
+    hom = G._hom
+    G._hom = lambda a, b: reads.append((a, b)) or hom(a, b)
+    # the carried table is no read of Aut(a): _auts reads the hom
+    assert [groupoid._auts(G, a) for a in G.objects] == [(G.identity(a),) for a in G.objects]
+    assert reads == [(a, a) for a in G.objects]
+    stated, built = G.iso_classes(), groupoid.IsoClassTable._build(G)
+    assert stated.reps == built.reps == G.objects
+    assert stated.members == built.members
+    assert [stated.class_of(a) for a in G.objects] == [built.class_of(a) for a in G.objects]
+    for table in (stated, built):
+        with pytest.raises(DomainError):
+            table.class_of("not an object")
+    assert stated.aut_orders == built.aut_orders
+    assert groupoid._is_discrete(G)
+
+
 def _small_nerves(seed):
     """Nerves of three seeded posets and two free quiver categories."""
     rng = seeded(seed)
@@ -997,19 +1024,33 @@ def _brute_force_hom(f, g, x, y):
                   if C.compose(g(be), phi) == C.compose(phi2, f(al)))
 
 
-def _recorded_iso_commas(monkeypatch):
-    """Record (P, f, g, discrete) for every homotopy_pullback that a check
-    builds, where discrete says that both legs leave discrete groupoids."""
-    made = []
+def _recorded_cospans(monkeypatch):
+    """Record (f, g, grade_bound, route) for every pullback check of a
+    space, where route lists the calls that the check made to
+    homotopy_pullback, functors_equal and is_equivalence, and whether it
+    mapped a morphism."""
+    cospans, open_routes = [], []
 
-    def recorded(f, g, grade_bound=None):
-        result = homotopy_pullback(f, g, grade_bound)
-        discrete = groupoid._is_discrete(f.source) and groupoid._is_discrete(g.source)
-        made.append((result[0], f, g, discrete))
-        return result
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            if open_routes:
+                open_routes[-1][name] += 1
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(groupoid, "homotopy_pullback", recorded)
-    return made
+    def recorded(p, q, f, g, grade_bound=None, name=""):
+        open_routes.append(collections.Counter())
+        try:
+            return is_pullback_square(p, q, f, g, grade_bound, name)
+        finally:
+            cospans.append((f, g, grade_bound, open_routes.pop()))
+
+    for name in ("homotopy_pullback", "functors_equal", "is_equivalence"):
+        monkeypatch.setattr(groupoid, name, counted(name, getattr(groupoid, name)))
+    monkeypatch.setattr(GroupoidFunctor, "__call__",
+                        counted("a morphism mapped", GroupoidFunctor.__call__))
+    monkeypatch.setattr(simplicial, "is_pullback_square", recorded)
+    return cospans
 
 
 def _check_against_brute_force(P, f, g):
@@ -1021,50 +1062,38 @@ def _check_against_brute_force(P, f, g):
 
 
 def test_discrete_iso_commas_match_the_brute_force_hom(monkeypatch):
-    made = _recorded_iso_commas(monkeypatch)
+    # a passing nerve check builds no iso-comma; the test builds those of
+    # its cospans
+    cospans = _recorded_cospans(monkeypatch)
     for N in _small_nerves(19):
         for profile in ("segal", "decomposition"):
             assert check_axioms(N, profile, 2).passed
-    assert len(made) == 5 * 20   # segal and decomposition squares at n <= 2
-    for P, f, g, discrete in made:
-        assert discrete
-        _check_against_brute_force(P, f, g)
+    monkeypatch.undo()
+    assert len(cospans) == 5 * 20   # segal and decomposition squares at n <= 2
+    for f, g, grade_bound, _ in cospans:
+        assert groupoid._is_discrete(f.source) and groupoid._is_discrete(g.source)
+        _check_against_brute_force(homotopy_pullback(f, g, grade_bound)[0], f, g)
 
 
-def test_a_nerve_check_reads_only_the_objects_of_its_iso_commas(monkeypatch):
-    # nerve squares are squares of sets: the set rule lists each iso-comma's
-    # objects and builds no class table of it and no equivalence test, and
-    # the precheck of a discrete W compares object maps only
-    made = _recorded_iso_commas(monkeypatch)
-    calls = collections.Counter()
-    precheck, equivalence = groupoid.functors_equal, groupoid.is_equivalence
-    call = GroupoidFunctor.__call__
-    open_prechecks = []
-
-    def counted_precheck(F, G):
-        open_prechecks.append(F)
-        try:
-            return precheck(F, G)
-        finally:
-            open_prechecks.pop()
-
-    def counted_equivalence(F):
-        calls["is_equivalence"] += 1
-        return equivalence(F)
-
-    def counted_call(F, m):
-        calls["morphisms in functors_equal"] += bool(open_prechecks)
-        return call(F, m)
-
-    monkeypatch.setattr(groupoid, "functors_equal", counted_precheck)
-    monkeypatch.setattr(groupoid, "is_equivalence", counted_equivalence)
-    monkeypatch.setattr(GroupoidFunctor, "__call__", counted_call)
+def test_a_passing_nerve_check_builds_no_iso_comma_and_maps_no_morphism(monkeypatch):
+    # nerve squares are squares of sets: one walk of W compares the object
+    # maps and counts the images, the iso-comma's size comes from the legs,
+    # and no precheck, equivalence test or morphism map runs
+    cospans = _recorded_cospans(monkeypatch)
     for N in _small_nerves(21):
         for profile in ("segal", "decomposition"):
             assert check_axioms(N, profile, 2).passed
-    assert len(made) == 5 * 20
-    assert not [P for P, *_ in made if ("iso_classes",) in P._memo]
-    assert calls["is_equivalence"] == calls["morphisms in functors_equal"] == 0
+    assert len(cospans) == 5 * 20
+    assert [route for *_, route in cospans] == 5 * 20 * [{}]
+    # the counters do count: a square that misses an object builds the
+    # iso-comma to name it
+    f, g, grade_bound, _ = cospans[-1]
+    D = discrete_groupoid([], name="empty")
+    missed = simplicial.is_pullback_square(discrete_functor(D, f.source, None),
+                                           discrete_functor(D, g.source, None), f, g,
+                                           grade_bound)
+    assert _witness_kind(missed.witness) == "missed"
+    assert cospans[-1][-1] == {"homotopy_pullback": 1}
 
 
 def _oracle_failures(monkeypatch):
@@ -1154,6 +1183,12 @@ def _without_missed_scan(rule):
     return mutant
 
 
+def _pairs_without_auts(f, g, grade_bound):
+    """_iso_comma_size counting the pairs (a, b) of the iso-comma's objects,
+    without the factor |Aut| of their class in C."""
+    return len({x[:2] for x in homotopy_pullback(f, g, grade_bound)[0].objects})
+
+
 def _orbit_size_as_aut_order(walk):
     """The orbit walk giving a class the order |orbit| of its orbit, not
     the stabilizer's |Aut r_a| |Aut r_b| / |orbit|."""
@@ -1183,6 +1218,8 @@ def test_each_kernel_fault_fails_an_oracle(monkeypatch):
         "set rule without the missed scan": (
             "_set_pullback_witness", _without_missed_scan(groupoid._set_pullback_witness),
             "whole iso-comma"),
+        "set rule counting pairs without |Aut|": (
+            "_iso_comma_size", _pairs_without_auts, "whole iso-comma"),
         "one-ended conjugation": ("_transport", _one_ended_transport, "golden"),
         "orbit size as the aut order": (
             "_iso_comma_classes", _orbit_size_as_aut_order(groupoid._iso_comma_classes),
