@@ -169,6 +169,13 @@ def emit_rows(rows, header, fmt):
             print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
 
 
+def _at_least(value, low, option):
+    """The value of the integer option `option`, refused below low."""
+    if value < low:
+        raise InputError(f"{option} must be >= {low}, got {value}")
+    return value
+
+
 def _describe_key(key) -> str:
     """The row label of a 1-layered poset key."""
     m, rels = len(key[2]), key[3]
@@ -182,11 +189,11 @@ def _describe_key(key) -> str:
 
 def _space_for_check(target, args):
     if target == "builtin:layered-posets" or target == "builtin:posets":
-        return ex.layered_posets(args.grade), None
+        return ex.layered_posets(_at_least(args.grade, 0, "--grade")), None
     if target == "builtin:layered-sets" or target == "builtin:sets":
-        return ex.layered_sets(args.grade), None
+        return ex.layered_sets(_at_least(args.grade, 0, "--grade")), None
     if target == "builtin:sets-posets":
-        return None, ex.sets_posets_bicomodule(args.grade)
+        return None, ex.sets_posets_bicomodule(_at_least(args.grade, 0, "--grade"))
     doc = _load_target(target)
     if isinstance(doc, cp.Adjunction):
         return None, cp.correspondence_bisimplicial(cp.mapping_cylinder(doc.F), 3, 3)
@@ -202,8 +209,7 @@ def _space_for_check(target, args):
 
 
 def cmd_check(args) -> int:
-    if args.max_level < 1:
-        raise InputError(f"--max-level must be >= 1, got {args.max_level}")
+    _at_least(args.max_level, 1, "--max-level")
     space, grid = _space_for_check(args.target, args)
     if grid is not None:
         if args.profile not in (None, "configuration"):
@@ -233,13 +239,13 @@ def cmd_mobius(args) -> int:
     fmt = args.format
     if args.target in ("builtin:posets", "builtin:layered-posets"):
         rows = []
-        for P, _aut in ex.enumerate_posets(args.n):
+        for P, _aut in ex.enumerate_posets(_at_least(args.n, 0, "--n")):
             mu = ex.mu_posets(P, route="direct")
             rows.append((_describe_key(ex.poset_key(P)), mu))
         emit_rows(rows, ["class", "mu"], fmt)
         return EXIT_OK
     if args.target in ("builtin:sets", "builtin:layered-sets"):
-        n = args.n
+        n = _at_least(args.n, 0, "--n")
         X = ex.layered_sets(n, max_level=max(2, n))
         key = (1, 0, (1,) * n, ())
         emit_rows([(f"set({n},)", inc.mobius(X, key))], ["class", "mu"], fmt)
@@ -288,8 +294,8 @@ def _adjunction_rows(adj: cp.Adjunction, bound):
 
 def cmd_rota(args) -> int:
     if args.target == "builtin:sets-posets":
-        B = ex.sets_posets_bicomodule(args.grade, max_i=max(2, args.grade),
-                                      max_j=max(2, args.grade))
+        grade = _at_least(args.grade, 0, "--grade")
+        B = ex.sets_posets_bicomodule(grade, max_i=max(2, grade), max_j=max(2, grade))
         rows = [(_describe_key(ex.canonical_key(rep)), *bc.rota_evaluate(B, rep))
                 for rep in B.cell(0, 0).iso_classes().reps]
     else:

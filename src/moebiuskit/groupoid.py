@@ -18,7 +18,9 @@ pullback comparison) follows one rule too: c_tgt . m . c_src^{-1} along
 the connectors of its ends, skipping the factor of an end that already
 is its representative.  The connectors and the automorphisms of the
 representatives generate the groupoid, so the strict-commutation check
-`functors_equal` compares two functors on them alone.
+`functors_equal` compares two functors on them alone.  It skips a class
+whose image has a trivial Aut in the target both functors share: the
+generators of that class go into hom-sets with one element.
 
 Per-object class data is read once per groupoid, into its `_memo`: the
 automorphism group hom(a, a) under ("auts", a) and the connector
@@ -64,7 +66,9 @@ equivalent to the whole one and holds the first member of each of its
 classes, so the verdict and every witness are those of the whole
 iso-comma.  The automorphism test still checks that each image
 (alpha, beta) of an automorphism of W fixes its phi: the orbit gives the
-order of the stabilizer, not its members.
+order of the stabilizer, not its members.  It skips a w with a trivial
+Aut whose class has a trivial stabilizer, whose one automorphism, the
+identity, passes it.
 
 Morphisms are identified by the triple (source, target, label); labels are
 opaque and compared by equality.  Composition is written `compose(g, f)`
@@ -443,13 +447,25 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
 
     An identity is no generator: F and G send it to the identity of the
     same image.  So a trivial Aut(r) adds nothing, and on a discrete S the
-    check compares the object maps alone."""
+    check compares the object maps alone.
+
+    A one-element hom-set decides too.  When F and G share their target T
+    and Aut(F r) is trivial in T, every generator of the class of r, the
+    connector a -> r of each other member a and each automorphism of r,
+    goes into T(F a, F r).  That hom-set is a torsor for Aut(F r), so it
+    has one element, and F and G, being functors, both send the generator
+    to it: the class is skipped, and none of its connectors is computed."""
     S = F.source
     for a in S.objects:
         if F.ob(a) != G.ob(a):
             return False
+    T = F.target if F.target is G.target else None
     table = S.iso_classes()
     for rep in table.reps:
+        if T is not None:
+            image = F.ob(rep)
+            if T.has_object(image) and len(_auts(T, image)) == 1:
+                continue
         for a in table.members[rep]:
             if a != rep:
                 gens = (_connector(S, a),)
@@ -907,11 +923,11 @@ def _orbit_witness(p, q, f, g, grade_bound) -> Optional[str]:
     A, B, C, W = f.source, g.source, f.target, p.source
     atab, btab = A.iso_classes(), B.iso_classes()
     reps, class_of, aut_orders = _iso_comma_classes(f, g, grade_bound)
+    wtab = W.iso_classes()
     images = []
-    for w in W.iso_classes().reps:
+    for w in wtab.reps:
         a, b = p.ob(w), q.ob(w)
-        ca, cb = _connector(A, a), _connector(B, b)
-        ca_inv, cb_inv = _connector(A, a, inverse=True), _connector(B, b, inverse=True)
+        ca_inv, cb = _connector(A, a, inverse=True), _connector(B, b)
         phi = _transport(C, C.identity(f.ob(a)), ca_inv and f(ca_inv), cb and g(cb))
         ra, rb = atab.class_of(a), btab.class_of(b)
         x = (ra, rb, phi)
@@ -920,9 +936,9 @@ def _orbit_witness(p, q, f, g, grade_bound) -> Optional[str]:
         if (labels is None or phi.label not in labels
                 or (phi.src, phi.tgt) != (f.ob(ra), g.ob(rb))):
             raise DomainError(f"{x!r} not an object of the carrier")
-        images.append((w, x, labels[phi.label], (ca, ca_inv, cb, cb_inv)))
+        images.append((w, x, labels[phi.label], a, b))
     first: dict = {}
-    for w, _, cls, _ in images:
+    for w, _, cls, _, _ in images:
         if cls in first:
             return ("not fully faithful: source classes "
                     f"{first[cls]!r} and {w!r} share target class {cls!r}")
@@ -930,7 +946,12 @@ def _orbit_witness(p, q, f, g, grade_bound) -> Optional[str]:
     for x in reps:
         if x not in first:
             return f"not essentially surjective: target class {x!r} missed"
-    for w, x, cls, (ca, ca_inv, cb, cb_inv) in images:
+    for w, x, cls, a, b in images:
+        # Aut(w) = {id_w} goes to the identity pair, which fixes phi
+        if wtab.aut_orders[w] == 1 and aut_orders[cls] == 1:
+            continue
+        ca, ca_inv = _connector(A, a), _connector(A, a, inverse=True)
+        cb, cb_inv = _connector(B, b), _connector(B, b, inverse=True)
         auts = _auts(W, w)
         pairs = [(_transport(A, p(m), ca_inv, ca).label, _transport(B, q(m), cb_inv, cb).label)
                  for m in auts]
@@ -978,7 +999,9 @@ def is_pullback_square(
 
     Any other square is first checked to commute by `functors_equal` on
     the generators of W, the automorphisms of its class representatives
-    and the connectors to them.
+    and the connectors to them, except in a class whose image in C has a
+    trivial Aut: f.p and g.q are functors into the same C, so they send
+    each generator of that class into the same one-element hom-set.
 
     The comparison is read on iso classes, with no iso-comma groupoid, no
     class table of it and no comparison functor.  The iso-comma P' of f
@@ -997,7 +1020,9 @@ def is_pullback_square(
     distinct or not as many as the stabilizer's order.  The last test
     also requires each image (alpha, beta) to fix the phi of w's image,
     g(beta) . phi = phi . f(alpha), since the orbit gives the stabilizer's
-    order, not its members.
+    order, not its members.  A w with a trivial Aut whose class has a
+    trivial stabilizer passes it unchecked: Aut(w) is the identity, whose
+    image is the identity pair.
     """
     W = p.source
     if q.source is not W:

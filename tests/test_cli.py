@@ -20,6 +20,7 @@ from moebiuskit.examples import poset_key
 from moebiuskit.simplicial import check_axioms, is_culf
 
 from conftest import posets
+from test_cli_golden import run_command
 
 
 def write(tmp_path, name, doc):
@@ -117,6 +118,25 @@ def test_checkers_take_no_workers():
     # built levels and faces
     for fn in (check_axioms, is_culf, validate_configuration):
         assert "workers" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mobius", "builtin:sets", "--n", "-1"], "--n must be >= 0, got -1"),
+    (["check", "builtin:layered-posets", "--grade", "-1"], "--grade must be >= 0, got -1"),
+    (["rota", "builtin:sets-posets", "--grade", "-2"], "--grade must be >= 0, got -2"),
+])
+def test_a_negative_size_is_refused_by_the_option_typed(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+def test_python_m_moebiuskit_runs_the_cli():
+    argv = ["mobius", "builtin:sets", "--n", "4"]
+    src = os.path.dirname(os.path.dirname(moebiuskit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "moebiuskit", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_command(argv)["stdout"] == "class    mu\nset(4,)  1 \n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,6 +285,91 @@ def test_functors_equal_compares_the_connectors():
         is_pullback_square(identity, twisted, identity, identity)
 
 
+def test_functors_equal_skips_only_on_the_aut_of_the_image():
+    # S codiscrete on two objects with trivial Aut, T one object with Aut
+    # Z_3: the connector of S goes into a hom-set of three elements, so a
+    # trivial Aut of the source class decides nothing
+    S = cluster_groupoid([("s", 2, 1)], name="S")
+    T = cluster_groupoid([("t", 1, 3)], name="T")
+    t = T.objects[0]
+    F = GroupoidFunctor(S, T, lambda a: t, lambda m: T.identity(t), name="F")
+    rep, other = S.iso_classes().reps[0], ("s", 1)
+    assert rep == ("s", 0) and S.iso_classes().aut_orders[rep] == 1
+    G = _conjugated(F, {other: Mor(t, t, 1)})
+    assert F(S.identity(rep)) == G(S.identity(rep))
+    assert not _equal_on_every_morphism(F, G)
+    assert not functors_equal(F, G)
+    identity = GroupoidFunctor.identity(T)
+    with pytest.raises(DomainError, match="does not commute strictly"):
+        is_pullback_square(F, G, identity, identity)
+
+
+def _equal_on_every_morphism_of_a_class(F, G):
+    """`_equal_on_every_morphism` listing hom(a, b) only for a and b in one
+    class of the source's class table: the other hom-sets are empty."""
+    table = F.source.iso_classes()
+    return (all(F.ob(a) == G.ob(a) for a in F.source.objects)
+            and all(F(m) == G(m) for rep in table.reps for a in table.members[rep]
+                    for b in table.members[rep] for m in F.source.hom(a, b)))
+
+
+def _generators_to_compare(F):
+    """The generators of F.source that `functors_equal` maps, in its order:
+    per class of a representative r whose image F r has a nontrivial Aut,
+    Aut(r) when it is nontrivial and the connector a -> r of each other
+    member a, each read off the class table and the hom-sets; and the
+    number of classes skipped."""
+    S, T = F.source, F.target
+    table = S.iso_classes()
+    gens, skipped = [], 0
+    for rep in table.reps:
+        if len(T.hom(F.ob(rep), F.ob(rep))) == 1:
+            skipped += 1
+            continue
+        for a in table.members[rep]:
+            if a != rep:
+                gens.append(S.hom(a, rep)[0])
+            elif len(S.hom(rep, rep)) > 1:
+                gens.extend(S.hom(rep, rep))
+    return gens, skipped
+
+
+def test_strict_commutation_maps_only_what_a_one_element_hom_set_leaves_open(monkeypatch):
+    precheck = groupoid.functors_equal
+    verdicts, totals = collections.Counter(), collections.Counter()
+
+    def recorded(F, G):
+        assert F.target is G.target
+        mapped = {F: [], G: []}
+        saved = F._mor, G._mor
+        for H in (F, G):
+            H._mor = lambda m, H=H, mor=H._mor: (mapped[H].append(m), mor(m))[1]
+        try:
+            verdict = precheck(F, G)
+        finally:
+            F._mor, G._mor = saved
+        assert verdict == _equal_on_every_morphism_of_a_class(F, G)
+        gens, skipped = _generators_to_compare(F)
+        assert mapped[F] == mapped[G]
+        if verdict:
+            assert mapped[F] == gens
+        else:
+            assert mapped[F] == gens[:len(mapped[F])]
+        verdicts[verdict] += 1
+        totals["mapped"] += len(mapped[F])
+        totals["skipped classes"] += skipped
+        return verdict
+
+    for module in (groupoid, simplicial, bicomodule):
+        monkeypatch.setattr(module, "functors_equal", recorded)
+    X = layered_posets(3)
+    for profile in ("identities", "decomposition", "segal"):
+        check_axioms(X, profile, 2)
+    validate_configuration(sets_posets_bicomodule(2), 1)
+    assert verdicts[True] > 0 and totals["mapped"] > 0 and totals["skipped classes"] > 0, (
+        verdicts, totals)
+
+
 def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     # fresh levels and spaces, so that the count does not depend on which
     # tests ran before; an iso-class table built inside the check reads
@@ -316,8 +401,9 @@ def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     assert len(calls) == 25
     for homs, W in calls:
         assert homs <= len(W.objects) + len(W.iso_classes().reps)
-    # 12,931 reading each level once per check, 66,923 listing every morphism
-    assert sum(homs for homs, _ in calls) == 2010
+    # 12,931 reading each level once per check, 66,923 listing every
+    # morphism, 2,010 comparing the classes whose image has a trivial Aut
+    assert sum(homs for homs, _ in calls) == 996
 
 
 def test_a_conjugated_face_fails_the_identities_on_both_checks(monkeypatch):
