@@ -9,13 +9,11 @@ from .groupoid import (
     Mor,
     StructureError,
     cardinality,
-    fiber,
     fiber_cardinality,
     homotopy_pullback,
     is_equivalence,
     is_monomorphism,
     is_pullback_square,
-    skeletalize,
 )
 from .simplicial import (
     InsufficientLevelsError,
@@ -23,8 +21,6 @@ from .simplicial import (
     TruncatedSimplicialGroupoid,
     check_axioms,
     is_culf,
-    nondegenerate_simplices,
-    principal_edges,
     word_groupoid,
 )
 from .incidence import (

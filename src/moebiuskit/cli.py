@@ -176,6 +176,19 @@ def _at_least(value, low, option):
     return value
 
 
+def _size(value, option):
+    """The value of the size option `option` (--grade, --n): 3 when not
+    given, refused below 0."""
+    return 3 if value is None else _at_least(value, 0, option)
+
+
+def _no_effect(args, *options):
+    """Refuse each of the options, given on a target it does nothing for."""
+    for option in options:
+        if getattr(args, option[2:]) is not None:
+            raise InputError(f"{option} has no effect on {args.target}")
+
+
 def _describe_key(key) -> str:
     """The row label of a 1-layered poset key."""
     m, rels = len(key[2]), key[3]
@@ -189,12 +202,13 @@ def _describe_key(key) -> str:
 
 def _space_for_check(target, args):
     if target == "builtin:layered-posets" or target == "builtin:posets":
-        return ex.layered_posets(_at_least(args.grade, 0, "--grade")), None
+        return ex.layered_posets(_size(args.grade, "--grade")), None
     if target == "builtin:layered-sets" or target == "builtin:sets":
-        return ex.layered_sets(_at_least(args.grade, 0, "--grade")), None
+        return ex.layered_sets(_size(args.grade, "--grade")), None
     if target == "builtin:sets-posets":
-        return None, ex.sets_posets_bicomodule(_at_least(args.grade, 0, "--grade"))
+        return None, ex.sets_posets_bicomodule(_size(args.grade, "--grade"))
     doc = _load_target(target)
+    _no_effect(args, "--grade")
     if isinstance(doc, cp.Adjunction):
         return None, cp.correspondence_bisimplicial(cp.mapping_cylinder(doc.F), 3, 3)
     kind = doc.get("kind")
@@ -238,30 +252,33 @@ def cmd_check(args) -> int:
 def cmd_mobius(args) -> int:
     fmt = args.format
     if args.target in ("builtin:posets", "builtin:layered-posets"):
+        _no_effect(args, "--interval", "--bound")
         rows = []
-        for P, _aut in ex.enumerate_posets(_at_least(args.n, 0, "--n")):
+        for P, _aut in ex.enumerate_posets(_size(args.n, "--n")):
             mu = ex.mu_posets(P, route="direct")
             rows.append((_describe_key(ex.poset_key(P)), mu))
         emit_rows(rows, ["class", "mu"], fmt)
         return EXIT_OK
     if args.target in ("builtin:sets", "builtin:layered-sets"):
-        n = _at_least(args.n, 0, "--n")
+        _no_effect(args, "--interval", "--bound")
+        n = _size(args.n, "--n")
         X = ex.layered_sets(n, max_level=max(2, n))
         key = (1, 0, (1,) * n, ())
         emit_rows([(f"set({n},)", inc.mobius(X, key))], ["class", "mu"], fmt)
         return EXIT_OK
     doc = _load_json(args.target)
+    _no_effect(args, "--n")
     kind = doc.get("kind")
     if kind == "poset":
         P = load_poset(doc)
         C = cp.FinCategory.from_poset(P)
-        if args.interval:
+        if args.interval is not None:
             elems = {str(x): x for x in P.elements}
             a, b = (elems.get(x, x) for x in args.interval)
             if not P.leq(a, b):
                 raise InputError(f"[{a!r}, {b!r}] is not an interval of the poset")
         try:
-            if args.interval:
+            if args.interval is not None:
                 rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))]
             else:
                 rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))
@@ -272,6 +289,7 @@ def cmd_mobius(args) -> int:
         emit_rows(rows, ["interval", "mu"], fmt)
         return EXIT_OK
     if kind == "category":
+        _no_effect(args, "--interval")
         C = load_category(doc)
         report = cp.is_mobius_category(C, args.bound)
         if not report:
@@ -294,7 +312,8 @@ def _adjunction_rows(adj: cp.Adjunction, bound):
 
 def cmd_rota(args) -> int:
     if args.target == "builtin:sets-posets":
-        grade = _at_least(args.grade, 0, "--grade")
+        _no_effect(args, "--bound")
+        grade = _size(args.grade, "--grade")
         B = ex.sets_posets_bicomodule(grade, max_i=max(2, grade), max_j=max(2, grade))
         rows = [(_describe_key(ex.canonical_key(rep)), *bc.rota_evaluate(B, rep))
                 for rep in B.cell(0, 0).iso_classes().reps]
@@ -302,6 +321,7 @@ def cmd_rota(args) -> int:
         adj = _load_target(args.target)
         if not isinstance(adj, cp.Adjunction):
             raise InputError("rota needs an adjunction document or a builtin")
+        _no_effect(args, "--grade")
         rows = _adjunction_rows(adj, args.bound)
     if args.at:
         rows = [r for r in rows if str(r[0]) == args.at]
@@ -328,22 +348,24 @@ def build_parser():
                              "configuration"],
                     help="default: segal on spaces, configuration on grids")
     pc.add_argument("--max-level", type=int, default=2)
-    pc.add_argument("--grade", type=int, default=3)
+    pc.add_argument("--grade", type=int, default=None,
+                    help="builtin spaces and grids only; default: 3")
     pc.add_argument("--format", default="text", choices=["text", "json"])
     pc.set_defaults(fn=cmd_check)
 
     pm = sub.add_parser("mobius", help="Mobius function tables")
     pm.add_argument("target")
-    pm.add_argument("--n", type=int, default=3)
-    pm.add_argument("--interval", nargs=2, default=None)
-    pm.add_argument("--bound", type=int, default=None)
+    pm.add_argument("--n", type=int, default=None, help="builtins only; default: 3")
+    pm.add_argument("--interval", nargs=2, default=None, help="poset documents only")
+    pm.add_argument("--bound", type=int, default=None, help="documents only")
     pm.add_argument("--format", default="text", choices=["text", "json", "csv"])
     pm.set_defaults(fn=cmd_mobius)
 
     pr = sub.add_parser("rota", help="evaluate both sides of a Rota formula")
     pr.add_argument("target")
-    pr.add_argument("--grade", type=int, default=3)
-    pr.add_argument("--bound", type=int, default=None)
+    pr.add_argument("--grade", type=int, default=None,
+                    help="builtin:sets-posets only; default: 3")
+    pr.add_argument("--bound", type=int, default=None, help="adjunctions only")
     pr.add_argument("--at", default=None)
     pr.add_argument("--format", default="text", choices=["text", "json", "csv"])
     pr.set_defaults(fn=cmd_rota)

@@ -5,18 +5,18 @@ reduces to a handful of operations implemented here:
 
 * `cardinality` -- the automorphism-weighted count sum(1/|Aut|) over
   isomorphism classes,
-* `homotopy_pullback` -- the iso-comma construction; `fiber` is its
-  groupoid part along the functor that picks one object,
+* `homotopy_pullback` -- the iso-comma construction, which no check
+  builds: it is the reference the pullback checks are tested against,
 * `is_pullback_square`, `is_equivalence`, `is_monomorphism` -- exhaustive
   structural checks with explicit witnesses on failure.
 
 Iso classes follow one rule: a groupoid with an exact `iso_key` groups
 its objects by key, any other compares each object by `hom` with the
 class representatives found so far.  Moving a morphism to the class
-representatives of its ends (`skeletalize`, the iso-comma keys, the
-pullback comparison) follows one rule too: c_tgt . m . c_src^{-1} along
-the connectors of its ends, skipping the factor of an end that already
-is its representative.  The connectors and the automorphisms of the
+representatives of its ends (the iso-comma keys, the pullback
+comparison) follows one rule too: c_tgt . m . c_src^{-1} along the
+connectors of its ends, skipping the factor of an end that already is
+its representative.  The connectors and the automorphisms of the
 representatives generate the groupoid, so the strict-commutation check
 `functors_equal` compares two functors on them alone.  It skips a class
 whose image has a trivial Aut in the target both functors share: the
@@ -26,10 +26,9 @@ Per-object class data is read once per groupoid, into its `_memo`: the
 automorphism group hom(a, a) under ("auts", a) and the connector
 a -> class_of(a) and its inverse under ("connector", a, inverse).  The
 iso-class table, `functors_equal`, the iso-comma keys, the orbit walk of
-a pullback check, the automorphism test of `is_equivalence` and
-`skeletalize` read them there, so the levels shared by every square of
-an axiom check are read once for all of them.  No entry refers to its
-owner.
+a pullback check and the automorphism test of `is_equivalence` read them
+there, so the levels shared by every square of an axiom check are read
+once for all of them.  No entry refers to its owner.
 
 Images and fibers both live in the functor.  A `tabulated` functor
 computes each object's image once, into its image table, and any functor
@@ -46,11 +45,12 @@ its iso-comma is discrete too, so the square is a pullback iff
 w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  One
 walk of W decides strict commutation and that bijection from the object
 maps alone: the images must be distinct objects of the iso-comma, and as
-many as it has, a number read off the legs.  No iso-comma is built unless
-a missed object must be named, and the verdicts, witnesses and errors
-are those of the precheck and the orbit rule below.  A discrete groupoid
-carries its class table from construction, so telling a square of sets
-reads no hom-set.
+many as it has, a number read off the legs.  No iso-comma is built: a
+missed object is named through the classes of the orbit walk below,
+which on discrete A and B are the iso-comma's objects.  The verdicts,
+witnesses and errors are those of the precheck and the orbit rule.  A
+discrete groupoid carries its class table from construction, so telling
+a square of sets reads no hom-set.
 
 A square with a non-discrete corner is checked through the orbits of
 its legs, with no iso-comma groupoid, class table or comparison functor.
@@ -64,11 +64,13 @@ representatives and their orders are those of the class table of the
 iso-comma on class representatives, in its order; that iso-comma is
 equivalent to the whole one and holds the first member of each of its
 classes, so the verdict and every witness are those of the whole
-iso-comma.  The automorphism test still checks that each image
-(alpha, beta) of an automorphism of W fixes its phi: the orbit gives the
-order of the stabilizer, not its members.  It skips a w with a trivial
-Aut whose class has a trivial stabilizer, whose one automorphism, the
-identity, passes it.
+iso-comma.  Both walks read the pairs of class representatives over
+each class of C from one generator, `_iso_comma_pairs`.  The
+automorphism test still checks that each image (alpha, beta) of an
+automorphism of W fixes its phi: the orbit gives the order of the
+stabilizer, not its members.  It skips a w with a trivial Aut whose
+class has a trivial stabilizer, whose one automorphism, the identity,
+passes it.
 
 Morphisms are identified by the triple (source, target, label); labels are
 opaque and compared by equality.  Composition is written `compose(g, f)`
@@ -539,34 +541,13 @@ def _is_discrete(G: FiniteGroupoid) -> bool:
             and max(table.aut_orders.values(), default=1) == 1)
 
 
-def _skeleton(G: FiniteGroupoid) -> FiniteGroupoid:
-    """The full subgroupoid on the class representatives, keyed by object
-    (they are pairwise non-isomorphic); one per groupoid."""
-    return G._get(("skeleton",), FiniteGroupoid, G.iso_classes().reps, G._hom,
-                  G._compose, G._identity, G._grade, lambda a: a, f"sk({G.name})")
-
-
-def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:
-    """The homotopy fiber of F over the object c of its target: the
-    groupoid part of `homotopy_pullback(F, at_c)`, where at_c picks c out
-    of the one-object discrete groupoid.
-
-    Objects are triples (a, c, phi) with phi: F(a) -> c; a morphism
-    (a, c, phi) -> (a', c, phi') is labelled (alpha, "id") for the
-    alpha: a -> a' with phi' . F(alpha) = phi.
-    """
-    if not F.target.has_object(c):
-        raise DomainError(f"{c!r} is not an object of the target")
-    at_c = discrete_functor(discrete_groupoid([c]), F.target, lambda b: b, name=f"at {c!r}")
-    return homotopy_pullback(F, at_c)[0]
-
-
 def fiber_cardinality(F: GroupoidFunctor, c) -> Fraction:
-    """|fiber(F, c)| computed class-wise: the single part of `weighted_fiber`
-    under a constant label, so it reads one entry of F's fiber table.
+    """The cardinality of the homotopy fiber of F over c, computed
+    class-wise: the single part of `weighted_fiber` under a constant label,
+    so it reads one entry of F's fiber table.
 
-    This is the fast path; it agrees with cardinality(fiber(F, c)) and the
-    two are cross-checked in the test suite.
+    The test suite cross-checks it against the cardinality of the fiber
+    built as an iso-comma, along the functor that picks c.
     """
     return weighted_fiber(F, c, lambda rep: None).get(None, Fraction(0))
 
@@ -767,12 +748,15 @@ def is_monomorphism(F: GroupoidFunctor) -> bool:
     return _class_image(F)[1] is None and _aut_witness(F) is None
 
 
-def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
-    """The number of objects of homotopy_pullback(f, g, grade_bound), read
-    off the legs with no groupoid built: a pair (a, b) whose images lie in
-    one class of C, within the grade bound, has as many isos f(a) -> g(b)
-    as that class has automorphisms.  It raises where that construction
-    does."""
+def _iso_comma_pairs(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
+    """(r_a, f r_a, c, the r_b over c) for each class representative r_a of
+    A, in order: c is the class of f(r_a) in C, and the r_b are the class
+    representatives of B, in order, with g(r_b) in c and, when A, B and C
+    are graded and a bound is given, the glued grade
+    grade(r_a) + grade(r_b) - grade(f r_a) within it.  The objects
+    (r_a, r_b, phi), phi in Iso(f r_a, g r_b), of the iso-comma P' on class
+    representatives follow this order.  It raises where
+    `homotopy_pullback` does."""
     A, B, C = f.source, g.source, f.target
     if g.target is not C and g.target.objects != C.objects:
         raise DomainError("cospan legs do not share a codomain")
@@ -780,20 +764,27 @@ def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
               and C.is_graded())
     ctab = C.iso_classes()
     by_class: dict = {}
-    for b in B.objects:
-        by_class.setdefault(ctab.class_of(g.ob(b)), []).append(b)
-    size = 0
-    for a in A.objects:
-        fa = f.ob(a)
+    for rb in B.iso_classes().reps:
+        by_class.setdefault(ctab.class_of(g.ob(rb)), []).append(rb)
+    for ra in A.iso_classes().reps:
+        fa = f.ob(ra)
         cls = ctab.class_of(fa)
         over = by_class.get(cls, ())
         if graded:
-            bound = grade_bound - A.grade(a) + C.grade(fa)
-            pairs = sum(B.grade(b) <= bound for b in over)
-        else:
-            pairs = len(over)
-        size += pairs * ctab.aut_orders[cls]
-    return size
+            bound = grade_bound - A.grade(ra) + C.grade(fa)
+            over = [rb for rb in over if B.grade(rb) <= bound]
+        yield ra, fa, cls, over
+
+
+def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
+    """The number of objects of the iso-comma P' on class representatives,
+    read off the legs with no groupoid built: each pair (r_a, r_b) of
+    `_iso_comma_pairs` has as many isos f(r_a) -> g(r_b) as their class of
+    C has automorphisms.  On discrete A and B, P' is
+    homotopy_pullback(f, g, grade_bound)."""
+    aut_orders = f.target.iso_classes().aut_orders
+    return sum(len(over) * aut_orders[cls]
+               for _, _, cls, over in _iso_comma_pairs(f, g, grade_bound))
 
 
 def _set_pullback_witness(p, q, f, g, grade_bound, name) -> Optional[str]:
@@ -808,8 +799,9 @@ def _set_pullback_witness(p, q, f, g, grade_bound, name) -> Optional[str]:
     comparison would, it raises at the first w whose image is not an
     object of P, names the first w whose image an earlier w already has,
     and else needs as many images as P has objects, counted by
-    `_iso_comma_size`.  Only a square that misses an object builds P, to
-    name the first object, in P order, that no w hits."""
+    `_iso_comma_size`.  A square that misses an object names the first
+    object, in P order, that no w hits: P is P' on discrete A and B, and
+    each of its objects is a class of `_iso_comma_classes`."""
     A, B, C = f.source, g.source, f.target
     graded = (grade_bound is not None and A.is_graded() and B.is_graded()
               and C.is_graded())
@@ -851,7 +843,7 @@ def _set_pullback_witness(p, q, f, g, grade_bound, name) -> Optional[str]:
     if len(first) == size:
         return None
     hit = {image(w) for w in first.values()}
-    for x in homotopy_pullback(f, g, grade_bound)[0].objects:
+    for x in _iso_comma_classes(f, g, grade_bound)[0]:
         if x not in hit:
             return f"not essentially surjective: target class {x!r} missed"
     return None
@@ -871,29 +863,21 @@ def _iso_comma_classes(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
     of homotopy_pullback(f|sk A, g|sk B) would list them, with no groupoid
     and no table built.
 
-    The pairs (r_a, r_b) over one C class, within the grade bound, are
-    walked in P' object order, and Iso(f r_a, g r_b) in hom order.  The
-    first phi not yet classified opens the class (r_a, r_b, phi): its
-    orbit under the images of Aut(r_a) x Aut(r_b) is computed once, and
-    each orbit label is mapped to it in class_of[r_a, r_b].  By
+    The pairs (r_a, r_b) of `_iso_comma_pairs` are walked in P' object
+    order, and Iso(f r_a, g r_b) in hom order.  The first phi not yet
+    classified opens the class (r_a, r_b, phi): its orbit under the
+    images of Aut(r_a) x Aut(r_b) is computed once, and each orbit label
+    is mapped to it in class_of[r_a, r_b].  By
     orbit-stabilizer its automorphism group, the stabilizer of phi, has
     |Aut r_a| |Aut r_b| / |orbit| elements; when that product is 1 the
     orbit is {phi}."""
     A, B, C = f.source, g.source, f.target
-    atab, btab, ctab = A.iso_classes(), B.iso_classes(), C.iso_classes()
-    graded = (grade_bound is not None and A.is_graded() and B.is_graded()
-              and C.is_graded())
-    by_class: dict = {}
-    for rb in btab.reps:
-        by_class.setdefault(ctab.class_of(g.ob(rb)), []).append(rb)
+    atab, btab = A.iso_classes(), B.iso_classes()
     reps, class_of, aut_orders = [], {}, {}
     g_auts: dict = {}
-    for ra in atab.reps:
-        fa = f.ob(ra)
+    for ra, fa, _, over in _iso_comma_pairs(f, g, grade_bound):
         n_a, f_auts = atab.aut_orders[ra], None
-        for rb in by_class.get(ctab.class_of(fa), ()):
-            if graded and A.grade(ra) + B.grade(rb) - C.grade(fa) > grade_bound:
-                continue
+        for rb in over:
             gb = g.ob(rb)
             n = n_a * btab.aut_orders[rb]
             labels = class_of[ra, rb] = {}
@@ -1035,14 +1019,3 @@ def is_pullback_square(
         witness = _orbit_witness(p, q, f, g, grade_bound)
     return SquareResult(witness is None, witness, name=name)
 
-
-def skeletalize(G: FiniteGroupoid):
-    """Return (skeleton, functor G -> skeleton).
-
-    The skeleton is the full subgroupoid on one representative per iso
-    class; the functor sends each object along a chosen connecting iso.
-    """
-    S, class_of = _skeleton(G), G.iso_classes().class_of
-    return S, GroupoidFunctor.tabulated(
-        G, S, lambda x: (class_of(x), _connector(G, x, inverse=True), _connector(G, x)),
-        lambda m, x, y: _transport(G, m, x[1], y[2]), name="sk")

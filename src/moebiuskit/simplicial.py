@@ -176,13 +176,6 @@ class TruncatedSimplicialGroupoid(Memo):
         return self._get(("complete",), is_monomorphism, self.degeneracy(0, 0))
 
 
-def principal_edges(X: TruncatedSimplicialGroupoid, n: int, sigma) -> list:
-    """All n principal edges of an n-simplex, as objects of level 1."""
-    if not X.level(n).has_object(sigma):
-        raise DomainError(f"{sigma!r} is not an object of level {n}")
-    return [X.principal_edge(n, sigma, i) for i in range(1, n + 1)]
-
-
 @dataclass
 class WordGroupoid:
     """The full subgroupoid X_w of level len(w) selected by a word.
@@ -216,17 +209,6 @@ def _build_word_groupoid(X: TruncatedSimplicialGroupoid, word: str) -> WordGroup
                    or (letter == "0") == (tab.class_of(X.principal_edge(n, sigma, i)) in degen)
                    for i, letter in enumerate(word, start=1))]
     return WordGroupoid(X, word, full_subgroupoid(level, keep, name=f"X_{word}"))
-
-
-def nondegenerate_simplices(X: TruncatedSimplicialGroupoid, n: int) -> WordGroupoid:
-    """X_{a...a}: simplices with every principal edge nondegenerate.
-
-    Requires a complete space so that "nondegenerate" is a well-defined
-    complement; for n = 0 this is X_0 itself.
-    """
-    if n > 0:
-        _require_complete(X)
-    return word_groupoid(X, "a" * n)
 
 
 def _require_complete(X: TruncatedSimplicialGroupoid) -> None:

@@ -1,0 +1,73 @@
+"""Reference constructions that no library route calls: the skeleton of a
+groupoid, homotopy fibers built as iso-commas, and the whole-level
+nondegenerate simplices and principal edges.  The tests check the
+library's class-wise routes against them."""
+
+from moebiuskit.groupoid import (
+    DomainError,
+    FiniteGroupoid,
+    GroupoidFunctor,
+    _connector,
+    _transport,
+    discrete_functor,
+    discrete_groupoid,
+    homotopy_pullback,
+)
+from moebiuskit.simplicial import (
+    TruncatedSimplicialGroupoid,
+    WordGroupoid,
+    _require_complete,
+    word_groupoid,
+)
+
+
+def skeleton(G: FiniteGroupoid) -> FiniteGroupoid:
+    """The full subgroupoid on the class representatives, keyed by object
+    (they are pairwise non-isomorphic); one per groupoid."""
+    return G._get(("skeleton",), FiniteGroupoid, G.iso_classes().reps, G._hom,
+                  G._compose, G._identity, G._grade, lambda a: a, f"sk({G.name})")
+
+
+def skeletalize(G: FiniteGroupoid):
+    """Return (skeleton, functor G -> skeleton).
+
+    The skeleton is the full subgroupoid on one representative per iso
+    class; the functor sends each object along a chosen connecting iso.
+    """
+    S, class_of = skeleton(G), G.iso_classes().class_of
+    return S, GroupoidFunctor.tabulated(
+        G, S, lambda x: (class_of(x), _connector(G, x, inverse=True), _connector(G, x)),
+        lambda m, x, y: _transport(G, m, x[1], y[2]), name="sk")
+
+
+def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:
+    """The homotopy fiber of F over the object c of its target: the
+    groupoid part of `homotopy_pullback(F, at_c)`, where at_c picks c out
+    of the one-object discrete groupoid.
+
+    Objects are triples (a, c, phi) with phi: F(a) -> c; a morphism
+    (a, c, phi) -> (a', c, phi') is labelled (alpha, "id") for the
+    alpha: a -> a' with phi' . F(alpha) = phi.
+    """
+    if not F.target.has_object(c):
+        raise DomainError(f"{c!r} is not an object of the target")
+    at_c = discrete_functor(discrete_groupoid([c]), F.target, lambda b: b, name=f"at {c!r}")
+    return homotopy_pullback(F, at_c)[0]
+
+
+def principal_edges(X: TruncatedSimplicialGroupoid, n: int, sigma) -> list:
+    """All n principal edges of an n-simplex, as objects of level 1."""
+    if not X.level(n).has_object(sigma):
+        raise DomainError(f"{sigma!r} is not an object of level {n}")
+    return [X.principal_edge(n, sigma, i) for i in range(1, n + 1)]
+
+
+def nondegenerate_simplices(X: TruncatedSimplicialGroupoid, n: int) -> WordGroupoid:
+    """X_{a...a}: simplices with every principal edge nondegenerate.
+
+    Requires a complete space so that "nondegenerate" is a well-defined
+    complement; for n = 0 this is X_0 itself.
+    """
+    if n > 0:
+        _require_complete(X)
+    return word_groupoid(X, "a" * n)

@@ -36,7 +36,7 @@ from moebiuskit.examples import (
     mu_posets,
     poset_key,
 )
-from moebiuskit.groupoid import cardinality, fiber_cardinality, full_subgroupoid, skeletalize
+from moebiuskit.groupoid import cardinality, fiber_cardinality, full_subgroupoid
 from moebiuskit.incidence import Functional, convolve, counit, mobius, mobius_functional, verify_inversion, zeta
 from moebiuskit.simplicial import TruncatedSimplicialGroupoid, check_axioms, is_culf
 
@@ -48,6 +48,7 @@ from conftest import (
     random_quiver_category,
     seeded,
 )
+from reference import skeletalize
 
 
 def _report(n, label, t0, budget):

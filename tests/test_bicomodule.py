@@ -50,7 +50,6 @@ from moebiuskit.groupoid import (
     DomainError,
     GroupoidFunctor,
     cardinality,
-    fiber,
     fiber_cardinality,
     full_subgroupoid,
     is_monomorphism,
@@ -68,12 +67,11 @@ from moebiuskit.incidence import (
 )
 from moebiuskit.simplicial import (
     check_axioms,
-    nondegenerate_simplices,
-    principal_edges,
     word_groupoid,
 )
 
 from conftest import random_poset, seeded
+from reference import fiber, nondegenerate_simplices, principal_edges
 
 
 def adjunction_nerve(max_i=3, max_j=3):

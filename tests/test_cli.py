@@ -15,7 +15,15 @@ from hypothesis import given, settings
 import moebiuskit
 from moebiuskit import cli
 from moebiuskit.bicomodule import validate_configuration
-from moebiuskit.catposet import FinCategory, FinPoset, classical_mobius, divisor_poset
+from moebiuskit.catposet import (
+    CorrespondenceCat,
+    FinCategory,
+    FinPoset,
+    chain_poset,
+    classical_mobius,
+    correspondence_bisimplicial,
+    divisor_poset,
+)
 from moebiuskit.examples import poset_key
 from moebiuskit.simplicial import check_axioms, is_culf
 
@@ -362,12 +370,104 @@ def test_check_max_level_below_1_exit_2(capsys, max_level):
      "invalid choice"),
     # --n sets the size of the builtin posets; --grade was a second name for it
     (["mobius", "builtin:posets", "--grade", "3"], "unrecognized arguments"),
+    # an option that the target ignores is refused, naming the target
+    (["check", "builtin:chain-adjunction", "--grade", "2"],
+     "input error: --grade has no effect on builtin:chain-adjunction"),
+    (["check", "{poset}", "--grade", "2"], "input error: --grade has no effect on {poset}"),
+    (["rota", "builtin:chain-adjunction", "--grade", "2"],
+     "input error: --grade has no effect on builtin:chain-adjunction"),
+    (["rota", "{adjunction}", "--grade", "2"],
+     "input error: --grade has no effect on {adjunction}"),
+    (["rota", "builtin:sets-posets", "--bound", "2"],
+     "input error: --bound has no effect on builtin:sets-posets"),
+    (["mobius", "builtin:posets", "--bound", "2"],
+     "input error: --bound has no effect on builtin:posets"),
+    (["mobius", "builtin:sets", "--bound", "2"],
+     "input error: --bound has no effect on builtin:sets"),
+    (["mobius", "builtin:posets", "--interval", "0", "1"],
+     "input error: --interval has no effect on builtin:posets"),
+    (["mobius", "{category}", "--interval", "*", "*"],
+     "input error: --interval has no effect on {category}"),
+    (["mobius", "{poset}", "--n", "2"], "input error: --n has no effect on {poset}"),
+    (["mobius", "{category}", "--n", "2"], "input error: --n has no effect on {category}"),
 ])
-def test_settings_without_effect_exit_2(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+def test_settings_without_effect_exit_2(tmp_path, capsys, argv, message):
+    paths = {"{poset}": write(tmp_path, "chain3.json", chain3_doc()),
+             "{category}": write(tmp_path, "one_arrow.json", ONE_ARROW),
+             "{adjunction}": write(tmp_path, "adj.json", adjunction_doc())}
+    argv = [paths.get(arg, arg) for arg in argv]
+    for name, path in paths.items():
+        message = message.replace(name, path)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:   # argparse refuses unknown options and choices
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
+def _named_category(C):
+    """C with its arrows renamed to strings, and its JSON document."""
+    name = {m: "|".join(map(str, m[1:])) for m in C.morphisms}
+    doc = {"kind": "category", "objects": list(C.objects),
+           "morphisms": [{"id": name[m], "src": a, "tgt": b}
+                         for m, (a, b) in C.morphisms.items()],
+           "compose": [[name[f], name[g], name[C.compose(g, f)]]
+                       for f in C.morphisms for g in C.out_arrows(C.tgt(f))],
+           "identities": [[a, name[C.identities[a]]] for a in C.objects]}
+    named = FinCategory(doc["objects"], {m["id"]: (m["src"], m["tgt"]) for m in doc["morphisms"]},
+                        {(f, g): h for f, g, h in doc["compose"]}, dict(doc["identities"]))
+    return named, doc
+
+
+def test_check_correspondence_document_is_its_configuration_report(tmp_path, capsys):
+    category, doc = _named_category(FinCategory.from_poset(chain_poset(3)))
+    labels = {0: 0, 1: 0, 2: 1}
+    path = write(tmp_path, "corr.json", {"kind": "correspondence", "category": doc,
+                                         "labels": [[a, bit] for a, bit in labels.items()]})
+    for n in (1, 2):
+        report = validate_configuration(
+            correspondence_bisimplicial(CorrespondenceCat(category, labels), 3, 3), n)
+        lines = "".join(line + "\n" for line in report.lines())
+        assert run(capsys, "check", path, "--max-level", str(n)) == (
+            0 if report.passed else 1, lines, "")
+
+
+@pytest.mark.parametrize("labels, message", [
+    (None, "invalid correspondence document: 'labels'"),
+    ({0: 1, 1: 0, 2: 1}, "invalid correspondence: morphism '0|1' goes from label 1 to label 0"),
+], ids=["missing labels", "arrow from label 1 to label 0"])
+def test_check_refuses_a_malformed_correspondence(tmp_path, capsys, labels, message):
+    _, category = _named_category(FinCategory.from_poset(chain_poset(3)))
+    doc = {"kind": "correspondence", "category": category}
+    if labels is not None:
+        doc["labels"] = [[a, bit] for a, bit in labels.items()]
+    path = write(tmp_path, "corr.json", doc)
+    assert run(capsys, "check", path, "--max-level", "1") == (2, "", f"input error: {message}\n")
+
+
+def test_adjunction_side_may_be_a_category_document(tmp_path, capsys):
+    doc = adjunction_doc()
+    doc["left"] = _named_category(FinCategory.from_poset(chain_poset(3)))[1]
+    path = write(tmp_path, "adj_cat.json", doc)
+    code, out, err = run(capsys, "rota", path)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "rota", write(tmp_path, "adj.json", adjunction_doc()))
+    assert run(capsys, "check", path, "--max-level", "1")[0] == 0
+
+
+def test_rota_refuses_a_poset_document(tmp_path, capsys):
+    assert run(capsys, "rota", write(tmp_path, "chain3.json", chain3_doc())) == (
+        2, "", "input error: rota needs an adjunction document or a builtin\n")
+
+
+def test_mobius_refuses_a_bound_below_the_chain_length(tmp_path, capsys):
+    path = write(tmp_path, "chain3.json", chain3_doc())
+    code, out, err = run(capsys, "mobius", path, "--bound", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("refused: ") and "exceeds bound 1" in err
+    assert run(capsys, "mobius", path, "--bound", "2")[0] == 0
 
 
 def test_mobius_n_defaults_to_3(capsys):

@@ -9,7 +9,7 @@ import pytest
 from moebiuskit import bicomodule, examples, groupoid, simplicial
 from moebiuskit.bicomodule import validate_configuration
 from moebiuskit.catposet import nerve
-from moebiuskit.examples import layered_posets, sets_posets_bicomodule
+from moebiuskit.examples import layered_posets, layered_sets, sets_posets_bicomodule
 from moebiuskit.groupoid import (
     DomainError,
     FiniteGroupoid,
@@ -19,7 +19,6 @@ from moebiuskit.groupoid import (
     cardinality,
     discrete_functor,
     discrete_groupoid,
-    fiber,
     fiber_cardinality,
     full_subgroupoid,
     functors_equal,
@@ -27,7 +26,6 @@ from moebiuskit.groupoid import (
     is_equivalence,
     is_monomorphism,
     is_pullback_square,
-    skeletalize,
     weighted_fiber,
 )
 from moebiuskit.simplicial import TruncatedSimplicialGroupoid, check_axioms
@@ -41,6 +39,7 @@ from conftest import (
     random_quiver_category,
     seeded,
 )
+from reference import fiber, skeletalize, skeleton
 from test_cli_golden import COMMANDS, load_golden, run_command
 
 
@@ -1070,8 +1069,8 @@ def _check_orbit_classes(f, g, grade_bound, walked):
     and the same automorphism orders, which the table reads by a hom scan.
     Returns that iso-comma and its legs."""
     reps, class_of, aut_orders = walked
-    sk_f = f.restrict(groupoid._skeleton(f.source))
-    sk_g = g.restrict(groupoid._skeleton(g.source))
+    sk_f = f.restrict(skeleton(f.source))
+    sk_g = g.restrict(skeleton(g.source))
     P = homotopy_pullback(sk_f, sk_g, grade_bound)[0]
     table = P.iso_classes()
     assert reps == list(table.reps)
@@ -1164,28 +1163,33 @@ def test_discrete_iso_commas_match_the_brute_force_hom(monkeypatch):
 def test_a_passing_nerve_check_builds_no_iso_comma_and_maps_no_morphism(monkeypatch):
     # nerve squares are squares of sets: one walk of W compares the object
     # maps and counts the images, the iso-comma's size comes from the legs,
-    # and no precheck, equivalence test or morphism map runs
+    # and no precheck, equivalence test or morphism map runs; a square that
+    # misses an object names it through the orbit walk's classes
     cospans = _recorded_cospans(monkeypatch)
     for N in _small_nerves(21):
         for profile in ("segal", "decomposition"):
             assert check_axioms(N, profile, 2).passed
     assert len(cospans) == 5 * 20
     assert [route for *_, route in cospans] == 5 * 20 * [{}]
-    # the counters do count: a square that misses an object builds the
-    # iso-comma to name it
     f, g, grade_bound, _ = cospans[-1]
     D = discrete_groupoid([], name="empty")
     missed = simplicial.is_pullback_square(discrete_functor(D, f.source, None),
                                            discrete_functor(D, g.source, None), f, g,
                                            grade_bound)
     assert _witness_kind(missed.witness) == "missed"
-    assert cospans[-1][-1] == {"homotopy_pullback": 1}
+    assert cospans[-1][-1] == {}
+    # the counters do count: a square of groupoids runs the precheck
+    p, q, f, g = next(square for square in _random_squares(seeded(29), 10)
+                      if not all(groupoid._is_discrete(h.source) for h in square))
+    simplicial.is_pullback_square(p, q, f, g)
+    assert cospans[-1][-1]["functors_equal"] == 1
 
 
 def _oracle_failures(monkeypatch):
     """The oracles that fail on fresh layered spaces and nerves: the golden
-    outputs of the layered-posets checks, the identities, the cardinality
-    route on every passed square, the verdict on a map that sends an
+    outputs of the layered-posets checks, the identities, the Segal check of
+    layered sets, whose squares reach beyond the grade bound, the
+    cardinality route on every passed square, the verdict on a map that sends an
     automorphism outside Aut(F rep), and the whole iso-comma on random
     squares of sets and on random squares of cluster groupoids.  A library
     call that raises ends the run as the failure "raised"."""
@@ -1210,6 +1214,8 @@ def _oracle_failures(monkeypatch):
                     failed.add("golden")
         if not check_axioms(layered_posets(2), "identities", 2).passed:
             failed.add("identities")
+        if not check_axioms(layered_sets(3), "segal", 1).passed:
+            failed.add("segal of layered sets")
         with monkeypatch.context() as m:
             m.setattr(simplicial, "is_pullback_square", checked)
             for X in [layered_posets(g) for g in (2, 3)] + _small_nerves(20):
@@ -1295,6 +1301,14 @@ def _left_coset_only(double_coset):
     return mutant
 
 
+def _pairs_without_grade_bound(pairs):
+    """The pairs of class representatives with no glued-grade filter."""
+    def mutant(f, g, grade_bound):
+        return pairs(f, g, None)
+
+    return mutant
+
+
 def test_each_kernel_fault_fails_an_oracle(monkeypatch):
     assert _oracle_failures(monkeypatch) == set()
     faults = {
@@ -1313,6 +1327,9 @@ def test_each_kernel_fault_fails_an_oracle(monkeypatch):
         "orbit of f(Aut r_a) alone": (
             "_double_coset", _left_coset_only(groupoid._double_coset),
             "whole iso-comma of groupoids"),
+        "iso-comma pairs ignoring the grade bound": (
+            "_iso_comma_pairs", _pairs_without_grade_bound(groupoid._iso_comma_pairs),
+            "segal of layered sets"),
     }
     for fault, (name, mutant, oracle) in faults.items():
         with monkeypatch.context() as m:

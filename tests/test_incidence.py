@@ -23,9 +23,10 @@ from moebiuskit.incidence import (
     verify_inversion,
     zeta,
 )
-from moebiuskit.simplicial import InsufficientLevelsError, nondegenerate_simplices
+from moebiuskit.simplicial import InsufficientLevelsError
 
 from conftest import criterion_4_nerves, poset_mobius_oracle, posets
+from reference import nondegenerate_simplices
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6)
@@ -105,15 +106,15 @@ def test_carrier_mismatch_rejected():
         convolve(CHAIN3, zeta(CHAIN3), zeta(C3))
 
 
-def _triple_list(X, f):
+def _triple_list(X, f, comult=comultiply):
     """Iterated comultiplication, once through the left factor and once
     through the right; both must agree as weighted triple multisets."""
     left, right = {}, {}
-    for (l, r), w in comultiply(X, f).items():
-        for (a, b), w2 in comultiply(X, l).items():
+    for (l, r), w in comult(X, f).items():
+        for (a, b), w2 in comult(X, l).items():
             key = (a, b, r)
             left[key] = left.get(key, Fraction(0)) + w * w2
-        for (b, c), w2 in comultiply(X, r).items():
+        for (b, c), w2 in comult(X, r).items():
             key = (l, b, c)
             right[key] = right.get(key, Fraction(0)) + w * w2
     return left, right
@@ -125,6 +126,42 @@ def test_coassociativity_exact():
         for f in classes:
             left, right = _triple_list(X, f)
             assert left == right
+
+
+def _coalgebra_law_failures(X, comult=comultiply):
+    """The level-1 classes f of X where `comult` breaks a coalgebra law:
+    coassociativity, or a counit law, (delta x id) Delta f = {f: 1} and
+    (id x delta) Delta f = {f: 1}, with the zero terms dropped."""
+    failures = []
+    for f in X.level(1).iso_classes().reps:
+        left, right = _triple_list(X, f, comult)
+        units = [{}, {}]
+        for (l, r), w in comult(X, f).items():
+            for unit, kept, dropped in ((units[0], r, l), (units[1], l, r)):
+                unit[kept] = unit.get(kept, Fraction(0)) + w * counit(X, dropped)
+        units = [{g: w for g, w in unit.items() if w != 0} for unit in units]
+        if left != right or units != [{f: 1}, {f: 1}]:
+            failures.append(f)
+    return failures
+
+
+def test_coalgebra_laws_hold_on_every_level_1_class():
+    spaces = [layered_posets(3), layered_posets(4), layered_sets(4), nerve(divisor_poset(12))]
+    assert [len(X.level(1).iso_classes().reps) for X in spaces] == [9, 25, 5, 18]
+    for X in spaces:
+        assert _coalgebra_law_failures(X) == [], X.name
+    # negative control: one perturbed weight breaks a law at its class
+    N = spaces[-1]
+    f0 = N.level(1).iso_classes().reps[-1]
+
+    def perturbed(X, f):
+        terms = dict(comultiply(X, f))
+        if f == f0:
+            first = next(iter(terms))
+            terms[first] += 1
+        return terms
+
+    assert f0 in _coalgebra_law_failures(N, perturbed)
 
 
 def test_phi_examples():

@@ -10,12 +10,11 @@ from moebiuskit.simplicial import (
     TruncatedSimplicialGroupoid,
     check_axioms,
     is_culf,
-    nondegenerate_simplices,
-    principal_edges,
     word_groupoid,
 )
 
 from conftest import random_poset, random_quiver_category, seeded
+from reference import nondegenerate_simplices, principal_edges
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6, name="N(chain3)")
