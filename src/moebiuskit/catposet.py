@@ -4,7 +4,9 @@ The nerve of a finite category is a truncated simplicial groupoid with
 discrete levels (chains of composable arrows), which feeds the generic
 axiom checkers and the incidence machinery; it generates its Phi fibers
 (the chains of non-identity arrows over an arrow).  Composable pairs are
-read off a category's index of the arrows out of each object.  Its
+read off a category's index of the arrows out of each object, and the
+Phi walk and the chain counts compose through its successor index, the
+composites e . m with the non-identity arrows e after each m.  Its
 identity-free chains are counted layer by layer: the counts decide
 whether it is Mobius and give the classical Mobius function as their
 alternating sum.
@@ -100,7 +102,8 @@ def divisor_poset(n: int) -> FinPoset:
 class FinCategory(Memo):
     """A finite category: objects, morphisms with source/target, a total
     composition table and designated identities; its hom-sets and the
-    arrows out of each object are indexed once, in morphism order."""
+    arrows out of each object are indexed once, in morphism order, and the
+    composites with each arrow on its first `successors` query."""
 
     def __init__(self, objects, morphisms, compose, identities, name=""):
         super().__init__()
@@ -132,6 +135,16 @@ class FinCategory(Memo):
 
     def is_identity(self, m) -> bool:
         return self.identities.get(self.src(m)) == m
+
+    def successors(self, m) -> dict:
+        """{e: e . m} over the non-identity arrows e out of tgt(m), in
+        morphism order; indexed once per arrow, into `_memo`."""
+        index = self._memo.get(("successors", m))
+        if index is None:
+            index = self._memo["successors", m] = {
+                e: self.compose(e, m) for e in self.out_arrows(self.tgt(m))
+                if not self.is_identity(e)}
+        return index
 
     def compose(self, g, f):
         """g after f."""
@@ -275,13 +288,17 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
 
     The nerve generates its Phi fibers: the nondegenerate k-simplices over
     f = (m,) are the chains of k non-identity arrows whose composite is m.
-    One walk over the arrows out of each object, from src(m), finds those
-    of every length k <= n: it yields a chain whenever its partial
-    composite g is m, and extends it while g is a left factor of m
-    (h . g = m for some h) and the chain is shorter than n.  The left
-    factors of m are read once, at the start of the walk.  The walk does
-    not stop at an identity m, since non-identity isomorphisms can compose
-    to one.  Phi on a nerve thus builds no level beyond 1.
+    One walk from src(m) finds those of every length k <= n: it yields a
+    chain whenever its partial composite g is m, and extends it while g is
+    a left factor of m (h . g = m for some h) and the chain is shorter
+    than n.  Both steps read the category's successor index,
+    `FinCategory.successors`, {non-identity e: e . g} per arrow g: a
+    chain is extended by its entries, and g is a left factor when g is m
+    or m is among its values.  The index only caches composites, so the
+    walk still enumerates chains, independently of the chain counts that
+    read the same index.  The walk does not stop at an identity m, since
+    non-identity isomorphisms can compose to one.  Phi on a nerve thus
+    builds no level beyond 1.
     """
     if isinstance(C, FinPoset):
         C = FinCategory.from_poset(C)
@@ -306,9 +323,8 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
 
     def fiber_fn(space, n, f):
         (m,) = f
-        a, b = C.src(m), C.tgt(m)
-        factors = {g for g in C.out_arrows(a)
-                   if any(C.compose(h, g) == m for h in C.hom(C.tgt(g), b))}
+        a, successors = C.src(m), C.successors
+        factors = {g for g in C.out_arrows(a) if g == m or m in successors(g).values()}
         # partial chains with their composites, yielded when the composite
         # is m; the children of each are pushed in reverse, so that the
         # chains of each length come out in morphism order
@@ -318,11 +334,9 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
             if g == m and chain:
                 yield len(chain), chain
             if len(chain) < n:
-                for e in reversed(C.out_arrows(C.tgt(g))):
-                    if not C.is_identity(e):
-                        h = C.compose(e, g)
-                        if h in factors:
-                            stack.append((h, chain + (e,)))
+                for e, h in reversed(successors(g).items()):
+                    if h in factors:
+                        stack.append((h, chain + (e,)))
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
                                        fiber_fn=fiber_fn, name=name or f"N({C.name})")
@@ -374,14 +388,7 @@ def _chain_counts(C: FinCategory):
     is walked back through the layers to its first repeated object, and
     the arrow leaving that object is the witness.
     """
-    after: dict = {}     # m -> {non-identity e: e . m}, for the arrows the layers reach
-
-    def successors(m):
-        if m not in after:
-            after[m] = {e: C.compose(e, m) for e in C.out_arrows(C.tgt(m))
-                        if not C.is_identity(e)}
-        return after[m]
-
+    successors = C.successors
     limit = min(sum(not C.is_identity(m) for m in C.morphisms) + 1, len(C.objects))
     layers = [{C.identities[x]: 1 for x in C.objects}]
     while len(layers) <= limit:
@@ -397,7 +404,7 @@ def _chain_counts(C: FinCategory):
     m = next(iter(layers[-1]))
     seen = {C.tgt(m)}
     for prev in reversed(layers[:-1]):
-        e, m = next((e, g) for g in prev for e, h in after[g].items() if h == m)
+        e, m = next((e, g) for g in prev for e, h in successors(g).items() if h == m)
         if C.src(e) in seen:
             return layers, e
         seen.add(C.src(e))
@@ -517,8 +524,9 @@ def rota_direct(adj: Adjunction, x, y, chain_bound: Optional[int] = None):
     Returns the pair (lhs, rhs); the caller asserts equality."""
     X, Y = adj.F.source, adj.F.target
     for C in (X, Y):
-        if not is_mobius_category(C, chain_bound):
-            raise DomainError(f"{C.name or 'category'} is not Mobius")
+        report = is_mobius_category(C, chain_bound)
+        if not report:
+            raise DomainError(f"{C.name or 'category'} is not Mobius: {report.witness}")
     lhs = Fraction(0)
     for f, (a, b) in X.morphisms.items():
         if a == x and adj.F.ob[b] == y:

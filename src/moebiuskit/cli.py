@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -189,6 +190,18 @@ def _no_effect(args, *options):
             raise InputError(f"{option} has no effect on {args.target}")
 
 
+def _refused(e) -> int:
+    """Report a refused certification of finite length; exit 1."""
+    print(f"refused: {e} (locally finite length hypothesis)", file=sys.stderr)
+    return EXIT_FAIL
+
+
+def _bound(args):
+    """The value of --bound on a document target: None when not given,
+    refused below 0."""
+    return None if args.bound is None else _at_least(args.bound, 0, "--bound")
+
+
 def _describe_key(key) -> str:
     """The row label of a 1-layered poset key."""
     m, rels = len(key[2]), key[3]
@@ -268,6 +281,7 @@ def cmd_mobius(args) -> int:
         return EXIT_OK
     doc = _load_json(args.target)
     _no_effect(args, "--n")
+    bound = _bound(args)
     kind = doc.get("kind")
     if kind == "poset":
         P = load_poset(doc)
@@ -279,24 +293,23 @@ def cmd_mobius(args) -> int:
                 raise InputError(f"[{a!r}, {b!r}] is not an interval of the poset")
         try:
             if args.interval is not None:
-                rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))]
+                rows = [((a, b), cp.classical_mobius(C, ("le", a, b), bound))]
             else:
-                rows = [((a, b), cp.classical_mobius(C, ("le", a, b), args.bound))
+                rows = [((a, b), cp.classical_mobius(C, ("le", a, b), bound))
                         for (a, b) in P.intervals()]
         except DomainError as e:
-            print(f"refused: {e} (locally finite length hypothesis)", file=sys.stderr)
-            return EXIT_FAIL
+            return _refused(e)
         emit_rows(rows, ["interval", "mu"], fmt)
         return EXIT_OK
     if kind == "category":
         _no_effect(args, "--interval")
         C = load_category(doc)
-        report = cp.is_mobius_category(C, args.bound)
+        report = cp.is_mobius_category(C, bound)
         if not report:
             print(f"refused: not a Mobius category ({report.witness}); "
                   "the locally finite length hypothesis fails", file=sys.stderr)
             return EXIT_FAIL
-        rows = [(m, cp.classical_mobius(C, m, args.bound)) for m in C.morphisms]
+        rows = [(m, cp.classical_mobius(C, m, bound)) for m in C.morphisms]
         emit_rows(rows, ["morphism", "mu"], fmt)
         return EXIT_OK
     raise InputError(f"mobius does not support kind {kind!r}")
@@ -322,7 +335,11 @@ def cmd_rota(args) -> int:
         if not isinstance(adj, cp.Adjunction):
             raise InputError("rota needs an adjunction document or a builtin")
         _no_effect(args, "--grade")
-        rows = _adjunction_rows(adj, args.bound)
+        bound = _bound(args)
+        try:
+            rows = _adjunction_rows(adj, bound)
+        except DomainError as e:
+            return _refused(e)
     if args.at:
         rows = [r for r in rows if str(r[0]) == args.at]
         if not rows:
@@ -335,7 +352,10 @@ def cmd_rota(args) -> int:
 # -- entry ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; parsing leaves no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="moebiuskit",
         description="Exact incidence coalgebras, Mobius inversion and Rota formulas")

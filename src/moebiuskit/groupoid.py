@@ -31,7 +31,9 @@ there, so the levels shared by every square of an axiom check are read
 once for all of them.  No entry refers to its owner.
 
 Images and fibers both live in the functor.  A `tabulated` functor
-computes each object's image once, into its image table, and any functor
+computes each object's image once, into its image table, a dict whose
+`__missing__` runs the rule: a hit is one dict lookup in C, and a key
+outside the source still reaches the rule, with its errors.  Any functor
 builds its fiber table, {target class: the source class representatives
 over it, in source order}, on its first fiber query.  `weighted_fiber`
 and `fiber_cardinality` read one entry of the fiber table, and the class
@@ -369,6 +371,22 @@ def cardinality(G: FiniteGroupoid) -> Fraction:
     return G.iso_classes().cardinality()
 
 
+class _ImageTable(dict):
+    """The image table of a tabulated functor: a miss runs the rule once
+    and keeps its entry, so a hit is a plain dict lookup.  Any hashable
+    key reaches the rule, inside the source or not."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, a):
+        x = self[a] = self.rule(a)
+        return x
+
+
 class GroupoidFunctor(Memo):
     """A functor between finite groupoids: an object map plus morphism map.
 
@@ -396,27 +414,18 @@ class GroupoidFunctor(Memo):
     @classmethod
     def tabulated(cls, source, target, rule, mor=None, name="") -> "GroupoidFunctor":
         """The functor that computes each object's entry rule(a) once, into
-        the image table ("images",) of its `_memo`.
+        the image table ("images",) of its `_memo`, an `_ImageTable`.
 
         With `mor`, an entry is a tuple whose first item is the image of a,
         and a morphism m goes to mor(m, entry of m.src, entry of m.tgt).
         Without, the source is discrete, the entry is the image itself, and
         each identity goes to the identity of its image."""
-        table: dict = {}
-
-        def entry(a):
-            try:
-                return table[a]
-            except KeyError:
-                x = table[a] = rule(a)
-                return x
-
+        table = _ImageTable(rule)
         if mor is None:
-            ob, mor_map = entry, lambda m: target.identity(entry(m.src))
+            ob, mor_map = table.__getitem__, lambda m: target.identity(table[m.src])
         else:
-            ob = lambda a: (table.get(a) or entry(a))[0]
-            mor_map = lambda m: mor(m, table.get(m.src) or entry(m.src),
-                                    table.get(m.tgt) or entry(m.tgt))
+            ob = lambda a: table[a][0]
+            mor_map = lambda m: mor(m, table[m.src], table[m.tgt])
         F = cls(source, target, ob, mor_map, name=name)
         F._memo["images",] = table
         return F
@@ -581,7 +590,8 @@ def weighted_fiber(F: GroupoidFunctor, c, label_fn) -> dict:
     out: dict = {}
     for rep in _fiber_table(F).get(cls_c, ()):
         key = label_fn(rep)
-        out[key] = out.get(key, Fraction(0)) + Fraction(aut_c, aut_orders[rep])
+        w = Fraction(aut_c, aut_orders[rep])
+        out[key] = w if key not in out else out[key] + w
     return out
 
 

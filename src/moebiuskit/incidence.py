@@ -14,7 +14,9 @@ the argument on graded spaces, or an explicit length bound).
 A decomposition is held in the format of the fiber table it is read
 from: `comultiply` returns the mapping {(left class, right class):
 weight} of `weighted_fiber`, in the table's source-class order, and no
-value is ordered by `repr`.
+value is ordered by `repr`.  It is computed once per class of X_1 and
+memoised on X as a read-only mapping, as `bicomodule.coact` is, so the
+two convolutions of `verify_inversion` read one Delta.
 
 Callers are expected to have validated the decomposition-space axioms at
 their chosen truncation; the operations here check carriers and level
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .groupoid import DomainError, FiniteGroupoid, Memo, fiber_cardinality, weighted_fiber
@@ -62,7 +65,10 @@ class Functional(Memo):
         rep = self.carrier.iso_classes().class_of(obj)
         value = self._memo.get(("at", rep))
         if value is None:
-            value = self._memo["at", rep] = Fraction(self._fn(rep))
+            value = self._fn(rep)
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            self._memo["at", rep] = value
         return value
 
     @classmethod
@@ -85,19 +91,24 @@ def _require_class(X: TruncatedSimplicialGroupoid, f):
     return carrier.iso_classes().class_of(f)
 
 
-def comultiply(X: TruncatedSimplicialGroupoid, f) -> dict:
+def comultiply(X: TruncatedSimplicialGroupoid, f) -> MappingProxyType:
     """Delta(f): weighted (d_2, d_0)-decomposition of the d_1-fiber over f,
-    as {(left class, right class): weight} in fiber-table order.
+    as {(left class, right class): weight} in fiber-table order, memoised
+    per class on X and read-only.
 
     The weight of a term is the cardinality of the corresponding part of
     the homotopy fiber, i.e. |Aut f| / |Aut sigma| summed over the
     contributing classes of 2-simplices.
     """
-    _require_class(X, f)
-    tab1 = X.level(1).iso_classes()
-    d2, d0 = X.face(2, 2), X.face(2, 0)
-    label = lambda rep: (tab1.class_of(d2.ob(rep)), tab1.class_of(d0.ob(rep)))
-    return weighted_fiber(X.face(2, 1), f, label)
+    rep = _require_class(X, f)
+    delta_f = X._memo.get(("comultiply", rep))
+    if delta_f is None:
+        tab1 = X.level(1).iso_classes()
+        d2, d0 = X.face(2, 2), X.face(2, 0)
+        label = lambda r: (tab1.class_of(d2.ob(r)), tab1.class_of(d0.ob(r)))
+        delta_f = X._memo["comultiply", rep] = MappingProxyType(
+            weighted_fiber(X.face(2, 1), rep, label))
+    return delta_f
 
 
 def counit(X: TruncatedSimplicialGroupoid, f) -> Fraction:
@@ -174,8 +185,11 @@ def _count_walk(X: TruncatedSimplicialGroupoid, rep, n: int) -> list:
 
 def grade_certificate(carrier: FiniteGroupoid, f, length_bound: Optional[int]) -> int:
     """Resolve a vanishing bound for the Phi functors at an object f of
-    their carrier (X_1, or C_0 for a comodule), or refuse."""
+    their carrier (X_1, or C_0 for a comodule), or refuse: a negative
+    bound is a domain error, and an ungraded carrier needs a bound."""
     if length_bound is not None:
+        if length_bound < 0:
+            raise DomainError(f"the length bound must be >= 0, got {length_bound}")
         return length_bound
     if carrier.is_graded():
         return carrier.grade(carrier.iso_classes().class_of(f))
@@ -194,8 +208,8 @@ def mobius(X: TruncatedSimplicialGroupoid, f, length_bound: Optional[int] = None
     refused after the generator and completeness checks.
     """
     bound = grade_certificate(X.level(1), f, length_bound)
-    if bound < 1:
-        return counit(X, f) if bound == 0 else Fraction(0)
+    if bound == 0:
+        return counit(X, f)
     counts = _phi_histogram(X, _require_class(X, f), bound)
     return counit(X, f) + sum((-1) ** k * counts[k] for k in range(1, bound + 1))
 

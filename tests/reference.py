@@ -1,7 +1,8 @@
 """Reference constructions that no library route calls: the skeleton of a
-groupoid, homotopy fibers built as iso-commas, and the whole-level
-nondegenerate simplices and principal edges.  The tests check the
-library's class-wise routes against them."""
+groupoid, homotopy fibers built as iso-commas, the whole-level
+nondegenerate simplices and principal edges, and a nerve's Phi walk that
+composes every arrow it tries.  The tests check the library's class-wise
+and indexed routes against them."""
 
 from moebiuskit.groupoid import (
     DomainError,
@@ -71,3 +72,25 @@ def nondegenerate_simplices(X: TruncatedSimplicialGroupoid, n: int) -> WordGroup
     if n > 0:
         _require_complete(X)
     return word_groupoid(X, "a" * n)
+
+
+def nerve_fiber_walk(C, n: int, f):
+    """The pairs (k, chain) of the chains of k <= n non-identity arrows of
+    C composing to the arrow m of f = (m,), in the order of the nerve's
+    fiber generator, found by composing each arrow out of a chain's end
+    with its partial composite and keeping a left factor of m."""
+    (m,) = f
+    a, b = C.src(m), C.tgt(m)
+    factors = {g for g in C.out_arrows(a)
+               if any(C.compose(h, g) == m for h in C.hom(C.tgt(g), b))}
+    stack = [(C.identities[a], ())]
+    while stack:
+        g, chain = stack.pop()
+        if g == m and chain:
+            yield len(chain), chain
+        if len(chain) < n:
+            for e in reversed(C.out_arrows(C.tgt(g))):
+                if not C.is_identity(e):
+                    h = C.compose(e, g)
+                    if h in factors:
+                        stack.append((h, chain + (e,)))

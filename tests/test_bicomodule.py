@@ -456,6 +456,12 @@ def test_comodule_mobius_check_refuses_an_ungraded_c0_without_a_bound():
     assert comodule_mobius_check(config, length_bound=2).passed
 
 
+def test_comodule_mobius_check_refuses_a_negative_length_bound():
+    config = decalage(nerve(chain_poset(3), max_level=3), "bottom")
+    with pytest.raises(DomainError, match="length bound must be >= 0, got -1"):
+        comodule_mobius_check(config, length_bound=-1)
+
+
 def test_phi_comodule_refuses_an_incomplete_base(monkeypatch):
     config = decalage(nerve(chain_poset(2), max_level=3), "bottom")
     monkeypatch.setattr(config.base, "is_complete", lambda: False)

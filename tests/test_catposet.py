@@ -424,6 +424,18 @@ def test_poset_category_order_does_not_depend_on_the_hash_seed():
     assert len(outputs) == 1
 
 
+def test_the_successor_index_is_the_composites_after_each_arrow():
+    quiver = FinCategory.free_on_quiver(range(3), [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)])
+    for C in (FinCategory.from_poset(divisor_poset(12)), quiver, involution_category(),
+              cyclic_group_category(4)):
+        for m in C.morphisms:
+            after = [e for e, (a, _b) in C.morphisms.items()
+                     if a == C.tgt(m) and e != C.identities[a]]
+            index = C.successors(m)
+            assert list(index.items()) == [(e, C.compose(e, m)) for e in after]
+            assert C.successors(m) is index
+
+
 def test_nerve_operators_compute_each_image_once(monkeypatch):
     # the nerve counterpart of the layer-surgery pin in test_examples.py
     calls = collections.Counter()

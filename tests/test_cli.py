@@ -132,8 +132,16 @@ def test_checkers_take_no_workers():
     (["mobius", "builtin:sets", "--n", "-1"], "--n must be >= 0, got -1"),
     (["check", "builtin:layered-posets", "--grade", "-1"], "--grade must be >= 0, got -1"),
     (["rota", "builtin:sets-posets", "--grade", "-2"], "--grade must be >= 0, got -2"),
+    (["mobius", "{poset}", "--bound", "-1"], "--bound must be >= 0, got -1"),
+    (["mobius", "{category}", "--bound", "-1"], "--bound must be >= 0, got -1"),
+    (["rota", "{adjunction}", "--bound", "-1"], "--bound must be >= 0, got -1"),
+    (["rota", "builtin:chain-adjunction", "--bound", "-3"], "--bound must be >= 0, got -3"),
 ])
-def test_a_negative_size_is_refused_by_the_option_typed(capsys, argv, message):
+def test_a_negative_size_is_refused_by_the_option_typed(tmp_path, capsys, argv, message):
+    paths = {"{poset}": write(tmp_path, "chain3.json", chain3_doc()),
+             "{category}": write(tmp_path, "one_arrow.json", ONE_ARROW),
+             "{adjunction}": write(tmp_path, "adj.json", adjunction_doc())}
+    argv = [paths.get(arg, arg) for arg in argv]
     assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
 
 
@@ -468,6 +476,34 @@ def test_mobius_refuses_a_bound_below_the_chain_length(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("refused: ") and "exceeds bound 1" in err
     assert run(capsys, "mobius", path, "--bound", "2")[0] == 0
+
+
+def test_rota_refuses_a_bound_below_the_chain_length(capsys):
+    # the README adjunction's left side, the 3-chain, has chains of 2 arrows
+    path = os.path.join(os.path.dirname(__file__), "data", "readme_adjunction.json")
+    code, out, err = run(capsys, "rota", path, "--bound", "1")
+    assert (code, out) == (1, "")
+    assert err == ("refused: category is not Mobius: identity-free chain of length 2 "
+                   "exceeds bound 1 (locally finite length hypothesis)\n")
+    assert run(capsys, "rota", path, "--bound", "2") == run(capsys, "rota", path)
+    assert run(capsys, "rota", path)[0] == 0
+
+
+def test_successive_in_process_calls_keep_no_parser_state(capsys):
+    # the parser is built once per process; no call's options leak into the next
+    two = run(capsys, "mobius", "builtin:posets", "--n", "2")
+    default = run(capsys, "mobius", "builtin:posets")
+    assert default != two
+    assert default == run(capsys, "mobius", "builtin:posets", "--n", "3")
+    assert run(capsys, "check", "builtin:layered-posets", "--grade", "2",
+               "--max-level", "1")[0] == 1
+    assert run(capsys, "rota", "builtin:chain-adjunction") == (
+        0, run_command(["rota", "builtin:chain-adjunction"])["stdout"], "")
+    args = cli.build_parser().parse_args(["rota", "builtin:chain-adjunction"])
+    assert vars(args) == {"command": "rota", "target": "builtin:chain-adjunction",
+                          "grade": None, "bound": None, "at": None, "format": "text",
+                          "fn": cli.cmd_rota}
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_mobius_n_defaults_to_3(capsys):

@@ -558,6 +558,36 @@ def test_pullback_pasting():
         assert is_equivalence(cmp_functor)
 
 
+def test_a_tabulated_rule_runs_once_per_object_and_outside_the_source():
+    calls = collections.Counter()
+
+    def rule(a):
+        calls[a] += 1
+        if a == "bad":
+            raise DomainError("no image of 'bad'")
+        return 2 * a
+
+    G, T = discrete_groupoid([0, 1, 2]), discrete_groupoid([0, 2, 4, 6])
+    F = GroupoidFunctor.tabulated(G, T, rule)
+    for _ in range(3):
+        assert [F.ob(a) for a in G.objects] == [0, 2, 4]
+        assert F(Mor(1, 1, "id")) == Mor(2, 2, "id")
+    assert calls == {0: 1, 1: 1, 2: 1}
+    # an object outside the source still goes through the rule, once when
+    # it has an image and on every read when the rule refuses it
+    assert F.ob(3) == F.ob(3) == 6 and calls[3] == 1
+    for _ in range(2):
+        with pytest.raises(DomainError, match="no image of 'bad'"):
+            F.ob("bad")
+    assert calls["bad"] == 2
+    # with a morphism rule, each entry is read by the object and the morphism maps
+    H = GroupoidFunctor.tabulated(G, T, lambda a: (rule(a + 10) - 20, a),
+                                  lambda m, s, t: Mor(s[0], t[0], ("moved", s[1])))
+    assert [H.ob(a) for a in G.objects] * 2 == [0, 2, 4] * 2
+    assert H(Mor(2, 2, "id")) == Mor(4, 4, ("moved", 2))
+    assert [calls[a] for a in (10, 11, 12)] == [1, 1, 1]
+
+
 def test_full_subgroupoid_domain_check():
     G = discrete_groupoid([0, 1])
     with pytest.raises(DomainError):

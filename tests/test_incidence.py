@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from moebiuskit.bicomodule import total_decalage
 from moebiuskit.catposet import FinCategory, FinPoset, chain_poset, divisor_poset, nerve
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
-from moebiuskit.groupoid import DomainError, GroupoidFunctor, fiber_cardinality
+from moebiuskit import incidence
+from moebiuskit.groupoid import (
+    DomainError,
+    GroupoidFunctor,
+    fiber_cardinality,
+    weighted_fiber,
+)
 from moebiuskit.incidence import (
     CarrierMismatchError,
     Functional,
@@ -25,8 +31,8 @@ from moebiuskit.incidence import (
 )
 from moebiuskit.simplicial import InsufficientLevelsError
 
-from conftest import criterion_4_nerves, poset_mobius_oracle, posets
-from reference import nondegenerate_simplices
+from conftest import criterion_4_nerves, poset_mobius_oracle, posets, random_poset, seeded
+from reference import nerve_fiber_walk, nondegenerate_simplices
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6)
@@ -66,6 +72,60 @@ def test_comultiply_degenerate_term():
     f = s0.ob(C3.level(0).objects[0])
     by_pair = comultiply(C3, f)
     assert by_pair.get((f, f), 0) >= 1
+
+
+def _fresh_delta(X, f):
+    """Delta(f) from the fiber table of d_1, with no memo."""
+    tab1 = X.level(1).iso_classes()
+    d2, d0 = X.face(2, 2), X.face(2, 0)
+    return weighted_fiber(X.face(2, 1), f,
+                          lambda r: (tab1.class_of(d2.ob(r)), tab1.class_of(d0.ob(r))))
+
+
+def test_comultiply_is_memoised_per_class_and_read_only():
+    for X in (layered_posets(3), layered_sets(3), nerve(divisor_poset(12), max_level=4)):
+        carrier = X.level(1)
+        for f in carrier.iso_classes().reps:
+            terms = comultiply(X, f)
+            assert list(terms.items()) == list(_fresh_delta(X, f).items())
+            assert all(type(w) is Fraction for w in terms.values())
+            with pytest.raises(TypeError):
+                terms[next(iter(terms))] = Fraction(0)
+        for a in carrier.objects:
+            assert comultiply(X, a) is comultiply(X, carrier.iso_classes().class_of(a))
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: nerve(divisor_poset(12), max_level=6), 4),
+    (lambda: layered_posets(3), None),
+], ids=["divisors of 12", "layered posets 3"])
+def test_the_inversion_check_reads_one_delta_per_class(monkeypatch, build, bound):
+    # zeta * mu and mu * zeta read one memoised Delta per class
+    X = build()
+    monkeypatch.setattr(X, "_memo", {k: v for k, v in X._memo.items()
+                                     if k[0] != "comultiply"})
+    d1 = X.face(2, 1)
+    calls = collections.Counter()
+
+    def counted(F, c, label_fn):
+        if F is d1:
+            calls[c] += 1
+        return weighted_fiber(F, c, label_fn)
+
+    monkeypatch.setattr(incidence, "weighted_fiber", counted)
+    assert verify_inversion(X, length_bound=bound).passed
+    assert set(calls) == set(X.level(1).iso_classes().reps)
+    assert set(calls.values()) == {1}
+
+
+def test_a_negative_length_bound_is_refused():
+    N = nerve(chain_poset(3), max_level=3)
+    f = (("le", 0, 0),)
+    assert mobius(N, f, 0) == 1
+    with pytest.raises(DomainError, match="length bound must be >= 0, got -1"):
+        mobius(N, f, -1)
+    with pytest.raises(DomainError, match="length bound must be >= 0, got -2"):
+        verify_inversion(N, length_bound=-2)
 
 
 def test_every_comultiply_weight_is_a_positive_fraction():
@@ -300,15 +360,38 @@ def test_nerve_generated_fiber_equals_whole_level_route():
     assert sum(_check_generated_fibers(N) for N in criterion_4_nerves()) == 558
 
 
-def _involution_nerve():
-    """The nerve, truncated at 4, of one object with a non-identity
-    involution s: s . s = 1, so the chain (s, s) of non-identity arrows
-    composes to the identity."""
+def _involution_category():
+    """One object with a non-identity involution s: s . s = 1, so the chain
+    (s, s) of non-identity arrows composes to the identity."""
     C = FinCategory(["*"], {"1": ("*", "*"), "s": ("*", "*")},
                     {("1", "1"): "1", ("1", "s"): "s", ("s", "1"): "s", ("s", "s"): "1"},
                     {"*": "1"})
     C.validate()
-    return nerve(C, max_level=4)
+    return C
+
+
+def _involution_nerve():
+    """The nerve of `_involution_category`, truncated at 4."""
+    return nerve(_involution_category(), max_level=4)
+
+
+def test_the_indexed_fiber_walk_matches_the_per_arrow_walk():
+    # the nerve's walk reads the successor index; the reference composes
+    # every arrow it tries: the same (k, chain) pairs, in the same order
+    rng = seeded(28)
+    quiver = FinCategory.free_on_quiver(
+        range(4), [("a", 0, 1), ("b", 0, 1), ("c", 1, 2), ("d", 1, 2), ("e", 0, 2),
+                   ("f", 2, 3), ("g", 2, 3)])
+    categories = [FinCategory.from_poset(divisor_poset(12)), quiver, _involution_category()]
+    categories += [FinCategory.from_poset(random_poset(rng, max_size=6)) for _ in range(6)]
+    lengths = collections.Counter()
+    for C in categories:
+        N = nerve(C, max_level=4)
+        for m in C.morphisms:
+            walk = list(N.fiber_walk(4, (m,)))
+            assert walk == list(nerve_fiber_walk(C, 4, (m,))), (C.name, m)
+            lengths.update(k for k, _chain in walk)
+    assert all(lengths[k] > 0 for k in range(1, 5)), lengths
 
 
 def test_nerve_fiber_counts_non_identity_chains_onto_an_identity():
