@@ -33,14 +33,12 @@ and the generalized Rota formula
 
     |mu^X| *_l |delta^R|  =  |delta^L| *_r |mu^Y|.
 
-Stability is one family of squares: the face/face squares d_k/e_l and,
-behind a flag, the degeneracy squares, up to a corner cell.  Its (1,1)
-slice, d_0/e_0 and d_1/e_1, is the two-square reduction valid for double
-Segal spaces; on a grid whose Segal sections fail the report says that it
-proves nothing, and the full family at truncation is the check.  The
-total decalage of X has cell (i,j) = X_{i+1+j} and the operators of X at
-the same vertex; the decalage of X is its row 0 (Dec_bot) or column 0
-(Dec_top).
+Stability is one family of squares, checked exhaustively at the
+truncation: the face/face squares d_k/e_l and the degeneracy squares
+s_k/e_l, d_k/t_l and s_k/t_l, on every cell up to a corner that the
+report names.  The total decalage of X has cell (i,j) = X_{i+1+j} and
+the operators of X at the same vertex; the decalage of X is its row 0
+(Dec_bot) or column 0 (Dec_top).
 """
 
 from __future__ import annotations
@@ -444,18 +442,13 @@ def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
     return rep
 
 
-def _stability_squares(B, full: bool, n_max: int):
-    """The stability squares: the face/face family d_k/e_l on the cells
-    up to the corner (top_i, top_j), then, when `full`, the degeneracy
-    families s_k/e_l, d_k/t_l and s_k/t_l up to the same corner.
-
-    Without `full` the corner is (1,1), and the squares are the two-square
-    reduction d_0/e_0 and d_1/e_1 at (1,1).  With it the corner is
-    (min(max_i, n_max+1), min(max_j, n_max+1)), past the cells (n, n+1)
-    and (n+1, n) that the Segal sections reach.  The stability note of
-    `validate_configuration` names which ran, and when the reduction ran
-    on a grid that is not double Segal, that it proves nothing there."""
-    top_i, top_j = (min(B.max_i, n_max + 1), min(B.max_j, n_max + 1)) if full else (1, 1)
+def _stability_squares(B, n_max: int):
+    """The stability squares: the face/face family d_k/e_l, then the
+    degeneracy families s_k/e_l, d_k/t_l and s_k/t_l, each on the cells up
+    to the corner (top_i, top_j) = (min(max_i, n_max+1), min(max_j,
+    n_max+1)), past the cells (n, n+1) and (n+1, n) that the Segal sections
+    reach.  Returns the corner and the squares."""
+    top_i, top_j = min(B.max_i, n_max + 1), min(B.max_j, n_max + 1)
 
     def family(ops, i0, j0, square, skip=lambda i, j, k, l: False):
         """The squares (p, q, f, g) = square(i, j, k, l) over the cells
@@ -469,33 +462,28 @@ def _stability_squares(B, full: bool, n_max: int):
         B.hface(i, j, k), B.vface(i, j, l), B.vface(i, j - 1, l), B.hface(i - 1, j, k)),
         # d_bot along e_top / d_top along e_bot
         skip=lambda i, j, k, l: (k == 0 and l == i) or (k == j and l == 0))
-    if full:
-        checks += family("s_{k}/e_{l}", 1, 0, lambda i, j, k, l: (
-            B.vface(i, j, l), B.hdegen(i, j, k), B.hdegen(i - 1, j, k), B.vface(i, j + 1, l)))
-        checks += family("d_{k}/t_{l}", 0, 1, lambda i, j, k, l: (
-            B.hface(i, j, k), B.vdegen(i, j, l), B.vdegen(i, j - 1, l), B.hface(i + 1, j, k)))
-        checks += family("s_{k}/t_{l}", 0, 0, lambda i, j, k, l: (
-            B.vdegen(i, j, l), B.hdegen(i, j, k), B.hdegen(i + 1, j, k), B.vdegen(i, j + 1, l)))
-    return checks
+    checks += family("s_{k}/e_{l}", 1, 0, lambda i, j, k, l: (
+        B.vface(i, j, l), B.hdegen(i, j, k), B.hdegen(i - 1, j, k), B.vface(i, j + 1, l)))
+    checks += family("d_{k}/t_{l}", 0, 1, lambda i, j, k, l: (
+        B.hface(i, j, k), B.vdegen(i, j, l), B.vdegen(i, j - 1, l), B.hface(i + 1, j, k)))
+    checks += family("s_{k}/t_{l}", 0, 0, lambda i, j, k, l: (
+        B.vdegen(i, j, l), B.hdegen(i, j, k), B.hdegen(i + 1, j, k), B.vdegen(i, j + 1, l)))
+    return (top_i, top_j), checks
 
 
-def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
-                           full_stability: bool = False) -> ConfigReport:
+def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int) -> ConfigReport:
     """Run the bicomodule-configuration checks at truncation n_max.
 
     The report covers: Segal in both directions, stability, culf
     augmentations, decomposition axioms on both borders, and the pointing
     identities and completeness where pointings are attached.  Each Segal
-    section notes the rows or columns and the n it checked.
-
-    Stability is the two-square reduction, the (1,1) slice of the
-    face/face family, or with `full_stability` the full family at
-    truncation (see `_stability_squares`).  The reduction is valid for
-    double Segal spaces only.  On a grid that is not (a failed rows or
-    columns Segal section, as on the sets/posets grid), a passed reduced
-    section is no proof of stability, and its note says so; the full
-    family is.
+    section notes the rows or columns and the n it checked, and the
+    stability section the corner cell up to which it ran every face/face
+    and degeneracy square (see `_stability_squares`).  n_max must be at
+    least 1.
     """
+    if n_max < 1:
+        raise DomainError(f"the configuration profile needs n_max >= 1, got {n_max}")
     if B.max_i < 2 or B.max_j < 2:
         raise InsufficientLevelsError(2, min(B.max_i, B.max_j),
                                       "bicomodule validation")
@@ -511,14 +499,10 @@ def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int,
                              for c in check_axioms(view(i), "segal", n).checks]
         sections[f"{direction}s segal"] = segal
 
-    if full_stability:
-        note = "full family at truncation"
-    elif all(r.passed for r in sections.values()):
-        note = "two-square reduction"
-    else:
-        note = "two-square reduction, not a proof: the grid is not double Segal"
-    sections["stability"] = AxiomReport(profile="stability", note=note,
-                                        checks=_stability_squares(B, full_stability, n_max))
+    corner, squares = _stability_squares(B, n_max)
+    sections["stability"] = AxiomReport(
+        profile="stability", checks=squares,
+        note=f"face/face and degeneracy families to ({corner[0]},{corner[1]})")
 
     sections["culf u"] = is_culf(B.u_map(), min(n_max, B.u_map().max_level - 1))
     sections["culf v"] = is_culf(B.v_map(), min(n_max, B.v_map().max_level - 1))

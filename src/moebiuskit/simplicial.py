@@ -304,7 +304,14 @@ def check_axioms(X: TruncatedSimplicialGroupoid, profile: str, n_max: int) -> Ax
                        reach level n+3 and are checked for as many n as the
                        truncation allows, with the verified range recorded,
       complete      -- s_0 : X_0 -> X_1 is a monomorphism.
+
+    An n_max below a profile's least truncation, 1 for identities and
+    segal and 0 for decomposition, would verify nothing and is refused;
+    complete ignores n_max.
     """
+    least = {"identities": 1, "segal": 1, "decomposition": 0}.get(profile)
+    if least is not None and n_max < least:
+        raise DomainError(f"the {profile} profile needs n_max >= {least}, got {n_max}")
     gb = X.grade_bound
     if profile == "identities":
         return _check_identities(X, n_max)
@@ -414,7 +421,10 @@ def is_culf(f: SimplicialMap, n_max: int) -> AxiomReport:
     Codegeneracy squares are checked for 0 <= i <= n <= n_max (they reach
     level n+1); inner coface squares for as many n as the truncation
     allows (they reach level n+2), with the verified range recorded.
+    n_max must be at least 0.
     """
+    if n_max < 0:
+        raise DomainError(f"the culf check needs n_max >= 0, got {n_max}")
     if n_max + 1 > f.max_level:
         raise InsufficientLevelsError(n_max + 1, f.max_level, "culf check")
     d_n_max = min(n_max, f.max_level - 2)

@@ -88,11 +88,17 @@ def test_validate_adjunction_nerve():
     assert validate_configuration(B, 1).passed
 
 
-def test_validate_total_decalage_full_stability():
+def test_validate_total_decalage_stability_family():
     N = nerve(chain_poset(3), max_level=6)
     TD = total_decalage(N, 2, 2)
-    report = validate_configuration(TD, 1, full_stability=True)
+    report = validate_configuration(TD, 1)
     assert report.passed
+
+
+def test_validate_configuration_refuses_a_truncation_below_1():
+    B, _ = adjunction_nerve()
+    with pytest.raises(DomainError, match="the configuration profile needs n_max >= 1, got 0"):
+        validate_configuration(B, 0)
 
 
 def test_validate_sets_posets_sections():
@@ -111,38 +117,60 @@ def test_validate_sets_posets_sections():
         "e_top . t_{top+1} = id at (1,0): n/a, no left pointing")
 
 
-def test_validate_sets_posets_full_stability():
-    # the grid is not double Segal (its columns fail), so the two-square
-    # reduction proves nothing about stability there; the full family does
-    report = validate_configuration(sets_posets_bicomodule(2, max_i=2, max_j=2), 1,
-                                    full_stability=True)
+def test_validate_sets_posets_stability_family():
+    # the grid is not double Segal (its columns fail), so no reduction to
+    # the (1,1) slice applies there; the full family does
+    report = validate_configuration(sets_posets_bicomodule(2, max_i=2, max_j=2), 1)
     stability = report.sections["stability"]
-    assert stability.note == "full family at truncation"
+    assert stability.note == "face/face and degeneracy families to (2,2)"
     assert stability.passed and len(stability.checks) == 56
     assert not report.sections["columns segal"].passed
 
 
 def test_square_names_are_unique_and_the_reduction_is_the_11_slice():
-    # the reduction is the (1,1) slice of the face/face family, which the
-    # full family starts with; no section checks a square twice
+    # the family opens with the (1,1) slice of the face/face squares; no
+    # section checks a square twice
     grids = [sets_posets_bicomodule(2, max_i=2, max_j=2),
              total_decalage(nerve(chain_poset(3), max_level=6), 2, 2),
              adjunction_nerve()[0]]
     for B in grids:
-        reduced = validate_configuration(B, 1)
-        full = validate_configuration(B, 1, full_stability=True)
-        for report in (reduced, full):
-            for key, section in report.sections.items():
-                names = [c.name for c in section.checks]
-                assert len(names) == len(set(names)), (B.name, key)
-        assert reduced.sections["stability"].checks == full.sections["stability"].checks[:2]
-        assert [c.name for c in reduced.sections["stability"].checks] == [
+        report = validate_configuration(B, 1)
+        for key, section in report.sections.items():
+            names = [c.name for c in section.checks]
+            assert len(names) == len(set(names)), (B.name, key)
+        assert [c.name for c in report.sections["stability"].checks[:2]] == [
             "stability d_0/e_0 at (1,1)", "stability d_1/e_1 at (1,1)"]
 
 
-def test_stability_mutation_fails_with_witness_and_breaks_associativity():
-    from moebiuskit.groupoid import GroupoidFunctor
+def test_stability_runs_to_the_truncation_corner():
+    B, _ = adjunction_nerve()
+    for n, corner, count in ((1, "(2,2)", 56), (2, "(3,3)", 207)):
+        stability = validate_configuration(B, n).sections["stability"]
+        assert stability.note == f"face/face and degeneracy families to {corner}"
+        assert stability.passed and len(stability.checks) == count, n
+        assert max(c.name.rsplit(" at ", 1)[1] for c in stability.checks) == corner
 
+
+def mutated_grid(base, cell_fn, name, pointed=True):
+    """The grid `base` with the cells of cell_fn(B, i, j), full subgroupoids
+    of its cells, and its operators (and, when `pointed`, its pointings)
+    restricted to them."""
+    def restrict(F, source, target):
+        return GroupoidFunctor(source, target, F.ob, F, name=F.name)
+
+    sections = {} if not pointed else dict(
+        right_section_fn=lambda B, i, j: restrict(base.right_section(i, j),
+                                                  B.cell(i, j - 1), B.cell(i, j)),
+        left_section_fn=lambda B, i, j: restrict(base.left_section(i, j),
+                                                 B.cell(i - 1, j), B.cell(i, j)))
+    return AugmentedBisimplicialGroupoid(
+        base.max_i, base.max_j, base.x_space(), base.y_space(), cell_fn,
+        lambda B, i, j, v: restrict(base.face(i, j, v), B.cell(i, j), B.face_target(i, j, v)),
+        lambda B, i, j, v: restrict(base.degen(i, j, v), B.cell(i, j), B.degen_target(i, j, v)),
+        name=name, **sections)
+
+
+def test_stability_mutation_fails_with_witness_and_breaks_associativity():
     N = nerve(chain_poset(4), max_level=6)
     base = total_decalage(N, 1, 1)
     dropped = (("le", 0, 1), ("le", 1, 2), ("le", 2, 3))
@@ -154,23 +182,7 @@ def test_stability_mutation_fails_with_witness_and_breaks_associativity():
             return full_subgroupoid(cell, keep, name="mutated11")
         return cell
 
-    def restrict(F, source, target):
-        return GroupoidFunctor(source, target, F.ob, F, name=F.name)
-
-    def face_fn(B, i, j, v):
-        return restrict(base.face(i, j, v), B.cell(i, j), B.face_target(i, j, v))
-
-    def degen_fn(B, i, j, v):
-        return restrict(base.degen(i, j, v), B.cell(i, j), B.degen_target(i, j, v))
-
-    mutated = AugmentedBisimplicialGroupoid(
-        1, 1, base.x_space(), base.y_space(), cell_fn,
-        face_fn, degen_fn,
-        right_section_fn=lambda B, i, j: restrict(base.right_section(i, j),
-                                                  B.cell(i, j - 1), B.cell(i, j)),
-        left_section_fn=lambda B, i, j: restrict(base.left_section(i, j),
-                                                 B.cell(i - 1, j), B.cell(i, j)),
-        name="mutated")
+    mutated = mutated_grid(base, cell_fn, "mutated")
     square = is_pullback_square(
         p=mutated.hface(1, 1, 1), q=mutated.vface(1, 1, 1),
         f=mutated.vface(1, 0, 1), g=mutated.hface(0, 1, 1),
@@ -194,12 +206,29 @@ def test_stability_mutation_fails_with_witness_and_breaks_associativity():
             return full_subgroupoid(cell, keep, name="mut11")
         return cell
 
-    mutated2 = AugmentedBisimplicialGroupoid(
-        1, 1, base.x_space(), base.y_space(), cell_fn2,
-        face_fn, degen_fn,
-        name="mutated2")
+    mutated2 = mutated_grid(base, cell_fn2, "mutated2", pointed=False)
     report = check_associativity(mutated2, 15, rng=seeded(5))
     assert not report.passed
+
+
+def test_validate_configuration_fails_a_grid_that_is_stable_on_the_11_slice():
+    # a 5-chain dropped from cell (2,2): every section but stability passes,
+    # and stability fails first off the (1,1) slice, on a missed class
+    base = total_decalage(nerve(chain_poset(7), max_level=7), 2, 2)
+    dropped = tuple(("le", a, a + 1) for a in range(5))
+
+    def cell_fn(B, i, j):
+        cell = base.cell(i, j)
+        if (i, j) == (2, 2):
+            return full_subgroupoid(cell, [o for o in cell.objects if o != dropped],
+                                    name="mutated22")
+        return cell
+
+    report = validate_configuration(mutated_grid(base, cell_fn, "mutated"), 1)
+    assert [k for k, r in report.sections.items() if not r.passed] == ["stability"]
+    first = next(c for c in report.sections["stability"].checks if not c.passed)
+    assert first.name == "stability d_0/e_0 at (2,2)"
+    assert "not essentially surjective" in first.witness and "missed" in first.witness
 
 
 def test_coact_right_adjunction_nerve_counts_factorizations():

@@ -3,7 +3,7 @@ import pytest
 from moebiuskit.bicomodule import decalage
 from moebiuskit.catposet import FinPoset, chain_poset, nerve
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
-from moebiuskit.groupoid import GroupoidFunctor, is_monomorphism
+from moebiuskit.groupoid import DomainError, GroupoidFunctor, is_monomorphism
 from moebiuskit.simplicial import (
     InsufficientLevelsError,
     SimplicialMap,
@@ -53,6 +53,30 @@ def test_insufficient_levels_error_names_level():
     with pytest.raises(InsufficientLevelsError) as err:
         check_axioms(nerve(chain_poset(2), max_level=2), "segal", 3)
     assert "level 4" in str(err.value)
+
+
+@pytest.mark.parametrize("check, n_max, message", [
+    (lambda n: check_axioms(CHAIN3, "segal", n), 0, "the segal profile needs n_max >= 1, got 0"),
+    (lambda n: check_axioms(CHAIN3, "identities", n), 0,
+     "the identities profile needs n_max >= 1, got 0"),
+    (lambda n: check_axioms(CHAIN3, "decomposition", n), -1,
+     "the decomposition profile needs n_max >= 0, got -1"),
+    (lambda n: is_culf(SimplicialMap.identity(CHAIN3), n), -1,
+     "the culf check needs n_max >= 0, got -1"),
+], ids=["segal", "identities", "decomposition", "culf"])
+def test_a_truncation_that_verifies_nothing_is_refused(check, n_max, message):
+    with pytest.raises(DomainError, match=message):
+        check(n_max)
+    assert check(n_max + 1).checks   # the least truncation verifies squares
+
+
+def test_the_least_truncations_are_accepted():
+    # the nerves bench workload checks each profile at its least n, and
+    # "complete" takes any n
+    for profile, n_max in (("segal", 1), ("decomposition", 0), ("complete", 0),
+                           ("complete", -1)):
+        report = check_axioms(CHAIN3, profile, n_max)
+        assert report.passed and report.checks, profile
 
 
 def test_decalage_bottom_of_nerve():
