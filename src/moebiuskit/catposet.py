@@ -550,6 +550,12 @@ class CorrespondenceCat:
     label: dict
 
     def __post_init__(self):
+        objects = set(self.category.objects)
+        for a, bit in self.label.items():
+            if a not in objects:
+                raise StructureError(f"label {bit!r} given to {a!r}, which is not an object")
+            if bit not in (0, 1):
+                raise StructureError(f"object {a!r} has label {bit!r}, not 0 or 1")
         for m, (a, b) in self.category.morphisms.items():
             if self.label[a] == 1 and self.label[b] == 0:
                 raise StructureError(f"morphism {m!r} goes from label 1 to label 0")
@@ -689,8 +695,10 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     bare object.
 
     When `fibration_report(corr)` grants cocartesian (resp. cartesian) lifts
-    everywhere, the right pointing s_{-1} (resp. left pointing t_{top+1})
-    is attached by composing with the lift and its unique factorizations.
+    everywhere, the right pointing s_{-1} along row 0 (resp. left pointing
+    t_{top+1} along column 0) is attached: at n = 0 it is the lift, above
+    it the lift composed with the unique factorization of the first (resp.
+    last) arrow through it.
     """
     C = corr.category
     report = fibration_report(corr)
@@ -704,10 +712,6 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     def cut(op, source, target):
         """The nerve operator `op` on the cut cells."""
         return discrete_functor(source, target, op.ob, name=op.name)
-
-    def vertex(c, k):
-        """Vertex k of the chain c."""
-        return C.src(c[k]) if k < len(c) else C.tgt(c[-1])
 
     def unique_post_factor(a, m):
         """The unique h with h . a = m, through the cocartesian lift a."""
@@ -725,27 +729,23 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
 
     right_section_fn = None
     if report.all_cocartesian:
-        def right_section_fn(B, i, j):
+        def right_section_fn(B, n):
             def ob(c):
-                if i + j == 0:      # c is an object over 0
+                if n == 0:      # c is an object over 0
                     return (report.cocartesian[c],)
-                a = report.cocartesian[vertex(c, i)]
-                if j == 0:
-                    return c + (a,)
-                return c[:i] + (a, unique_post_factor(a, c[i])) + c[i + 1:]
-            return discrete_functor(B.cell(i, j - 1), B.cell(i, j), ob)
+                a = report.cocartesian[C.src(c[0])]
+                return (a, unique_post_factor(a, c[0])) + c[1:]
+            return discrete_functor(B.cell(0, n - 1), B.cell(0, n), ob)
 
     left_section_fn = None
     if report.all_cartesian:
-        def left_section_fn(B, i, j):
+        def left_section_fn(B, n):
             def ob(c):
-                if i + j == 0:      # c is an object over 1
+                if n == 0:      # c is an object over 1
                     return (report.cartesian[c],)
-                a = report.cartesian[vertex(c, i)]  # first vertex over 1
-                if i == 0:
-                    return (a,) + c
-                return c[:i - 1] + (unique_pre_factor(a, c[i - 1]), a) + c[i:]
-            return discrete_functor(B.cell(i - 1, j), B.cell(i, j), ob)
+                a = report.cartesian[C.tgt(c[-1])]   # the vertex over 1
+                return c[:-1] + (unique_pre_factor(a, c[-1]), a)
+            return discrete_functor(B.cell(n - 1, 0), B.cell(n, 0), ob)
 
     return AugmentedBisimplicialGroupoid(
         max_i, max_j,

@@ -145,13 +145,6 @@ def _load_target(target):
     return load_adjunction(doc) if doc.get("kind") == "adjunction" else doc
 
 
-def poset_json(P: cp.FinPoset) -> dict:
-    key = ex.poset_key(P)
-    canon = ex.key_to_poset(key)
-    return {"kind": "poset", "elements": list(canon.elements),
-            "relations": sorted(canon.strict_pairs())}
-
-
 # -- output ---------------------------------------------------------------------
 
 

@@ -437,10 +437,10 @@ def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,
     (the first poset layer is the distinguished one: no horizontal face
     deletes it) and vertical operators on the set part, except the top
     face, which joins the last set layer to the first poset layer.  The
-    right pointing inserts an empty first poset layer at every cell; the
-    left pointing exists at the bottom of the column (prepending an empty
-    distinguished layer to a plain layered poset), which is all the Rota
-    formula consumes.
+    right pointing inserts an empty first poset layer along row 0; the
+    left pointing exists at the bottom of column 0 only (prepending an
+    empty distinguished layer to a plain layered poset), which is all the
+    Rota formula consumes.
 
     The grid supplies a coaction generator: the 1-simplices over m are m
     with an up-set moved to a second poset layer (right) or with a set of
@@ -467,15 +467,15 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
         return _op_functor(B.cell(i, j), B.degen_target(i, j, v), _insert_layer,
                            v + 1, v <= i, name=f"s{v}@({i},{j})")
 
-    def right_section_fn(B, i, j):
-        return _op_functor(B.cell(i, j - 1), B.cell(i, j), _insert_layer, i + 1, False,
-                           name=f"s-1@({i},{j})")
+    def right_section_fn(B, n):
+        return _op_functor(B.cell(0, n - 1), B.cell(0, n), _insert_layer, 1, False,
+                           name=f"s-1@(0,{n})")
 
-    def left_section_fn(B, i, j):
-        if i != 0:
+    def left_section_fn(B, n):
+        if n != 0:
             return None  # no canonical section of the merge at higher levels
-        return _op_functor(B.cell(-1, j), B.cell(0, j), _insert_layer, 1, False,
-                           name=f"t-top@({i},{j})")
+        return _op_functor(B.cell(-1, 0), B.cell(0, 0), _insert_layer, 1, False,
+                           name="t-top@(0,0)")
 
     return AugmentedBisimplicialGroupoid(
         max_i, max_j, layered_sets(grade_bound, max_i),

@@ -178,8 +178,8 @@ def test_criterion_6_bicomodule_associativity():
     configs.append(correspondence_bisimplicial(corr, 2, 2))
     configs.append(total_decalage(nerve(chain_poset(3), max_level=6), 2, 2))
     for B in configs:
-        assert check_associativity(B, 50, rng=seeded(99)).passed
-    _report(6, "left/right convolution associativity, 50 random triples", t0, 60)
+        assert check_associativity(B).passed
+    _report(6, "left/right convolution associativity, exact bimodule law", t0, 60)
 
 
 def test_criterion_7_oracle_gates():

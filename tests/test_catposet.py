@@ -330,6 +330,17 @@ def test_correspondence_labeling_invariant():
         CorrespondenceCat(corr.category, bad_label)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({("y", 1): 2}, r"object \('y', 1\) has label 2, not 0 or 1"),
+    ({("x", 0): "0"}, r"object \('x', 0\) has label '0', not 0 or 1"),
+    ({("z", 0): 0}, r"label 0 given to \('z', 0\), which is not an object"),
+], ids=["label 2", "string label", "label off the objects"])
+def test_correspondence_labels_are_0_or_1_on_objects(extra, message):
+    corr = mapping_cylinder(poset_functor(chain_poset(2), chain_poset(2), {0: 0, 1: 1}))
+    with pytest.raises(StructureError, match=message):
+        CorrespondenceCat(corr.category, {**corr.label, **extra})
+
+
 def test_correspondence_bisimplicial_cells():
     F, G = chain_adjunction()
     corr = mapping_cylinder(F)
@@ -340,11 +351,11 @@ def test_correspondence_bisimplicial_cells():
     assert len(B.cell(0, -1).objects) == 3
     assert len(B.cell(-1, 0).objects) == 2
     # pointings are sections
-    s = B.right_section(0, 0)
+    s = B.right_section(0)
     for x in B.cell(0, -1).objects:
         back = B.aug_u(0).ob(s.ob(x))
         assert back == x
-    t = B.left_section(0, 0)
+    t = B.left_section(0)
     for y in B.cell(-1, 0).objects:
         assert B.aug_v(0).ob(t.ob(y)) == y
 

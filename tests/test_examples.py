@@ -242,9 +242,9 @@ def test_layer_surgery_operators_follow_their_rule():
                     # the empty layer after vertex v: a set layer on the X side
                     if (i if v <= i else j) < 2:
                         _assert_operator_follows(B.degen(i, j, v), insert, v + 1, v <= i)
-                _assert_operator_follows(B.right_section(i, j), insert, i + 1, False)
-        for j in range(3):
-            _assert_operator_follows(B.left_section(0, j), insert, 1, False)
+        for n in range(3):
+            _assert_operator_follows(B.right_section(n), insert, 1, False)
+        _assert_operator_follows(B.left_section(0), insert, 1, False)
 
 
 def _vertex_chain(struct):
