@@ -22,16 +22,19 @@ label is the weight sum_sigma |Aut m|/|Aut sigma| of that label in the
 homotopy fiber (orbit-stabilizer).  The coaction then never builds
 B_{0,1} or B_{1,0}.  Grids without one read the fiber of the leg.
 Either way the coaction is the fiber table's format, {(left class, right
-class): weight}, with no `repr` ordering; `coact` memoises it read-only.
-The essential image of a pointing is the key set of its bottom
-section's fiber table, which the completeness check builds.
+class): weight}, with no `repr` ordering; `coact` memoises it read-only,
+and the convolution actions sum over it with the one convolution sum of
+`incidence`, as `convolve` sums over Delta.  The essential image of a
+pointing is the key set of its bottom section's fiber table, which the
+completeness check builds.
 
 Optional pointings are extra sections of the outer operators along the
 comodules: s_{-1} : B_{0,n-1} -> B_{0,n} on row 0 (right) and
 t_{top+1} : B_{n-1,0} -> B_{n,0} on column 0 (left), one index each.  They
 give the counit-style functionals delta^R, delta^L, the comodule Phi
-functors, a Mobius inversion principle per side, and the generalized Rota
-formula
+functors, a Mobius inversion principle per side (checked on every class
+of the side's C_0, into the `InversionReport` of `incidence`), and the
+generalized Rota formula
 
     |mu^X| *_l |delta^R|  =  |delta^L| *_r |mu^Y|.
 
@@ -70,6 +73,8 @@ from .groupoid import (
 )
 from .incidence import (
     Functional,
+    InversionReport,
+    _pair_sum,
     grade_certificate,
     mobius_functional,
     phi_n,
@@ -545,19 +550,16 @@ def convolve_action(B: AugmentedBisimplicialGroupoid, side: str,
     """theta *_r beta (side 'right') or alpha *_l theta (side 'left') at m.
 
     `inner` lives on B_{0,0}; `outer` lives on X_1 (left) or Y_1 (right).
+    The functionals read the coaction table of m in its key order, inner
+    first on the right, through the convolution sum of `convolve`.
     """
-    b00 = B.cell(0, 0)
-    if inner.carrier is not b00:
+    if inner.carrier is not B.cell(0, 0):
         raise DomainError("inner functional does not live on B_{0,0}")
-    if side == "right":
-        if outer.carrier is not B.cell(-1, 1):
-            raise DomainError("outer functional does not live on Y_1")
-        terms = coact(B, side, m).items()
-        return sum((w * inner(c) * outer(y) for (c, y), w in terms), Fraction(0))
-    if outer.carrier is not B.cell(1, -1):
-        raise DomainError("outer functional does not live on X_1")
-    terms = coact(B, side, m).items()
-    return sum((w * outer(x) * inner(c) for (x, c), w in terms), Fraction(0))
+    right = side == "right"
+    if outer.carrier is not (B.cell(-1, 1) if right else B.cell(1, -1)):
+        raise DomainError(f"outer functional does not live on {'Y_1' if right else 'X_1'}")
+    table = coact(B, side, m)
+    return _pair_sum(table, inner, outer) if right else _pair_sum(table, outer, inner)
 
 
 @dataclass
@@ -699,26 +701,10 @@ class ComoduleInversionRow:
                 and all(l == r for _, l, r in self.phi_identities))
 
 
-@dataclass
-class ComoduleInversionReport:
-    side: str
-    rows: list
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.rows)
-
-    def failures(self):
-        return [r for r in self.rows if not r.passed]
-
-    def __bool__(self):
-        return self.passed
-
-
-def comodule_mobius_check(config: ComoduleConfiguration, sample=None,
+def comodule_mobius_check(config: ComoduleConfiguration,
                           length_bound: Optional[int] = None,
-                          mu_base: Optional[Functional] = None) -> ComoduleInversionReport:
-    """Verify the comodule Mobius inversion on sampled classes of C_0.
+                          mu_base: Optional[Functional] = None) -> InversionReport:
+    """Verify the comodule Mobius inversion on every class of C_0.
 
     For each m this checks (a) the per-degree identity
     zeta^C * Phi_n^base = Phi^side_{n-1} + Phi^side_n for 0 <= n <= bound,
@@ -727,12 +713,10 @@ def comodule_mobius_check(config: ComoduleConfiguration, sample=None,
     the grade of m unless supplied; ungraded spaces must pass one.
     """
     C0 = config.space.level(0)
-    if sample is None:
-        sample = C0.iso_classes().reps
     if mu_base is None:
         mu_base = mobius_functional(config.base, length_bound)
     rows = []
-    for m in sample:
+    for m in C0.iso_classes().reps:
         bound = grade_certificate(C0, m, length_bound)
         # the base class of each term: the right one on the right side
         action = [(w, pair[1] if config.side == "right" else pair[0])
@@ -744,7 +728,7 @@ def comodule_mobius_check(config: ComoduleConfiguration, sample=None,
             per_n.append((n, lhs, rhs))
         summed = sum((w * mu_base(e) for w, e in action), Fraction(0))
         rows.append(ComoduleInversionRow(m, per_n, summed, pointing_delta(config, m)))
-    return ComoduleInversionReport(config.side, rows)
+    return InversionReport(rows, config.side)
 
 
 # -- the generalized Rota formula -------------------------------------------------

@@ -44,7 +44,9 @@ from .simplicial import TruncatedSimplicialGroupoid
 
 class FinPoset:
     """A finite poset stored as the reflexive-transitive closure of input
-    relation pairs; cyclic input is rejected (antisymmetry)."""
+    relation pairs, closed through each element in element order; cyclic
+    input is rejected (antisymmetry), naming the first pair in element
+    order that lies on a cycle."""
 
     def __init__(self, elements, relations=()):
         self.elements = tuple(elements)
@@ -55,36 +57,23 @@ class FinPoset:
             if a not in self.elements or b not in self.elements:
                 raise DomainError(f"relation ({a!r},{b!r}) mentions unknown elements")
             le.add((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(le):
-                for c in self.elements:
-                    if (b, c) in le and (a, c) not in le:
-                        le.add((a, c))
-                        changed = True
-        for a, b in le:
-            if a != b and (b, a) in le:
-                raise StructureError(f"cycle through {a!r} and {b!r}: not a poset")
+        for b in self.elements:
+            below = [a for a in self.elements if (a, b) in le]
+            le.update((a, c) for c in self.elements if (b, c) in le for a in below)
+        for a in self.elements:
+            for b in self.elements:
+                if a != b and (a, b) in le and (b, a) in le:
+                    raise StructureError(f"cycle through {a!r} and {b!r}: not a poset")
         self.le = frozenset(le)
 
     def leq(self, a, b) -> bool:
         return (a, b) in self.le
-
-    def less(self, a, b) -> bool:
-        return a != b and (a, b) in self.le
 
     def intervals(self):
         return [(a, b) for a in self.elements for b in self.elements if self.leq(a, b)]
 
     def strict_pairs(self):
         return [(a, b) for (a, b) in self.le if a != b]
-
-    def interval(self, a, b) -> "FinPoset":
-        if not self.leq(a, b):
-            raise DomainError(f"[{a!r},{b!r}] is not an interval")
-        els = [x for x in self.elements if self.leq(a, x) and self.leq(x, b)]
-        return FinPoset(els, [(u, v) for u in els for v in els if self.leq(u, v)])
 
     def __repr__(self):
         return f"FinPoset({list(self.elements)!r}, {sorted(map(repr, self.strict_pairs()))})"
@@ -118,7 +107,6 @@ class FinCategory(Memo):
             out.setdefault(a, []).append(m)
         self._hom = {ab: tuple(ms) for ab, ms in hom.items()}
         self._out = {a: tuple(ms) for a, ms in out.items()}
-        self._poset: Optional[FinPoset] = None   # set by from_poset
 
     def src(self, m):
         return self.morphisms[m][0]
@@ -183,9 +171,7 @@ class FinCategory(Memo):
                 if P.leq(b, c):
                     compose[(("le", a, b), ("le", b, c))] = ("le", a, c)
         idents = {a: ("le", a, a) for a in P.elements}
-        cat = cls(P.elements, mors, compose, idents, name=name)
-        cat._poset = P
-        return cat
+        return cls(P.elements, mors, compose, idents, name=name)
 
     @classmethod
     def free_on_quiver(cls, objects, edges, name="") -> "FinCategory":
@@ -214,9 +200,6 @@ class FinCategory(Memo):
         idents = {a: ("path", a, ()) for a in objects}
         return cls(objects, mors, compose, idents, name=name)
 
-    def as_poset(self) -> Optional[FinPoset]:
-        return self._poset
-
 
 @dataclass
 class FinFunctor:
@@ -244,8 +227,10 @@ class FinFunctor:
 
 
 def poset_functor(P: FinPoset, Q: FinPoset, ob_map: dict, name="") -> FinFunctor:
-    """A monotone map of posets as a functor of their categories."""
-    for a, b in P.le:
+    """A monotone map of posets as a functor of their categories; a map
+    that is not is refused at its first non-monotone pair in element
+    order."""
+    for a, b in P.intervals():
         if not Q.leq(ob_map[a], ob_map[b]):
             raise StructureError(f"map is not monotone at ({a!r},{b!r})")
     return FinFunctor(FinCategory.from_poset(P), FinCategory.from_poset(Q),
@@ -420,10 +405,6 @@ def classical_mobius(C: FinCategory, f, chain_bound: Optional[int] = None) -> Fr
         raise DomainError(f"not a Mobius category: {report.witness}")
     layers, _ = C._get(("chain_counts",), _chain_counts, C)
     return Fraction(sum((-1) ** k * layer.get(f, 0) for k, layer in enumerate(layers)))
-
-
-def poset_mobius(P: FinPoset, a, b) -> Fraction:
-    return classical_mobius(FinCategory.from_poset(P), ("le", a, b))
 
 
 # -- adjunctions ----------------------------------------------------------------
@@ -628,10 +609,6 @@ class FibrationReport:
     @property
     def all_cartesian(self):
         return all(v is not None for v in self.cartesian.values())
-
-    @property
-    def bicartesian(self):
-        return self.all_cocartesian and self.all_cartesian
 
 
 def _is_cocartesian(corr: CorrespondenceCat, a):

@@ -279,17 +279,16 @@ def cmd_mobius(args) -> int:
     if kind == "poset":
         P = load_poset(doc)
         C = cp.FinCategory.from_poset(P)
-        if args.interval is not None:
+        if args.interval is None:
+            pairs = P.intervals()
+        else:
             elems = {str(x): x for x in P.elements}
             a, b = (elems.get(x, x) for x in args.interval)
             if not P.leq(a, b):
                 raise InputError(f"[{a!r}, {b!r}] is not an interval of the poset")
+            pairs = [(a, b)]
         try:
-            if args.interval is not None:
-                rows = [((a, b), cp.classical_mobius(C, ("le", a, b), bound))]
-            else:
-                rows = [((a, b), cp.classical_mobius(C, ("le", a, b), bound))
-                        for (a, b) in P.intervals()]
+            rows = [((a, b), cp.classical_mobius(C, ("le", a, b), bound)) for (a, b) in pairs]
         except DomainError as e:
             return _refused(e)
         emit_rows(rows, ["interval", "mu"], fmt)

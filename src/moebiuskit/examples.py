@@ -511,10 +511,6 @@ def poset_key(P: FinPoset):
     return key
 
 
-def key_to_poset(key) -> FinPoset:
-    return FinPoset(range(len(key[2])), key[3])
-
-
 def mu_posets(P: FinPoset, route: str = "direct") -> Fraction:
     """The Mobius function of the decomposition space of finite posets at P.
 

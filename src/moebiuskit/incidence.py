@@ -16,7 +16,11 @@ from: `comultiply` returns the mapping {(left class, right class):
 weight} of `weighted_fiber`, in the table's source-class order, and no
 value is ordered by `repr`.  It is computed once per class of X_1 and
 memoised on X as a read-only mapping, as `bicomodule.coact` is, so the
-two convolutions of `verify_inversion` read one Delta.
+two convolutions of `verify_inversion` read one Delta.  Convolution is
+one sum over such a table, `_pair_sum`, which the convolution actions of
+`bicomodule` read on the coaction tables too.  `verify_inversion` checks
+every class of X_1, and its `InversionReport` also carries the comodule
+inversion rows of `bicomodule.comodule_mobius_check`.
 
 Callers are expected to have validated the decomposition-space axioms at
 their chosen truncation; the operations here check carriers and level
@@ -72,13 +76,6 @@ class Functional(Memo):
         return value
 
     @classmethod
-    def from_table(cls, carrier, table: dict, name=""):
-        tab = carrier.iso_classes()
-        normalized = {tab.class_of(k): Fraction(v) for k, v in table.items()
-                      if Fraction(v) != 0}
-        return cls(carrier, lambda rep: normalized.get(rep, Fraction(0)), name=name)
-
-    @classmethod
     def constant(cls, carrier, value, name=""):
         v = Fraction(value)
         return cls(carrier, lambda rep: v, name=name)
@@ -125,6 +122,12 @@ def delta(X: TruncatedSimplicialGroupoid) -> Functional:
     return Functional(X.level(1), lambda rep: counit(X, rep), name="delta")
 
 
+def _pair_sum(table, left: Callable, right: Callable) -> Fraction:
+    """sum of w * left(l) * right(r) over a fiber table {(l, r): w}, in
+    table order: Delta and both coactions convolve through this sum."""
+    return sum((w * left(l) * right(r) for (l, r), w in table.items()), Fraction(0))
+
+
 def convolve(X: TruncatedSimplicialGroupoid, alpha: Functional, beta: Functional) -> Functional:
     """(alpha * beta)(f) = sum over Delta(f) of weight * alpha(l) * beta(r)."""
     carrier = X.level(1)
@@ -132,12 +135,8 @@ def convolve(X: TruncatedSimplicialGroupoid, alpha: Functional, beta: Functional
         if func.carrier is not carrier:
             raise CarrierMismatchError(
                 f"functional {func.name or '<anon>'} lives on a different carrier")
-
-    def fn(rep):
-        return sum((w * alpha(l) * beta(r) for (l, r), w in comultiply(X, rep).items()),
-                   Fraction(0))
-
-    return Functional(carrier, fn, name=f"({alpha.name}*{beta.name})")
+    return Functional(carrier, lambda rep: _pair_sum(comultiply(X, rep), alpha, beta),
+                      name=f"({alpha.name}*{beta.name})")
 
 
 def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
@@ -233,7 +232,12 @@ class InversionRow:
 
 @dataclass
 class InversionReport:
+    """The rows of an inversion check, one per class: `InversionRow`s of
+    `verify_inversion`, or the comodule rows of `comodule_mobius_check`,
+    whose side the report names."""
+
     rows: list
+    side: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -246,20 +250,18 @@ class InversionReport:
         return self.passed
 
 
-def verify_inversion(X: TruncatedSimplicialGroupoid, classes=None,
+def verify_inversion(X: TruncatedSimplicialGroupoid,
                      length_bound: Optional[int] = None,
                      mu: Optional[Functional] = None) -> InversionReport:
-    """Check (zeta * mu)(f) = delta(f) = (mu * zeta)(f) on the given classes.
+    """Check (zeta * mu)(f) = delta(f) = (mu * zeta)(f) on every class of X_1.
 
     `mu` defaults to the Mobius functional of X; passing a corrupted
     functional turns this into a negative control.
     """
-    if classes is None:
-        classes = X.level(1).iso_classes().reps
     z = zeta(X)
     if mu is None:
         mu = mobius_functional(X, length_bound)
     zm = convolve(X, z, mu)
     mz = convolve(X, mu, z)
-    rows = [InversionRow(c, zm(c), counit(X, c), mz(c)) for c in classes]
-    return InversionReport(rows)
+    return InversionReport([InversionRow(c, zm(c), counit(X, c), mz(c))
+                            for c in X.level(1).iso_classes().reps])

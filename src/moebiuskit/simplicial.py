@@ -131,11 +131,6 @@ class TruncatedSimplicialGroupoid(Memo):
         self.check_fiber_walk(n)
         return self._fiber_fn(self, n, f)
 
-    def fiber_simplices(self, n: int, f):
-        """The nondegenerate n-simplices over f: the walk's simplices of
-        length n."""
-        return (sigma for k, sigma in self.fiber_walk(n, f) if k == n)
-
     # -- derived accessors -------------------------------------------------
 
     def bottom_face_power(self, n: int, k: int) -> GroupoidFunctor:
@@ -237,10 +232,6 @@ class SimplicialMap(Memo):
         if n > self.max_level:
             raise InsufficientLevelsError(n, self.max_level, self.name)
         return self._get(("level", n), self._level_fn, self, n)
-
-    @classmethod
-    def identity(cls, X, name="id") -> "SimplicialMap":
-        return cls(X, X, lambda m, n: GroupoidFunctor.identity(X.level(n)), name=name)
 
     def validate(self, n_max: Optional[int] = None) -> None:
         """Check strict commutation with all faces and degeneracies."""

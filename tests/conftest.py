@@ -122,7 +122,7 @@ def poset_mobius_oracle(P: FinPoset):
             value = Fraction(1)
         else:
             value = -sum((mu(x, z) for z in P.elements
-                          if P.leq(x, z) and P.less(z, y)), Fraction(0))
+                          if P.leq(x, z) and z != y and P.leq(z, y)), Fraction(0))
         memo[(x, y)] = value
         return value
 

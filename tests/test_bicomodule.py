@@ -1,6 +1,7 @@
 import collections
 import functools
 import inspect
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -38,7 +39,6 @@ from moebiuskit.catposet import (
     rota_direct,
 )
 from moebiuskit.examples import (
-    key_to_poset,
     layered_posets,
     layered_sets,
     mu_posets,
@@ -317,6 +317,19 @@ def test_convolve_action_unit_law():
         assert convolve_action(B, "right", dY, inner, m) == inner(m)
 
 
+def test_convolve_action_refuses_functionals_on_other_carriers():
+    B, _adj = adjunction_nerve()
+    x, c, y = (Functional.constant(B.cell(i, j), 1) for i, j in ((1, -1), (0, 0), (-1, 1)))
+    m = B.cell(0, 0).iso_classes().reps[0]
+    for side, outer, inner, message in [
+            ("right", y, x, "inner functional does not live on B_{0,0}"),
+            ("left", x, y, "inner functional does not live on B_{0,0}"),
+            ("right", x, c, "outer functional does not live on Y_1"),
+            ("left", y, c, "outer functional does not live on X_1")]:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            convolve_action(B, side, outer, inner, m)
+
+
 def test_pointing_deltas_sets_posets():
     B = sets_posets_bicomodule(2, max_i=2, max_j=2)
     rc, lc = right_comodule(B), left_comodule(B)
@@ -388,7 +401,7 @@ def test_phi_comodule_decalage_of_layered_posets_vs_oracle():
     C = layered_posets(3, max_level=4)
     config = decalage(C, "bottom")
     for m in C.level(1).iso_classes().reps:
-        P = key_to_poset(m)
+        P = FinPoset(range(len(m[2])), m[3])
         size = len(P.elements)
         for n in range(0, size + 1):
             # Phi^R_n counts surjective monotone (n+1)-layerings of P
@@ -567,7 +580,7 @@ def test_comodule_mobius_check_corrupted_control():
     pt = poset_key(FinPoset(["x"]))
     table = {rep: good(rep) for rep in C.level(1).iso_classes().reps}
     table[pt] = table[pt] + 1
-    bad = Functional.from_table(C.level(1), table)
+    bad = Functional(C.level(1), lambda rep: table.get(rep, 0))
     report = comodule_mobius_check(config, mu_base=bad)
     assert not report.passed
 

@@ -23,7 +23,6 @@ from moebiuskit.catposet import (
     mapping_cylinder,
     nerve,
     poset_functor,
-    poset_mobius,
     rota_direct,
 )
 from moebiuskit.examples import enumerate_posets
@@ -85,12 +84,6 @@ def test_poset_closure_and_cycle_rejection():
     assert P.leq(1, 1)          # reflexivity
     with pytest.raises(StructureError):
         FinPoset([0, 1], [(0, 1), (1, 0)])
-
-
-def test_interval_poset():
-    P = divisor_poset(12)
-    I = P.interval(2, 12)
-    assert sorted(I.elements) == [2, 4, 6, 12]
 
 
 def test_category_validation():
@@ -191,7 +184,7 @@ def test_classical_mobius_chain_values():
     assert classical_mobius(C, ("le", 0, 1)) == -1
     assert classical_mobius(C, ("le", 0, 2)) == 0
     B = boolean_lattice_2()
-    assert poset_mobius(B, "bot", "top") == 1
+    assert classical_mobius(FinCategory.from_poset(B), ("le", "bot", "top")) == 1
 
 
 def test_classical_mobius_not_mobius_category_rejected():
@@ -264,7 +257,8 @@ def test_mapping_cylinder_identity_bicartesian():
     idf = poset_functor(P, P, {0: 0, 1: 1})
     corr = mapping_cylinder(idf)
     corr.category.validate()
-    assert fibration_report(corr).bicartesian
+    report = fibration_report(corr)
+    assert report.all_cocartesian and report.all_cartesian
     # mixed homs realize the order relation
     M = corr.category
     assert len(M.hom(("x", 0), ("y", 1))) == 1
@@ -280,28 +274,28 @@ def test_mapping_cylinder_lift_search_matches_adjunction():
     vee = FinPoset(["x", "y", "z"], [("x", "y"), ("x", "z")])
     b2 = boolean_lattice_2()
     battery = [
-        poset_functor(chain_poset(3), chain_poset(2), {0: 0, 1: 0, 2: 1}),
-        poset_functor(chain_poset(2), chain_poset(3), {0: 0, 1: 2}),
-        poset_functor(b2, chain_poset(2), {"bot": 0, "a": 1, "b": 1, "top": 1}),
-        poset_functor(chain_poset(2), b2, {0: "bot", 1: "top"}),
-        poset_functor(disc2, chain_poset(2), {"a": 0, "b": 1}),
-        poset_functor(vee, chain_poset(2), {"x": 0, "y": 1, "z": 1}),
-        poset_functor(chain_poset(2), vee, {0: "x", 1: "y"}),
-        poset_functor(chain_poset(3), chain_poset(3), {0: 0, 1: 0, 2: 0}),
-        poset_functor(chain_poset(2), chain_poset(2), {0: 1, 1: 1}),
-        poset_functor(vee, disc2, {"x": "a", "y": "a", "z": "a"}),
+        (chain_poset(3), chain_poset(2), {0: 0, 1: 0, 2: 1}),
+        (chain_poset(2), chain_poset(3), {0: 0, 1: 2}),
+        (b2, chain_poset(2), {"bot": 0, "a": 1, "b": 1, "top": 1}),
+        (chain_poset(2), b2, {0: "bot", 1: "top"}),
+        (disc2, chain_poset(2), {"a": 0, "b": 1}),
+        (vee, chain_poset(2), {"x": 0, "y": 1, "z": 1}),
+        (chain_poset(2), vee, {0: "x", 1: "y"}),
+        (chain_poset(3), chain_poset(3), {0: 0, 1: 0, 2: 0}),
+        (chain_poset(2), chain_poset(2), {0: 1, 1: 1}),
+        (vee, disc2, {"x": "a", "y": "a", "z": "a"}),
     ]
     assert len(battery) == 10
-    for F in battery:
+    for P, Q, fmap in battery:
+        F = poset_functor(P, Q, fmap)
         report = fibration_report(mapping_cylinder(F))
         assert report.all_cocartesian
-        X, Y = F.source, F.target
-        yobs, xobs = list(Y.objects), list(X.objects)
+        yobs, xobs = list(Q.elements), list(P.elements)
         found = False
         for images in iproduct(xobs, repeat=len(yobs)):
             gmap = dict(zip(yobs, images))
             try:
-                G = poset_functor(Y.as_poset(), X.as_poset(), gmap)
+                G = poset_functor(Q, P, gmap)
             except StructureError:
                 continue  # not monotone
             if check_adjunction(F, G).ok:
@@ -433,6 +427,32 @@ def test_poset_category_order_does_not_depend_on_the_hash_seed():
                               text=True, env=env, timeout=120, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+REFUSAL_SCRIPT = """
+from moebiuskit.catposet import FinPoset, chain_poset, poset_functor
+from moebiuskit.groupoid import StructureError
+vee = FinPoset("xyzw", [("x", "y"), ("x", "z"), ("x", "w")])
+for build in (lambda: FinPoset("abc", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]),
+              lambda: poset_functor(vee, chain_poset(2), {"x": 1, "y": 0, "z": 0, "w": 0})):
+    try:
+        build()
+    except StructureError as e:
+        print(e)
+"""
+
+
+def test_poset_refusals_name_the_first_pair_in_element_order():
+    # a cycle through a, b and c, and a map that fails monotonicity at
+    # three pairs: each refusal names its first pair in element order,
+    # whatever order the hash seed gives the pairs of a set
+    src = os.path.dirname(os.path.dirname(moebiuskit.__file__))
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", REFUSAL_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert proc.stdout == ("cycle through 'a' and 'b': not a poset\n"
+                               "map is not monotone at ('x','y')\n"), seed
 
 
 def test_the_successor_index_is_the_composites_after_each_arrow():

@@ -110,10 +110,10 @@ NOT_A_UNIT = dict(ONE_ARROW,
                   compose=[["i", "i", "z"], ["i", "z", "z"], ["z", "i", "z"], ["z", "z", "z"]])
 
 
-@pytest.mark.parametrize("command, doc, message", [
+REFUSED_DOCUMENTS = [
     ("check", {"kind": "poset", "relations": []}, "invalid poset document: 'elements'"),
     ("check", {"kind": "poset", "elements": ["a", "b"], "relations": [["a", "b"], ["b", "a"]]},
-     "invalid poset: cycle through "),
+     "invalid poset: cycle through 'a' and 'b': not a poset"),
     ("check", _without(ONE_ARROW, "compose"), "invalid category document: 'compose'"),
     ("check", NOT_A_UNIT, "invalid category: right unit fails at 'i'"),
     ("check", _without(adjunction_doc(), "g"), "invalid adjunction document: 'g'"),
@@ -121,14 +121,57 @@ NOT_A_UNIT = dict(ONE_ARROW,
      "invalid adjunction data: cannot derive morphism map at ('le', 0, 1): 0 candidates"),
     ("check", {"kind": "graph"}, "unsupported kind 'graph'"),
     ("mobius", {"kind": "graph"}, "mobius does not support kind 'graph'"),
-], ids=["poset without elements", "poset with a cycle", "category without compose",
-        "identity not a unit", "adjunction without g", "f not monotone",
-        "check on an unknown kind", "mobius on an unknown kind"])
+]
+
+
+@pytest.mark.parametrize("command, doc, message", REFUSED_DOCUMENTS,
+                         ids=["poset without elements", "poset with a cycle",
+                              "category without compose", "identity not a unit",
+                              "adjunction without g", "f not monotone",
+                              "check on an unknown kind", "mobius on an unknown kind"])
 def test_refused_document_exit_2(tmp_path, capsys, command, doc, message):
-    # one line, opening with the message (the pair a cycle names may vary)
+    # one line, opening with the message
     code, out, err = run(capsys, command, write(tmp_path, "doc.json", doc))
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+
+GOLDEN_SHA256 = "fa7545ba0d1d5409b805b713dc8ccd57f6f80a3e1ccc1556339a293b5216d01a"
+
+# a cycle through all three elements, which a set of pairs may name by any two
+CYCLIC_POSET = {"kind": "poset", "elements": ["a", "b", "c"],
+                "relations": [["a", "b"], ["b", "a"], ["b", "c"], ["c", "b"]]}
+
+REFUSALS_SCRIPT = """
+import json, sys
+from test_cli_golden import run_command
+print(json.dumps([run_command(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_no_cli_output_depends_on_the_hash_seed(tmp_path):
+    # the golden commands hash to one digest, and each refused document
+    # gets one exit code and one stderr, under every seed
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(moebiuskit.__file__))
+    docs = [(command, doc) for command, doc, _message in REFUSED_DOCUMENTS]
+    argvs = [[command, write(tmp_path, f"doc{i}.json", doc)]
+             for i, (command, doc) in enumerate(docs + [("check", CYCLIC_POSET)])]
+    refusals = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]), PYTHONHASHSEED=seed)
+        golden = subprocess.run([sys.executable, os.path.join(tests, "test_cli_golden.py")],
+                                capture_output=True, text=True, env=env, timeout=300,
+                                check=True)
+        assert golden.stdout == GOLDEN_SHA256 + "\n", seed
+        proc = subprocess.run([sys.executable, "-c", REFUSALS_SCRIPT, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              check=True)
+        refusals.append(json.loads(proc.stdout))
+    assert refusals[0] == refusals[1] == refusals[2]
+    assert [(r["code"], r["stdout"]) for r in refusals[0]] == [(2, "")] * len(argvs)
+    assert refusals[0][-1]["stderr"] == \
+        "input error: invalid poset: cycle through 'a' and 'b': not a poset\n"
 
 
 def test_one_arrow_category_is_well_formed(tmp_path, capsys):

@@ -13,7 +13,6 @@ from moebiuskit.examples import (
     aut_order,
     canonical_form,
     enumerate_posets,
-    key_to_poset,
     layered_posets,
     layered_sets,
     mu_posets,
@@ -159,14 +158,6 @@ def test_binomial_mobius():
     for n in range(5):
         key = (1, 0, (1,) * n, ())
         assert mobius(I, key) == Fraction(-1) ** n
-
-
-def test_key_roundtrip():
-    P = FinPoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    key = poset_key(P)
-    Q = key_to_poset(key)
-    assert poset_key(Q) == key
-    assert len(Q.elements) == 3
 
 
 def test_cardinality_of_layered_sets_level():

@@ -153,7 +153,7 @@ def test_zeta_convolution_counts_factorizations():
 @given(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
 def test_counit_is_convolution_unit(values):
     table = dict(zip(CHAIN3.level(1).iso_classes().reps, values))
-    alpha = Functional.from_table(CHAIN3.level(1), table)
+    alpha = Functional(CHAIN3.level(1), lambda rep: table.get(rep, 0))
     d = delta(CHAIN3)
     left = convolve(CHAIN3, d, alpha)
     right = convolve(CHAIN3, alpha, d)
@@ -164,6 +164,18 @@ def test_counit_is_convolution_unit(values):
 def test_carrier_mismatch_rejected():
     with pytest.raises(CarrierMismatchError):
         convolve(CHAIN3, zeta(CHAIN3), zeta(C3))
+
+
+def test_an_object_outside_x1_and_a_negative_length_are_refused():
+    with pytest.raises(DomainError, match="is not an object of the level-1 carrier"):
+        comultiply(CHAIN3, ("no such arrow",))
+    with pytest.raises(DomainError, match="phi_n needs n >= 0"):
+        phi_n(CHAIN3, (("le", 0, 1),), -1)
+
+
+def test_a_functional_reads_an_int_rule_as_a_fraction():
+    value = Functional(CHAIN3.level(1), lambda rep: 2)((("le", 0, 1),))
+    assert value == 2 and type(value) is Fraction
 
 
 def _triple_list(X, f, comult=comultiply):
@@ -279,7 +291,7 @@ def test_inversion_corrupted_mobius_fails_with_witness():
     good = mobius_functional(C3)
     table = {rep: good(rep) for rep in C3.level(1).iso_classes().reps}
     table[PT] = -table[PT]  # flip one sign
-    bad = Functional.from_table(C3.level(1), table)
+    bad = Functional(C3.level(1), lambda rep: table.get(rep, 0))
     report = verify_inversion(C3, mu=bad)
     assert not report.passed
     offenders = [r.cls for r in report.failures()]
@@ -301,6 +313,11 @@ def _phi_whole_level(X, f, n):
     return fiber_cardinality(_long_edge(X, n).restrict(W), f)
 
 
+def _fiber_simplices(X, n, f):
+    """The nondegenerate n-simplices over f: the walk's pairs with k = n."""
+    return [sigma for k, sigma in X.fiber_walk(n, f) if k == n]
+
+
 def _check_generated_fibers(X):
     """Each generated fiber of X: distinct simplices of level n, with every
     principal edge nondegenerate and long edge f, as many as the
@@ -310,7 +327,7 @@ def _check_generated_fibers(X):
     cases = 0
     for f in tab.reps:
         for n in range(1, X.max_level + 1):
-            simplices = list(X.fiber_simplices(n, f))
+            simplices = _fiber_simplices(X, n, f)
             assert len(set(simplices)) == len(simplices)
             long_edge = _long_edge(X, n)
             for sigma in simplices:
@@ -396,7 +413,7 @@ def test_the_indexed_fiber_walk_matches_the_per_arrow_walk():
 
 def test_nerve_fiber_counts_non_identity_chains_onto_an_identity():
     N = _involution_nerve()
-    assert list(N.fiber_simplices(2, ("1",))) == [("s", "s")]
+    assert _fiber_simplices(N, 2, ("1",)) == [("s", "s")]
     assert phi_n(N, ("1",), 2) == 1
     assert [phi_n(N, ("s",), n) for n in range(1, 5)] == [1, 0, 1, 0]
     assert _check_generated_fibers(N) == 8
@@ -462,7 +479,7 @@ def _cyclic_group_nerve(k, max_level):
 def test_phi_walks_each_class_fiber_to_the_longest_length_asked(monkeypatch):
     # Phi_1 of Z_6 walks to length 1, not to the truncation 6; a longer
     # length walks again, once, and a shorter one reads that walk
-    want = {n: [len(list(_cyclic_group_nerve(6, 3).fiber_simplices(n, (f"r{i}",))))
+    want = {n: [len(_fiber_simplices(_cyclic_group_nerve(6, 3), n, (f"r{i}",)))
                 for i in range(6)] for n in (1, 2, 3)}
     N = _cyclic_group_nerve(6, max_level=6)
     walk = N._fiber_fn
@@ -490,7 +507,7 @@ def test_one_fiber_walk_yields_each_simplex_of_every_length_once():
             pairs = list(X.fiber_walk(top, f))
             assert len(set(pairs)) == len(pairs)
             assert set(pairs) == {(k, sigma) for k in range(1, top + 1)
-                                  for sigma in X.fiber_simplices(k, f)}
+                                  for sigma in _fiber_simplices(X, k, f)}
             lengths = collections.Counter(k for k, _sigma in pairs)
             assert [phi_n(X, f, k) for k in range(1, top + 1)] == [
                 lengths[k] for k in range(1, top + 1)]

@@ -1,0 +1,37 @@
+"""The public surface of the package, written out: a new public name or a
+new knob on an inversion check fails here until this list is edited."""
+
+import inspect
+
+import moebiuskit
+
+PUBLIC = [
+    "Adjunction", "AugmentedBisimplicialGroupoid", "CarrierMismatchError",
+    "ComoduleConfiguration", "CorrespondenceCat", "DomainError", "FinCategory",
+    "FinFunctor", "FinPoset", "FiniteGroupoid", "Functional", "GroupoidFunctor",
+    "InsufficientLevelsError", "IsoClassTable", "MobiusCertificateError", "Mor",
+    "SimplicialMap", "StructureError", "TruncatedSimplicialGroupoid", "bicomodule",
+    "cardinality", "catposet", "chain_poset", "check_adjunction", "check_associativity",
+    "check_axioms", "classical_mobius", "coact", "comodule_mobius_check", "comultiply",
+    "convolve", "convolve_action", "correspondence_bisimplicial", "counit", "decalage",
+    "delta", "divisor_poset", "enumerate_posets", "examples", "fiber_cardinality",
+    "groupoid", "homotopy_pullback", "incidence", "is_culf", "is_equivalence",
+    "is_mobius_category", "is_monomorphism", "is_pullback_square", "layered_posets",
+    "layered_sets", "left_comodule", "mapping_cylinder", "mobius", "mobius_functional",
+    "mu_posets", "nerve", "phi_comodule", "phi_n", "pointing_delta", "poset_functor",
+    "poset_key", "right_comodule", "rota_direct", "rota_evaluate",
+    "sets_posets_bicomodule", "simplicial", "total_decalage", "validate_configuration",
+    "verify_inversion", "word_groupoid", "zeta",
+]
+
+
+def test_the_public_names_are_the_listed_ones():
+    assert sorted(moebiuskit.__all__) == PUBLIC
+
+
+def test_the_inversion_checks_run_on_every_class():
+    # no parameter picks a subset of the classes to check
+    for check, params in [(moebiuskit.verify_inversion, ["X", "length_bound", "mu"]),
+                          (moebiuskit.comodule_mobius_check,
+                           ["config", "length_bound", "mu_base"])]:
+        assert list(inspect.signature(check).parameters) == params, check.__name__
