@@ -47,12 +47,14 @@ its iso-comma is discrete too, so the square is a pullback iff
 w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  One
 walk of W decides strict commutation and that bijection from the object
 maps alone: the images must be distinct objects of the iso-comma, and as
-many as it has, a number read off the legs.  No iso-comma is built: a
-missed object is named through the classes of the orbit walk below,
-which on discrete A and B are the iso-comma's objects.  The verdicts,
-witnesses and errors are those of the precheck and the orbit rule.  A
-discrete groupoid carries its class table from construction, so telling
-a square of sets reads no hom-set.
+many as it has, a number counted off the fiber tables of the legs: the
+sum over the classes c of C of |Aut c| |f^-1[c]| |g^-1[c]|, by grade
+under a grade bound.  No iso-comma is built: a missed object is named
+through the classes of the orbit walk below, which on discrete A and B
+are the iso-comma's objects.  The verdicts, witnesses and errors are
+those of the precheck and the orbit rule.  A discrete groupoid carries
+its class table from construction, so telling a square of sets reads no
+hom-set.
 
 A square with a non-discrete corner is checked through the orbits of
 its legs, with no iso-comma groupoid, class table or comparison functor.
@@ -66,8 +68,10 @@ representatives and their orders are those of the class table of the
 iso-comma on class representatives, in its order; that iso-comma is
 equivalent to the whole one and holds the first member of each of its
 classes, so the verdict and every witness are those of the whole
-iso-comma.  Both walks read the pairs of class representatives over
-each class of C from one generator, `_iso_comma_pairs`.  The
+iso-comma.  This walk, and the scan of a square of sets for a missed
+object, read the pairs of class representatives over each class of C
+from one generator, `_iso_comma_pairs`; the size of a square of sets is
+counted off the legs' fiber tables, with no pair walked.  The
 automorphism test still checks that each image (alpha, beta) of an
 automorphism of W fixes its phi: the orbit gives the order of the
 stabilizer, not its members.  It skips a w with a trivial Aut whose
@@ -82,6 +86,7 @@ operation is a pure function.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
@@ -788,13 +793,40 @@ def _iso_comma_pairs(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
 
 def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
     """The number of objects of the iso-comma P' on class representatives,
-    read off the legs with no groupoid built: each pair (r_a, r_b) of
-    `_iso_comma_pairs` has as many isos f(r_a) -> g(r_b) as their class of
-    C has automorphisms.  On discrete A and B, P' is
-    homotopy_pullback(f, g, grade_bound)."""
-    aut_orders = f.target.iso_classes().aut_orders
-    return sum(len(over) * aut_orders[cls]
-               for _, _, cls, over in _iso_comma_pairs(f, g, grade_bound))
+    counted off the legs' fiber tables with no groupoid built and no pair
+    walked: each pair (r_a, r_b) over a class c of C has |Aut c| isos
+    f(r_a) -> g(r_b), so the count is the sum over c of
+    |Aut c| |f^-1[c]| |g^-1[c]|.  Both legs are keyed by the classes of
+    C = f.target, as `_iso_comma_pairs` keys them; it refuses the cospan
+    where that does.  With a grade bound on graded A, B and C, the r_a over
+    c are counted by grade(r_a) - grade(f r_a) and the r_b by grade(r_b),
+    and a pair of those grades counts when their sum is within the bound.
+    On discrete A and B, P' is homotopy_pullback(f, g, grade_bound)."""
+    A, B, C = f.source, g.source, f.target
+    if g.target is C:
+        over_b = _fiber_table(g)
+    elif g.target.objects != C.objects:
+        raise DomainError("cospan legs do not share a codomain")
+    else:
+        class_of = C.iso_classes().class_of
+        over_b = {}
+        for rb in B.iso_classes().reps:
+            over_b.setdefault(class_of(g.ob(rb)), []).append(rb)
+    over_a = _fiber_table(f)
+    aut_orders = C.iso_classes().aut_orders
+    if grade_bound is None or not (A.is_graded() and B.is_graded() and C.is_graded()):
+        return sum(aut_orders[c] * len(ras) * len(over_b.get(c, ()))
+                   for c, ras in over_a.items())
+    size = 0
+    for c, ras in over_a.items():
+        rbs = over_b.get(c)
+        if not rbs:
+            continue
+        excess = Counter(A.grade(ra) - C.grade(f.ob(ra)) for ra in ras)
+        grades = Counter(B.grade(rb) for rb in rbs)
+        size += aut_orders[c] * sum(n_a * n_b for e, n_a in excess.items()
+                                    for gb, n_b in grades.items() if e + gb <= grade_bound)
+    return size
 
 
 def _set_pullback_witness(p, q, f, g, grade_bound, name) -> Optional[str]:
@@ -808,10 +840,13 @@ def _set_pullback_witness(p, q, f, g, grade_bound, name) -> Optional[str]:
     strict-commutation precheck.  Then, as `is_equivalence` of the
     comparison would, it raises at the first w whose image is not an
     object of P, names the first w whose image an earlier w already has,
-    and else needs as many images as P has objects, counted by
-    `_iso_comma_size`.  A square that misses an object names the first
-    object, in P order, that no w hits: P is P' on discrete A and B, and
-    each of its objects is a class of `_iso_comma_classes`."""
+    and else needs as many images as P has objects, counted off the
+    legs' fiber tables by `_iso_comma_size`; the refusal of a cospan whose
+    legs do not share a codomain comes there, after the walk's errors of
+    commutation and before its carrier error.  A square that misses an
+    object names the first object, in P order, that no w hits: P is P' on
+    discrete A and B, and each of its objects is a class of
+    `_iso_comma_classes`."""
     A, B, C = f.source, g.source, f.target
     graded = (grade_bound is not None and A.is_graded() and B.is_graded()
               and C.is_graded())

@@ -18,9 +18,12 @@ value is ordered by `repr`.  It is computed once per class of X_1 and
 memoised on X as a read-only mapping, as `bicomodule.coact` is, so the
 two convolutions of `verify_inversion` read one Delta.  Convolution is
 one sum over such a table, `_pair_sum`, which the convolution actions of
-`bicomodule` read on the coaction tables too.  `verify_inversion` checks
-every class of X_1, and its `InversionReport` also carries the comodule
-inversion rows of `bicomodule.comodule_mobius_check`.
+`bicomodule` read on the coaction tables too.  It adds machine integers
+while a term's weight and both values are integral, as they all are on
+a nerve, and Fractions otherwise; its result is a Fraction.
+`verify_inversion` checks every class of X_1, and its `InversionReport`
+also carries the comodule inversion rows of
+`bicomodule.comodule_mobius_check`.
 
 Callers are expected to have validated the decomposition-space axioms at
 their chosen truncation; the operations here check carriers and level
@@ -124,8 +127,20 @@ def delta(X: TruncatedSimplicialGroupoid) -> Functional:
 
 def _pair_sum(table, left: Callable, right: Callable) -> Fraction:
     """sum of w * left(l) * right(r) over a fiber table {(l, r): w}, in
-    table order: Delta and both coactions convolve through this sum."""
-    return sum((w * left(l) * right(r) for (l, r), w in table.items()), Fraction(0))
+    table order: Delta and both coactions convolve through this sum.
+
+    A term whose three factors are integers (denominator 1, as every
+    weight, zeta and mu value on a nerve is) is added as a machine int;
+    the other terms go into a Fraction sum.  The exact total is the same
+    in any order, and is returned as a Fraction."""
+    ints, rest = 0, Fraction(0)
+    for (l, r), w in table.items():
+        x, y = left(l), right(r)
+        if w.denominator == 1 and x.denominator == 1 and y.denominator == 1:
+            ints += w.numerator * x.numerator * y.numerator
+        else:
+            rest += w * x * y
+    return rest + ints if rest else Fraction(ints)
 
 
 def convolve(X: TruncatedSimplicialGroupoid, alpha: Functional, beta: Functional) -> Functional:

@@ -750,6 +750,60 @@ def _random_set_squares(rng, count):
     return squares
 
 
+def _random_graded_set_cospans(rng, count):
+    """count cospans (f, g, grade_bound) of maps between graded discrete
+    groupoids, alternately over a graded discrete and a graded cluster
+    target, with a grade bound that some pairs over a class exceed."""
+    cospans, discrete_target = [], False
+    while len(cospans) < count:
+        if discrete_target:
+            grade = {c: rng.randint(0, 1) for c in range(rng.randint(1, 3))}
+            C = discrete_groupoid(grade, grade=grade.__getitem__, name="tgt")
+        else:   # a grade constant on each cluster
+            K, clusters = random_cluster_groupoid(rng, max_size=2, max_order=3)
+            grade = {tag: rng.randint(0, 1) for tag, _, _ in clusters}
+            C = FiniteGroupoid(K.objects, K.hom, K.compose, K.identity,
+                               grade=lambda c, grade=grade: grade[c[0]], name="tgt")
+        discrete_target = not discrete_target
+        f, g = [discrete_functor(S, C, {a: rng.choice(C.objects) for a in S.objects}.__getitem__)
+                for S in (discrete_groupoid(range(rng.randint(1, 4)), name=leg,
+                                            grade={a: rng.randint(0, 2)
+                                                   for a in range(4)}.__getitem__)
+                          for leg in "AB")]
+        cospans.append((f, g, rng.randint(0, 3)))
+    return cospans
+
+
+def _random_graded_set_squares(rng, count):
+    """At least count squares (p, q, f, g, grade_bound) of sets over
+    `_random_graded_set_cospans`: the strict pullback within the bound, that
+    less one pair and with one pair doubled, and the whole strict pullback,
+    whose pairs beyond the bound are no objects of the bounded iso-comma."""
+    squares = []
+    while len(squares) < count:
+        (f, g, bound), = _random_graded_set_cospans(rng, 1)
+        A, B, C = f.source, g.source, f.target
+        pairs = [(a, b) for a in A.objects for b in B.objects if f.ob(a) == g.ob(b)]
+        within = [(a, b) for a, b in pairs
+                  if A.grade(a) + B.grade(b) - C.grade(f.ob(a)) <= bound]
+        for chosen in (within, within[1:], within + within[:1], pairs):
+            D = discrete_groupoid(range(len(chosen)))
+            squares.append((discrete_functor(D, A, lambda w, chosen=chosen: chosen[w][0]),
+                            discrete_functor(D, B, lambda w, chosen=chosen: chosen[w][1]),
+                            f, g, bound))
+    return squares
+
+
+def _outcome(check):
+    """(passed, witness) of a check, or ("raised", message) of its
+    DomainError."""
+    try:
+        result = check()
+    except DomainError as err:
+        return "raised", str(err)
+    return result.passed, result.witness
+
+
 def _is_square_of_sets(p, f, g):
     return all(groupoid._is_discrete(G) for G in (p.source, f.source, g.source))
 
@@ -779,6 +833,56 @@ def test_pullback_square_matches_the_whole_iso_comma_random():
             set_kinds[_witness_kind(got.witness)] += 1
     assert set(kinds) == {"pass", "collision", "missed", "aut"}, kinds
     assert set(set_kinds) == {"pass", "collision", "missed"}, set_kinds
+
+
+def test_graded_squares_of_sets_match_the_whole_bounded_iso_comma():
+    # the set rule under a grade bound: the bounded size off the legs, the
+    # bounded missed scan and the carrier error of an image beyond the bound
+    kinds = collections.Counter()
+    for p, q, f, g, bound in _random_graded_set_squares(seeded(47), 160):
+        assert _is_square_of_sets(p, f, g) and f.source.is_graded()
+        got = _outcome(lambda: is_pullback_square(p, q, f, g, bound))
+        assert got == _outcome(lambda: _whole_comparison(p, q, f, g, bound))
+        kinds["raised" if got[0] == "raised" else _witness_kind(got[1])] += 1
+    assert set(kinds) == {"pass", "collision", "missed", "raised"}, kinds
+
+
+def test_the_iso_comma_size_off_the_legs_counts_the_whole_iso_comma(monkeypatch):
+    # on discrete legs over discrete and cluster targets, graded or not,
+    # and on every square of the nerve checks
+    cospans = [(f, g, None) for _, _, f, g in _random_set_squares(seeded(43), 150)
+               if groupoid._is_discrete(g.source)]
+    cospans += _random_graded_set_cospans(seeded(53), 150)
+    recorded = _recorded_cospans(monkeypatch)
+    for N in _small_nerves(20):
+        for profile in ("segal", "decomposition"):
+            assert check_axioms(N, profile, 2).passed
+    monkeypatch.undo()
+    assert len(recorded) == 5 * 20
+    cospans += [(f, g, grade_bound) for f, g, grade_bound, _ in recorded]
+    bounded = 0
+    for f, g, grade_bound in cospans:
+        assert groupoid._is_discrete(f.source) and groupoid._is_discrete(g.source)
+        whole = len(homotopy_pullback(f, g, grade_bound)[0].objects)
+        assert groupoid._iso_comma_size(f, g, grade_bound) == whole
+        bounded += whole < len(homotopy_pullback(f, g)[0].objects)
+    assert bounded
+
+
+def test_a_square_of_sets_over_legs_without_a_shared_codomain_is_refused():
+    # g lands in a groupoid with an object that f's target lacks; a target
+    # with the same objects is no refusal, and keys g by f's target's classes
+    A, B = discrete_groupoid([0], name="A"), discrete_groupoid(["b"], name="B")
+    C = discrete_groupoid(["c"], name="C")
+    W = discrete_groupoid([(0, "b")], name="W")
+    p, q = discrete_functor(W, A, lambda w: w[0]), discrete_functor(W, B, lambda w: w[1])
+    f = discrete_functor(A, C, lambda a: "c")
+    wider = discrete_functor(B, discrete_groupoid(["c", "d"]), lambda b: "c")
+    with pytest.raises(DomainError, match="^cospan legs do not share a codomain$"):
+        is_pullback_square(p, q, f, wider)
+    same_objects = discrete_functor(B, discrete_groupoid(["c"]), lambda b: "c")
+    assert groupoid._iso_comma_size(f, same_objects, None) == 1
+    assert is_pullback_square(p, q, f, same_objects).passed
 
 
 def _graded_set_square():
@@ -1220,8 +1324,10 @@ def _oracle_failures(monkeypatch):
     outputs of the layered-posets checks, the identities, the Segal check of
     layered sets, whose squares reach beyond the grade bound, the
     cardinality route on every passed square, the verdict on a map that sends an
-    automorphism outside Aut(F rep), and the whole iso-comma on random
-    squares of sets and on random squares of cluster groupoids.  A library
+    automorphism outside Aut(F rep), the whole iso-comma on random
+    squares of sets and on random squares of cluster groupoids, the whole
+    bounded iso-comma on random graded squares of sets, and the bounded
+    iso-comma's size against the count off the legs.  A library
     call that raises ends the run as the failure "raised"."""
     for name in ("_layered_level", "_layered_space"):
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
@@ -1263,6 +1369,14 @@ def _oracle_failures(monkeypatch):
             got, want = is_pullback_square(p, q, f, g), _whole_comparison(p, q, f, g)
             if (got.passed, got.witness) != (want.passed, want.witness):
                 failed.add("whole iso-comma of groupoids")
+        for p, q, f, g, bound in _random_graded_set_squares(seeded(47), 40):
+            if (_outcome(lambda: is_pullback_square(p, q, f, g, bound))
+                    != _outcome(lambda: _whole_comparison(p, q, f, g, bound))):
+                failed.add("whole bounded iso-comma")
+        for f, g, bound in _random_graded_set_cospans(seeded(53), 20):
+            if (groupoid._iso_comma_size(f, g, bound)
+                    != len(homotopy_pullback(f, g, bound)[0].objects)):
+                failed.add("iso-comma size")
     except Exception:   # a faulty kernel may raise where a sound one answers
         failed.add("raised")
     return failed
@@ -1331,10 +1445,11 @@ def _left_coset_only(double_coset):
     return mutant
 
 
-def _pairs_without_grade_bound(pairs):
-    """The pairs of class representatives with no glued-grade filter."""
+def _without_grade_bound(rule):
+    """The pairs of class representatives, or the iso-comma size off the
+    legs, with no glued-grade filter."""
     def mutant(f, g, grade_bound):
-        return pairs(f, g, None)
+        return rule(f, g, None)
 
     return mutant
 
@@ -1357,8 +1472,11 @@ def test_each_kernel_fault_fails_an_oracle(monkeypatch):
         "orbit of f(Aut r_a) alone": (
             "_double_coset", _left_coset_only(groupoid._double_coset),
             "whole iso-comma of groupoids"),
+        "leg count ignoring the grade bound": (
+            "_iso_comma_size", _without_grade_bound(groupoid._iso_comma_size),
+            "iso-comma size"),
         "iso-comma pairs ignoring the grade bound": (
-            "_iso_comma_pairs", _pairs_without_grade_bound(groupoid._iso_comma_pairs),
+            "_iso_comma_pairs", _without_grade_bound(groupoid._iso_comma_pairs),
             "segal of layered sets"),
     }
     for fault, (name, mutant, oracle) in faults.items():

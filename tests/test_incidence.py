@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moebiuskit.bicomodule import total_decalage
+from moebiuskit.bicomodule import coact, convolve_action, total_decalage
 from moebiuskit.catposet import FinCategory, FinPoset, chain_poset, divisor_poset, nerve
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
 from moebiuskit import incidence
@@ -176,6 +176,59 @@ def test_an_object_outside_x1_and_a_negative_length_are_refused():
 def test_a_functional_reads_an_int_rule_as_a_fraction():
     value = Functional(CHAIN3.level(1), lambda rep: 2)((("le", 0, 1),))
     assert value == 2 and type(value) is Fraction
+
+
+def _plain_sum(table, left, right):
+    return sum((w * left(l) * right(r) for (l, r), w in table.items()), Fraction(0))
+
+
+def _interleaves(table, left, right):
+    """Whether the integral and non-integral terms of the sum alternate
+    at least twice in table order."""
+    kinds = [(w * left(l) * right(r)).denominator == 1 for (l, r), w in table.items()]
+    return sum(a != b for a, b in zip(kinds, kinds[1:])) >= 2
+
+
+def test_the_integer_path_of_the_convolution_sum_is_the_plain_sum():
+    # mu/2 and a table of thirds on a nerve, whose Delta weights are
+    # integers: the integral terms of a sum go through ints, the others
+    # through Fractions, and every value is the plain Fraction sum
+    N = nerve(divisor_poset(12), max_level=5)
+    reps = N.level(1).iso_classes().reps
+    mu = mobius_functional(N, 4)
+    half = Functional(N.level(1), lambda rep: mu(rep) / 2)
+    thirds = {rep: Fraction(i, 3) for i, rep in enumerate(reps)}
+    third = Functional(N.level(1), thirds.__getitem__)
+    z = zeta(N)
+    interleaved = 0
+    for alpha, beta in [(half, z), (z, half), (third, z), (z, third), (third, half), (mu, z)]:
+        product = convolve(N, alpha, beta)
+        for rep in reps:
+            table = comultiply(N, rep)
+            value = product(rep)
+            assert value == _plain_sum(table, alpha, beta) and type(value) is Fraction
+            interleaved += _interleaves(table, alpha, beta)
+    assert interleaved
+    for table in ({}, {("a", "b"): Fraction(2)}, {("a", "b"): 2, ("b", "a"): Fraction(1, 2)}):
+        value = incidence._pair_sum(table, lambda l: Fraction(3), lambda r: Fraction(-1))
+        assert value == _plain_sum(table, lambda l: 3, lambda r: -1)
+        assert type(value) is Fraction
+
+
+def test_the_integer_path_of_a_convolution_action_is_the_plain_sum():
+    B = total_decalage(nerve(divisor_poset(12), max_level=5), 2, 2)
+    reps = B.cell(0, 0).iso_classes().reps
+    inner = Functional(B.cell(0, 0), {rep: Fraction(i, 3) for i, rep in enumerate(reps)}.get)
+    interleaved = 0
+    for side, carrier in (("right", B.cell(-1, 1)), ("left", B.cell(1, -1))):
+        outer = Functional(carrier, lambda rep: Fraction(len(rep), 2))
+        left, right = (inner, outer) if side == "right" else (outer, inner)
+        for m in reps:
+            value = convolve_action(B, side, outer, inner, m)
+            table = coact(B, side, m)
+            assert value == _plain_sum(table, left, right) and type(value) is Fraction
+            interleaved += _interleaves(table, left, right)
+    assert interleaved
 
 
 def _triple_list(X, f, comult=comultiply):
