@@ -29,12 +29,12 @@ pointing is the key set of its bottom section's fiber table, which the
 completeness check builds.
 
 Optional pointings are extra sections of the outer operators along the
-comodules: s_{-1} : B_{0,n-1} -> B_{0,n} on row 0 (right) and
-t_{top+1} : B_{n-1,0} -> B_{n,0} on column 0 (left), one index each.  They
-give the counit-style functionals delta^R, delta^L, the comodule Phi
-functors, a Mobius inversion principle per side (checked on every class
-of the side's C_0, into the `InversionReport` of `incidence`), and the
-generalized Rota formula
+comodules, `section(side, n)` with one index: s_{-1} : B_{0,n-1} ->
+B_{0,n} on row 0 (right) and t_{top+1} : B_{n-1,0} -> B_{n,0} on column 0
+(left).  They give the counit-style functionals delta^R, delta^L, the
+comodule Phi functors, a Mobius inversion principle per side (checked on
+every class of the side's C_0, into the `InversionReport` of
+`incidence`), and the generalized Rota formula
 
     |mu^X| *_l |delta^R|  =  |delta^L| *_r |mu^Y|.
 
@@ -104,8 +104,8 @@ class AugmentedBisimplicialGroupoid(Memo):
         cell_fn(B, i, j)                     i, j >= 0
         face_fn(B, i, j, v)                  d_v of an (i+1+j)-simplex
         degen_fn(B, i, j, v)                 s_v of an (i+1+j)-simplex
-        right_section_fn(B, n) or None       s_{-1}: (0,n-1) -> (0,n), n >= 0
-        left_section_fn(B, n) or None        t_{top+1}: (n-1,0) -> (n,0), n >= 0
+        section_fn(B, side, n) or None       n >= 0, s_{-1}: (0,n-1) -> (0,n) on
+                                             'right', t_{top+1}: (n-1,0) -> (n,0) on 'left'
         coaction_fn(B, side, m) or None      the coaction fiber over m
 
     The coaction generator yields, for every simplex sigma of B_{0,1}
@@ -122,9 +122,9 @@ class AugmentedBisimplicialGroupoid(Memo):
     So d_k, s_k are the operators at vertex i+1+k, e_l, t_l those at
     vertex l, u = d_{i+1} at (i,0) and v = d_0 at (0,j).
 
-    Section callbacks may return None for levels where no pointing data
-    exists (the layered sets/posets bicomodule only points the bottom of
-    its left side).
+    The section callback may return None for a side or a level where no
+    pointing data exists (the layered sets/posets bicomodule only points
+    the bottom of its left side).
 
     Cells, operators, sections and the coaction generator are read from
     the grid's `_GridCells`, which memoises them.  The row and column
@@ -135,11 +135,10 @@ class AugmentedBisimplicialGroupoid(Memo):
 
     def __init__(self, max_i, max_j, x: TruncatedSimplicialGroupoid,
                  y: TruncatedSimplicialGroupoid, cell_fn, face_fn, degen_fn,
-                 right_section_fn=None, left_section_fn=None, coaction_fn=None,
-                 name=""):
+                 section_fn=None, coaction_fn=None, name=""):
         super().__init__()
         self._cells = _GridCells(max_i, max_j, x, y, cell_fn, face_fn, degen_fn,
-                                 right_section_fn, left_section_fn, coaction_fn, name)
+                                 section_fn, coaction_fn, name)
 
     def __getattr__(self, attr):
         """Cells, operators, sections, borders, bounds and the name are read
@@ -205,7 +204,7 @@ class _GridCells(Memo):
     without a reference cycle."""
 
     def __init__(self, max_i, max_j, x, y, cell_fn, face_fn, degen_fn,
-                 right_section_fn, left_section_fn, coaction_fn, name):
+                 section_fn, coaction_fn, name):
         super().__init__()
         self.max_i = max_i
         self.max_j = max_j
@@ -214,8 +213,7 @@ class _GridCells(Memo):
         self._cell_fn = cell_fn
         self._face_fn = face_fn
         self._degen_fn = degen_fn
-        self._right_section_fn = right_section_fn
-        self._left_section_fn = left_section_fn
+        self._section_fn = section_fn
         self._coaction_fn = coaction_fn
         self.name = name
 
@@ -283,19 +281,17 @@ class _GridCells(Memo):
     def aug_v(self, j) -> GroupoidFunctor:
         return self.face(0, j, 0)
 
-    def right_section(self, n) -> Optional[GroupoidFunctor]:
-        """s_{-1} : B_{0,n-1} -> B_{0,n}, a section of d_0 (of u at n = 0);
-        None where the grid has no right pointing."""
-        if self._right_section_fn is None:
-            return None
-        return self._get(("rsec", n), self._right_section_fn, self, n)
-
-    def left_section(self, n) -> Optional[GroupoidFunctor]:
-        """t_{top+1} : B_{n-1,0} -> B_{n,0}, a section of e_top (of v at n = 0);
-        None where the grid has no left pointing."""
-        if self._left_section_fn is None:
-            return None
-        return self._get(("lsec", n), self._left_section_fn, self, n)
+    def section(self, side, n) -> Optional[GroupoidFunctor]:
+        """The pointing at n: on side 'right' s_{-1} : B_{0,n-1} -> B_{0,n},
+        a section of d_0 (of u at n = 0), on 'left' t_{top+1} : B_{n-1,0}
+        -> B_{n,0}, a section of e_top (of v at n = 0); None where the grid
+        has no pointing there."""
+        key = ("section", side, n)
+        if key not in self._memo:       # read inline: pointing_delta calls it per class
+            if side not in ("right", "left"):
+                raise DomainError("side must be 'right' or 'left'")
+            self._memo[key] = self._section_fn and self._section_fn(self, side, n)
+        return self._memo[key]
 
     def coaction_fiber(self, side, m):
         """The (vertex face, base edge) pairs of the simplices of B_{0,1}
@@ -389,7 +385,7 @@ def _comodule(B: AugmentedBisimplicialGroupoid, side: str) -> ComoduleConfigurat
         side=side, space=B.row(0) if right else B.column(0),
         base=B.y_space() if right else B.x_space(),
         base_map=B.v_map() if right else B.u_map(),
-        section=cells.right_section if right else cells.left_section,
+        section=functools.partial(cells.section, side),
         coaction_fiber=functools.partial(cells.coaction_fiber, side), name=f"{B.name}.{side}")
 
 
@@ -427,10 +423,10 @@ def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
                             GroupoidFunctor.identity(section.source))
         rep.checks.append(SquareResult(ok, None, name))
 
-    sides = (("right", "s_{-1}", B.right_section, "u", 1, "d_0", (0, 1)),
-             ("left", "t_{top+1}", B.left_section, "v", 0, "e_top", (1, 0)))
-    for side, s, section, aug, v, face, (i, j) in sides:
-        bottom = section(0)
+    sides = (("right", "s_{-1}", "u", 1, "d_0", (0, 1)),
+             ("left", "t_{top+1}", "v", 0, "e_top", (1, 0)))
+    for side, s, aug, v, face, (i, j) in sides:
+        bottom = B.section(side, 0)
         if bottom is None:
             rep.checks.append(SquareResult(
                 False, f"{B.name} has no {side} pointing at (0,0)",
@@ -439,7 +435,7 @@ def _section_identity_report(B: AugmentedBisimplicialGroupoid) -> AxiomReport:
         retracts(B.face(0, 0, v), bottom, f"{aug} . {s} = id at (0,0)")
         rep.checks.append(SquareResult(is_monomorphism(bottom), None,
                                        f"{side} pointing complete ({s} mono)"))
-        above = section(1)
+        above = B.section(side, 1)
         name = f"{face} . {s} = id at ({i},{j})"
         if above is None:
             rep.checks.append(SquareResult(True, None, f"{name}: n/a, no {side} pointing"))
@@ -766,8 +762,7 @@ def total_decalage(X: TruncatedSimplicialGroupoid, max_i: int, max_j: int,
         cell_fn=lambda B, i, j: X.level(i + 1 + j),
         face_fn=lambda B, i, j, v: X.face(i + 1 + j, v),
         degen_fn=lambda B, i, j, v: X.degeneracy(i + 1 + j, v),
-        right_section_fn=lambda B, n: X.degeneracy(n, 0),
-        left_section_fn=lambda B, n: X.degeneracy(n, n),
+        section_fn=lambda B, side, n: X.degeneracy(n, 0 if side == "right" else n),
         name=name or f"TotalDec({X.name})")
 
 

@@ -13,14 +13,15 @@ alternating sum.
 
 Adjunctions are checked through the universal-arrow property (for posets
 this is exactly the Galois-connection condition), and mapping cylinders
-carry their canonical correspondence to the arrow category.  The relative
-nerve of a correspondence is its nerve cut to the chains with the label
-pattern 0...01...1: cell (i,j) holds the (i+1+j)-chains with i+1 vertices
-over 0, with the nerve's faces and degeneracies at the same vertex.  Its
-borders are the nerves of the full subcategories over 0 and over 1, and
-its pointings come from cocartesian/cartesian lifts found by exhaustive
-search.  Every space built from a category thus uses the one chain, face
-and degeneracy rule of `nerve`.
+carry their canonical correspondence to the arrow category.  Units and
+cocartesian and cartesian lifts are found by one universal-arrow search.
+The relative nerve of a correspondence is its nerve cut to the chains
+with the label pattern 0...01...1: cell (i,j) holds the (i+1+j)-chains
+with i+1 vertices over 0, with the nerve's faces and degeneracies at the
+same vertex.  Its borders are the nerves of the full subcategories over
+0 and over 1, and its pointings come from the lifts and their tables.
+Every space built from a category thus uses the one chain, face and
+degeneracy rule of `nerve`.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ class FinPoset:
         return [(a, b) for a in self.elements for b in self.elements if self.leq(a, b)]
 
     def strict_pairs(self):
-        return [(a, b) for (a, b) in self.le if a != b]
+        """The pairs a < b, in element order."""
+        return [(a, b) for a in self.elements for b in self.elements
+                if a != b and (a, b) in self.le]
 
     def __repr__(self):
         return f"FinPoset({list(self.elements)!r}, {sorted(map(repr, self.strict_pairs()))})"
@@ -452,13 +455,31 @@ class AdjunctionCheck:
         return self.ok
 
 
+def _universal_arrow(candidates, blocks):
+    """The first candidate arrow a through which composition is a bijection
+    of hom-sets, as (a, {key: table}), or None.  blocks(a) yields, in
+    order, (key, table, hom): the table sends each arrow h of one hom-set
+    to its composite with a, and must biject onto `hom`.  Adjunction units
+    and cocartesian and cartesian lifts are such arrows."""
+    for a in candidates:
+        tables = {}
+        for key, table, hom in blocks(a):
+            images = set(table.values())
+            if len(images) != len(table) or images != set(hom):
+                break
+            tables[key] = table
+        else:
+            return a, tables
+    return None
+
+
 def check_adjunction(F: FinFunctor, G: FinFunctor) -> AdjunctionCheck:
     """Exhaustively verify F -| G through universal arrows.
 
-    For each x a unit candidate eta_x : x -> GFx must make
-    h |-> G(h) . eta_x a bijection Hom(Fx, y) -> Hom(x, Gy) for every y;
-    for poset maps this is exactly Fx <= y iff x <= Gy.  On failure the
-    witness is a pair (x, y) where the hom-sets cannot biject.
+    For each x the unit is the first eta_x : x -> GFx making the tables
+    h |-> G(h) . eta_x bijections Hom(Fx, y) -> Hom(x, Gy) for every y; for
+    poset maps this is exactly Fx <= y iff x <= Gy.  On failure the witness
+    is the first pair (x, y) whose hom-sets differ in size, else (x, None).
     """
     X, Y = F.source, F.target
     if G.source is not Y or G.target is not X:
@@ -467,32 +488,16 @@ def check_adjunction(F: FinFunctor, G: FinFunctor) -> AdjunctionCheck:
     unit = {}
     bijections = {}
     for x in X.objects:
-        found = None
-        for eta in X.hom(x, G.ob[F.ob[x]]):
-            tables = {}
-            good = True
-            for y in Y.objects:
-                table = {}
-                targets = set()
-                for h in Y.hom(F.ob[x], y):
-                    phi = X.compose(G.mor[h], eta)
-                    table[h] = phi
-                    targets.add(phi)
-                if len(targets) != len(table) or targets != set(X.hom(x, G.ob[y])):
-                    good = False
-                    break
-                tables[y] = table
-            if good:
-                found = (eta, tables)
-                break
+        found = _universal_arrow(X.hom(x, G.ob[F.ob[x]]), lambda eta: (
+            (y, {h: X.compose(G.mor[h], eta) for h in Y.hom(F.ob[x], y)}, X.hom(x, G.ob[y]))
+            for y in Y.objects))
         if found is None:
             for y in Y.objects:
                 if len(Y.hom(F.ob[x], y)) != len(X.hom(x, G.ob[y])):
                     return AdjunctionCheck(False, (x, y))
             return AdjunctionCheck(False, (x, None))
-        unit[x] = found[0]
-        for y, table in found[1].items():
-            bijections[(x, y)] = table
+        unit[x], tables = found
+        bijections.update(((x, y), table) for y, table in tables.items())
     return AdjunctionCheck(True, None, Adjunction(F, G, unit, bijections))
 
 
@@ -611,50 +616,30 @@ class FibrationReport:
         return all(v is not None for v in self.cartesian.values())
 
 
-def _is_cocartesian(corr: CorrespondenceCat, a):
-    """Post-composition with a must biject onto mixed homs from src(a)."""
+def _lifts(corr: CorrespondenceCat, bit: int) -> dict:
+    """{object z over `bit`: (lift, tables) or None}.  Over 0 the lift is
+    the first a: z -> t, t over 1, in object then hom order, with tables[d]
+    = (h |-> h . a) a bijection Hom(t, d) -> Hom(z, d) for every d over 1
+    (cocartesian); over 1 it is that lift in the opposite category."""
     C = corr.category
-    x, t = C.src(a), C.tgt(a)
-    for d in corr.objects_over(1):
-        images = {C.compose(h, a) for h in C.hom(t, d)}
-        if len(images) != len(C.hom(t, d)) or images != set(C.hom(x, d)):
-            return False
-    return True
+    hom = (lambda a, b: C.hom(b, a)) if bit else C.hom
+    compose = (lambda h, a: C.compose(a, h)) if bit else C.compose
+    near, far = (C.tgt, C.src) if bit else (C.src, C.tgt)
+    others = corr.objects_over(1 - bit)
 
+    def blocks(a):
+        return ((d, {h: compose(h, a) for h in hom(far(a), d)}, hom(near(a), d)) for d in others)
 
-def _is_cartesian(corr: CorrespondenceCat, a):
-    C = corr.category
-    s, y = C.src(a), C.tgt(a)
-    for c in corr.objects_over(0):
-        images = {C.compose(a, h) for h in C.hom(c, s)}
-        if len(images) != len(C.hom(c, s)) or images != set(C.hom(c, y)):
-            return False
-    return True
+    return {z: _universal_arrow([a for t in others for a in hom(z, t)], blocks)
+            for z in corr.objects_over(bit)}
 
 
 def fibration_report(corr: CorrespondenceCat) -> FibrationReport:
-    C = corr.category
-    cocart = {}
-    for x in corr.objects_over(0):
-        cocart[x] = None
-        for t in corr.objects_over(1):
-            for a in C.hom(x, t):
-                if _is_cocartesian(corr, a):
-                    cocart[x] = a
-                    break
-            if cocart[x] is not None:
-                break
-    cart = {}
-    for y in corr.objects_over(1):
-        cart[y] = None
-        for s in corr.objects_over(0):
-            for a in C.hom(s, y):
-                if _is_cartesian(corr, a):
-                    cart[y] = a
-                    break
-            if cart[y] is not None:
-                break
-    return FibrationReport(cocart, cart)
+    """The first cocartesian lift out of each object over 0 and the first
+    cartesian lift into each object over 1, or None where there is none
+    (see `_lifts`)."""
+    return FibrationReport(*({z: None if found is None else found[0]
+                              for z, found in _lifts(corr, bit).items()} for bit in (0, 1)))
 
 
 def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
@@ -671,15 +656,22 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
     over 0 and over 1.  A chain is a tuple of arrows; a level-0 object is a
     bare object.
 
-    When `fibration_report(corr)` grants cocartesian (resp. cartesian) lifts
-    everywhere, the right pointing s_{-1} along row 0 (resp. left pointing
-    t_{top+1} along column 0) is attached: at n = 0 it is the lift, above
-    it the lift composed with the unique factorization of the first (resp.
-    last) arrow through it.
+    When every object over 0 (resp. 1) has a cocartesian (resp. cartesian)
+    lift, `section("right", n)` (resp. "left") is s_{-1} along row 0 (resp.
+    t_{top+1} along column 0): at n = 0 the lift a, above it the chain with
+    its first (resp. last) arrow m replaced by a and the factor h of m
+    through a, read off the inverse of a's table (`_lifts`).
     """
     C = corr.category
-    report = fibration_report(corr)
     N = nerve(C, max_level=max_i + 1 + max_j)
+    # per side, each object's lift and each mixed arrow's factor through one
+    pointings = {}
+    for side, bit in (("right", 0), ("left", 1)):
+        found = _lifts(corr, bit)
+        pointings[side] = None if None in found.values() else (
+            {z: a for z, (a, _) in found.items()},
+            {m: h for _, tables in found.values() for table in tables.values()
+             for h, m in table.items()})
 
     def cell_fn(B, i, j):
         keep = [c for c in N.level(i + 1 + j).objects
@@ -690,39 +682,21 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
         """The nerve operator `op` on the cut cells."""
         return discrete_functor(source, target, op.ob, name=op.name)
 
-    def unique_post_factor(a, m):
-        """The unique h with h . a = m, through the cocartesian lift a."""
-        cands = [h for h in C.hom(C.tgt(a), C.tgt(m)) if C.compose(h, a) == m]
-        if len(cands) != 1:
-            raise StructureError("cocartesian lift lacks unique factorization")
-        return cands[0]
+    def section_fn(B, side, n):
+        if pointings[side] is None:
+            return None
+        lift, factor = pointings[side]
+        right = side == "right"
 
-    def unique_pre_factor(a, m):
-        """The unique h with a . h = m, through the cartesian lift a."""
-        cands = [h for h in C.hom(C.src(m), C.src(a)) if C.compose(a, h) == m]
-        if len(cands) != 1:
-            raise StructureError("cartesian lift lacks unique factorization")
-        return cands[0]
+        def ob(c):
+            if n == 0:      # c is an object over 0 (right) or over 1 (left)
+                return (lift[c],)
+            if right:
+                return (lift[C.src(c[0])], factor[c[0]]) + c[1:]
+            return c[:-1] + (factor[c[-1]], lift[C.tgt(c[-1])])
 
-    right_section_fn = None
-    if report.all_cocartesian:
-        def right_section_fn(B, n):
-            def ob(c):
-                if n == 0:      # c is an object over 0
-                    return (report.cocartesian[c],)
-                a = report.cocartesian[C.src(c[0])]
-                return (a, unique_post_factor(a, c[0])) + c[1:]
-            return discrete_functor(B.cell(0, n - 1), B.cell(0, n), ob)
-
-    left_section_fn = None
-    if report.all_cartesian:
-        def left_section_fn(B, n):
-            def ob(c):
-                if n == 0:      # c is an object over 1
-                    return (report.cartesian[c],)
-                a = report.cartesian[C.tgt(c[-1])]   # the vertex over 1
-                return c[:-1] + (unique_pre_factor(a, c[-1]), a)
-            return discrete_functor(B.cell(n - 1, 0), B.cell(n, 0), ob)
+        source, target = ((0, n - 1), (0, n)) if right else ((n - 1, 0), (n, 0))
+        return discrete_functor(B.cell(*source), B.cell(*target), ob)
 
     return AugmentedBisimplicialGroupoid(
         max_i, max_j,
@@ -732,5 +706,4 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                                        B.face_target(i, j, v)),
         degen_fn=lambda B, i, j, v: cut(N.degeneracy(i + 1 + j, v), B.cell(i, j),
                                         B.degen_target(i, j, v)),
-        right_section_fn=right_section_fn, left_section_fn=left_section_fn,
-        name=name or f"N/D1({C.name})")
+        section_fn=section_fn, name=name or f"N/D1({C.name})")

@@ -70,7 +70,7 @@ def load_poset(doc) -> cp.FinPoset:
                            _as_tuples(doc.get("relations", []), "relations"))
     except (KeyError, TypeError) as e:
         raise InputError(f"invalid poset document: {e}")
-    except StructureError as e:
+    except (StructureError, DomainError) as e:
         raise InputError(f"invalid poset: {e}")
 
 

@@ -467,11 +467,10 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
         return _op_functor(B.cell(i, j), B.degen_target(i, j, v), _insert_layer,
                            v + 1, v <= i, name=f"s{v}@({i},{j})")
 
-    def right_section_fn(B, n):
-        return _op_functor(B.cell(0, n - 1), B.cell(0, n), _insert_layer, 1, False,
-                           name=f"s-1@(0,{n})")
-
-    def left_section_fn(B, n):
+    def section_fn(B, side, n):
+        if side == "right":
+            return _op_functor(B.cell(0, n - 1), B.cell(0, n), _insert_layer, 1, False,
+                               name=f"s-1@(0,{n})")
         if n != 0:
             return None  # no canonical section of the merge at higher levels
         return _op_functor(B.cell(-1, 0), B.cell(0, 0), _insert_layer, 1, False,
@@ -480,8 +479,7 @@ def _sets_posets_bicomodule(grade_bound: int, max_i: int,
     return AugmentedBisimplicialGroupoid(
         max_i, max_j, layered_sets(grade_bound, max_i),
         layered_posets(grade_bound, max_j), cell_fn, face_fn, degen_fn,
-        right_section_fn=right_section_fn, left_section_fn=left_section_fn,
-        coaction_fn=_coaction_fiber, name=f"B<={grade_bound}")
+        section_fn=section_fn, coaction_fn=_coaction_fiber, name=f"B<={grade_bound}")
 
 
 # -- poset catalog and the headline computation ----------------------------------

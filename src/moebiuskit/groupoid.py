@@ -773,14 +773,10 @@ def _iso_comma_pairs(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
     representatives follow this order.  It raises where
     `homotopy_pullback` does."""
     A, B, C = f.source, g.source, f.target
-    if g.target is not C and g.target.objects != C.objects:
-        raise DomainError("cospan legs do not share a codomain")
+    by_class = _over_classes_of(C, g)
     graded = (grade_bound is not None and A.is_graded() and B.is_graded()
               and C.is_graded())
     ctab = C.iso_classes()
-    by_class: dict = {}
-    for rb in B.iso_classes().reps:
-        by_class.setdefault(ctab.class_of(g.ob(rb)), []).append(rb)
     for ra in A.iso_classes().reps:
         fa = f.ob(ra)
         cls = ctab.class_of(fa)
@@ -791,27 +787,34 @@ def _iso_comma_pairs(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
         yield ra, fa, cls, over
 
 
+def _over_classes_of(C: FiniteGroupoid, g: GroupoidFunctor) -> dict:
+    """g's memoised fiber table when g lands in C; for a target with the
+    objects of C, its source's class representatives grouped by the
+    classes of C.  A target with other objects is refused."""
+    if g.target is C:
+        return _fiber_table(g)
+    if g.target.objects != C.objects:
+        raise DomainError("cospan legs do not share a codomain")
+    class_of = C.iso_classes().class_of
+    over: dict = {}
+    for rb in g.source.iso_classes().reps:
+        over.setdefault(class_of(g.ob(rb)), []).append(rb)
+    return over
+
+
 def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
     """The number of objects of the iso-comma P' on class representatives,
     counted off the legs' fiber tables with no groupoid built and no pair
     walked: each pair (r_a, r_b) over a class c of C has |Aut c| isos
     f(r_a) -> g(r_b), so the count is the sum over c of
     |Aut c| |f^-1[c]| |g^-1[c]|.  Both legs are keyed by the classes of
-    C = f.target, as `_iso_comma_pairs` keys them; it refuses the cospan
-    where that does.  With a grade bound on graded A, B and C, the r_a over
-    c are counted by grade(r_a) - grade(f r_a) and the r_b by grade(r_b),
-    and a pair of those grades counts when their sum is within the bound.
+    C = f.target by `_over_classes_of`, as in `_iso_comma_pairs`.  With a
+    grade bound on graded A, B and C, the r_a over c are counted by
+    grade(r_a) - grade(f r_a) and the r_b by grade(r_b), and a pair of
+    those grades counts when their sum is within the bound.
     On discrete A and B, P' is homotopy_pullback(f, g, grade_bound)."""
     A, B, C = f.source, g.source, f.target
-    if g.target is C:
-        over_b = _fiber_table(g)
-    elif g.target.objects != C.objects:
-        raise DomainError("cospan legs do not share a codomain")
-    else:
-        class_of = C.iso_classes().class_of
-        over_b = {}
-        for rb in B.iso_classes().reps:
-            over_b.setdefault(class_of(g.ob(rb)), []).append(rb)
+    over_b = _over_classes_of(C, g)
     over_a = _fiber_table(f)
     aut_orders = C.iso_classes().aut_orders
     if grade_bound is None or not (A.is_graded() and B.is_graded() and C.is_graded()):
@@ -940,7 +943,7 @@ def _iso_comma_classes(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
                 if rb not in g_auts:
                     g_auts[rb] = list(dict.fromkeys(g(beta) for beta in _auts(B, rb)))
                 orbit = _double_coset(C, phi, f_auts, g_auts[rb])
-                for label in orbit:
+                for label in orbit:     # set order: labels is only looked up
                     labels[label] = x
                 aut_orders[x] = n // len(orbit)
     return reps, class_of, aut_orders

@@ -3,6 +3,7 @@ import functools
 import inspect
 import re
 import sys
+import types
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -66,6 +67,7 @@ from moebiuskit.incidence import (
     zeta,
 )
 from moebiuskit.simplicial import (
+    InsufficientLevelsError,
     check_axioms,
     word_groupoid,
 )
@@ -101,6 +103,50 @@ def test_validate_configuration_refuses_a_truncation_below_1():
         validate_configuration(B, 0)
 
 
+# refusals of the grid layer: each call takes the spaces of the test below
+GRID_REFUSALS = {
+    "cell (-1,-1)": (lambda s: s.TD.cell(-1, -1), DomainError,
+                     "the (-1,-1) cell does not exist"),
+    "face above the top vertex": (lambda s: s.TD.face(0, 0, 2), DomainError,
+                                  "no face d_2 at (0,0)"),
+    "face below vertex 0": (lambda s: s.B.face(1, 0, -1), DomainError,
+                            "no face d_-1 at (1,0)"),
+    "degeneracy above the top vertex": (lambda s: s.TD.degen(1, 1, 4), DomainError,
+                                        "no degeneracy s_4 at (1,1)"),
+    "validation below 2 x 2": (
+        lambda s: validate_configuration(total_decalage(s.N, 1, 2), 1), InsufficientLevelsError,
+        "insufficient levels: need level 2, truncated at 1 (for bicomodule validation)"),
+    "total decalage past the truncation": (
+        lambda s: total_decalage(s.N, 3, 2), InsufficientLevelsError,
+        "insufficient levels: need level 6, truncated at 5 (for total decalage)"),
+    "decalage side": (lambda s: decalage(s.N, "middle"), DomainError,
+                      "side must be 'bottom' or 'top', got 'middle'"),
+    "coaction side": (lambda s: coact(s.TD, "up", s.m), DomainError,
+                      "side must be 'right' or 'left'"),
+    "section side": (lambda s: s.TD.section("up", 0), DomainError,
+                     "side must be 'right' or 'left'"),
+    "phi_comodule below -1": (lambda s: phi_comodule(decalage(s.N), s.m, -2), DomainError,
+                              "phi_comodule needs n >= -1"),
+    "phi_comodule off C_0": (lambda s: phi_comodule(decalage(s.N), "z", 1), DomainError,
+                             "'z' is not an object of C_0"),
+    "square out of two corners": (
+        lambda s: is_pullback_square(s.TD.face(1, 1, 0), s.TD.face(1, 0, 0),
+                                     s.TD.face(0, 1, 0), s.TD.face(0, 0, 0)),
+        DomainError, "square corner mismatch"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GRID_REFUSALS.values(), ids=GRID_REFUSALS)
+def test_grid_layer_refusals(call, error, message):
+    N = nerve(chain_poset(2), max_level=5)
+    TD = total_decalage(N, 2, 2)
+    spaces = types.SimpleNamespace(N=N, TD=TD, B=adjunction_nerve()[0],
+                                   m=TD.cell(0, 0).objects[0])
+    with pytest.raises(DomainError) as refused:
+        call(spaces)
+    assert refused.type is error and str(refused.value) == message
+
+
 def test_validate_sets_posets_sections():
     B = sets_posets_bicomodule(2, max_i=2, max_j=2)
     report = validate_configuration(B, 1)
@@ -112,7 +158,7 @@ def test_validate_sets_posets_sections():
         assert status[key], key
     assert not status["columns segal"]
     # the left pointing exists at n = 0 only: its check above is named, n/a
-    assert B.left_section(1) is None
+    assert B.section("left", 1) is None
     assert report.sections["pointings"].checks[-1].name == (
         "e_top . t_{top+1} = id at (1,0): n/a, no left pointing")
 
@@ -158,16 +204,15 @@ def mutated_grid(base, cell_fn, name, pointed=True):
     def restrict(F, source, target):
         return GroupoidFunctor(source, target, F.ob, F, name=F.name)
 
-    sections = {} if not pointed else dict(
-        right_section_fn=lambda B, n: restrict(base.right_section(n),
-                                               B.cell(0, n - 1), B.cell(0, n)),
-        left_section_fn=lambda B, n: restrict(base.left_section(n),
-                                              B.cell(n - 1, 0), B.cell(n, 0)))
+    def section_fn(B, side, n):
+        cells = ((0, n - 1), (0, n)) if side == "right" else ((n - 1, 0), (n, 0))
+        return restrict(base.section(side, n), B.cell(*cells[0]), B.cell(*cells[1]))
+
     return AugmentedBisimplicialGroupoid(
         base.max_i, base.max_j, base.x_space(), base.y_space(), cell_fn,
         lambda B, i, j, v: restrict(base.face(i, j, v), B.cell(i, j), B.face_target(i, j, v)),
         lambda B, i, j, v: restrict(base.degen(i, j, v), B.cell(i, j), B.degen_target(i, j, v)),
-        name=name, **sections)
+        section_fn=section_fn if pointed else None, name=name)
 
 
 def test_stability_mutation_fails_with_witness_and_breaks_associativity():
@@ -611,7 +656,7 @@ def test_cylinder_without_right_adjoint_is_refused():
     corr = mapping_cylinder(F)
     assert fibration_report(corr).cartesian[("y", 1)] is None
     B = correspondence_bisimplicial(corr, 3, 3)
-    assert B.left_section(0) is None
+    assert B.section("left", 0) is None
     report = validate_configuration(B, 1)
     pointings = report.sections["pointings"]
     assert [c.name for c in pointings.checks] == [
@@ -776,8 +821,8 @@ def test_rota_classifies_the_shared_levels_once(monkeypatch, capsys):
 
 def test_missing_pointing_is_none_and_only_bottom_section_raises():
     B = sets_posets_bicomodule(2, max_i=2, max_j=2)
-    assert B.left_section(0) is not None
-    assert B.left_section(1) is None     # no section of the merge above n = 0
+    assert B.section("left", 0) is not None
+    assert B.section("left", 1) is None     # no section of the merge above n = 0
     base = total_decalage(nerve(chain_poset(2), max_level=5), 2, 2)
     bare = AugmentedBisimplicialGroupoid(
         2, 2, base.x_space(), base.y_space(),
@@ -785,7 +830,7 @@ def test_missing_pointing_is_none_and_only_bottom_section_raises():
         lambda B, i, j, v: base.face(i, j, v),
         lambda B, i, j, v: base.degen(i, j, v),
         name="unpointed")
-    assert bare.right_section(0) is None and bare.left_section(0) is None
+    assert bare.section("right", 0) is None and bare.section("left", 0) is None
     report = validate_configuration(bare, 1)
     pointings = report.sections["pointings"]
     assert [(c.name, c.passed, c.witness) for c in pointings.checks] == [

@@ -9,6 +9,7 @@ import pytest
 
 import moebiuskit
 from moebiuskit import catposet
+from moebiuskit.bicomodule import validate_configuration
 from moebiuskit.catposet import (
     CorrespondenceCat,
     FinCategory,
@@ -314,6 +315,27 @@ def test_mapping_cylinder_without_right_adjoint():
     assert report.cartesian[("y", 1)] is None
 
 
+@pytest.mark.parametrize("P, Q, fmap, side, at, lift", [
+    # {x} -> a < b, with b listed first: the first arrow out of x, to b,
+    # is not cocartesian (nothing from b factors x -> a)
+    (FinPoset(["x"]), FinPoset(["b", "a"], [("a", "b")]), {"x": "a"},
+     "cocartesian", ("x", "x"), ("mix", "x", ("le", "a", "a"))),
+    # q < p -> {y}: the first arrow into y, from q, is not cartesian
+    # (nothing p -> y factors through q)
+    (FinPoset(["q", "p"], [("q", "p")]), FinPoset(["y"]), {"q": "y", "p": "y"},
+     "cartesian", ("y", "y"), ("mix", "p", ("le", "y", "y"))),
+], ids=["cocartesian", "cartesian"])
+def test_lift_search_passes_over_a_first_candidate_that_is_not_universal(
+        P, Q, fmap, side, at, lift):
+    corr = mapping_cylinder(poset_functor(P, Q, fmap))
+    report = fibration_report(corr)
+    assert getattr(report, side)[at] == lift
+    assert report.all_cocartesian and report.all_cartesian
+    pointings = validate_configuration(correspondence_bisimplicial(corr, 2, 2),
+                                       1).sections["pointings"]
+    assert pointings.passed and len(pointings.checks) == 6
+
+
 def test_correspondence_labeling_invariant():
     P = chain_poset(2)
     idf = poset_functor(P, P, {0: 0, 1: 1})
@@ -345,11 +367,11 @@ def test_correspondence_bisimplicial_cells():
     assert len(B.cell(0, -1).objects) == 3
     assert len(B.cell(-1, 0).objects) == 2
     # pointings are sections
-    s = B.right_section(0)
+    s = B.section("right", 0)
     for x in B.cell(0, -1).objects:
         back = B.aug_u(0).ob(s.ob(x))
         assert back == x
-    t = B.left_section(0)
+    t = B.section("left", 0)
     for y in B.cell(-1, 0).objects:
         assert B.aug_v(0).ob(t.ob(y)) == y
 

@@ -110,12 +110,45 @@ NOT_A_UNIT = dict(ONE_ARROW,
                   compose=[["i", "i", "z"], ["i", "z", "z"], ["z", "i", "z"], ["z", "z", "z"]])
 
 
+def _category(arrows, compose, identities):
+    """A category document on the objects that its (id, src, tgt) arrows name."""
+    objects = list(dict.fromkeys(o for _, s, t in arrows for o in (s, t)))
+    return {"kind": "category", "objects": objects,
+            "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in arrows],
+            "compose": compose, "identities": identities}
+
+
+# i is a unit; z . i = i, so i is no left unit at z
+NOT_A_LEFT_UNIT = _category([("i", "*", "*"), ("z", "*", "*")],
+                            [["i", "i", "i"], ["i", "z", "z"], ["z", "i", "i"], ["z", "z", "z"]],
+                            [["*", "i"]])
+# a -f-> b -g-> c with g . f = f, which ends at b, not c
+MISPLACED_COMPOSITE = _category(
+    [("ia", "a", "a"), ("ib", "b", "b"), ("ic", "c", "c"), ("f", "a", "b"), ("g", "b", "c")],
+    [["ia", "ia", "ia"], ["ib", "ib", "ib"], ["ic", "ic", "ic"], ["ia", "f", "f"],
+     ["f", "ib", "f"], ["ib", "g", "g"], ["g", "ic", "g"], ["f", "g", "f"]],
+    [["a", "ia"], ["b", "ib"], ["c", "ic"]])
+# i a unit and every other product i: (x . x) . y = y but x . (x . y) = x
+NOT_ASSOCIATIVE = _category(
+    [(m, "*", "*") for m in "ixy"],
+    [[f, g, g if f == "i" else f if g == "i" else "i"] for f in "ixy" for g in "ixy"],
+    [["*", "i"]])
+
 REFUSED_DOCUMENTS = [
     ("check", {"kind": "poset", "relations": []}, "invalid poset document: 'elements'"),
     ("check", {"kind": "poset", "elements": ["a", "b"], "relations": [["a", "b"], ["b", "a"]]},
      "invalid poset: cycle through 'a' and 'b': not a poset"),
+    ("check", {"kind": "poset", "elements": ["a", "b"], "relations": [["a", "z"]]},
+     "invalid poset: relation ('a','z') mentions unknown elements"),
+    ("check", {"kind": "poset", "elements": ["a", "b", "a"]},
+     "invalid poset: duplicate poset elements"),
     ("check", _without(ONE_ARROW, "compose"), "invalid category document: 'compose'"),
+    ("check", dict(ONE_ARROW, objects=["*", "o"], identities=[["*", "i"], ["o", "i"]]),
+     "invalid category: identity of 'o' has wrong endpoints"),
     ("check", NOT_A_UNIT, "invalid category: right unit fails at 'i'"),
+    ("check", NOT_A_LEFT_UNIT, "invalid category: left unit fails at 'z'"),
+    ("check", MISPLACED_COMPOSITE, "invalid category: composite 'f' has wrong endpoints"),
+    ("check", NOT_ASSOCIATIVE, "invalid category: associativity fails"),
     ("check", _without(adjunction_doc(), "g"), "invalid adjunction document: 'g'"),
     ("check", dict(adjunction_doc(), f=[[0, 1], [1, 0], [2, 1]]),
      "invalid adjunction data: cannot derive morphism map at ('le', 0, 1): 0 candidates"),
@@ -126,7 +159,10 @@ REFUSED_DOCUMENTS = [
 
 @pytest.mark.parametrize("command, doc, message", REFUSED_DOCUMENTS,
                          ids=["poset without elements", "poset with a cycle",
-                              "category without compose", "identity not a unit",
+                              "relation on an unknown element", "duplicate element",
+                              "category without compose", "identity with wrong endpoints",
+                              "identity not a unit", "identity not a left unit",
+                              "composite with wrong endpoints", "composition not associative",
                               "adjunction without g", "f not monotone",
                               "check on an unknown kind", "mobius on an unknown kind"])
 def test_refused_document_exit_2(tmp_path, capsys, command, doc, message):

@@ -234,8 +234,8 @@ def test_layer_surgery_operators_follow_their_rule():
                     if (i if v <= i else j) < 2:
                         _assert_operator_follows(B.degen(i, j, v), insert, v + 1, v <= i)
         for n in range(3):
-            _assert_operator_follows(B.right_section(n), insert, 1, False)
-        _assert_operator_follows(B.left_section(0), insert, 1, False)
+            _assert_operator_follows(B.section("right", n), insert, 1, False)
+        _assert_operator_follows(B.section("left", 0), insert, 1, False)
 
 
 def _vertex_chain(struct):
