@@ -347,7 +347,7 @@ class ComoduleConfiguration(Memo):
         return s
 
     def pointing_complete(self) -> bool:
-        return self._get(("pointing_complete",), is_monomorphism, self.bottom_section())
+        return self._get(("pointing_complete",), lambda: is_monomorphism(self.bottom_section()))
 
     def pointing_image_classes(self) -> frozenset:
         return self._get(("pointing_image",), self._pointing_image_classes)

@@ -2,14 +2,14 @@
 
 The nerve of a finite category is a truncated simplicial groupoid with
 discrete levels (chains of composable arrows), which feeds the generic
-axiom checkers and the incidence machinery; it generates its Phi fibers
-(the chains of non-identity arrows over an arrow).  Composable pairs are
-read off a category's index of the arrows out of each object, and the
-Phi walk and the chain counts compose through its successor index, the
-composites e . m with the non-identity arrows e after each m.  Its
-identity-free chains are counted layer by layer: the counts decide
-whether it is Mobius and give the classical Mobius function as their
-alternating sum.
+axiom checkers and the incidence machinery; it counts its Phi fibers by
+walking them (the chains of non-identity arrows over an arrow).
+Composable pairs are read off a category's index of the arrows out of
+each object, and the Phi walk and the chain counts compose through its
+successor index, the composites e . m with the non-identity arrows e
+after each m.  Its identity-free chains are counted layer by layer: the
+counts decide whether it is Mobius and give the classical Mobius
+function as their alternating sum.
 
 Adjunctions are checked through the universal-arrow property (for posets
 this is exactly the Galois-connection condition), and mapping cylinders
@@ -274,19 +274,21 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
     checks, the fiber tables of the incidence coalgebra and the
     relative-nerve cuts redo no chain surgery.
 
-    The nerve generates its Phi fibers: the nondegenerate k-simplices over
-    f = (m,) are the chains of k non-identity arrows whose composite is m.
-    One walk from src(m) finds those of every length k <= n: it yields a
-    chain whenever its partial composite g is m, and extends it while g is
-    a left factor of m (h . g = m for some h) and the chain is shorter
-    than n.  Both steps read the category's successor index,
-    `FinCategory.successors`, {non-identity e: e . g} per arrow g: a
-    chain is extended by its entries, and g is a left factor when g is m
-    or m is among its values.  The index only caches composites, so the
-    walk still enumerates chains, independently of the chain counts that
-    read the same index.  The walk does not stop at an identity m, since
-    non-identity isomorphisms can compose to one.  Phi on a nerve thus
-    builds no level beyond 1.
+    The nerve counts its Phi fibers by walking them: the nondegenerate
+    k-simplices over f = (m,) are the chains of k non-identity arrows whose
+    composite is m, and its Phi count is the number of each length that
+    `_chain_walk` yields.  One walk from src(m) finds the chains of every
+    length k <= n: it yields a chain whenever its partial composite g is m,
+    and extends it while g is a left factor of m (h . g = m for some h)
+    and the chain is shorter than n.  Both steps read the category's
+    successor index, `FinCategory.successors`, {non-identity e: e . g} per
+    arrow g: a chain is extended by its entries, and g is a left factor
+    when g is m or m is among its values.  The index only caches
+    composites, so the walk still enumerates chains: it stays a walk, since
+    the chain counts of `classical_mobius` that read the same index are the
+    dynamic program, and the two are independent routes to mu.  The walk
+    does not stop at an identity m, since non-identity isomorphisms can
+    compose to one.  Phi on a nerve thus builds no level beyond 1.
     """
     if isinstance(C, FinPoset):
         C = FinCategory.from_poset(C)
@@ -309,25 +311,34 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
         return discrete_functor(space.level(n), space.level(n + 1),
                                 partial(_nerve_degeneracy, C, n, i), name=f"s{i}@{n}")
 
-    def fiber_fn(space, n, f):
-        (m,) = f
-        a, successors = C.src(m), C.successors
-        factors = {g for g in C.out_arrows(a) if g == m or m in successors(g).values()}
-        # partial chains with their composites, yielded when the composite
-        # is m; the children of each are pushed in reverse, so that the
-        # chains of each length come out in morphism order
-        stack = [(C.identities[a], ())]
-        while stack:
-            g, chain = stack.pop()
-            if g == m and chain:
-                yield len(chain), chain
-            if len(chain) < n:
-                for e, h in reversed(successors(g).items()):
-                    if h in factors:
-                        stack.append((h, chain + (e,)))
+    def phi_fn(space, n, f):
+        counts = [0] * (n + 1)
+        for k, _chain in _chain_walk(C, n, f):
+            counts[k] += 1
+        return counts
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
-                                       fiber_fn=fiber_fn, name=name or f"N({C.name})")
+                                       phi_fn=phi_fn, name=name or f"N({C.name})")
+
+
+def _chain_walk(C, n: int, f):
+    """The pairs (k, chain) of the chains of k <= n non-identity arrows of
+    C composing to the arrow m of f = (m,), from one walk of the nerve."""
+    (m,) = f
+    a, successors = C.src(m), C.successors
+    factors = {g for g in C.out_arrows(a) if g == m or m in successors(g).values()}
+    # partial chains with their composites, yielded when the composite
+    # is m; the children of each are pushed in reverse, so that the
+    # chains of each length come out in morphism order
+    stack = [(C.identities[a], ())]
+    while stack:
+        g, chain = stack.pop()
+        if g == m and chain:
+            yield len(chain), chain
+        if len(chain) < n:
+            for e, h in reversed(successors(g).items()):
+                if h in factors:
+                    stack.append((h, chain + (e,)))
 
 
 # -- Mobius categories ---------------------------------------------------------
@@ -581,11 +592,12 @@ def mapping_cylinder(F: FinFunctor) -> CorrespondenceCat:
         for b in Y.objects:
             for m in Y.hom(F.ob[a], b):
                 mors[("mix", a, m)] = (("x", a), ("y", b))
+    out = {z: [] for z in objects}
+    for g, (s2, _t2) in mors.items():
+        out[s2].append(g)
     compose = {}
     for f, (s1, t1) in mors.items():
-        for g, (s2, t2) in mors.items():
-            if t1 != s2:
-                continue
+        for g in out[t1]:
             if f[0] == "xm" and g[0] == "xm":
                 compose[(f, g)] = ("xm", X.compose(g[1], f[1]))
             elif f[0] == "ym" and g[0] == "ym":
@@ -606,14 +618,6 @@ def mapping_cylinder(F: FinFunctor) -> CorrespondenceCat:
 class FibrationReport:
     cocartesian: dict     # object over 0 -> lift morphism or None
     cartesian: dict       # object over 1 -> lift morphism or None
-
-    @property
-    def all_cocartesian(self):
-        return all(v is not None for v in self.cocartesian.values())
-
-    @property
-    def all_cartesian(self):
-        return all(v is not None for v in self.cartesian.values())
 
 
 def _lifts(corr: CorrespondenceCat, bit: int) -> dict:

@@ -24,6 +24,9 @@ Iso-class tables come from a deterministic backtracking canonical form
 with layer-vector refinement, which also provides hom-sets and
 automorphism groups.
 
+The Phi count of I and C lists no simplex: a dynamic program over the
+up-sets of f counts the chains of up-sets that the simplices over f are.
+
 Everything here that depends only on hashable values -- canonical forms,
 automorphism groups, poset catalogues, level object lists and their
 groupoids, the rank maps of kept elements and the spaces themselves -- is
@@ -313,42 +316,33 @@ def _level_objects(ns: int, np_: int, grade_bound: int):
 # -- the decomposition spaces I and C, and the bicomodule B ----------------------
 
 
-def _layerings(kind):
-    """The fiber generator of layered sets or posets.
+def _count_layerings(space, n, f):
+    """The Phi count of layered sets and posets, by a dynamic program over
+    the up-sets of f.
 
     The k-simplices over a 1-layered f with every layer nonempty are its
     k-layerings: strict chains f = D_1 > D_2 > ... > D_k > {} of up-sets
     (all subsets for sets), with element e in layer max{j : e in D_j}.
-    Each keeps the relations of f, as joining all layers does.  One walk
-    peels the chains of every length k <= n: the node of a chain
-    D_1 > ... > D_k yields the layering that ends there, then peels each
-    nonempty up-set strictly inside D_k while k < n.
+    Layer k of the program maps each up-set U to the number of such
+    chains of length k that end at U; layer k+1 extends each by a nonempty
+    up-set strictly inside U while k < n, and Phi_k is the sum of layer k.
+    No layering is listed.
     """
-
-    def fn(space, n, f):
-        _ns, _np, colors, rels = f
-        m = len(colors)
-        masks = [sum(1 << e for e in U) for U in _up_sets(m, rels) if U]
-        members = {U: [e for e in range(m) if U >> e & 1] for U in masks}
-        layer = [0] * m
-
-        def peel(D, k):
-            """The layerings whose k-th up-set is D = D_k."""
-            for e in members[D]:
-                layer[e] = k
-            ns, np_ = (k, 0) if kind == "s" else (0, k)
-            yield k, (ns, np_, tuple(layer), rels)
-            if k < n:
+    _ns, _np, colors, rels = f
+    m = len(colors)
+    masks = [sum(1 << e for e in U) for U in _up_sets(m, rels) if U]
+    counts = [0] * (n + 1)
+    ends, k = ({(1 << m) - 1: 1} if m else {}), 1
+    while ends:
+        counts[k] = sum(ends.values())
+        longer: dict = {}
+        if k < n:
+            for D, chains in ends.items():
                 for U in masks:
                     if U != D and U & D == U:
-                        yield from peel(U, k + 1)
-                        for e in members[U]:
-                            layer[e] = k
-
-        if m:
-            yield from peel((1 << m) - 1, 1)
-
-    return fn
+                        longer[U] = longer.get(U, 0) + chains
+        ends, k = longer, k + 1
+    return counts
 
 
 def _coaction_fiber(B, side, m):
@@ -421,7 +415,7 @@ def _layered_space(kind: str, grade_bound: int, max_level: int) -> TruncatedSimp
                                     name=f"d{v}@{n}"),
         lambda s, n, v: _op_functor(s.level(n), s.level(n + 1), _insert_layer,
                                     v + 1, kind == "s", name=f"s{v}@{n}"),
-        grade_bound=grade_bound, fiber_fn=_layerings(kind), name=f"{letter}<={grade_bound}")
+        grade_bound=grade_bound, phi_fn=_count_layerings, name=f"{letter}<={grade_bound}")
 
 
 def sets_posets_bicomodule(grade_bound: int, max_i: int = 3, max_j: int = 3,

@@ -6,10 +6,10 @@ fiber of d_1 : X_2 -> X_1 over f into (d_2, d_0)-labelled components; the
 counit is the fiber cardinality of s_0; convolution is dual to the
 comultiplication.  The Phi functors count simplices with all principal
 edges nondegenerate; every length is read off one histogram per class,
-counted in one walk of the space's fiber generator to the longest length
-asked.  The Mobius functional is the alternating sum Phi_even - Phi_odd
-of that histogram, which requires a vanishing certificate (the grade of
-the argument on graded spaces, or an explicit length bound).
+which the space's Phi count returns for the longest length asked.  The
+Mobius functional is the alternating sum Phi_even - Phi_odd of that
+histogram, which requires a vanishing certificate (the grade of the
+argument on graded spaces, or an explicit length bound).
 
 A decomposition is held in the format of the fiber table it is read
 from: `comultiply` returns the mapping {(left class, right class):
@@ -162,12 +162,12 @@ def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
     exactly when f itself is nondegenerate.
 
     For n >= 1 the value is entry n of the Phi histogram of f's class:
-    the number of simplices of each length that one walk of X's fiber
-    generator yields over the class representative, to the longest
-    length asked for that class so far.
+    the number of simplices of each length over the class representative
+    that X's Phi count returns, to the longest length asked for that
+    class so far.
     The long edge d_1^{k-1} is the identity on labels there, so each
     strict fiber is discrete and has the homotopy fiber's cardinality.
-    A space without a generator, an incomplete space and an n beyond the
+    A space without a Phi count, an incomplete space and an n beyond the
     truncation are refused, in that order.
     """
     if n < 0:
@@ -180,20 +180,13 @@ def phi_n(X: TruncatedSimplicialGroupoid, f, n: int) -> Fraction:
 
 def _phi_histogram(X: TruncatedSimplicialGroupoid, rep, n: int) -> list:
     """[0, Phi_1, ..., Phi_m] at the class representative rep, for the
-    longest length m >= n asked so far, counted in one walk of the fiber
-    generator to length m and memoised on X; only a longer n walks again.
-    A walk to length n must be possible."""
+    longest length m >= n asked so far, as X's Phi count returns it for
+    length m, memoised on X; only a longer n counts again.  A count to
+    length n must be possible."""
     X.check_fiber_walk(n)
     counts = X._memo.get(("phi", rep))
     if counts is None or len(counts) <= n:
-        counts = X._memo["phi", rep] = _count_walk(X, rep, n)
-    return counts
-
-
-def _count_walk(X: TruncatedSimplicialGroupoid, rep, n: int) -> list:
-    counts = [0] * (n + 1)
-    for k, _sigma in X.fiber_walk(n, rep):
-        counts[k] += 1
+        counts = X._memo["phi", rep] = X._phi_fn(X, n, rep)
     return counts
 
 
@@ -218,8 +211,8 @@ def mobius(X: TruncatedSimplicialGroupoid, f, length_bound: Optional[int] = None
 
     The bound certifies phi_n(X, f, n) = 0 for n beyond it; graded spaces
     certify it by grade(f) (each nondegenerate layer carries grade >= 1).
-    Bound 0 needs no fiber generator; a bound beyond the truncation is
-    refused after the generator and completeness checks.
+    Bound 0 needs no Phi count; a bound beyond the truncation is refused
+    after the Phi-count and completeness checks.
     """
     bound = grade_certificate(X.level(1), f, length_bound)
     if bound == 0:

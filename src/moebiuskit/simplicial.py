@@ -13,7 +13,9 @@ square families of the decomposition-space condition, completeness
 (the bottom degeneracy is a monomorphism), and culf-ness of simplicial
 maps (cartesian naturality squares on codegeneracies and inner cofaces).
 The degenerate edge classes, the essential image of s_0, are the key set
-of the fiber table of s_0 that the completeness check builds.
+of the fiber table of s_0 that the completeness check builds.  A space
+may count its own Phi fibers (`phi_fn`), one histogram of every length
+per call, which `incidence.phi_n` reads.
 """
 
 from __future__ import annotations
@@ -57,17 +59,19 @@ class TruncatedSimplicialGroupoid(Memo):
         face_fn(space, n, i)    -> GroupoidFunctor level n -> n-1,  0 <= i <= n
         degen_fn(space, n, i)   -> GroupoidFunctor level n -> n+1,  0 <= i <= n
 
-    A space may also supply a fiber generator,
+    A space may also supply a Phi count,
 
-        fiber_fn(space, n, f)   -> iterable of pairs (k, sigma), n >= 1,
+        phi_fn(space, n, f)     -> [0, Phi_1, ..., Phi_n], n >= 1,
 
-    yielding, in one walk that shares prefixes, each k-simplex sigma with
-    1 <= k <= n, every principal edge nondegenerate and inner-face
-    composite d_1^{k-1} sending sigma to the level-1 object f on the nose,
-    each exactly once.  The contract is that this composite is the
-    identity on morphism labels, so each strict fiber is discrete and its
-    size is the homotopy-fiber cardinality over f; `incidence.phi_n` reads
-    the sizes of all lengths off one walk to the truncation.
+    the number of k-simplices sigma, for each 1 <= k <= n, with every
+    principal edge nondegenerate and inner-face composite d_1^{k-1}
+    sending sigma to the level-1 object f on the nose.  The contract is
+    that this composite is the identity on morphism labels, so each
+    strict fiber is discrete and its size is the homotopy-fiber
+    cardinality over f; `incidence.phi_n` reads the sizes of all lengths
+    off one call to the truncation.  The space counts as it likes: a
+    nerve walks its chains, the layered spaces count chains of up-sets
+    without listing them.
 
     Levels, operators and the values derived from them (face powers,
     degenerate edge classes, completeness, Phi histograms, reference word
@@ -76,7 +80,7 @@ class TruncatedSimplicialGroupoid(Memo):
     """
 
     def __init__(self, max_level: int, level_fn, face_fn, degen_fn,
-                 grade_bound: Optional[int] = None, fiber_fn=None, name: str = ""):
+                 grade_bound: Optional[int] = None, phi_fn=None, name: str = ""):
         if max_level < 1:
             raise DomainError("a truncated simplicial groupoid needs max_level >= 1")
         super().__init__()
@@ -84,7 +88,7 @@ class TruncatedSimplicialGroupoid(Memo):
         self._level_fn = level_fn
         self._face_fn = face_fn
         self._degen_fn = degen_fn
-        self._fiber_fn = fiber_fn
+        self._phi_fn = phi_fn
         self.grade_bound = grade_bound
         self.name = name
 
@@ -115,21 +119,15 @@ class TruncatedSimplicialGroupoid(Memo):
         return F
 
     def check_fiber_walk(self, n: int) -> None:
-        """Refuse a fiber walk to length n on a space without a generator,
-        on an incomplete space and beyond the truncation, in that order."""
-        if self._fiber_fn is None:
+        """Refuse a Phi count to length n on a space without a count, on
+        an incomplete space and beyond the truncation, in that order."""
+        if self._phi_fn is None:
             raise DomainError(f"{self.name or 'the space'} has no fiber generator")
         _require_complete(self)
         if n > self.max_level:
             raise InsufficientLevelsError(n, self.max_level, self.name)
         if n < 1:
             raise DomainError("the fiber generator needs n >= 1")
-
-    def fiber_walk(self, n: int, f):
-        """The pairs (k, sigma) of the nondegenerate k-simplices over f,
-        1 <= k <= n, from one walk of the fiber generator."""
-        self.check_fiber_walk(n)
-        return self._fiber_fn(self, n, f)
 
     # -- derived accessors -------------------------------------------------
 

@@ -101,13 +101,17 @@ def random_quiver_category(rng, max_nodes=4, max_edges=4):
     return FinCategory.free_on_quiver(nodes, edges, name="quiver")
 
 
-def criterion_4_nerves():
-    """The nerves of acceptance criterion 4: seed 42, 14 posets and 6
-    quivers, truncated at level 6."""
+def criterion_4_categories():
+    """The categories of acceptance criterion 4: seed 42, 14 posets and 6
+    quivers."""
     rng = random.Random(42)
-    nerves = [nerve(random_poset(rng, max_size=5), max_level=6) for _ in range(14)]
-    nerves += [nerve(random_quiver_category(rng), max_level=6) for _ in range(6)]
-    return nerves
+    categories = [FinCategory.from_poset(random_poset(rng, max_size=5)) for _ in range(14)]
+    return categories + [random_quiver_category(rng) for _ in range(6)]
+
+
+def criterion_4_nerves():
+    """The nerves of acceptance criterion 4, truncated at level 6."""
+    return [nerve(C, max_level=6) for C in criterion_4_categories()]
 
 
 def poset_mobius_oracle(P: FinPoset):

@@ -1,9 +1,11 @@
 """Reference constructions that no library route calls: the skeleton of a
 groupoid, homotopy fibers built as iso-commas, the whole-level
-nondegenerate simplices and principal edges, and a nerve's Phi walk that
-composes every arrow it tries.  The tests check the library's class-wise
-and indexed routes against them."""
+nondegenerate simplices and principal edges, a nerve's Phi walk that
+composes every arrow it tries, and the walk that lists the layerings of
+a layered set or poset.  The tests check the library's class-wise,
+indexed and counting routes against them."""
 
+from moebiuskit.examples import _up_sets
 from moebiuskit.groupoid import (
     DomainError,
     FiniteGroupoid,
@@ -77,7 +79,7 @@ def nondegenerate_simplices(X: TruncatedSimplicialGroupoid, n: int) -> WordGroup
 def nerve_fiber_walk(C, n: int, f):
     """The pairs (k, chain) of the chains of k <= n non-identity arrows of
     C composing to the arrow m of f = (m,), in the order of the nerve's
-    fiber generator, found by composing each arrow out of a chain's end
+    chain walk, found by composing each arrow out of a chain's end
     with its partial composite and keeping a left factor of m."""
     (m,) = f
     a, b = C.src(m), C.tgt(m)
@@ -94,3 +96,42 @@ def nerve_fiber_walk(C, n: int, f):
                     h = C.compose(e, g)
                     if h in factors:
                         stack.append((h, chain + (e,)))
+
+
+def _layerings(kind):
+    """The layering walk of layered sets or posets, fn(space, n, f), the
+    oracle of their Phi count `examples._count_layerings`.
+
+    The k-simplices over a 1-layered f with every layer nonempty are its
+    k-layerings: strict chains f = D_1 > D_2 > ... > D_k > {} of up-sets
+    (all subsets for sets), with element e in layer max{j : e in D_j}.
+    Each keeps the relations of f, as joining all layers does.  One walk
+    peels the chains of every length k <= n: the node of a chain
+    D_1 > ... > D_k yields the layering that ends there, then peels each
+    nonempty up-set strictly inside D_k while k < n.
+    """
+
+    def fn(space, n, f):
+        _ns, _np, colors, rels = f
+        m = len(colors)
+        masks = [sum(1 << e for e in U) for U in _up_sets(m, rels) if U]
+        members = {U: [e for e in range(m) if U >> e & 1] for U in masks}
+        layer = [0] * m
+
+        def peel(D, k):
+            """The layerings whose k-th up-set is D = D_k."""
+            for e in members[D]:
+                layer[e] = k
+            ns, np_ = (k, 0) if kind == "s" else (0, k)
+            yield k, (ns, np_, tuple(layer), rels)
+            if k < n:
+                for U in masks:
+                    if U != D and U & D == U:
+                        yield from peel(U, k + 1)
+                        for e in members[U]:
+                            layer[e] = k
+
+        if m:
+            yield from peel((1 << m) - 1, 1)
+
+    return fn

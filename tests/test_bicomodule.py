@@ -389,6 +389,37 @@ def test_pointing_deltas_sets_posets():
     assert phi_comodule(rc, pt, -1) == 0
 
 
+def test_pointing_delta_looks_up_its_section_once_per_value(monkeypatch):
+    # the pointing's completeness is memoised, so after the first value on
+    # each side (which also checks completeness) a pointing_delta value
+    # costs one section lookup, on a warm pass too
+    lookups, values = collections.Counter(), collections.Counter()
+    section, delta = bicomodule._GridCells.section, bicomodule.pointing_delta
+
+    def counted_section(cells, side, n):
+        lookups[side] += 1
+        return section(cells, side, n)
+
+    def counted_delta(config, m):
+        values[config.side] += 1
+        return delta(config, m)
+
+    monkeypatch.setattr(bicomodule._GridCells, "section", counted_section)
+    monkeypatch.setattr(bicomodule, "pointing_delta", counted_delta)
+    B = examples._sets_posets_bicomodule.__wrapped__(3, 3, 3)   # not warmed by another test
+    reps = B.cell(0, 0).iso_classes().reps
+    for m in reps:
+        rota_evaluate(B, m)
+    assert values["right"] and values["left"]
+    assert lookups == values + collections.Counter(right=1, left=1)
+    lookups.clear()
+    values.clear()
+    for m in reps:
+        rota_evaluate(B, m)
+    assert values["right"] and values["left"]
+    assert lookups == values
+
+
 def test_convolve_actions_reproduce_mu_of_posets():
     B = sets_posets_bicomodule(3, max_i=3, max_j=3)
     rc, lc = right_comodule(B), left_comodule(B)

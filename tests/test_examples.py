@@ -2,6 +2,7 @@ import collections
 import importlib
 import pkgutil
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,10 @@ from moebiuskit.examples import (
     sets_posets_bicomodule,
 )
 from moebiuskit.groupoid import DomainError, Mor, cardinality
-from moebiuskit.incidence import counit, mobius
+from moebiuskit.incidence import counit, mobius, phi_n
 from moebiuskit.simplicial import check_axioms
+
+from reference import _layerings
 
 
 def test_enumerate_posets_counts():
@@ -158,6 +161,61 @@ def test_binomial_mobius():
     for n in range(5):
         key = (1, 0, (1,) * n, ())
         assert mobius(I, key) == Fraction(-1) ** n
+
+
+def _ordered_partitions(n, k):
+    """k! S(n, k), the ordered partitions of n points into k blocks: the
+    maps onto k blocks, by inclusion-exclusion over the blocks missed."""
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
+
+
+def _closed_form_phi(n):
+    """(space builder, key, Phi_k as a function of k) for the n-element
+    antichain as a layered set and as a layered poset, and for the n-chain
+    0 < 1 < ... < n-1."""
+    antichain = (1,) * n, ()
+    chain = poset_key(FinPoset(range(n), [(i, i + 1) for i in range(n - 1)]))
+    return [(layered_sets, (1, 0, *antichain), lambda k: _ordered_partitions(n, k)),
+            (layered_posets, (0, 1, *antichain), lambda k: _ordered_partitions(n, k)),
+            (layered_posets, chain, lambda k: comb(n - 1, k - 1))]
+
+
+def test_phi_count_of_antichains_and_chains_is_the_closed_form():
+    # a layering of the antichain is an ordered set partition, and of the
+    # chain a choice of k - 1 of its n - 1 cuts; each length asked gives
+    # exactly the histogram up to it, also below the longest chain; the
+    # count reads the key alone and builds no level of the grade-7 spaces
+    for n in range(1, 8):
+        for build, key, phi in _closed_form_phi(n):
+            X = build(7)
+            for top in range(1, n + 2):
+                assert X._phi_fn(X, top, key) == [0] + [phi(k) for k in range(1, top + 1)], (
+                    key, top)
+    assert not any(key[0] == "level" for X in (layered_sets(7), layered_posets(7))
+                   for key in X._memo)
+
+
+def test_phi_n_of_antichains_and_chains_is_the_closed_form():
+    for n in range(1, 5):
+        for build, key, phi in _closed_form_phi(n):
+            X = build(4)
+            assert [phi_n(X, key, k) for k in range(1, X.max_level + 1)] == [
+                phi(k) for k in range(1, X.max_level + 1)], key
+
+
+def test_phi_count_equals_the_layering_walk_at_every_class():
+    # the count's histogram against the lengths of the listed layerings
+    cases = 0
+    for build, kind in ((layered_sets, "s"), (layered_posets, "p")):
+        for g in range(5):
+            X = build(g)
+            walk = _layerings(kind)
+            for f in X.level(1).iso_classes().reps:
+                for n in range(1, X.max_level + 1):
+                    lengths = collections.Counter(k for k, _sigma in walk(X, n, f))
+                    assert X._phi_fn(X, n, f) == [0] + [lengths[k] for k in range(1, n + 1)]
+                    cases += 1
+    assert cases == 289
 
 
 def test_cardinality_of_layered_sets_level():

@@ -1,4 +1,5 @@
 import collections
+import functools
 import re
 from fractions import Fraction
 
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebiuskit.bicomodule import coact, convolve_action, total_decalage
-from moebiuskit.catposet import FinCategory, FinPoset, chain_poset, divisor_poset, nerve
+from moebiuskit.catposet import (
+    FinCategory,
+    FinPoset,
+    _chain_walk,
+    chain_poset,
+    divisor_poset,
+    nerve,
+)
 from moebiuskit.examples import layered_posets, layered_sets, poset_key
 from moebiuskit import incidence
 from moebiuskit.groupoid import (
@@ -31,8 +39,8 @@ from moebiuskit.incidence import (
 )
 from moebiuskit.simplicial import InsufficientLevelsError
 
-from conftest import criterion_4_nerves, poset_mobius_oracle, posets, random_poset, seeded
-from reference import nerve_fiber_walk, nondegenerate_simplices
+from conftest import criterion_4_categories, poset_mobius_oracle, posets, random_poset, seeded
+from reference import _layerings, nerve_fiber_walk, nondegenerate_simplices
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6)
@@ -366,21 +374,23 @@ def _phi_whole_level(X, f, n):
     return fiber_cardinality(_long_edge(X, n).restrict(W), f)
 
 
-def _fiber_simplices(X, n, f):
-    """The nondegenerate n-simplices over f: the walk's pairs with k = n."""
-    return [sigma for k, sigma in X.fiber_walk(n, f) if k == n]
+def _fiber_simplices(walk, n, f):
+    """The nondegenerate n-simplices over f: the pairs with k = n of
+    walk(n, f), a walk that lists the simplices Phi counts."""
+    return [sigma for k, sigma in walk(n, f) if k == n]
 
 
-def _check_generated_fibers(X):
-    """Each generated fiber of X: distinct simplices of level n, with every
-    principal edge nondegenerate and long edge f, as many as the
-    whole-level route counts; returns the number of (f, n) cases."""
+def _check_generated_fibers(X, walk):
+    """Each fiber of X that walk(n, f) lists: distinct simplices of level
+    n, with every principal edge nondegenerate and long edge f, as many as
+    X's Phi count and the whole-level route count; returns the number of
+    (f, n) cases."""
     tab = X.level(1).iso_classes()
     degenerate = X.degenerate_edge_classes()
     cases = 0
     for f in tab.reps:
         for n in range(1, X.max_level + 1):
-            simplices = _fiber_simplices(X, n, f)
+            simplices = _fiber_simplices(walk, n, f)
             assert len(set(simplices)) == len(simplices)
             long_edge = _long_edge(X, n)
             for sigma in simplices:
@@ -393,10 +403,20 @@ def _check_generated_fibers(X):
     return cases
 
 
+def _layering_walk(X, kind):
+    """The reference walk of the layered space X ('s' sets, 'p' posets)."""
+    return functools.partial(_layerings(kind), X)
+
+
+def _nerve_walk(C):
+    """The walk of the nerve of C, which its Phi count counts."""
+    return functools.partial(_chain_walk, C)
+
+
 def test_phi_generated_fiber_equals_whole_level_route():
-    spaces = [build(g, max_level=max(2, g))
-              for build in (layered_sets, layered_posets) for g in range(5)]
-    assert sum(_check_generated_fibers(X) for X in spaces) == 185
+    spaces = [(build(g, max_level=max(2, g)), kind)
+              for build, kind in ((layered_sets, "s"), (layered_posets, "p")) for g in range(5)]
+    assert sum(_check_generated_fibers(X, _layering_walk(X, kind)) for X, kind in spaces) == 185
 
 
 def test_phi_refuses_levels_beyond_the_truncation():
@@ -427,7 +447,8 @@ def test_phi_refuses_a_space_without_a_fiber_generator():
 
 def test_nerve_generated_fiber_equals_whole_level_route():
     # a nerve's levels are discrete: a nondegenerate edge is a non-identity arrow
-    assert sum(_check_generated_fibers(N) for N in criterion_4_nerves()) == 558
+    assert sum(_check_generated_fibers(nerve(C, max_level=6), _nerve_walk(C))
+               for C in criterion_4_categories()) == 558
 
 
 def _involution_category():
@@ -458,18 +479,21 @@ def test_the_indexed_fiber_walk_matches_the_per_arrow_walk():
     for C in categories:
         N = nerve(C, max_level=4)
         for m in C.morphisms:
-            walk = list(N.fiber_walk(4, (m,)))
+            walk = list(_chain_walk(C, 4, (m,)))
             assert walk == list(nerve_fiber_walk(C, 4, (m,))), (C.name, m)
-            lengths.update(k for k, _chain in walk)
+            counts = collections.Counter(k for k, _chain in walk)
+            assert N._phi_fn(N, 4, (m,)) == [0] + [counts[k] for k in range(1, 5)]
+            lengths.update(counts)
     assert all(lengths[k] > 0 for k in range(1, 5)), lengths
 
 
 def test_nerve_fiber_counts_non_identity_chains_onto_an_identity():
     N = _involution_nerve()
-    assert _fiber_simplices(N, 2, ("1",)) == [("s", "s")]
+    walk = _nerve_walk(_involution_category())
+    assert _fiber_simplices(walk, 2, ("1",)) == [("s", "s")]
     assert phi_n(N, ("1",), 2) == 1
     assert [phi_n(N, ("s",), n) for n in range(1, 5)] == [1, 0, 1, 0]
-    assert _check_generated_fibers(N) == 8
+    assert _check_generated_fibers(N, walk) == 8
 
 
 def test_nerve_inversion_builds_no_level_beyond_two():
@@ -501,18 +525,18 @@ def test_nerve_inversion_classifies_each_2_simplex_once(monkeypatch):
     (lambda: layered_posets(4), None),
 ], ids=["divisors of 12", "layered posets 4"])
 def test_mobius_walks_each_class_fiber_once(monkeypatch, build, bound):
-    # one walk of the fiber generator gives Phi of every length, so mu and
-    # the inversion check ask for it once per class whose bound is >= 1
+    # one Phi count gives Phi of every length, so mu and the inversion
+    # check ask for it once per class whose bound is >= 1
     X = build()
     monkeypatch.setattr(X, "_memo", {k: v for k, v in X._memo.items() if k[0] != "phi"})
-    walk = X._fiber_fn
+    count = X._phi_fn
     calls = collections.Counter()
 
     def counted(space, n, f):
         calls[f] += 1
-        return walk(space, n, f)
+        return count(space, n, f)
 
-    monkeypatch.setattr(X, "_fiber_fn", counted)
+    monkeypatch.setattr(X, "_phi_fn", counted)
     mu = mobius_functional(X, bound)
     assert verify_inversion(X, length_bound=bound, mu=mu).passed
     carrier = X.level(1)
@@ -521,28 +545,29 @@ def test_mobius_walks_each_class_fiber_once(monkeypatch, build, bound):
     assert set(calls) == walked and set(calls.values()) == {1}
 
 
-def _cyclic_group_nerve(k, max_level):
-    """The nerve of the one-object category Z_k, whose non-identity chains
-    compose without end, so a fiber walk runs to the length asked."""
+def _cyclic_group(k):
+    """The one-object category Z_k, whose non-identity chains compose
+    without end, so a fiber walk runs to the length asked."""
     arrows = {f"r{i}": ("*", "*") for i in range(k)}
     composites = {(f"r{i}", f"r{j}"): f"r{(i + j) % k}" for i in range(k) for j in range(k)}
-    return nerve(FinCategory(["*"], arrows, composites, {"*": "r0"}), max_level=max_level)
+    return FinCategory(["*"], arrows, composites, {"*": "r0"})
 
 
 def test_phi_walks_each_class_fiber_to_the_longest_length_asked(monkeypatch):
     # Phi_1 of Z_6 walks to length 1, not to the truncation 6; a longer
     # length walks again, once, and a shorter one reads that walk
-    want = {n: [len(_fiber_simplices(_cyclic_group_nerve(6, 3), n, (f"r{i}",)))
-                for i in range(6)] for n in (1, 2, 3)}
-    N = _cyclic_group_nerve(6, max_level=6)
-    walk = N._fiber_fn
+    walk = _nerve_walk(_cyclic_group(6))
+    want = {n: [len(_fiber_simplices(walk, n, (f"r{i}",))) for i in range(6)]
+            for n in (1, 2, 3)}
+    N = nerve(_cyclic_group(6), max_level=6)
+    count = N._phi_fn
     lengths = []
 
     def counted(space, n, f):
         lengths.append(n)
-        return walk(space, n, f)
+        return count(space, n, f)
 
-    monkeypatch.setattr(N, "_fiber_fn", counted)
+    monkeypatch.setattr(N, "_phi_fn", counted)
     arrows = [(f"r{i}",) for i in range(6)]
     assert [phi_n(N, f, 1) for f in arrows] == want[1] == [0, 1, 1, 1, 1, 1]
     assert lengths == [1] * 6
@@ -553,14 +578,17 @@ def test_phi_walks_each_class_fiber_to_the_longest_length_asked(monkeypatch):
 
 
 def test_one_fiber_walk_yields_each_simplex_of_every_length_once():
-    for X in (layered_sets(3), layered_posets(3), nerve(divisor_poset(12), max_level=6),
-              _involution_nerve()):
+    divisors = FinCategory.from_poset(divisor_poset(12))
+    for X, walk in ((layered_sets(3), _layering_walk(layered_sets(3), "s")),
+                    (layered_posets(3), _layering_walk(layered_posets(3), "p")),
+                    (nerve(divisors, max_level=6), _nerve_walk(divisors)),
+                    (_involution_nerve(), _nerve_walk(_involution_category()))):
         top = X.max_level
         for f in X.level(1).iso_classes().reps:
-            pairs = list(X.fiber_walk(top, f))
+            pairs = list(walk(top, f))
             assert len(set(pairs)) == len(pairs)
             assert set(pairs) == {(k, sigma) for k in range(1, top + 1)
-                                  for sigma in _fiber_simplices(X, k, f)}
+                                  for sigma in _fiber_simplices(walk, k, f)}
             lengths = collections.Counter(k for k, _sigma in pairs)
             assert [phi_n(X, f, k) for k in range(1, top + 1)] == [
                 lengths[k] for k in range(1, top + 1)]
@@ -574,7 +602,7 @@ def test_mobius_is_the_alternating_sum_of_phi_up_to_the_bound():
     partial = [sum((-1) ** n * phi_n(N, f, n) for n in range(bound + 1)) for bound in range(7)]
     assert partial == [0, -1, 3, 0, 0, 0, 0]
     assert [mobius(N, f, length_bound=bound) for bound in range(7)] == partial
-    # bound 0 is the counit and needs no fiber generator
+    # bound 0 is the counit and needs no Phi count
     row = total_decalage(nerve(chain_poset(3), max_level=6), 2, 2).row(0)
     for e in row.level(1).iso_classes().reps:
         assert mobius(row, e, length_bound=0) == counit(row, e)

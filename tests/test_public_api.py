@@ -35,3 +35,12 @@ def test_the_inversion_checks_run_on_every_class():
                           (moebiuskit.comodule_mobius_check,
                            ["config", "length_bound", "mu_base"])]:
         assert list(inspect.signature(check).parameters) == params, check.__name__
+
+
+def test_a_space_takes_one_optional_phi_count():
+    # the only optional callback of a space counts its Phi fibers; there is
+    # no second callback that lists the simplices
+    params = inspect.signature(moebiuskit.TruncatedSimplicialGroupoid).parameters
+    assert list(params) == ["max_level", "level_fn", "face_fn", "degen_fn",
+                            "grade_bound", "phi_fn", "name"]
+    assert params["phi_fn"].default is None
