@@ -147,6 +147,9 @@ class FinCategory(Memo):
         return self._compose[key]
 
     def validate(self) -> None:
+        """Check the identities, units, composites and every composable
+        triple; a triple that a direct table read fails goes to `compose`."""
+        table, mors = self._compose, self.morphisms
         for obj, i in self.identities.items():
             if self.morphisms[i] != (obj, obj):
                 raise StructureError(f"identity of {obj!r} has wrong endpoints")
@@ -161,7 +164,12 @@ class FinCategory(Memo):
                 if self.morphisms[gf] != (a, self.tgt(g)):
                     raise StructureError(f"composite {gf!r} has wrong endpoints")
                 for h in self.out_arrows(self.tgt(g)):
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
+                    try:
+                        hg = table[g, h]
+                        same = mors[hg][0] == b and table[gf, h] == table[f, hg]
+                    except (KeyError, TypeError):
+                        same = False
+                    if not same and self.compose(h, gf) != self.compose(self.compose(h, g), f):
                         raise StructureError("associativity fails")
 
     @classmethod
@@ -195,11 +203,13 @@ class FinCategory(Memo):
                     stack.append((seq + (label,), nxt))
             for seq, end in seen_paths:
                 mors[("path", a, seq)] = (a, end)
+        starting: dict = {}
+        for g, (b, _c) in mors.items():
+            starting.setdefault(b, []).append(g)
         compose = {}
         for f, (a, b) in mors.items():
-            for g, (b2, c) in mors.items():
-                if b2 == b:
-                    compose[(f, g)] = ("path", a, f[2] + g[2])
+            for g in starting.get(b, ()):
+                compose[(f, g)] = ("path", a, f[2] + g[2])
         idents = {a: ("path", a, ()) for a in objects}
         return cls(objects, mors, compose, idents, name=name)
 

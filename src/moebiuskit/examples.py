@@ -31,9 +31,9 @@ Everything here that depends only on hashable values -- canonical forms,
 automorphism groups, poset catalogues, level object lists and their
 groupoids, the rank maps of kept elements and the spaces themselves -- is
 memoised with `functools.cache`, once per process.  Every operator is a
-tabulated functor: it computes each object's image once, into a table it
-holds, so the pullback checks, which visit every object and both ends of
-every morphism many times, redo no layer surgery.
+tabulated functor: it computes each object's and each morphism's image
+once, into tables it holds, so the pullback checks, which visit every
+object and morphism many times, redo no layer surgery.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def layered_groupoid(objects, name="") -> FiniteGroupoid:
         return tuple(Mor(a, b, t) for t in _isos(a, b))
 
     def compose(g, f):
-        return Mor(f.src, g.tgt, tuple(g.label[i] for i in f.label))
+        return Mor(f.src, g.tgt, tuple(map(g.label.__getitem__, f.label)))
 
     def identity(a):
         return Mor(a, a, tuple(range(len(a[2]))))
@@ -219,9 +219,11 @@ def _op_functor(src_gpd, tgt_gpd, surgery, *args, name="") -> GroupoidFunctor:
 
     The surgery returns the image structure and keep, the increasing tuple
     of the elements of a that survive, or None when no element is deleted
-    (pure recoloring).  The functor is tabulated: each object's entry,
-    (image, rank) with the image interned in the target level and rank the
-    shared `_rank(keep)` or None, is computed once."""
+    (pure recoloring).  The functor is tabulated: each object's image,
+    interned in the target level, is computed once with its rank, the
+    shared `_rank(keep)`, kept only when elements are deleted; each
+    morphism's image is computed once from the images and ranks of its
+    ends."""
     interned = tgt_gpd._get(("interned",), dict)
 
     def rule(a):

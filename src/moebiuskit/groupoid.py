@@ -31,9 +31,10 @@ there, so the levels shared by every square of an axiom check are read
 once for all of them.  No entry refers to its owner.
 
 Images and fibers both live in the functor.  A `tabulated` functor
-computes each object's image once, into its image table, a dict whose
-`__missing__` runs the rule: a hit is one dict lookup in C, and a key
-outside the source still reaches the rule, with its errors.  Any functor
+maps each object and each morphism once, into an object and a morphism
+table whose `__missing__` runs the rule: a hit on F.ob(a) or F(m) is one
+dict lookup in C, and a key outside the source still reaches the rule,
+with its errors.  A composite calls the maps of its parts.  Any functor
 builds its fiber table, {target class: the source class representatives
 over it, in source order}, on its first fiber query.  `weighted_fiber`
 and `fiber_cardinality` read one entry of the fiber table, and the class
@@ -89,6 +90,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 
@@ -395,8 +397,7 @@ class _ImageTable(dict):
 class GroupoidFunctor(Memo):
     """A functor between finite groupoids: an object map plus morphism map.
 
-    Its `_memo` holds its image table, when it is `tabulated`, and its
-    fiber table (see `weighted_fiber`)."""
+    Its `_memo` holds its fiber table (see `weighted_fiber`)."""
 
     def __init__(self, source, target, ob, mor, name=""):
         super().__init__()
@@ -418,22 +419,31 @@ class GroupoidFunctor(Memo):
 
     @classmethod
     def tabulated(cls, source, target, rule, mor=None, name="") -> "GroupoidFunctor":
-        """The functor that computes each object's entry rule(a) once, into
-        the image table ("images",) of its `_memo`, an `_ImageTable`.
+        """The functor that maps each object and each morphism once, into
+        an object table and a morphism table, both `_ImageTable`s: its
+        `_ob` and `_mor` are their lookups.
 
-        With `mor`, an entry is a tuple whose first item is the image of a,
-        and a morphism m goes to mor(m, entry of m.src, entry of m.tgt).
-        Without, the source is discrete, the entry is the image itself, and
-        each identity goes to the identity of its image."""
-        table = _ImageTable(rule)
+        With `mor`, rule(a) is a pair (image of a, side data), kept apart
+        from the object table and only where it is not None, and a morphism
+        m goes to mor(m, pair of m.src, pair of m.tgt).  Without, the source
+        is discrete, rule(a) is the image itself, and each identity goes to
+        the identity of its image."""
         if mor is None:
-            ob, mor_map = table.__getitem__, lambda m: target.identity(table[m.src])
+            obs = _ImageTable(rule)
+            mors = _ImageTable(lambda m: target.identity(obs[m.src]))
         else:
-            ob = lambda a: table[a][0]
-            mor_map = lambda m: mor(m, table[m.src], table[m.tgt])
-        F = cls(source, target, ob, mor_map, name=name)
-        F._memo["images",] = table
-        return F
+            side: dict = {}
+
+            def ob_rule(a):
+                image, data = rule(a)
+                if data is not None:
+                    side[a] = data
+                return image
+
+            obs = _ImageTable(ob_rule)
+            mors = _ImageTable(lambda m: mor(m, (obs[m.src], side.get(m.src)),
+                                             (obs[m.tgt], side.get(m.tgt))))
+        return cls(source, target, obs.__getitem__, mors.__getitem__, name=name)
 
     @classmethod
     def identity(cls, G, name="id") -> "GroupoidFunctor":
@@ -441,11 +451,12 @@ class GroupoidFunctor(Memo):
 
     @classmethod
     def compose(cls, G: "GroupoidFunctor", F: "GroupoidFunctor") -> "GroupoidFunctor":
-        """G after F."""
+        """G after F, through the object and morphism maps of both parts."""
         if F.target is not G.source and F.target.objects != G.source.objects:
             raise DomainError("functors not composable")
-        return cls(F.source, G.target, lambda a: G.ob(F.ob(a)),
-                   lambda m: G(F(m)), name=f"{G.name}*{F.name}")
+        F_ob, F_mor, G_ob, G_mor = F._ob, F._mor, G._ob, G._mor
+        return cls(F.source, G.target, lambda a: G_ob(F_ob(a)),
+                   lambda m: G_mor(F_mor(m)), name=f"{G.name}*{F.name}")
 
 
 def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
@@ -453,7 +464,8 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
     object map on every object, and the same morphism map on a generating
     set of S.  The generators are, per iso class of S, the automorphisms
     of its representative r and the connector `_connector(S, a)` of each
-    other member a.
+    other member a.  The object maps are compared in object order up to
+    the first object where they differ, and neither is read beyond it.
 
     That decides equality of functors: an m: a -> b in the class of r is
     c_b^{-1} . (c_b . m . c_a^{-1}) . c_a with the middle factor in
@@ -471,15 +483,14 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
     goes into T(F a, F r).  That hom-set is a torsor for Aut(F r), so it
     has one element, and F and G, being functors, both send the generator
     to it: the class is skipped, and none of its connectors is computed."""
-    S = F.source
-    for a in S.objects:
-        if F.ob(a) != G.ob(a):
-            return False
+    S, F_mor, G_mor = F.source, F._mor, G._mor
+    if not all(map(eq, map(F._ob, S.objects), map(G._ob, S.objects))):
+        return False
     T = F.target if F.target is G.target else None
     table = S.iso_classes()
     for rep in table.reps:
         if T is not None:
-            image = F.ob(rep)
+            image = F._ob(rep)
             if T.has_object(image) and len(_auts(T, image)) == 1:
                 continue
         for a in table.members[rep]:
@@ -490,7 +501,7 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> bool:
             else:
                 continue
             for m in gens:
-                if F(m) != G(m):
+                if F_mor(m) != G_mor(m):
                     return False
     return True
 

@@ -39,8 +39,8 @@ def skeletalize(G: FiniteGroupoid):
     """
     S, class_of = skeleton(G), G.iso_classes().class_of
     return S, GroupoidFunctor.tabulated(
-        G, S, lambda x: (class_of(x), _connector(G, x, inverse=True), _connector(G, x)),
-        lambda m, x, y: _transport(G, m, x[1], y[2]), name="sk")
+        G, S, lambda x: (class_of(x), (_connector(G, x, inverse=True), _connector(G, x))),
+        lambda m, x, y: _transport(G, m, x[1][0], y[1][1]), name="sk")
 
 
 def fiber(F: GroupoidFunctor, c) -> FiniteGroupoid:

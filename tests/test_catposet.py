@@ -97,6 +97,54 @@ def test_category_validation():
         FinCategory.free_on_quiver([0], [("loop", 0, 0)])
 
 
+def _edited_z3(f, g, gf):
+    """Z_3 on one object with the composite of g after f changed to gf or,
+    when gf is None, missing from the table."""
+    C = cyclic_group_category(3)
+    table = dict(C._compose)
+    del table[f, g]
+    if gf is not None:
+        table[f, g] = gf
+    return FinCategory(C.objects, C.morphisms, table, C.identities)
+
+
+def _with_units(arrows, composites):
+    """The arrows, then an identity i<n> on each of their ends, and the
+    given composites with every unit composite added."""
+    ends = sorted({x for ab in arrows.values() for x in ab})
+    idents = {x: f"i{x}" for x in ends}
+    mors = arrows | {f"i{x}": (x, x) for x in ends}
+    table = dict(composites)
+    for m, (a, b) in mors.items():
+        table[idents[a], m] = table[m, idents[b]] = m
+    return FinCategory(ends, mors, table, idents)
+
+
+@pytest.mark.parametrize("category, message", [
+    (lambda: FinCategory([0, 1], {"i0": (0, 0), "i1": (1, 1)},
+                         {("i0", "i0"): "i0", ("i1", "i1"): "i1"}, {0: "i0", 1: "i0"}),
+     "identity of 1 has wrong endpoints"),
+    (lambda: _edited_z3("g0", "g1", "g2"), "right unit fails at 'g1'"),
+    (lambda: _edited_z3("g1", "g0", "g2"), "left unit fails at 'g1'"),
+    (lambda: _with_units({"f": (0, 1), "g": (1, 2), "gf": (0, 2)}, {("f", "g"): "g"}),
+     "composite 'g' has wrong endpoints"),
+    (lambda: _edited_z3("g1", "g1", "g0"), "associativity fails"),
+    (lambda: _edited_z3("g2", "g2", None), "composition table misses ('g2', 'g2')"),
+    # a triple meets the composite g . f before the pairs out of f reach
+    # it, and the table's entry for g after i0 does not make them composable
+    (lambda: _with_units({"i0": (0, 0), "f": (0, 1), "g": (1, 2), "gf": (0, 2)},
+                         {("f", "g"): "g", ("i0", "g"): "g"}),
+     "not composable: 'i0' then 'g'"),
+], ids=["identity", "right-unit", "left-unit", "composite", "associativity", "missing",
+        "triple-first"])
+def test_category_validation_names_each_failure(category, message):
+    C = category()
+    error = DomainError if message.startswith("not composable") else StructureError
+    with pytest.raises(error) as info:
+        C.validate()
+    assert str(info.value) == message
+
+
 def test_nerve_of_trivial_category_single_simplices():
     N = nerve(FinPoset(["*"]), max_level=4)
     for n in range(5):

@@ -20,7 +20,7 @@ from moebiuskit.examples import (
     poset_key,
     sets_posets_bicomodule,
 )
-from moebiuskit.groupoid import DomainError, Mor, cardinality
+from moebiuskit.groupoid import DomainError, GroupoidFunctor, Mor, cardinality
 from moebiuskit.incidence import counit, mobius, phi_n
 from moebiuskit.simplicial import check_axioms
 
@@ -363,6 +363,36 @@ def test_axiom_checks_run_layer_surgery_once_per_object_and_operator(monkeypatch
     C = examples._layered_space.__wrapped__("p", 3, 5)   # fresh levels and tables
     assert check_axioms(C, "decomposition", 2).passed
     assert calls and max(calls.values()) == 1
+
+
+def test_axiom_checks_map_each_morphism_once_per_operator(monkeypatch):
+    calls, names = collections.Counter(), []
+    tabulated = GroupoidFunctor.tabulated
+
+    def counting(source, target, rule, mor=None, name=""):
+        if mor is not None:
+            names.append(name)
+
+            def counted(m, src, tgt):
+                calls[name, m] += 1
+                return mor(m, src, tgt)
+
+            return tabulated(source, target, rule, counted, name=name)
+        return tabulated(source, target, rule, name=name)
+
+    monkeypatch.setattr(GroupoidFunctor, "tabulated", staticmethod(counting))
+    monkeypatch.setattr(examples, "_layered_level", examples._layered_level.__wrapped__)
+    C = examples._layered_space.__wrapped__("p", 3, 5)   # fresh levels and tables
+
+    def check():
+        return [check_axioms(C, profile, 2).passed for profile in ("decomposition", "segal")]
+
+    assert check() == [True, False]
+    assert len(set(names)) == len(names)     # one name per operator
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    assert check() == [True, False]
+    assert calls == {}
 
 
 def test_axiom_checks_walk_orbits_with_no_iso_comma_or_equivalence_test(monkeypatch):

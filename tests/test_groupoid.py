@@ -284,6 +284,22 @@ def test_functors_equal_compares_the_connectors():
         is_pullback_square(identity, twisted, identity, identity)
 
 
+def test_functors_equal_reads_no_object_past_the_first_difference():
+    S, T = discrete_groupoid([0, 1, 2]), discrete_groupoid([0, 1, 2, 3])
+    reads = []
+
+    def ob(a):
+        reads.append(a)
+        if a == 2:
+            raise DomainError("read past the first difference")
+        return 3 if a == 1 else a
+
+    F = GroupoidFunctor(S, T, lambda a: a, lambda m: m, name="F")
+    G = GroupoidFunctor(S, T, ob, lambda m: m, name="G")
+    assert functors_equal(F, G) is False
+    assert reads == [0, 1]
+
+
 def test_functors_equal_skips_only_on_the_aut_of_the_image():
     # S codiscrete on two objects with trivial Aut, T one object with Aut
     # Z_3: the connector of S goes into a hom-set of three elements, so a
@@ -586,6 +602,43 @@ def test_a_tabulated_rule_runs_once_per_object_and_outside_the_source():
     assert [H.ob(a) for a in G.objects] * 2 == [0, 2, 4] * 2
     assert H(Mor(2, 2, "id")) == Mor(4, 4, ("moved", 2))
     assert [calls[a] for a in (10, 11, 12)] == [1, 1, 1]
+
+
+def test_a_tabulated_morphism_rule_runs_once_per_morphism_and_keeps_no_refusal():
+    calls = collections.Counter()
+
+    def rule(a):
+        calls["ob", a] += 1
+        if a == "bad":
+            raise DomainError("no image of 'bad'")
+        return 2 * a, (a if a else None)
+
+    def mor(m, s, t):
+        calls["mor", m] += 1
+        return Mor(s[0], t[0], ("moved", s[1], t[1]))
+
+    G, T = discrete_groupoid([0, 1, 2]), discrete_groupoid([0, 2, 4, 6])
+    F = GroupoidFunctor.tabulated(G, T, rule, mor)
+    for _ in range(3):
+        assert F(Mor(0, 0, "id")) == Mor(0, 0, ("moved", None, None))
+        assert F(Mor(2, 2, "id")) == Mor(4, 4, ("moved", 2, 2))
+    assert calls == {("ob", 0): 1, ("ob", 2): 1,
+                     ("mor", Mor(0, 0, "id")): 1, ("mor", Mor(2, 2, "id")): 1}
+    # a morphism out of an object the rule refuses raises on every read
+    # and leaves no entry in either table
+    bad = Mor("bad", "bad", "id")
+    for _ in range(2):
+        with pytest.raises(DomainError, match="no image of 'bad'"):
+            F(bad)
+    assert calls["ob", "bad"] == 2 and calls["mor", bad] == 0
+    assert bad not in F._mor.__self__ and "bad" not in F._ob.__self__
+    # without a morphism rule, an identity whose image is outside the
+    # target raises the target's error on every read
+    D = GroupoidFunctor.tabulated(G, T, lambda a: 2 * a)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="10 not an object"):
+            D(Mor(5, 5, "id"))
+    assert Mor(5, 5, "id") not in D._mor.__self__
 
 
 def test_full_subgroupoid_domain_check():
