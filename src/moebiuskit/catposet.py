@@ -147,29 +147,29 @@ class FinCategory(Memo):
         return self._compose[key]
 
     def validate(self) -> None:
-        """Check the identities, units, composites and every composable
-        triple; a triple that a direct table read fails goes to `compose`."""
+        """Check the identities, the units, the endpoints of every composite
+        and then every composable triple, which reads the table directly:
+        once every composable pair has a composite with the right
+        endpoints, each composite a triple needs is in the table."""
         table, mors = self._compose, self.morphisms
         for obj, i in self.identities.items():
-            if self.morphisms[i] != (obj, obj):
+            if mors[i] != (obj, obj):
                 raise StructureError(f"identity of {obj!r} has wrong endpoints")
-        for f, (a, b) in self.morphisms.items():
+        for f, (a, b) in mors.items():
             if self.compose(f, self.identities[a]) != f:
                 raise StructureError(f"right unit fails at {f!r}")
             if self.compose(self.identities[b], f) != f:
                 raise StructureError(f"left unit fails at {f!r}")
-        for f, (a, b) in self.morphisms.items():
+        for f, (a, b) in mors.items():
             for g in self.out_arrows(b):
                 gf = self.compose(g, f)
-                if self.morphisms[gf] != (a, self.tgt(g)):
+                if mors[gf] != (a, self.tgt(g)):
                     raise StructureError(f"composite {gf!r} has wrong endpoints")
+        for f, (a, b) in mors.items():
+            for g in self.out_arrows(b):
+                gf = table[f, g]
                 for h in self.out_arrows(self.tgt(g)):
-                    try:
-                        hg = table[g, h]
-                        same = mors[hg][0] == b and table[gf, h] == table[f, hg]
-                    except (KeyError, TypeError):
-                        same = False
-                    if not same and self.compose(h, gf) != self.compose(self.compose(h, g), f):
+                    if table[gf, h] != table[f, table[g, h]]:
                         raise StructureError("associativity fails")
 
     @classmethod

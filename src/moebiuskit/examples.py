@@ -20,17 +20,22 @@ of a bicomodule cell and a poset layer on its Y side.  Such operations
 commute on the nose, so all simplicial and bisimplicial identities hold
 strictly at the morphism level and strictly commuting squares carry
 honest identity fillers, which is what the pullback checkers assume.
-Iso-class tables come from a deterministic backtracking canonical form
-with layer-vector refinement, which also provides hom-sets and
-automorphism groups.
+Hom-sets and automorphism groups come from a deterministic backtracking
+canonical form with layer-vector refinement.  A level carries its
+iso-class table from construction, built from relabeling orbits: each
+class is the orbit of its first object under the relabelings of its
+elements, and |Aut| is m! over the orbit's size, so the table computes
+no canonical form.  The `iso_key` rule, grouping by canonical key, gives
+the same table and still classifies the full subgroupoids of a level.
 
 The Phi count of I and C lists no simplex: a dynamic program over the
 up-sets of f counts the chains of up-sets that the simplices over f are.
 
 Everything here that depends only on hashable values -- canonical forms,
-automorphism groups, poset catalogues, level object lists and their
-groupoids, the rank maps of kept elements and the spaces themselves -- is
-memoised with `functools.cache`, once per process.  Every operator is a
+automorphism groups, the relabelings of m elements, poset catalogues,
+level object lists and their groupoids, the rank maps of kept elements
+and the spaces themselves -- is memoised with `functools.cache`, once
+per process.  Every operator is a
 tabulated functor: it computes each object's and each morphism's image
 once, into tables it holds, so the pullback checks, which visit every
 object and morphism many times, redo no layer surgery.
@@ -45,7 +50,7 @@ from typing import Optional
 
 from .bicomodule import AugmentedBisimplicialGroupoid, rota_evaluate
 from .catposet import FinPoset
-from .groupoid import DomainError, FiniteGroupoid, GroupoidFunctor, Mor
+from .groupoid import DomainError, FiniteGroupoid, GroupoidFunctor, IsoClassTable, Mor
 from .incidence import mobius
 from .simplicial import TruncatedSimplicialGroupoid
 
@@ -159,7 +164,10 @@ def _isos(a, b):
 
 def layered_groupoid(objects, name="") -> FiniteGroupoid:
     """The groupoid of labelled layered structures with the given objects;
-    morphisms are color-preserving relation isomorphisms."""
+    morphisms are color-preserving relation isomorphisms.  It carries its
+    iso-class table from construction, built from relabeling orbits by
+    `_orbit_classes`; `iso_key` is `canonical_key`, the rule of its full
+    subgroupoids."""
     objects = tuple(objects)
 
     def hom(a, b):
@@ -171,9 +179,66 @@ def layered_groupoid(objects, name="") -> FiniteGroupoid:
     def identity(a):
         return Mor(a, a, tuple(range(len(a[2]))))
 
-    return FiniteGroupoid(objects, hom, compose, identity,
-                          grade=lambda k: len(k[2]), iso_key=canonical_key,
-                          name=name)
+    G = FiniteGroupoid(objects, hom, compose, identity,
+                       grade=lambda k: len(k[2]), iso_key=canonical_key, name=name)
+    G._memo["iso_classes",] = _orbit_classes(G)
+    return G
+
+
+@functools.cache
+def _relabelings(m: int) -> tuple:
+    """(sigma, sigma^{-1}) for every permutation sigma of range(m), the
+    identity first."""
+    out = []
+    for sigma in permutations(range(m)):
+        back = [0] * m
+        for e, f in enumerate(sigma):
+            back[f] = e
+        out.append((sigma, tuple(back)))
+    return tuple(out)
+
+
+def _orbit_classes(G: FiniteGroupoid) -> IsoClassTable:
+    """The iso-class table of a layered groupoid, from relabeling orbits.
+
+    The first object a, in object order, that no earlier orbit holds is a
+    representative; its class is the images of a under the m! relabelings
+    of its m elements that are objects of G, in object order.  By
+    orbit-stabilizer |Aut a| = m! / |orbit|, the orbit counting images
+    outside G too.  When Aut a is trivial, hom(a, a) is the identity
+    alone, and hom(b, a) holds one morphism for each other member b, the
+    inverse of the relabeling that sends a to b: both go into G's memo,
+    as Aut a and as b's connector.  This is the table
+    `IsoClassTable._build` groups by `canonical_key`, with no canonical
+    form computed.  Every key of the table and of the records is an
+    object of G itself, not an image equal to it, so that reading them
+    compares no structure."""
+    memo, found = G._memo, {}   # image -> (representative, relabeling back)
+    members, class_of, aut_orders = {}, {}, {}
+    for b in G.objects:
+        if b not in found:
+            ns, np_, colors, rels = b
+            xs, ys = [x for x, _ in rels], [y for _, y in rels]
+            relabelings = _relabelings(len(colors))
+            orbit: dict = {}
+            for sigma, back in relabelings:
+                at = sigma.__getitem__
+                image = (ns, np_, tuple(map(colors.__getitem__, back)),
+                         tuple(sorted(zip(map(at, xs), map(at, ys)))))
+                orbit.setdefault(image, back)
+            for image, back in orbit.items():
+                found[image] = b, back
+            members[b] = []
+            aut_orders[b] = len(relabelings) // len(orbit)
+            if aut_orders[b] == 1:
+                memo["auts", b] = (Mor(b, b, relabelings[0][0]),)
+        a, back = found[b]
+        class_of[b] = a
+        members[a].append(b)
+        if aut_orders[a] == 1 and b is not a:
+            memo["connector", b, False] = Mor(b, a, back)
+    return IsoClassTable(members, {a: tuple(group) for a, group in members.items()},
+                         class_of, aut_orders)
 
 
 # -- layer surgery -------------------------------------------------------------

@@ -12,11 +12,14 @@ reduces to a handful of operations implemented here:
 
 Iso classes follow one rule: a groupoid with an exact `iso_key` groups
 its objects by key, any other compares each object by `hom` with the
-class representatives found so far.  Moving a morphism to the class
-representatives of its ends (the iso-comma keys, the pullback
-comparison) follows one rule too: c_tgt . m . c_src^{-1} along the
-connectors of its ends, skipping the factor of an end that already is
-its representative.  The connectors and the automorphisms of the
+class representatives found so far.  A groupoid may instead carry its
+table from construction, provided it is the table that rule gives: a
+discrete groupoid, each object its own class, and a layered level of
+`examples`, whose table comes from relabeling orbits with no canonical
+form computed.  Moving a morphism to the class representatives of its
+ends (the iso-comma keys, the pullback comparison) follows one rule
+too: c_tgt . m . c_src^{-1} along the connectors of its ends, skipping
+the factor of an end that already is its representative.  The connectors and the automorphisms of the
 representatives generate the groupoid, so the strict-commutation check
 `functors_equal` compares two functors on them alone.  It skips a class
 whose image has a trivial Aut in the target both functors share: the
@@ -24,7 +27,9 @@ generators of that class go into hom-sets with one element.
 
 Per-object class data is read once per groupoid, into its `_memo`: the
 automorphism group hom(a, a) under ("auts", a) and the connector
-a -> class_of(a) and its inverse under ("connector", a, inverse).  The
+a -> class_of(a) and its inverse under ("connector", a, inverse).  A
+layered level records the first two for its classes with a trivial Aut
+when it builds its table, reading no hom-set.  The
 iso-class table, `functors_equal`, the iso-comma keys, the orbit walk of
 a pullback check and the automorphism test of `is_equivalence` read them
 there, so the levels shared by every square of an axiom check are read
@@ -142,10 +147,12 @@ class FiniteGroupoid(Memo):
 
     `iso_key` is an exact invariant: objects are isomorphic if and only if
     their keys agree, and the iso-class table groups the objects by it
-    (layered levels key by canonical forms, iso-commas by double cosets,
+    (layered groupoids key by canonical forms, iso-commas by double cosets,
     discrete groupoids and skeletons by the object itself).  Without one,
     each object is compared by `hom` with the representatives found so
-    far.  Either way classes and representatives follow object order.
+    far.  Either way classes and representatives follow object order.  A
+    discrete groupoid and a layered level carry that table from
+    construction, the latter built from relabeling orbits.
     """
 
     def __init__(

@@ -834,13 +834,17 @@ def test_sets_posets_cells_with_no_set_layer_are_levels_of_posets():
 
 def test_rota_classifies_the_shared_levels_once(monkeypatch, capsys):
     built = collections.Counter()
-    build = groupoid.IsoClassTable._build
+    build, orbits = groupoid.IsoClassTable._build, examples._orbit_classes
 
-    def counted(G):
-        built[len(G.objects)] += 1
-        return build(G)
+    def counted(classify):
+        def run(G):
+            built[len(G.objects)] += 1
+            return classify(G)
+        return run
 
-    monkeypatch.setattr(groupoid.IsoClassTable, "_build", staticmethod(counted))
+    # a layered level carries its orbit-built table; any other builds one
+    monkeypatch.setattr(groupoid.IsoClassTable, "_build", staticmethod(counted(build)))
+    monkeypatch.setattr(examples, "_orbit_classes", counted(orbits))
     for name in ("_layered_level", "_layered_space"):   # fresh levels and spaces
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
     monkeypatch.setattr(examples, "_sets_posets_bicomodule",
@@ -908,7 +912,7 @@ def test_rota_builds_no_coaction_cell(monkeypatch, capsys):
     fibers, levels, classified = collections.Counter(), collections.Counter(), collections.Counter()
     fiber_table = groupoid._fiber_table
     level_objects = examples._level_objects.__wrapped__
-    build = groupoid.IsoClassTable._build
+    build, orbits = groupoid.IsoClassTable._build, examples._orbit_classes
 
     def counted_fibers(F):
         fibers[F.name] += ("fibers",) not in F._memo
@@ -918,13 +922,16 @@ def test_rota_builds_no_coaction_cell(monkeypatch, capsys):
         levels[args] += 1
         return level_objects(*args)
 
-    def counted_build(G):
-        classified[len(G.objects)] += 1
-        return build(G)
+    def counted_build(classify):
+        def run(G):
+            classified[len(G.objects)] += 1
+            return classify(G)
+        return run
 
     monkeypatch.setattr(groupoid, "_fiber_table", counted_fibers)
     monkeypatch.setattr(examples, "_level_objects", counted_levels)
-    monkeypatch.setattr(groupoid.IsoClassTable, "_build", staticmethod(counted_build))
+    monkeypatch.setattr(groupoid.IsoClassTable, "_build", staticmethod(counted_build(build)))
+    monkeypatch.setattr(examples, "_orbit_classes", counted_build(orbits))
     for name in ("_layered_level", "_layered_space"):   # fresh levels and spaces
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
     monkeypatch.setattr(examples, "_sets_posets_bicomodule",   # a fresh grid

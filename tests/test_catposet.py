@@ -130,11 +130,13 @@ def _with_units(arrows, composites):
      "composite 'g' has wrong endpoints"),
     (lambda: _edited_z3("g1", "g1", "g0"), "associativity fails"),
     (lambda: _edited_z3("g2", "g2", None), "composition table misses ('g2', 'g2')"),
-    # a triple meets the composite g . f before the pairs out of f reach
-    # it, and the table's entry for g after i0 does not make them composable
+    # a triple (i0, f, g) meets the faulty composite g . f = g before the
+    # pairs out of f reach it; the endpoints of every pair are checked
+    # before any triple, so the composite is named, not the stray entry
+    # for g after i0
     (lambda: _with_units({"i0": (0, 0), "f": (0, 1), "g": (1, 2), "gf": (0, 2)},
                          {("f", "g"): "g", ("i0", "g"): "g"}),
-     "not composable: 'i0' then 'g'"),
+     "composite 'g' has wrong endpoints"),
 ], ids=["identity", "right-unit", "left-unit", "composite", "associativity", "missing",
         "triple-first"])
 def test_category_validation_names_each_failure(category, message):

@@ -1,4 +1,5 @@
 import collections
+import functools
 import importlib
 import pkgutil
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import moebiuskit
-from moebiuskit import examples, groupoid
+from moebiuskit import cli, examples, groupoid
 from moebiuskit.catposet import FinPoset
 from moebiuskit.examples import (
     aut_order,
@@ -430,3 +431,83 @@ def test_axiom_checks_walk_orbits_with_no_iso_comma_or_equivalence_test(monkeypa
     # is classified once (44,984 objects on the whole iso-commas)
     assert len(classified) == 24 and sum(classified) == 3848
     assert calls == {}, calls
+
+
+def _assert_orbit_table(objects):
+    """A fresh layered groupoid on these objects carries the class table
+    that `IsoClassTable._build` groups by canonical key, field by field.
+    For each class with a trivial Aut it recorded Aut(rep) = hom(rep, rep),
+    and for each other member b a connector, the one element of
+    hom(b, rep)."""
+    G = examples.layered_groupoid(objects)
+    table = G.iso_classes()
+    trivial = [rep for rep in table.reps if table.aut_orders[rep] == 1]
+    assert {key[1]: auts for key, auts in G._memo.items() if key[0] == "auts"} == {
+        rep: G.hom(rep, rep) for rep in trivial}
+    oracle = groupoid.IsoClassTable._build(G)
+    assert table.reps == oracle.reps
+    assert table.members == oracle.members
+    assert table._class_of == oracle._class_of
+    assert table.aut_orders == oracle.aut_orders
+    recorded = {key[1]: m for key, m in G._memo.items() if key[0] == "connector"}
+    assert set(recorded) == {b for rep in trivial for b in table.members[rep] if b != rep}
+    for b, m in recorded.items():
+        assert m == G.hom(b, table.class_of(b))[0]
+
+
+# every level of I and C for g <= 4, except C_5 and C_6 at g = 4, whose
+# 39,271 and 75,853 objects take the oracle 7 s of canonical forms
+@pytest.mark.parametrize("build, g", [(layered_sets, g) for g in range(5)]
+                         + [(layered_posets, g) for g in range(5)])
+def test_layered_levels_carry_the_class_table_of_their_canonical_keys(build, g):
+    X = build(g, max_level=4 if (build, g) == (layered_posets, 4) else None)
+    for n in range(X.max_level + 1):
+        _assert_orbit_table(X.level(n).objects)
+
+
+def test_sets_posets_cells_carry_the_class_table_of_their_canonical_keys():
+    B = sets_posets_bicomodule(3)
+    for i in range(B.max_i + 1):
+        for j in range(B.max_j + 1):
+            _assert_orbit_table(B.cell(i, j).objects)
+
+
+def test_an_orbit_table_counts_relabelings_outside_its_groupoid():
+    # every third object dropped: orbits leave the groupoid, and |Aut| is
+    # still m! over the whole orbit
+    level = layered_posets(3).level(2)
+    objects = [a for k, a in enumerate(level.objects) if k % 3 != 1]
+    table, whole = examples.layered_groupoid(objects).iso_classes(), level.iso_classes()
+    assert any(len(table.members[rep]) < len(whole.members[whole.class_of(rep)])
+               for rep in table.reps)
+    _assert_orbit_table(objects)
+
+
+def test_layered_class_tables_compute_no_canonical_form(monkeypatch):
+    for n in range(6):
+        examples._level_objects(0, n, 3)   # the enumeration itself is not counted
+    for name in ("_layered_level", "_layered_space"):   # fresh levels and tables
+        monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
+    calls = []
+    monkeypatch.setattr(examples, "canonical_form", lambda struct: calls.append(struct))
+    X = layered_posets(3)
+    assert sum(len(X.level(n).iso_classes().reps) for n in range(6)) == 511
+    assert calls == []
+
+
+def test_check_layered_computes_canonical_forms_only_for_the_hom_sets_it_reads(monkeypatch, capsys):
+    # the two CLI calls of the check-layered benchmark on fresh levels and a
+    # fresh canonical-form cache: only the hom-sets the checks read compute
+    # canonical forms, not those recorded by the class tables (2,261 when
+    # each level's class table computed one per labelled object)
+    for n in range(6):
+        examples._level_objects(0, n, 3)   # the enumeration itself is not counted
+    for name in ("_layered_level", "_layered_space"):
+        monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
+    forms = functools.cache(examples.canonical_form.__wrapped__)
+    monkeypatch.setattr(examples, "canonical_form", forms)
+    base = ["check", "builtin:layered-posets", "--grade", "3", "--format", "json"]
+    assert cli.main(base + ["--profile", "decomposition", "--max-level", "2"]) == 0
+    assert cli.main(base + ["--profile", "segal", "--max-level", "1"]) == 1
+    capsys.readouterr()
+    assert forms.cache_info().misses == 419

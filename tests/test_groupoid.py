@@ -387,10 +387,11 @@ def test_strict_commutation_maps_only_what_a_one_element_hom_set_leaves_open(mon
 
 def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     # fresh levels and spaces, so that the count does not depend on which
-    # tests ran before; an iso-class table built inside the check reads
-    # one more hom-set per class.  Aut(a) and the connector of a are kept
-    # in the groupoid's memo, so the levels that the 25 squares share are
-    # read once, not once per check
+    # tests ran before.  A layered level's orbit-built class table reads no
+    # hom-set and records, in each class with a trivial Aut, the Aut of the
+    # representative and the connector of each other member.  Aut(a) and
+    # the connector of a are kept in the groupoid's memo, so the levels
+    # that the 25 squares share are read once, not once per check
     for name in ("_layered_level", "_layered_space"):
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
     isos, precheck = examples._isos, groupoid.functors_equal
@@ -416,9 +417,13 @@ def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     assert len(calls) == 25
     for homs, W in calls:
         assert homs <= len(W.objects) + len(W.iso_classes().reps)
-    # 12,931 reading each level once per check, 66,923 listing every
-    # morphism, 2,010 comparing the classes whose image has a trivial Aut
-    assert sum(homs for homs, _ in calls) == 996
+    # 86 automorphism groups, of class images in the shared target that are
+    # no representative and of representatives with a nontrivial Aut, and
+    # 216 connectors in classes with a nontrivial Aut (996 when each table
+    # read one Aut per class and every connector was read; 12,931 reading
+    # each level once per check, 66,923 listing every morphism, 2,010
+    # comparing the classes whose image has a trivial Aut)
+    assert sum(homs for homs, _ in calls) == 302
 
 
 def test_a_conjugated_face_fails_the_identities_on_both_checks(monkeypatch):
