@@ -749,8 +749,8 @@ def rota_evaluate(B: AugmentedBisimplicialGroupoid, m,
 # -- total decalage ---------------------------------------------------------------
 
 
-def total_decalage(X: TruncatedSimplicialGroupoid, max_i: int, max_j: int,
-                   name: str = "") -> AugmentedBisimplicialGroupoid:
+def total_decalage(X: TruncatedSimplicialGroupoid, max_i: int,
+                   max_j: int) -> AugmentedBisimplicialGroupoid:
     """The total decalage of X: cell (i,j) = X_{i+1+j}, both borders X,
     zeroth row Dec_bot, zeroth column Dec_top, with both pointings;
     realizes the coalgebra of X as a bicomodule over itself."""
@@ -763,7 +763,7 @@ def total_decalage(X: TruncatedSimplicialGroupoid, max_i: int, max_j: int,
         face_fn=lambda B, i, j, v: X.face(i + 1 + j, v),
         degen_fn=lambda B, i, j, v: X.degeneracy(i + 1 + j, v),
         section_fn=lambda B, side, n: X.degeneracy(n, 0 if side == "right" else n),
-        name=name or f"TotalDec({X.name})")
+        name=f"TotalDec({X.name})")
 
 
 def decalage(X: TruncatedSimplicialGroupoid, side: str = "bottom") -> ComoduleConfiguration:

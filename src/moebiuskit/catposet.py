@@ -173,7 +173,7 @@ class FinCategory(Memo):
                         raise StructureError("associativity fails")
 
     @classmethod
-    def from_poset(cls, P: FinPoset, name="") -> "FinCategory":
+    def from_poset(cls, P: FinPoset) -> "FinCategory":
         pairs = P.intervals()   # in element order, not the hash order of P.le
         mors = {("le", a, b): (a, b) for (a, b) in pairs}
         compose = {}
@@ -182,10 +182,10 @@ class FinCategory(Memo):
                 if P.leq(b, c):
                     compose[(("le", a, b), ("le", b, c))] = ("le", a, c)
         idents = {a: ("le", a, a) for a in P.elements}
-        return cls(P.elements, mors, compose, idents, name=name)
+        return cls(P.elements, mors, compose, idents)
 
     @classmethod
-    def free_on_quiver(cls, objects, edges, name="") -> "FinCategory":
+    def free_on_quiver(cls, objects, edges) -> "FinCategory":
         """The free category on an acyclic quiver; edges are (label, src, tgt)."""
         adj = {}
         for label, a, b in edges:
@@ -211,7 +211,7 @@ class FinCategory(Memo):
             for g in starting.get(b, ()):
                 compose[(f, g)] = ("path", a, f[2] + g[2])
         idents = {a: ("path", a, ()) for a in objects}
-        return cls(objects, mors, compose, idents, name=name)
+        return cls(objects, mors, compose, idents)
 
 
 @dataclass
@@ -239,7 +239,7 @@ class FinFunctor:
             self.mor[m] = cands[0]
 
 
-def poset_functor(P: FinPoset, Q: FinPoset, ob_map: dict, name="") -> FinFunctor:
+def poset_functor(P: FinPoset, Q: FinPoset, ob_map: dict) -> FinFunctor:
     """A monotone map of posets as a functor of their categories; a map
     that is not is refused at its first non-monotone pair in element
     order."""
@@ -247,7 +247,7 @@ def poset_functor(P: FinPoset, Q: FinPoset, ob_map: dict, name="") -> FinFunctor
         if not Q.leq(ob_map[a], ob_map[b]):
             raise StructureError(f"map is not monotone at ({a!r},{b!r})")
     return FinFunctor(FinCategory.from_poset(P), FinCategory.from_poset(Q),
-                      dict(ob_map), name=name)
+                      dict(ob_map))
 
 
 # -- nerves -------------------------------------------------------------------
@@ -272,7 +272,7 @@ def _nerve_degeneracy(C, n, i, c):
     return c[:i] + (C.identities[vertex],) + c[i:]
 
 
-def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
+def nerve(C, max_level: int = 5) -> TruncatedSimplicialGroupoid:
     """The nerve of a finite category or poset, with discrete levels.
 
     Level n is the set of composable n-chains, in lexicographic morphism
@@ -328,7 +328,7 @@ def nerve(C, max_level: int = 5, name: str = "") -> TruncatedSimplicialGroupoid:
         return counts
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
-                                       phi_fn=phi_fn, name=name or f"N({C.name})")
+                                       phi_fn=phi_fn, name=f"N({C.name})")
 
 
 def _chain_walk(C, n: int, f):
@@ -495,7 +495,8 @@ def _universal_arrow(candidates, blocks):
 
 
 def check_adjunction(F: FinFunctor, G: FinFunctor) -> AdjunctionCheck:
-    """Exhaustively verify F -| G through universal arrows.
+    """Exhaustively verify F -| G through universal arrows; G goes between
+    categories with the tables of F's, as two built from one poset have.
 
     For each x the unit is the first eta_x : x -> GFx making the tables
     h |-> G(h) . eta_x bijections Hom(Fx, y) -> Hom(x, Gy) for every y; for
@@ -503,9 +504,9 @@ def check_adjunction(F: FinFunctor, G: FinFunctor) -> AdjunctionCheck:
     is the first pair (x, y) whose hom-sets differ in size, else (x, None).
     """
     X, Y = F.source, F.target
-    if G.source is not Y or G.target is not X:
-        if G.source.objects != Y.objects or G.target.objects != X.objects:
-            raise DomainError("G must go back from the target of F")
+    tables = lambda C: (C.objects, C.morphisms, C._compose, C.identities)
+    if tables(G.source) != tables(Y) or tables(G.target) != tables(X):
+        raise DomainError("G must go back from the target of F")
     unit = {}
     bijections = {}
     for x in X.objects:
@@ -656,8 +657,8 @@ def fibration_report(corr: CorrespondenceCat) -> FibrationReport:
                               for z, found in _lifts(corr, bit).items()} for bit in (0, 1)))
 
 
-def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
-                                name: str = "") -> AugmentedBisimplicialGroupoid:
+def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int,
+                                max_j: int) -> AugmentedBisimplicialGroupoid:
     """The relative nerve of a correspondence: its nerve cut to the label
     pattern 0...01...1.
 
@@ -720,4 +721,4 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int, max_j: int,
                                        B.face_target(i, j, v)),
         degen_fn=lambda B, i, j, v: cut(N.degeneracy(i + 1 + j, v), B.cell(i, j),
                                         B.degen_target(i, j, v)),
-        section_fn=section_fn, name=name or f"N/D1({C.name})")
+        section_fn=section_fn, name=f"N/D1({C.name})")

@@ -242,7 +242,7 @@ def cmd_check(args) -> int:
                              "spaces take identities, segal, decomposition or complete")
         profile = args.profile or "segal"
         n_max = min(args.max_level, space.max_level - (3 if profile == "decomposition" else 1))
-        report = sp.check_axioms(space, profile, max(1, n_max))
+        report = sp.check_axioms(space, profile, max(sp._least_n_max(profile) or 0, n_max))
     lines = report.lines()
     if args.format == "json":
         print(json.dumps({"passed": report.passed, "report": lines}))

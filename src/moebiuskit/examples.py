@@ -20,8 +20,10 @@ of a bicomodule cell and a poset layer on its Y side.  Such operations
 commute on the nose, so all simplicial and bisimplicial identities hold
 strictly at the morphism level and strictly commuting squares carry
 honest identity fillers, which is what the pullback checkers assume.
-Hom-sets and automorphism groups come from a deterministic backtracking
-canonical form with layer-vector refinement.  A level carries its
+Hom-sets and automorphism groups come from a canonical form, the least
+relation encoding over every arrangement within the blocks of an
+invariant (the color, refined twice by the invariants above and below):
+an exhaustive minimisation, with no backtracking.  A level carries its
 iso-class table from construction, built from relabeling orbits: each
 class is the orbit of its first object under the relabelings of its
 elements, and |Aut| is m! over the orbit's size, so the table computes

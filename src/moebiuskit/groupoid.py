@@ -47,42 +47,21 @@ image behind `is_equivalence` and `is_monomorphism` reads all of it.  A
 functor built for one call, by `restrict` or `compose`, gets a fresh
 fiber table.
 
-A square of sets, with W, A and B discrete (every class one object with
-a trivial Aut, as on nerve levels), is checked as a pullback of sets:
-its iso-comma is discrete too, so the square is a pullback iff
-w -> (p w, q w, id) is a bijection onto the iso-comma's objects.  One
-walk of W decides strict commutation and that bijection from the object
-maps alone: the images must be distinct objects of the iso-comma, and as
-many as it has, a number counted off the fiber tables of the legs: the
-sum over the classes c of C of |Aut c| |f^-1[c]| |g^-1[c]|, by grade
-under a grade bound.  No iso-comma is built: a missed object is named
-through the classes of the orbit walk below, which on discrete A and B
-are the iso-comma's objects.  The verdicts, witnesses and errors are
-those of the precheck and the orbit rule.  A discrete groupoid carries
-its class table from construction, so telling a square of sets reads no
-hom-set.
+A pullback square is decided with no iso-comma groupoid built (see
+`is_pullback_square`).  A square of sets, with W, A and B discrete as on
+nerve levels, is told in one walk of W by `_set_pullback_witness`: the
+images w -> (p w, q w, id) must be distinct objects of the discrete
+iso-comma, and as many as it has, a number counted off the legs' fiber
+tables.  A square with a non-discrete corner is told through the orbits
+of its legs by `_iso_comma_classes`: over class representatives r_a, r_b
+an iso-comma class is a double coset f(Aut r_a) \\ Iso(f r_a, g r_b) /
+g(Aut r_b), with |Aut r_a| |Aut r_b| / |orbit| automorphisms.  Both give
+the verdicts, witnesses and errors of the comparison into the whole
+iso-comma.
 
-A square with a non-discrete corner is checked through the orbits of
-its legs, with no iso-comma groupoid, class table or comparison functor.
-Over class representatives r_a, r_b of A and B, an iso-comma class is a
-double coset f(Aut r_a) \\ Iso(f r_a, g r_b) / g(Aut r_b), and its
-automorphism group is the stabilizer of one member.  One walk of
-Iso(f r_a, g r_b) opens a class at each phi that no earlier orbit holds,
-computes that orbit once and, by orbit-stabilizer, gives the class
-|Aut r_a| |Aut r_b| / |orbit| automorphisms.  The classes, their
-representatives and their orders are those of the class table of the
-iso-comma on class representatives, in its order; that iso-comma is
-equivalent to the whole one and holds the first member of each of its
-classes, so the verdict and every witness are those of the whole
-iso-comma.  This walk, and the scan of a square of sets for a missed
-object, read the pairs of class representatives over each class of C
-from one generator, `_iso_comma_pairs`; the size of a square of sets is
-counted off the legs' fiber tables, with no pair walked.  The
-automorphism test still checks that each image (alpha, beta) of an
-automorphism of W fixes its phi: the orbit gives the order of the
-stabilizer, not its members.  It skips a w with a trivial Aut whose
-class has a trivial stabilizer, whose one automorphism, the identity,
-passes it.
+Groupoids meet by identity: a composite G . F needs F to land in the
+very groupoid G starts from, and a cospan f: A -> C <- B :g needs g to
+land in the C of f.  Two groupoids with equal object tuples stay two.
 
 Morphisms are identified by the triple (source, target, label); labels are
 opaque and compared by equality.  Composition is written `compose(g, f)`
@@ -230,7 +209,6 @@ class FiniteGroupoid(Memo):
         homs: Mapping,
         compose: Mapping,
         identities: Mapping,
-        grade: Optional[Callable[[Any], int]] = None,
         name: str = "",
     ) -> "FiniteGroupoid":
         """Build from explicit tables.
@@ -259,7 +237,7 @@ class FiniteGroupoid(Memo):
         def ident(a):
             return Mor(a, a, ident_table[a])
 
-        return cls(objects, hom, comp, ident, grade=grade, name=name)
+        return cls(objects, hom, comp, ident, name=name)
 
     def validate(self) -> None:
         """Exhaustively check the groupoid axioms; raise StructureError.
@@ -402,7 +380,7 @@ class _ImageTable(dict):
 
 
 class GroupoidFunctor(Memo):
-    """A functor between finite groupoids: an object map plus morphism map.
+    """A functor between finite groupoids: callable object and morphism maps.
 
     Its `_memo` holds its fiber table (see `weighted_fiber`)."""
 
@@ -410,7 +388,7 @@ class GroupoidFunctor(Memo):
         super().__init__()
         self.source = source
         self.target = target
-        self._ob = ob if callable(ob) else ob.__getitem__
+        self._ob = ob
         self._mor = mor
         self.name = name
 
@@ -453,13 +431,13 @@ class GroupoidFunctor(Memo):
         return cls(source, target, obs.__getitem__, mors.__getitem__, name=name)
 
     @classmethod
-    def identity(cls, G, name="id") -> "GroupoidFunctor":
-        return cls(G, G, lambda a: a, lambda m: m, name=name)
+    def identity(cls, G) -> "GroupoidFunctor":
+        return cls(G, G, lambda a: a, lambda m: m, name="id")
 
     @classmethod
     def compose(cls, G: "GroupoidFunctor", F: "GroupoidFunctor") -> "GroupoidFunctor":
-        """G after F, through the object and morphism maps of both parts."""
-        if F.target is not G.source and F.target.objects != G.source.objects:
+        """G after F, through the maps of both parts; F must land in G's source."""
+        if F.target is not G.source:
             raise DomainError("functors not composable")
         F_ob, F_mor, G_ob, G_mor = F._ob, F._mor, G._ob, G._mor
         return cls(F.source, G.target, lambda a: G_ob(F_ob(a)),
@@ -633,8 +611,7 @@ def homotopy_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
     that were generated under the same grade bound.
     """
     A, B, C = f.source, g.source, f.target
-    if g.target is not C and g.target.objects != C.objects:
-        raise DomainError("cospan legs do not share a codomain")
+    _require_cospan(f, g)
     graded = A.is_graded() and B.is_graded() and C.is_graded()
     ctab = C.iso_classes()
     by_class: dict = {}
@@ -791,7 +768,8 @@ def _iso_comma_pairs(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
     representatives follow this order.  It raises where
     `homotopy_pullback` does."""
     A, B, C = f.source, g.source, f.target
-    by_class = _over_classes_of(C, g)
+    _require_cospan(f, g)
+    by_class = _fiber_table(g)
     graded = (grade_bound is not None and A.is_graded() and B.is_graded()
               and C.is_graded())
     ctab = C.iso_classes()
@@ -805,19 +783,10 @@ def _iso_comma_pairs(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
         yield ra, fa, cls, over
 
 
-def _over_classes_of(C: FiniteGroupoid, g: GroupoidFunctor) -> dict:
-    """g's memoised fiber table when g lands in C; for a target with the
-    objects of C, its source's class representatives grouped by the
-    classes of C.  A target with other objects is refused."""
-    if g.target is C:
-        return _fiber_table(g)
-    if g.target.objects != C.objects:
+def _require_cospan(f: GroupoidFunctor, g: GroupoidFunctor) -> None:
+    """Refuse legs f, g unless g lands in the very groupoid f lands in."""
+    if g.target is not f.target:
         raise DomainError("cospan legs do not share a codomain")
-    class_of = C.iso_classes().class_of
-    over: dict = {}
-    for rb in g.source.iso_classes().reps:
-        over.setdefault(class_of(g.ob(rb)), []).append(rb)
-    return over
 
 
 def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
@@ -825,14 +794,15 @@ def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
     counted off the legs' fiber tables with no groupoid built and no pair
     walked: each pair (r_a, r_b) over a class c of C has |Aut c| isos
     f(r_a) -> g(r_b), so the count is the sum over c of
-    |Aut c| |f^-1[c]| |g^-1[c]|.  Both legs are keyed by the classes of
-    C = f.target by `_over_classes_of`, as in `_iso_comma_pairs`.  With a
+    |Aut c| |f^-1[c]| |g^-1[c]|, read off the fiber tables of both legs,
+    which land in the one groupoid C, as in `_iso_comma_pairs`.  With a
     grade bound on graded A, B and C, the r_a over c are counted by
     grade(r_a) - grade(f r_a) and the r_b by grade(r_b), and a pair of
     those grades counts when their sum is within the bound.
     On discrete A and B, P' is homotopy_pullback(f, g, grade_bound)."""
     A, B, C = f.source, g.source, f.target
-    over_b = _over_classes_of(C, g)
+    _require_cospan(f, g)
+    over_b = _fiber_table(g)
     over_a = _fiber_table(f)
     aut_orders = C.iso_classes().aut_orders
     if grade_bound is None or not (A.is_graded() and B.is_graded() and C.is_graded()):

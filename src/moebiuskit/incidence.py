@@ -57,9 +57,9 @@ class MobiusCertificateError(Exception):
 class Functional(Memo):
     """A rational functional on the iso-classes of a carrier groupoid.
 
-    Backed either by a finite support table or by a total evaluation rule;
-    evaluation is memoized per iso class, and well-definedness means the
-    rule is constant on classes (tables are keyed by class representative).
+    Backed by a total evaluation rule, called on class representatives
+    only; its value is memoized per iso class, so the rule need only be
+    defined on representatives.
     """
 
     def __init__(self, carrier: FiniteGroupoid, fn: Callable, name: str = ""):

@@ -251,6 +251,18 @@ class SimplicialMap(Memo):
 # -- axiom reports ------------------------------------------------------------
 
 
+def _least_n_max(profile: str) -> Optional[int]:
+    """The n_max below which a profile would verify nothing, if it takes one."""
+    return {"identities": 1, "segal": 1, "decomposition": 0}.get(profile)
+
+
+def _range_note(what: str, top: int, needed: int, available: int) -> str:
+    """The verified range n = 0..top of a square family, or the level it needs."""
+    if top < 0:
+        return f"{what} none checked (need level {needed}, truncated at {available})"
+    return f"{what} n = 0..{top}"
+
+
 @dataclass
 class AxiomReport:
     """Outcome of check_axioms / is_culf: one entry per square instance."""
@@ -291,14 +303,15 @@ def check_axioms(X: TruncatedSimplicialGroupoid, profile: str, n_max: int) -> Ax
       decomposition -- the four active/inert square families for
                        0 <= n <= n_max, 0 <= k <= n; the coface families
                        reach level n+3 and are checked for as many n as the
-                       truncation allows, with the verified range recorded,
+                       truncation allows, with the verified range recorded
+                       (none, and the level they need, below level 3),
       complete      -- s_0 : X_0 -> X_1 is a monomorphism.
 
-    An n_max below a profile's least truncation, 1 for identities and
-    segal and 0 for decomposition, would verify nothing and is refused;
-    complete ignores n_max.
+    An n_max below a profile's least truncation, `_least_n_max`: 1 for
+    identities and segal and 0 for decomposition, would verify nothing and
+    is refused; complete ignores n_max.
     """
-    least = {"identities": 1, "segal": 1, "decomposition": 0}.get(profile)
+    least = _least_n_max(profile)
     if least is not None and n_max < least:
         raise DomainError(f"the {profile} profile needs n_max >= {least}, got {n_max}")
     gb = X.grade_bound
@@ -332,7 +345,7 @@ def check_axioms(X: TruncatedSimplicialGroupoid, profile: str, n_max: int) -> Ax
         report = AxiomReport(
             profile="decomposition",
             note=(f"degeneracy families n = 0..{n_max}; "
-                  f"coface families n = 0..{d_n_max}"))
+                  + _range_note("coface families", d_n_max, 3, X.max_level)))
         for n in range(0, n_max + 1):
             for k in range(0, n + 1):
                 report.checks.append(is_pullback_square(
@@ -409,8 +422,8 @@ def is_culf(f: SimplicialMap, n_max: int) -> AxiomReport:
 
     Codegeneracy squares are checked for 0 <= i <= n <= n_max (they reach
     level n+1); inner coface squares for as many n as the truncation
-    allows (they reach level n+2), with the verified range recorded.
-    n_max must be at least 0.
+    allows (they reach level n+2), with the verified range recorded (none,
+    and the level they need, below level 2).  n_max must be at least 0.
     """
     if n_max < 0:
         raise DomainError(f"the culf check needs n_max >= 0, got {n_max}")
@@ -422,7 +435,8 @@ def is_culf(f: SimplicialMap, n_max: int) -> AxiomReport:
         gb = f.target.grade_bound
     report = AxiomReport(
         profile="culf",
-        note=f"codegeneracies n = 0..{n_max}; inner cofaces n = 0..{d_n_max}")
+        note=(f"codegeneracies n = 0..{n_max}; "
+              + _range_note("inner cofaces", d_n_max, 2, f.max_level)))
     C, Y = f.source, f.target
     for n in range(0, n_max + 1):
         for i in range(n + 1):

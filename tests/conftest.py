@@ -98,7 +98,7 @@ def random_quiver_category(rng, max_nodes=4, max_edges=4):
         a = rng.randrange(n - 1)
         b = rng.randrange(a + 1, n)  # edges go up: acyclic quiver
         edges.append((f"e{e}", a, b))
-    return FinCategory.free_on_quiver(nodes, edges, name="quiver")
+    return FinCategory.free_on_quiver(nodes, edges)
 
 
 def criterion_4_categories():

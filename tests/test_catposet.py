@@ -271,6 +271,21 @@ def test_check_adjunction_wrong_right_adjoint():
     assert result.witness == (1, 0)
 
 
+def test_check_adjunction_refuses_categories_with_other_morphisms():
+    # G's categories have the objects of F's, but the antichain {0, 1}
+    # lacks the arrow 0 <= 1 of the chain F lands in
+    F = catposet.FinFunctor(FinCategory.from_poset(FinPoset([0])),
+                            FinCategory.from_poset(chain_poset(2)), {0: 0})
+    G = catposet.FinFunctor(FinCategory.from_poset(FinPoset([0, 1])),
+                            FinCategory.from_poset(FinPoset([0])), {0: 0, 1: 0})
+    assert G.source.objects == F.target.objects and G.target.objects == F.source.objects
+    with pytest.raises(DomainError, match="^G must go back from the target of F$"):
+        check_adjunction(F, G)
+    # categories built apart from one poset have one table, and meet
+    G = poset_functor(chain_poset(2), FinPoset([0]), {0: 0, 1: 0})
+    assert G.source is not F.target and check_adjunction(F, G).ok
+
+
 def test_rota_direct_chain_adjunction_values():
     F, G = chain_adjunction()
     adj = check_adjunction(F, G).adjunction

@@ -229,6 +229,20 @@ def test_check_builtin_layered_posets_decomposition_passes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("target", ["builtin:layered-posets", "builtin:layered-sets"])
+def test_check_decomposition_at_grade_0_checks_its_degeneracy_squares(capsys, target):
+    # level 2 is the top at grade 0: the degeneracy families fit at n = 0,
+    # and the report says that the coface families need level 3
+    code, out, err = run(capsys, "check", target, "--profile", "decomposition",
+                         "--grade", "0")
+    assert (code, err) == (0, "")
+    assert out == ("profile decomposition: PASS\n"
+                   "  verified range: degeneracy families n = 0..0; coface families"
+                   " none checked (need level 3, truncated at 2)\n"
+                   "  [ok  ] s_1/d_bot square n=0\n"
+                   "  [ok  ] s_0/d_top square n=0\n")
+
+
 def test_checkers_take_no_workers():
     # the checks run serially: a shared thread pool raced on the lazily
     # built levels and faces
@@ -261,6 +275,17 @@ def test_python_m_moebiuskit_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == run_command(argv)["stdout"] == "class    mu\nset(4,)  1 \n"
+
+
+def test_python_m_moebiuskit_prints_what_main_prints():
+    argv = ["mobius", "builtin:posets", "--n", "2", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(moebiuskit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "moebiuskit", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_command(argv)["stdout"]
+    assert [row["mu"] for row in json.loads(proc.stdout)] == ["1", "0"]
 
 
 @pytest.mark.parametrize("argv", [

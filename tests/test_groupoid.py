@@ -548,19 +548,15 @@ def test_fiber_sum_identity_random():
 
 
 def test_pullback_pasting():
-    # iterated pullback agrees with the pullback of the composite
+    # iterated pullback agrees with the pullback of the composite; u and w
+    # are drawn into one groupoid B, and v: B -> C is its identity
     rng = seeded(17)
     for _ in range(10):
-        u = random_cluster_functor(rng)           # A -> B
-        B = u.target
-        # build v: B -> C and w: W -> C over a shared codomain
-        v = GroupoidFunctor(B, B, lambda a: a, lambda m: m)  # keep it simple: C = B
-        w = random_cluster_functor(rng)
-        if w.target.objects != B.objects:
-            # redirect w into B by composing with a collapse onto one B-class
-            target_obj = B.objects[0]
-            w = GroupoidFunctor(w.source, B, lambda a: target_obj,
-                                lambda m: B.identity(target_obj))
+        target = random_cluster_groupoid(rng, name="B")
+        B = target[0]
+        u = random_cluster_functor(rng, target=target)   # A -> B
+        w = random_cluster_functor(rng, target=target)   # W -> B
+        v = GroupoidFunctor.identity(B)
         P, pB, pW = homotopy_pullback(v, w)
         Q1, q1, _ = homotopy_pullback(u, pB)
         Q2, _, _ = homotopy_pullback(GroupoidFunctor.compose(v, u), w)
@@ -928,19 +924,48 @@ def test_the_iso_comma_size_off_the_legs_counts_the_whole_iso_comma(monkeypatch)
 
 
 def test_a_square_of_sets_over_legs_without_a_shared_codomain_is_refused():
-    # g lands in a groupoid with an object that f's target lacks; a target
-    # with the same objects is no refusal, and keys g by f's target's classes
+    # g lands in a groupoid with an object that f's target lacks, or in
+    # another groupoid with the objects of f's target: both are refused
     A, B = discrete_groupoid([0], name="A"), discrete_groupoid(["b"], name="B")
     C = discrete_groupoid(["c"], name="C")
     W = discrete_groupoid([(0, "b")], name="W")
     p, q = discrete_functor(W, A, lambda w: w[0]), discrete_functor(W, B, lambda w: w[1])
     f = discrete_functor(A, C, lambda a: "c")
     wider = discrete_functor(B, discrete_groupoid(["c", "d"]), lambda b: "c")
-    with pytest.raises(DomainError, match="^cospan legs do not share a codomain$"):
-        is_pullback_square(p, q, f, wider)
     same_objects = discrete_functor(B, discrete_groupoid(["c"]), lambda b: "c")
-    assert groupoid._iso_comma_size(f, same_objects, None) == 1
-    assert is_pullback_square(p, q, f, same_objects).passed
+    for g in (wider, same_objects):
+        with pytest.raises(DomainError, match="^cospan legs do not share a codomain$"):
+            groupoid._iso_comma_size(f, g, None)
+        with pytest.raises(DomainError, match="^cospan legs do not share a codomain$"):
+            is_pullback_square(p, q, f, g)
+
+
+@pytest.mark.parametrize("corner", ["set", "orbit"])
+def test_legs_into_two_groupoids_with_equal_objects_do_not_meet(corner):
+    # f lands in Z/2 and g in Z/3, both on the one object ("c", 0): equal
+    # objects, two groupoids.  A discrete A makes a square of sets; A = Z/2
+    # sent to the identity makes the square go through its orbits
+    Z2, Z3 = cluster_groupoid([("c", 1, 2)], name="Z2"), cluster_groupoid([("c", 1, 3)], name="Z3")
+    assert Z2.objects == Z3.objects
+    c = ("c", 0)
+    if corner == "set":
+        A = discrete_groupoid([("a", 0)], name="A")
+        f = discrete_functor(A, Z2, lambda a: c)
+    else:
+        A = cluster_groupoid([("a", 1, 2)], name="A")
+        f = GroupoidFunctor(A, Z2, lambda a: c, lambda m: Z2.identity(c))
+    B, W = discrete_groupoid(["b"], name="B"), discrete_groupoid([(("a", 0), "b")], name="W")
+    p, q = discrete_functor(W, A, lambda w: w[0]), discrete_functor(W, B, lambda w: w[1])
+    g = discrete_functor(B, Z3, lambda b: c)
+    assert groupoid._is_discrete(A) == (corner == "set")
+    with pytest.raises(DomainError, match="^cospan legs do not share a codomain$"):
+        is_pullback_square(p, q, f, g)
+    with pytest.raises(DomainError, match="^cospan legs do not share a codomain$"):
+        homotopy_pullback(f, g)
+    with pytest.raises(DomainError, match="^functors not composable$"):
+        GroupoidFunctor.compose(GroupoidFunctor.identity(Z3), f)
+    # f composes with what starts at its own target
+    assert GroupoidFunctor.compose(GroupoidFunctor.identity(Z2), f).target is Z2
 
 
 def _graded_set_square():

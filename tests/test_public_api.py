@@ -3,6 +3,8 @@ new knob on an inversion check fails here until this list is edited."""
 
 import inspect
 
+import pytest
+
 import moebiuskit
 
 PUBLIC = [
@@ -44,3 +46,28 @@ def test_a_space_takes_one_optional_phi_count():
     assert list(params) == ["max_level", "level_fn", "face_fn", "degen_fn",
                             "grade_bound", "phi_fn", "name"]
     assert params["phi_fn"].default is None
+
+
+def test_the_constructors_take_no_parameter_that_no_caller_passes():
+    # no name for a derived space, category or functor, no grade for a
+    # table-backed groupoid
+    mk = moebiuskit
+    for fn, params in [
+            (mk.total_decalage, ["X", "max_i", "max_j"]),
+            (mk.correspondence_bisimplicial, ["corr", "max_i", "max_j"]),
+            (mk.FinCategory.from_poset, ["P"]),
+            (mk.FinCategory.free_on_quiver, ["objects", "edges"]),
+            (mk.poset_functor, ["P", "Q", "ob_map"]),
+            (mk.nerve, ["C", "max_level"]),
+            (mk.GroupoidFunctor.identity, ["G"]),
+            (mk.FiniteGroupoid.from_tables, ["objects", "homs", "compose", "identities",
+                                             "name"])]:
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
+
+
+def test_a_functor_calls_its_object_map():
+    # a mapping is no object map: it is called, not indexed
+    G = moebiuskit.groupoid.discrete_groupoid([0])
+    F = moebiuskit.GroupoidFunctor(G, G, {0: 0}, lambda m: m)
+    with pytest.raises(TypeError):
+        F.ob(0)

@@ -1,8 +1,16 @@
+import re
+
 import pytest
 
 from moebiuskit.bicomodule import decalage
 from moebiuskit.catposet import FinPoset, chain_poset, nerve
-from moebiuskit.examples import layered_posets, layered_sets, poset_key
+from moebiuskit.examples import (
+    enumerate_posets,
+    layered_posets,
+    layered_sets,
+    poset_key,
+    sets_posets_bicomodule,
+)
 from moebiuskit.groupoid import DomainError, GroupoidFunctor, is_monomorphism
 from moebiuskit.simplicial import (
     InsufficientLevelsError,
@@ -17,7 +25,7 @@ from conftest import random_poset, random_quiver_category, seeded
 from reference import nondegenerate_simplices, principal_edges
 
 
-CHAIN3 = nerve(chain_poset(3), max_level=6, name="N(chain3)")
+CHAIN3 = nerve(chain_poset(3), max_level=6)
 
 
 def identity_map(X):
@@ -234,3 +242,48 @@ def test_report_lines_render():
     lines = report.lines()
     assert lines[0].startswith("profile segal: PASS")
     assert any("segal square" in line for line in lines)
+
+
+LEVEL_7 = "insufficient levels: need level 7, truncated at 6"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: layered_sets(-1), DomainError, "grade_bound must be >= 0"),
+    (lambda: layered_posets(-1), DomainError, "grade_bound must be >= 0"),
+    (lambda: sets_posets_bicomodule(-1), DomainError, "grade_bound must be >= 0"),
+    (lambda: enumerate_posets(-1), DomainError, "n must be >= 0"),
+    (lambda: decalage(nerve(chain_poset(2), max_level=1)), InsufficientLevelsError,
+     "insufficient levels: need level 2, truncated at 1 (for decalage)"),
+    (lambda: check_axioms(CHAIN3, "bogus", 1), DomainError, "unknown profile 'bogus'"),
+    (lambda: word_groupoid(CHAIN3, "2"), DomainError, "word '2' not over alphabet 0/1/a"),
+    (lambda: CHAIN3.level(7), InsufficientLevelsError, LEVEL_7),
+    (lambda: CHAIN3.level(-1), InsufficientLevelsError,
+     "insufficient levels: need level -1, truncated at 6"),
+    (lambda: CHAIN3.face(2, 3), DomainError, "no face d_3 at level 2"),
+    (lambda: CHAIN3.face(0, 0), DomainError, "no face d_0 at level 0"),
+    (lambda: CHAIN3.degeneracy(6, 0), InsufficientLevelsError, LEVEL_7),
+    (lambda: CHAIN3.degeneracy(1, 2), DomainError, "no degeneracy s_2 at level 1"),
+    (lambda: CHAIN3.principal_edge(2, None, 3), DomainError,
+     "principal edge index 3 out of range 1..2"),
+    (lambda: CHAIN3.principal_edge(2, None, 0), DomainError,
+     "principal edge index 0 out of range 1..2"),
+    (lambda: identity_map(CHAIN3).level_map(7), InsufficientLevelsError, LEVEL_7),
+    (lambda: is_culf(identity_map(CHAIN3), 6), InsufficientLevelsError,
+     LEVEL_7 + " (for culf check)"),
+])
+def test_documented_refusals(call, error, message):
+    # an InsufficientLevelsError names the space after its message
+    with pytest.raises(error, match="^" + re.escape(message)) as raised:
+        call()
+    assert type(raised.value) is error
+
+
+def test_a_report_names_the_level_an_unchecked_family_needs():
+    report = check_axioms(layered_posets(0), "decomposition", 0)
+    assert report.passed and len(report.checks) == 2
+    assert report.note == ("degeneracy families n = 0..0; coface families none checked"
+                           " (need level 3, truncated at 2)")
+    culf = is_culf(identity_map(nerve(chain_poset(2), max_level=1)), 0)
+    assert culf.passed and len(culf.checks) == 1
+    assert culf.note == ("codegeneracies n = 0..0; inner cofaces none checked"
+                         " (need level 2, truncated at 1)")
