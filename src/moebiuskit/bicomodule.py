@@ -222,6 +222,8 @@ class _GridCells(Memo):
         return self._y.grade_bound if self._x.grade_bound is None else self._x.grade_bound
 
     def cell(self, i: int, j: int) -> FiniteGroupoid:
+        if i < -1 or j < -1:
+            raise DomainError(f"no cell ({i},{j})")
         if i == -1 and j == -1:
             raise DomainError("the (-1,-1) cell does not exist")
         if i == -1:

@@ -48,16 +48,16 @@ functor built for one call, by `restrict` or `compose`, gets a fresh
 fiber table.
 
 A pullback square is decided with no iso-comma groupoid built (see
-`is_pullback_square`).  A square of sets, with W, A and B discrete as on
-nerve levels, is told in one walk of W by `_set_pullback_witness`: the
-images w -> (p w, q w, id) must be distinct objects of the discrete
-iso-comma, and as many as it has, a number counted off the legs' fiber
-tables.  A square with a non-discrete corner is told through the orbits
-of its legs by `_iso_comma_classes`: over class representatives r_a, r_b
-an iso-comma class is a double coset f(Aut r_a) \\ Iso(f r_a, g r_b) /
-g(Aut r_b), with |Aut r_a| |Aut r_b| / |orbit| automorphisms.  Both give
-the verdicts, witnesses and errors of the comparison into the whole
-iso-comma.
+`is_pullback_square`), through the orbits of its legs by
+`_iso_comma_classes`: over class representatives r_a, r_b an iso-comma
+class is a double coset f(Aut r_a) \\ Iso(f r_a, g r_b) / g(Aut r_b),
+with |Aut r_a| |Aut r_b| / |orbit| automorphisms.  That orbit walk forms
+every witness and error, those of the comparison into the whole
+iso-comma.  A square of sets with no grade bound, W, A and B discrete as
+on nerve levels, passes without it when `_set_pullback_passes` finds in
+one walk of W that the images w -> (p w, q w, id) are distinct objects
+of the discrete iso-comma, as many as it has, a number counted off the
+legs' fiber tables.
 
 Groupoids meet by identity: a composite G . F needs F to land in the
 very groupoid G starts from, and a cospan f: A -> C <- B :g needs g to
@@ -71,7 +71,6 @@ operation is a pure function.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
@@ -789,100 +788,47 @@ def _require_cospan(f: GroupoidFunctor, g: GroupoidFunctor) -> None:
         raise DomainError("cospan legs do not share a codomain")
 
 
-def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound) -> int:
+def _iso_comma_size(f: GroupoidFunctor, g: GroupoidFunctor) -> int:
     """The number of objects of the iso-comma P' on class representatives,
     counted off the legs' fiber tables with no groupoid built and no pair
     walked: each pair (r_a, r_b) over a class c of C has |Aut c| isos
     f(r_a) -> g(r_b), so the count is the sum over c of
     |Aut c| |f^-1[c]| |g^-1[c]|, read off the fiber tables of both legs,
-    which land in the one groupoid C, as in `_iso_comma_pairs`.  With a
-    grade bound on graded A, B and C, the r_a over c are counted by
-    grade(r_a) - grade(f r_a) and the r_b by grade(r_b), and a pair of
-    those grades counts when their sum is within the bound.
-    On discrete A and B, P' is homotopy_pullback(f, g, grade_bound)."""
-    A, B, C = f.source, g.source, f.target
+    which land in the one groupoid C, as in `_iso_comma_pairs`.
+    On discrete A and B, P' is homotopy_pullback(f, g)."""
     _require_cospan(f, g)
     over_b = _fiber_table(g)
-    over_a = _fiber_table(f)
-    aut_orders = C.iso_classes().aut_orders
-    if grade_bound is None or not (A.is_graded() and B.is_graded() and C.is_graded()):
-        return sum(aut_orders[c] * len(ras) * len(over_b.get(c, ()))
-                   for c, ras in over_a.items())
-    size = 0
-    for c, ras in over_a.items():
-        rbs = over_b.get(c)
-        if not rbs:
-            continue
-        excess = Counter(A.grade(ra) - C.grade(f.ob(ra)) for ra in ras)
-        grades = Counter(B.grade(rb) for rb in rbs)
-        size += aut_orders[c] * sum(n_a * n_b for e, n_a in excess.items()
-                                    for gb, n_b in grades.items() if e + gb <= grade_bound)
-    return size
+    aut_orders = f.target.iso_classes().aut_orders
+    return sum(aut_orders[c] * len(ras) * len(over_b.get(c, ()))
+               for c, ras in _fiber_table(f).items())
 
 
-def _set_pullback_witness(p, q, f, g, grade_bound, name) -> Optional[str]:
-    """The witness of `is_pullback_square` on a square of sets (W, A and B
-    discrete), None when it passes.  The iso-comma P of (f, g) is then
+def _set_pullback_passes(p, q, f, g, name) -> bool:
+    """Whether a square of sets (W, A and B discrete) with no grade bound
+    passes `is_pullback_square`.  The iso-comma P of (f, g) is then
     discrete, and the comparison w -> (p w, q w, id) must be a bijection
     onto its objects.
 
-    One walk of W reads p w and q w once each.  It raises at the first w
+    One walk of W reads p w and q w once each and raises at the first w
     with f(p w) != g(q w): on a discrete W that is all of the
-    strict-commutation precheck.  Then, as `is_equivalence` of the
-    comparison would, it raises at the first w whose image is not an
-    object of P, names the first w whose image an earlier w already has,
-    and else needs as many images as P has objects, counted off the
-    legs' fiber tables by `_iso_comma_size`; the refusal of a cospan whose
-    legs do not share a codomain comes there, after the walk's errors of
-    commutation and before its carrier error.  A square that misses an
-    object names the first object, in P order, that no w hits: P is P' on
-    discrete A and B, and each of its objects is a class of
-    `_iso_comma_classes`."""
-    A, B, C = f.source, g.source, f.target
-    graded = (grade_bound is not None and A.is_graded() and B.is_graded()
-              and C.is_graded())
-    in_a, in_b = A._object_set, B._object_set
+    strict-commutation precheck.  The square passes when the images are
+    distinct points of A x B, as many as P has objects, counted off the
+    legs' fiber tables by `_iso_comma_size`.  A square that fails has its
+    witness, or its carrier error, from the orbit walk."""
+    W = p.source
     p_ob, q_ob, f_ob, g_ob = p._ob, q._ob, f._ob, g._ob
-    first: dict = {}
-    off = collision = None
-    for w in p.source.objects:
+    images = set()
+    for w in W.objects:
         a = p_ob(w)
         fa = f_ob(a)
         b = q_ob(w)
         if fa != g_ob(b):
             raise DomainError(f"square {name or ''} does not commute strictly")
-        if off is not None:
-            continue
-        if (a not in in_a or b not in in_b or graded
-                and A.grade(a) + B.grade(b) - C.grade(fa) > grade_bound):
-            off = w
-        elif collision is None:
-            if (a, b) in first:
-                collision = w
-            else:
-                first[a, b] = w
-    size = _iso_comma_size(f, g, grade_bound)
-
-    def image(w):
-        a, b = p.ob(w), q.ob(w)
-        return (a, b, C.identity(f.ob(a)))
-
-    if off is not None:
-        # the messages of class_of on A and B, then of P's carrier
-        a, b = p.ob(off), q.ob(off)
-        x = a if a not in in_a else b if b not in in_b else image(off)
-        raise DomainError(f"{x!r} not an object of the carrier")
-    if collision is not None:
-        x = image(collision)
-        return ("not fully faithful: source classes "
-                f"{first[x[:2]]!r} and {collision!r} share target class {x!r}")
-    if len(first) == size:
-        return None
-    hit = {image(w) for w in first.values()}
-    for x in _iso_comma_classes(f, g, grade_bound)[0]:
-        if x not in hit:
-            return f"not essentially surjective: target class {x!r} missed"
-    return None
+        images.add((a, b))
+    in_a, in_b = f.source._object_set, g.source._object_set
+    return (len(images) == len(W.objects)
+            and all(a in in_a and b in in_b for a, b in images)
+            and len(images) == _iso_comma_size(f, g))
 
 
 def _double_coset(C: FiniteGroupoid, phi: Mor, left, right) -> set:
@@ -938,8 +884,8 @@ def _iso_comma_classes(f: GroupoidFunctor, g: GroupoidFunctor, grade_bound):
 
 
 def _orbit_witness(p, q, f, g, grade_bound) -> Optional[str]:
-    """The witness of `is_pullback_square` on a square with a non-discrete
-    corner, None when it passes; see there."""
+    """The witness of `is_pullback_square`, None when it passes; see
+    there."""
     A, B, C, W = f.source, g.source, f.target, p.source
     atab, btab = A.iso_classes(), B.iso_classes()
     reps, class_of, aut_orders = _iso_comma_classes(f, g, grade_bound)
@@ -1011,11 +957,10 @@ def is_pullback_square(
     a domain error, distinct from a failed pullback check.
 
     A square of sets, with A, B and W discrete (nerve levels are; A and B
-    are tested first), is decided by `_set_pullback_witness` in one walk
-    of W that compares the object maps for commutation and counts the
-    images against the iso-comma's size; it gives the verdicts, witnesses
-    and errors of the general rule below and builds no iso-comma on a
-    pass.
+    are tested first) and no grade bound on graded A, B and C, is first
+    put to `_set_pullback_passes`, one walk of W that compares the object
+    maps and counts the images; a square it does not pass goes to the
+    orbit walk below with no further precheck.
 
     Any other square is first checked to commute by `functors_equal` on
     the generators of W, the automorphisms of its class representatives
@@ -1047,11 +992,13 @@ def is_pullback_square(
     W = p.source
     if q.source is not W:
         raise DomainError("square corner mismatch")
-    if _is_discrete(f.source) and _is_discrete(g.source) and _is_discrete(W):
-        witness = _set_pullback_witness(p, q, f, g, grade_bound, name)
-    else:
-        if not functors_equal(GroupoidFunctor.compose(f, p), GroupoidFunctor.compose(g, q)):
-            raise DomainError(f"square {name or ''} does not commute strictly")
-        witness = _orbit_witness(p, q, f, g, grade_bound)
+    A, B = f.source, g.source
+    if (_is_discrete(A) and _is_discrete(B) and _is_discrete(W)
+            and (grade_bound is None
+                 or not (A.is_graded() and B.is_graded() and f.target.is_graded()))):
+        if _set_pullback_passes(p, q, f, g, name):
+            return SquareResult(True, name=name)
+    elif not functors_equal(GroupoidFunctor.compose(f, p), GroupoidFunctor.compose(g, q)):
+        raise DomainError(f"square {name or ''} does not commute strictly")
+    witness = _orbit_witness(p, q, f, g, grade_bound)
     return SquareResult(witness is None, witness, name=name)
-

@@ -183,7 +183,7 @@ def _phi_histogram(X: TruncatedSimplicialGroupoid, rep, n: int) -> list:
     longest length m >= n asked so far, as X's Phi count returns it for
     length m, memoised on X; only a longer n counts again.  A count to
     length n must be possible."""
-    X.check_fiber_walk(n)
+    X.check_phi_count(n)
     counts = X._memo.get(("phi", rep))
     if counts is None or len(counts) <= n:
         counts = X._memo["phi", rep] = X._phi_fn(X, n, rep)

@@ -95,7 +95,9 @@ class TruncatedSimplicialGroupoid(Memo):
     def level(self, n: int) -> FiniteGroupoid:
         G = self._memo.get(("level", n))
         if G is None:
-            if not 0 <= n <= self.max_level:
+            if n < 0:
+                raise DomainError(f"no level {n}")
+            if n > self.max_level:
                 raise InsufficientLevelsError(n, self.max_level, self.name)
             G = self._get(("level", n), self._level_fn, self, n)
         return G
@@ -118,16 +120,16 @@ class TruncatedSimplicialGroupoid(Memo):
             F = self._get(("degeneracy", n, i), self._degen_fn, self, n, i)
         return F
 
-    def check_fiber_walk(self, n: int) -> None:
+    def check_phi_count(self, n: int) -> None:
         """Refuse a Phi count to length n on a space without a count, on
         an incomplete space and beyond the truncation, in that order."""
         if self._phi_fn is None:
-            raise DomainError(f"{self.name or 'the space'} has no fiber generator")
+            raise DomainError(f"{self.name or 'the space'} has no Phi count")
         _require_complete(self)
         if n > self.max_level:
             raise InsufficientLevelsError(n, self.max_level, self.name)
         if n < 1:
-            raise DomainError("the fiber generator needs n >= 1")
+            raise DomainError("the Phi count needs n >= 1")
 
     # -- derived accessors -------------------------------------------------
 
@@ -227,6 +229,8 @@ class SimplicialMap(Memo):
         return min(self.source.max_level, self.target.max_level)
 
     def level_map(self, n: int) -> GroupoidFunctor:
+        if n < 0:
+            raise DomainError(f"no level map at level {n}")
         if n > self.max_level:
             raise InsufficientLevelsError(n, self.max_level, self.name)
         return self._get(("level", n), self._level_fn, self, n)

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -11,12 +12,14 @@ import moebiuskit
 from moebiuskit import catposet
 from moebiuskit.bicomodule import validate_configuration
 from moebiuskit.catposet import (
+    Adjunction,
     CorrespondenceCat,
     FinCategory,
     FinPoset,
     chain_poset,
     check_adjunction,
     classical_mobius,
+    FinFunctor,
     correspondence_bisimplicial,
     divisor_poset,
     fibration_report,
@@ -584,3 +587,45 @@ def test_a_dropped_nerve_is_freed_without_the_cycle_collector(no_cycle_collector
     del N, C
     assert level_2() is None
     assert category() is None
+
+
+def _path(a, *edges):
+    return ("path", a, edges)
+
+
+def _parallel_pair_adjunction(**tables):
+    """F: X -> Y and G: Y -> X between the free categories on
+    a0 -w-> a =u,v=> b and c =u',v'=> d -z-> d1, F constant at c and G at b,
+    with bijection tables Hom(c, y) -> Hom(x, b) for x in {a, a0} and y in
+    {d, d1} that validate; `tables` replaces some of them."""
+    X = FinCategory.free_on_quiver(["a0", "a", "b"],
+                                   [("w", "a0", "a"), ("u", "a", "b"), ("v", "a", "b")])
+    Y = FinCategory.free_on_quiver(["c", "d", "d1"],
+                                   [("u'", "c", "d"), ("v'", "c", "d"), ("z", "d", "d1")])
+    F = FinFunctor(X, Y, dict.fromkeys(X.objects, "c"))
+    G = FinFunctor(Y, X, dict.fromkeys(Y.objects, "b"))
+    bijections = {}
+    for x, y in [("a", "d"), ("a", "d1"), ("a0", "d"), ("a0", "d1")]:
+        after = ("z",) if y == "d1" else ()
+        before = ("w",) if x == "a0" else ()
+        bijections[x, y] = tables.get(x + y) or {
+            _path("c", e + "'", *after): _path(x, *before, e) for e in "uv"}
+    return Adjunction(F, G, {}, bijections)
+
+
+@pytest.mark.parametrize("tables, message", [
+    (dict(ad={_path("c", "u'"): _path("a", "u"), _path("c", "v'"): _path("a", "u")}),
+     "bijection at ('a','d') not injective"),
+    (dict(ad={_path("c", "u'"): _path("a", "u"), _path("c", "u'", "z"): _path("a", "v")}),
+     "bijection at ('a','d') has wrong domain"),
+    (dict(ad={_path("c", "u'"): _path("a", "u"), _path("c", "v'"): _path("a0", "w", "v")}),
+     "bijection at ('a','d') not surjective"),
+    (dict(ad1={_path("c", "u'", "z"): _path("a", "v"), _path("c", "v'", "z"): _path("a", "u")}),
+     "bijection not natural in y"),
+    (dict(a0d={_path("c", "u'"): _path("a0", "w", "v"), _path("c", "v'"): _path("a0", "w", "u")}),
+     "bijection not natural in x"),
+])
+def test_adjunction_validate_refuses_each_broken_table(tables, message):
+    _parallel_pair_adjunction().validate()
+    with pytest.raises(StructureError, match="^" + re.escape(message) + "$"):
+        _parallel_pair_adjunction(**tables).validate()

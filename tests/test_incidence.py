@@ -434,12 +434,12 @@ def test_phi_refuses_levels_beyond_the_truncation():
 
 
 def test_phi_refuses_a_space_without_a_fiber_generator():
-    # a grid row has no generator: Phi_n for n >= 1 is refused, naming it
+    # a grid row has no Phi count: Phi_n for n >= 1 is refused, naming it
     row = total_decalage(nerve(chain_poset(3), max_level=6), 2, 2).row(0)
     assert row.name == "TotalDec(N()).row(0)"
     for f in row.level(1).iso_classes().reps:
         for n in (1, 2, 3):
-            with pytest.raises(DomainError, match=re.escape(f"{row.name} has no fiber generator")):
+            with pytest.raises(DomainError, match=re.escape(f"{row.name} has no Phi count")):
                 phi_n(row, f, n)
         # s_0 of Dec_bot is s_1 of the nerve: its image ends in an identity
         assert phi_n(row, f, 0) == counit(row, f) == (1 if f[1][1] == f[1][2] else 0)
@@ -606,7 +606,7 @@ def test_mobius_is_the_alternating_sum_of_phi_up_to_the_bound():
     row = total_decalage(nerve(chain_poset(3), max_level=6), 2, 2).row(0)
     for e in row.level(1).iso_classes().reps:
         assert mobius(row, e, length_bound=0) == counit(row, e)
-        with pytest.raises(DomainError, match="has no fiber generator"):
+        with pytest.raises(DomainError, match="has no Phi count"):
             mobius(row, e, length_bound=1)
     # the involution's Phi histogram alternates up to the truncation, and a
     # bound beyond it is refused with the bound as the level it needs

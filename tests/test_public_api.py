@@ -1,7 +1,9 @@
 """The public surface of the package, written out: a new public name or a
 new knob on an inversion check fails here until this list is edited."""
 
+import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -71,3 +73,25 @@ def test_a_functor_calls_its_object_map():
     F = moebiuskit.GroupoidFunctor(G, G, {0: 0}, lambda m: m)
     with pytest.raises(TypeError):
         F.ob(0)
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module imports and never reads, by its syntax tree."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports its public names to re-export them
+    src = pathlib.Path(moebiuskit.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+    assert _unused_imports("from collections import Counter\nx = 1\n") == ["Counter"]

@@ -11,7 +11,7 @@ from moebiuskit.examples import (
     poset_key,
     sets_posets_bicomodule,
 )
-from moebiuskit.groupoid import DomainError, GroupoidFunctor, is_monomorphism
+from moebiuskit.groupoid import DomainError, GroupoidFunctor, discrete_functor, is_monomorphism
 from moebiuskit.simplicial import (
     InsufficientLevelsError,
     SimplicialMap,
@@ -23,6 +23,7 @@ from moebiuskit.simplicial import (
 
 from conftest import random_poset, random_quiver_category, seeded
 from reference import nondegenerate_simplices, principal_edges
+from test_catposet import involution_category
 
 
 CHAIN3 = nerve(chain_poset(3), max_level=6)
@@ -257,8 +258,8 @@ LEVEL_7 = "insufficient levels: need level 7, truncated at 6"
     (lambda: check_axioms(CHAIN3, "bogus", 1), DomainError, "unknown profile 'bogus'"),
     (lambda: word_groupoid(CHAIN3, "2"), DomainError, "word '2' not over alphabet 0/1/a"),
     (lambda: CHAIN3.level(7), InsufficientLevelsError, LEVEL_7),
-    (lambda: CHAIN3.level(-1), InsufficientLevelsError,
-     "insufficient levels: need level -1, truncated at 6"),
+    (lambda: CHAIN3.level(-1), DomainError, "no level -1"),
+    (lambda: CHAIN3.check_phi_count(0), DomainError, "the Phi count needs n >= 1"),
     (lambda: CHAIN3.face(2, 3), DomainError, "no face d_3 at level 2"),
     (lambda: CHAIN3.face(0, 0), DomainError, "no face d_0 at level 0"),
     (lambda: CHAIN3.degeneracy(6, 0), InsufficientLevelsError, LEVEL_7),
@@ -268,6 +269,15 @@ LEVEL_7 = "insufficient levels: need level 7, truncated at 6"
     (lambda: CHAIN3.principal_edge(2, None, 0), DomainError,
      "principal edge index 0 out of range 1..2"),
     (lambda: identity_map(CHAIN3).level_map(7), InsufficientLevelsError, LEVEL_7),
+    (lambda: identity_map(CHAIN3).level_map(-1), DomainError, "no level map at level -1"),
+    (lambda: sets_posets_bicomodule(2).u_map().level_map(-1), DomainError,
+     "no level map at level -1"),
+    (lambda: sets_posets_bicomodule(2).v_map().level_map(-1), DomainError,
+     "no level map at level -1"),
+    (lambda: sets_posets_bicomodule(2).cell(-2, 0), DomainError, "no cell (-2,0)"),
+    (lambda: sets_posets_bicomodule(2).cell(0, -2), DomainError, "no cell (0,-2)"),
+    (lambda: sets_posets_bicomodule(2).cell(4, 0), InsufficientLevelsError,
+     "insufficient levels: need level 4, truncated at 3 (for cell (4,0))"),
     (lambda: is_culf(identity_map(CHAIN3), 6), InsufficientLevelsError,
      LEVEL_7 + " (for culf check)"),
 ])
@@ -287,3 +297,26 @@ def test_a_report_names_the_level_an_unchecked_family_needs():
     assert culf.passed and len(culf.checks) == 1
     assert culf.note == ("codegeneracies n = 0..0; inner cofaces none checked"
                          " (need level 2, truncated at 1)")
+
+
+def _self_map(X, level, ob):
+    """The identity of X, except that level `level` maps by `ob`."""
+    def level_fn(m, n):
+        L = X.level(n)
+        return discrete_functor(L, L, ob if n == level else lambda x: x)
+
+    return SimplicialMap(X, X, level_fn, name="mutated")
+
+
+@pytest.mark.parametrize("X, level, ob, message", [
+    # 0 and 1 swapped on objects, chains left alone
+    (nerve(chain_poset(2), max_level=1), 0, {0: 1, 1: 0}.get,
+     "map does not commute with d_0 at level 1"),
+    # id and g swapped: both run * -> *, so faces commute
+    (nerve(involution_category(), max_level=1), 1, {("id",): ("g",), ("g",): ("id",)}.get,
+     "map does not commute with s_0 at level 0"),
+])
+def test_simplicial_map_validate_refuses_each_operator_it_breaks(X, level, ob, message):
+    _self_map(X, None, None).validate()
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        _self_map(X, level, ob).validate()
