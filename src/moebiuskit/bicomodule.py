@@ -22,7 +22,8 @@ label is the weight sum_sigma |Aut m|/|Aut sigma| of that label in the
 homotopy fiber (orbit-stabilizer).  The coaction then never builds
 B_{0,1} or B_{1,0}.  Grids without one read the fiber of the leg.
 Either way the coaction is the fiber table's format, {(left class, right
-class): weight}, with no `repr` ordering; `coact` memoises it read-only,
+class): weight}, with no `repr` ordering; `config_coact` memoises it
+read-only, per class on the comodule configuration, which `coact` reads,
 and the convolution actions sum over it with the one convolution sum of
 `incidence`, as `convolve` sums over Delta.  The essential image of a
 pointing is the key set of its bottom section's fiber table, which the
@@ -128,9 +129,9 @@ class AugmentedBisimplicialGroupoid(Memo):
 
     Cells, operators, sections and the coaction generator are read from
     the grid's `_GridCells`, which memoises them.  The row and column
-    views, u and v, the comodules and the coactions live in the grid's own
-    `_memo`; they read the cells, not the grid, so a dropped grid is freed
-    by reference counting.
+    views, u and v, and the comodules live in the grid's own `_memo`, the
+    coactions in their comodule's; they read the cells, not the grid, so a
+    dropped grid is freed by reference counting.
     """
 
     def __init__(self, max_i, max_j, x: TruncatedSimplicialGroupoid,
@@ -527,8 +528,8 @@ def validate_configuration(B: AugmentedBisimplicialGroupoid, n_max: int) -> Conf
 
 
 def coact(B: AugmentedBisimplicialGroupoid, side: str, m) -> MappingProxyType:
-    """Weighted coaction decomposition of a class m of B_{0,0}, memoized per
-    class: `config_coact` of the right or the left comodule of B, read-only.
+    """Weighted coaction decomposition of a class m of B_{0,0}: `config_coact`
+    of the right or the left comodule of B, memoised there per class.
 
     Right side: {(class in B_{0,0}, class in Y_1): w} from the fiber of
     d_0 : B_{0,1} -> B_{0,0}.  Left side: {(class in X_1, class in
@@ -538,9 +539,7 @@ def coact(B: AugmentedBisimplicialGroupoid, side: str, m) -> MappingProxyType:
     """
     if side not in ("right", "left"):
         raise DomainError("side must be 'right' or 'left'")
-    config = right_comodule(B) if side == "right" else left_comodule(B)
-    return B._get(("coact", side, B.cell(0, 0).iso_classes().class_of(m)),
-                  lambda: MappingProxyType(config_coact(config, m)))
+    return config_coact(right_comodule(B) if side == "right" else left_comodule(B), m)
 
 
 def convolve_action(B: AugmentedBisimplicialGroupoid, side: str,
@@ -656,10 +655,10 @@ def _filtered_leg(config: ComoduleConfiguration, n: int) -> GroupoidFunctor:
     return config.leg_functor(n).restrict(full_subgroupoid(level, keep, name=f"C_b{'a' * n}"))
 
 
-def config_coact(config: ComoduleConfiguration, m) -> dict:
+def config_coact(config: ComoduleConfiguration, m) -> MappingProxyType:
     """The coaction of a configuration: fiber of the level-1 leg over m,
     as {(C_0 class, base edge class): weight}, base label first on the
-    left side.
+    left side; memoised per class of m on the configuration, read-only.
 
     With a coaction generator the weight of a label is the number of
     generated 1-simplices over m with that label: Aut m acts on them with
@@ -667,8 +666,11 @@ def config_coact(config: ComoduleConfiguration, m) -> dict:
     sum |Aut m|/|Aut sigma| (orbit-stabilizer), and C_1 is never built.
     Without one the weights are read off the fiber table of the leg."""
     tab0 = config.space.level(0).iso_classes()
+    return config._get(("coact", tab0.class_of(m)), _coaction, config, tab0, m)
+
+
+def _coaction(config: ComoduleConfiguration, tab0, m) -> MappingProxyType:
     btab = config.base.level(1).iso_classes()
-    tab0.class_of(m)   # refuses an m outside C_0 before a generator reads it
     generated = config.coaction_fiber(m)
     if generated is not None:
         parts: dict = {}
@@ -676,14 +678,14 @@ def config_coact(config: ComoduleConfiguration, m) -> dict:
             c, e = tab0.class_of(vertex_face), btab.class_of(edge)
             key = (c, e) if config.side == "right" else (e, c)
             parts[key] = parts.get(key, Fraction(0)) + 1
-        return parts
+        return MappingProxyType(parts)
     vertex = config.vertex_functor(1)
     f1 = config.base_map.level_map(1)
     if config.side == "right":
         label = lambda rep: (tab0.class_of(vertex.ob(rep)), btab.class_of(f1.ob(rep)))
     else:
         label = lambda rep: (btab.class_of(f1.ob(rep)), tab0.class_of(vertex.ob(rep)))
-    return weighted_fiber(config.leg_functor(1), m, label)
+    return MappingProxyType(weighted_fiber(config.leg_functor(1), m, label))
 
 
 @dataclass

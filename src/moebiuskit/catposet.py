@@ -328,7 +328,7 @@ def nerve(C, max_level: int = 5) -> TruncatedSimplicialGroupoid:
         return counts
 
     return TruncatedSimplicialGroupoid(max_level, level_fn, face_fn, degen_fn,
-                                       phi_fn=phi_fn, name=f"N({C.name})")
+                                       phi_fn=phi_fn, name=f"N({C.name})" if C.name else "N")
 
 
 def _chain_walk(C, n: int, f):
@@ -619,7 +619,7 @@ def mapping_cylinder(F: FinFunctor) -> CorrespondenceCat:
                 compose[(f, g)] = ("mix", f[1], Y.compose(g[1], f[2]))
     idents = {("x", a): ("xm", X.identities[a]) for a in X.objects}
     idents.update({("y", b): ("ym", Y.identities[b]) for b in Y.objects})
-    M = FinCategory(objects, mors, compose, idents, name=f"M({F.name})")
+    M = FinCategory(objects, mors, compose, idents, name=f"M({F.name})" if F.name else "M")
     label = {("x", a): 0 for a in X.objects}
     label.update({("y", b): 1 for b in Y.objects})
     return CorrespondenceCat(M, label)
@@ -721,4 +721,4 @@ def correspondence_bisimplicial(corr: CorrespondenceCat, max_i: int,
                                        B.face_target(i, j, v)),
         degen_fn=lambda B, i, j, v: cut(N.degeneracy(i + 1 + j, v), B.cell(i, j),
                                         B.degen_target(i, j, v)),
-        section_fn=section_fn, name=f"N/D1({C.name})")
+        section_fn=section_fn, name=f"N/D1({C.name})" if C.name else "N/D1")

@@ -20,15 +20,16 @@ of a bicomodule cell and a poset layer on its Y side.  Such operations
 commute on the nose, so all simplicial and bisimplicial identities hold
 strictly at the morphism level and strictly commuting squares carry
 honest identity fillers, which is what the pullback checkers assume.
-Hom-sets and automorphism groups come from a canonical form, the least
-relation encoding over every arrangement within the blocks of an
-invariant (the color, refined twice by the invariants above and below):
-an exhaustive minimisation, with no backtracking.  A level carries its
-iso-class table from construction, built from relabeling orbits: each
-class is the orbit of its first object under the relabelings of its
-elements, and |Aut| is m! over the orbit's size, so the table computes
-no canonical form.  The `iso_key` rule, grouping by canonical key, gives
-the same table and still classifies the full subgroupoids of a level.
+A level reads its iso-class table and its hom-sets off one walk of
+relabeling orbits: each class is the orbit of its first object r under
+the relabelings of its elements, Aut r is the stabilizer, and each
+member a keeps a relabeling sigma_a: r -> a, so that the isomorphisms
+a -> b are sigma_b . Aut r . sigma_a^{-1}.  No check on a level computes
+a canonical form, the least relation encoding over every arrangement
+within the blocks of an invariant (the color, refined twice by the
+invariants above and below).  Canonical forms only name classes: the
+`iso_key` of a level, which classifies its full subgroupoids, the keys
+of `poset_key` and the CLI, and the poset catalogue.
 
 The Phi count of I and C lists no simplex: a dynamic program over the
 up-sets of f counts the chains of up-sets that the simplices over f are.
@@ -37,10 +38,10 @@ Everything here that depends only on hashable values -- canonical forms,
 automorphism groups, the relabelings of m elements, poset catalogues,
 level object lists and their groupoids, the rank maps of kept elements
 and the spaces themselves -- is memoised with `functools.cache`, once
-per process.  Every operator is a
-tabulated functor: it computes each object's and each morphism's image
-once, into tables it holds, so the pullback checks, which visit every
-object and morphism many times, redo no layer surgery.
+per process.  Every operator is a tabulated functor: it computes each
+object's and each morphism's image once, into tables it holds, so the
+pullback checks, which visit every object and morphism many times, redo
+no layer surgery.
 """
 
 from __future__ import annotations
@@ -150,30 +151,24 @@ def aut_order(key) -> int:
     return len(aut_perms(key))
 
 
-def _isos(a, b):
-    """All isomorphisms a -> b of labelled layered structures, as
-    permutation tuples t with t[i] the image index."""
-    key_a, pa = canonical_form(a)
-    key_b, pb = canonical_form(b)
-    if key_a != key_b:
-        return ()
-    m = len(a[2])
-    inv_pb = [0] * m
-    for idx, pos in enumerate(pb):
-        inv_pb[pos] = idx
-    return tuple(tuple(inv_pb[g[pa[i]]] for i in range(m)) for g in aut_perms(key_a))
-
-
 def layered_groupoid(objects, name="") -> FiniteGroupoid:
     """The groupoid of labelled layered structures with the given objects;
     morphisms are color-preserving relation isomorphisms.  It carries its
-    iso-class table from construction, built from relabeling orbits by
-    `_orbit_classes`; `iso_key` is `canonical_key`, the rule of its full
-    subgroupoids."""
-    objects = tuple(objects)
+    iso-class table from construction, and reads its hom-sets off the
+    same relabeling orbits, both from `_orbit_classes`: with r the
+    representative of a and sigma_a: r -> a the relabeling the orbit walk
+    kept, hom(a, b) is sigma_b . alpha . sigma_a^{-1} for each alpha in
+    Aut(r), identity first, or () when b lies in another class.  The rule
+    reads only the walk's records, not G, so no reference cycle forms.
+    `iso_key` is `canonical_key`, the rule of its full subgroupoids."""
 
     def hom(a, b):
-        return tuple(Mor(a, b, t) for t in _isos(a, b))
+        r = class_of[a]
+        if class_of[b] is not r:
+            return ()
+        back, sigma = moves[a][1], moves[b][0]
+        return tuple(Mor(a, b, tuple(map(sigma.__getitem__, map(alpha.__getitem__, back))))
+                     for alpha in auts[r])
 
     def compose(g, f):
         return Mor(f.src, g.tgt, tuple(map(g.label.__getitem__, f.label)))
@@ -183,7 +178,9 @@ def layered_groupoid(objects, name="") -> FiniteGroupoid:
 
     G = FiniteGroupoid(objects, hom, compose, identity,
                        grade=lambda k: len(k[2]), iso_key=canonical_key, name=name)
-    G._memo["iso_classes",] = _orbit_classes(G)
+    table, moves, auts = _orbit_classes(G)
+    class_of = table._class_of
+    G._memo["iso_classes",] = table
     return G
 
 
@@ -200,47 +197,46 @@ def _relabelings(m: int) -> tuple:
     return tuple(out)
 
 
-def _orbit_classes(G: FiniteGroupoid) -> IsoClassTable:
-    """The iso-class table of a layered groupoid, from relabeling orbits.
+def _orbit_classes(G: FiniteGroupoid) -> tuple:
+    """(table, moves, auts): the iso-class table of a layered groupoid and
+    its isomorphisms, from relabeling orbits.
 
-    The first object a, in object order, that no earlier orbit holds is a
-    representative; its class is the images of a under the m! relabelings
-    of its m elements that are objects of G, in object order.  By
-    orbit-stabilizer |Aut a| = m! / |orbit|, the orbit counting images
-    outside G too.  When Aut a is trivial, hom(a, a) is the identity
-    alone, and hom(b, a) holds one morphism for each other member b, the
-    inverse of the relabeling that sends a to b: both go into G's memo,
-    as Aut a and as b's connector.  This is the table
-    `IsoClassTable._build` groups by `canonical_key`, with no canonical
-    form computed.  Every key of the table and of the records is an
-    object of G itself, not an image equal to it, so that reading them
+    The first object r, in object order, that no earlier orbit holds is a
+    representative; its class is the images of r under the m! relabelings
+    of its m elements that are objects of G, in object order.  For each
+    member a, moves[a] is the pair (sigma_a, sigma_a^{-1}) of
+    `_relabelings` whose sigma_a, the first that sends r to a, is an
+    isomorphism r -> a; auts[r] is the stabilizer of r, the relabelings
+    that send r to itself, identity first: Aut r, whose order is m! over
+    the orbit's size, the orbit counting images outside G too.  The table
+    is the one `IsoClassTable._build` groups by `canonical_key`, with no
+    canonical form computed.  Every key of the table and of the records is
+    an object of G itself, not an image equal to it, so that reading them
     compares no structure."""
-    memo, found = G._memo, {}   # image -> (representative, relabeling back)
-    members, class_of, aut_orders = {}, {}, {}
+    found = {}   # image -> (representative, relabeling pair)
+    members, class_of, moves, auts = {}, {}, {}, {}
     for b in G.objects:
         if b not in found:
             ns, np_, colors, rels = b
             xs, ys = [x for x, _ in rels], [y for _, y in rels]
             relabelings = _relabelings(len(colors))
-            orbit: dict = {}
-            for sigma, back in relabelings:
+            fixed, orbit, stabilizer = relabelings[0], {}, []
+            for pair in relabelings:
+                sigma, back = pair
                 at = sigma.__getitem__
                 image = (ns, np_, tuple(map(colors.__getitem__, back)),
                          tuple(sorted(zip(map(at, xs), map(at, ys)))))
-                orbit.setdefault(image, back)
-            for image, back in orbit.items():
-                found[image] = b, back
-            members[b] = []
-            aut_orders[b] = len(relabelings) // len(orbit)
-            if aut_orders[b] == 1:
-                memo["auts", b] = (Mor(b, b, relabelings[0][0]),)
-        a, back = found[b]
+                if orbit.setdefault(image, pair) is fixed:   # the image is b
+                    stabilizer.append(sigma)
+            for image, pair in orbit.items():
+                found[image] = b, pair
+            members[b], auts[b] = [], tuple(stabilizer)
+        a, moves[b] = found.pop(b)
         class_of[b] = a
         members[a].append(b)
-        if aut_orders[a] == 1 and b is not a:
-            memo["connector", b, False] = Mor(b, a, back)
-    return IsoClassTable(members, {a: tuple(group) for a, group in members.items()},
-                         class_of, aut_orders)
+    table = IsoClassTable(members, {a: tuple(group) for a, group in members.items()},
+                          class_of, {a: len(auts[a]) for a in members})
+    return table, moves, auts
 
 
 # -- layer surgery -------------------------------------------------------------

@@ -15,25 +15,26 @@ its objects by key, any other compares each object by `hom` with the
 class representatives found so far.  A groupoid may instead carry its
 table from construction, provided it is the table that rule gives: a
 discrete groupoid, each object its own class, and a layered level of
-`examples`, whose table comes from relabeling orbits with no canonical
-form computed.  Moving a morphism to the class representatives of its
-ends (the iso-comma keys, the pullback comparison) follows one rule
-too: c_tgt . m . c_src^{-1} along the connectors of its ends, skipping
-the factor of an end that already is its representative.  The connectors and the automorphisms of the
-representatives generate the groupoid, so the strict-commutation check
-`functors_equal` compares two functors on them alone.  It skips a class
-whose image has a trivial Aut in the target both functors share: the
-generators of that class go into hom-sets with one element.
+`examples`, whose table and hom-sets come from relabeling orbits with no
+canonical form computed.  Moving a morphism to the class representatives
+of its ends (the iso-comma keys, the pullback comparison) follows one
+rule too: c_tgt . m . c_src^{-1} along the connectors of its ends,
+skipping the factor of an end that already is its representative.  The
+connectors and the automorphisms of the representatives generate the
+groupoid, so the strict-commutation check `functors_equal` compares two
+functors on them alone.  It skips a class whose image has a trivial Aut
+in the target both functors share: the generators of that class go into
+hom-sets with one element.
 
 Per-object class data is read once per groupoid, into its `_memo`: the
 automorphism group hom(a, a) under ("auts", a) and the connector
-a -> class_of(a) and its inverse under ("connector", a, inverse).  A
-layered level records the first two for its classes with a trivial Aut
-when it builds its table, reading no hom-set.  The
-iso-class table, `functors_equal`, the iso-comma keys, the orbit walk of
-a pullback check and the automorphism test of `is_equivalence` read them
-there, so the levels shared by every square of an axiom check are read
-once for all of them.  No entry refers to its owner.
+a -> class_of(a) and its inverse under ("connector", a, inverse), each
+filled from hom-sets on its first read by `_auts` and `_connector`, the
+only code that knows these entries.  The iso-class table,
+`functors_equal`, the iso-comma keys, the orbit walk of a pullback check
+and the automorphism test of `is_equivalence` read them there, so the
+levels shared by every square of an axiom check are read once for all of
+them.  No entry refers to its owner.
 
 Images and fibers both live in the functor.  A `tabulated` functor
 maps each object and each morphism once, into an object and a morphism
@@ -121,7 +122,7 @@ class FiniteGroupoid(Memo):
     `hom`, `compose` and `identity` may be arbitrary callables; use
     `FiniteGroupoid.from_tables` for fully explicit table-backed data, and
     `validate` to scan the tables for associativity, units, inverses and
-    hom-set disjointness.
+    the ends of each hom-set's morphisms.
 
     `iso_key` is an exact invariant: objects are isomorphic if and only if
     their keys agree, and the iso-class table groups the objects by it
@@ -243,14 +244,15 @@ class FiniteGroupoid(Memo):
 
         Every pair of objects is scanned: the iso classes of a structure
         under check are not trusted."""
-        mors = [m for a in self.objects for b in self.objects for m in self.hom(a, b)]
-        seen = {}
+        mors: list = []
         out_of: dict = {}
-        for m in mors:
-            if m.label in seen and seen[m.label] != (m.src, m.tgt):
-                raise StructureError(f"label {m.label!r} reused across hom-sets")
-            seen.setdefault(m.label, (m.src, m.tgt))
-            out_of.setdefault(m.src, []).append(m)
+        for a in self.objects:
+            for b in self.objects:
+                for m in self.hom(a, b):
+                    if (m.src, m.tgt) != (a, b):
+                        raise StructureError(f"{m!r} in hom({a!r},{b!r}) has other ends")
+                    mors.append(m)
+                    out_of.setdefault(a, []).append(m)
         for a in self.objects:
             ida = self.identity(a)
             if (ida.src, ida.tgt) != (a, a):
@@ -262,9 +264,7 @@ class FiniteGroupoid(Memo):
                 raise StructureError(f"right unit law fails at {f!r}")
             if self.compose(self.identity(f.tgt), f) != f:
                 raise StructureError(f"left unit law fails at {f!r}")
-            gf = self.compose(self.inverse(f), f)  # raises if no inverse
-            if gf != self.identity(f.src):
-                raise StructureError(f"inverse law fails at {f!r}")
+            self.inverse(f)   # finds a g with g . f the identity, or raises
         for f in mors:
             for g in out_of.get(f.tgt, ()):
                 gf = self.compose(g, f)

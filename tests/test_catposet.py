@@ -32,7 +32,7 @@ from moebiuskit.catposet import (
 from moebiuskit.examples import enumerate_posets
 from moebiuskit.groupoid import DomainError, StructureError
 from moebiuskit.incidence import verify_inversion
-from moebiuskit.simplicial import check_axioms
+from moebiuskit.simplicial import InsufficientLevelsError, check_axioms
 
 from conftest import poset_mobius_oracle, random_poset, random_quiver_category, seeded
 
@@ -155,6 +155,16 @@ def test_nerve_of_trivial_category_single_simplices():
     for n in range(5):
         assert len(N.level(n).objects) == 1
     assert check_axioms(N, "complete", 1).passed
+
+
+def test_spaces_of_unnamed_categories_drop_the_empty_name():
+    N = nerve(chain_poset(3), max_level=6)
+    assert N.name == "N"
+    with pytest.raises(InsufficientLevelsError, match=r"truncated at 6 \(for N\)$"):
+        N.level(7)
+    F = poset_functor(chain_poset(3), chain_poset(2), {0: 0, 1: 0, 2: 1})
+    B = correspondence_bisimplicial(mapping_cylinder(F), 2, 2)
+    assert (B.name, B.x_space().name, B.y_space().name) == ("N/D1(M)", "N(M_0)", "N(M_1)")
 
 
 def test_is_mobius_category():

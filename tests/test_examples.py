@@ -1,8 +1,12 @@
+import ast
 import collections
 import functools
 import importlib
+import pathlib
 import pkgutil
+import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -435,24 +439,79 @@ def test_axiom_checks_walk_orbits_with_no_iso_comma_or_equivalence_test(monkeypa
 
 def _assert_orbit_table(objects):
     """A fresh layered groupoid on these objects carries the class table
-    that `IsoClassTable._build` groups by canonical key, field by field.
-    For each class with a trivial Aut it recorded Aut(rep) = hom(rep, rep),
-    and for each other member b a connector, the one element of
-    hom(b, rep)."""
+    that `IsoClassTable._build` groups by canonical key, field by field."""
     G = examples.layered_groupoid(objects)
     table = G.iso_classes()
-    trivial = [rep for rep in table.reps if table.aut_orders[rep] == 1]
-    assert {key[1]: auts for key, auts in G._memo.items() if key[0] == "auts"} == {
-        rep: G.hom(rep, rep) for rep in trivial}
     oracle = groupoid.IsoClassTable._build(G)
     assert table.reps == oracle.reps
     assert table.members == oracle.members
     assert table._class_of == oracle._class_of
     assert table.aut_orders == oracle.aut_orders
-    recorded = {key[1]: m for key, m in G._memo.items() if key[0] == "connector"}
-    assert set(recorded) == {b for rep in trivial for b in table.members[rep] if b != rep}
-    for b, m in recorded.items():
-        assert m == G.hom(b, table.class_of(b))[0]
+
+
+def _relabelings_onto(a, b):
+    """Every relabeling sigma of a's elements with sigma . a = b, by brute
+    force over all permutations: sigma[e] is the element of b that e goes
+    to, which must keep its layer and the relations."""
+    (ns, np_, colors, rels), (ns_b, np_b, colors_b, rels_b) = a, b
+    if (ns, np_, len(colors)) != (ns_b, np_b, len(colors_b)):
+        return set()
+    return {sigma for sigma in permutations(range(len(colors)))
+            if all(colors_b[sigma[e]] == c for e, c in enumerate(colors))
+            and {(sigma[x], sigma[y]) for x, y in rels} == set(rels_b)}
+
+
+def _assert_hom_sets(G, pairs=300):
+    """Each hom-set within a class of G is, as a set, the relabelings that
+    carry its source to its target, hom(a, a) listing the identity first;
+    a seeded sample of pairs from different classes has empty hom-sets."""
+    table = G.iso_classes()
+    for group in table.members.values():
+        for a in group:
+            assert G.hom(a, a)[0] == G.identity(a)
+            for b in group:
+                homs = G.hom(a, b)
+                assert {(m.src, m.tgt) for m in homs} == {(a, b)}
+                assert len(set(homs)) == len(homs)
+                assert {m.label for m in homs} == _relabelings_onto(a, b)
+    rng = random.Random(0)
+    for _ in range(pairs):
+        a, b = rng.choice(G.objects), rng.choice(G.objects)
+        if table.class_of(a) != table.class_of(b):
+            assert G.hom(a, b) == () and not _relabelings_onto(a, b)
+
+
+@pytest.mark.parametrize("build", [layered_sets, layered_posets])
+def test_layered_hom_sets_are_the_relabelings_between_their_ends(build):
+    X = build(3)
+    for n in range(X.max_level + 1):
+        _assert_hom_sets(X.level(n))
+
+
+def test_sets_posets_cell_hom_sets_are_the_relabelings_between_their_ends():
+    B = sets_posets_bicomodule(2)
+    for i in range(B.max_i + 1):
+        for j in range(B.max_j + 1):
+            _assert_hom_sets(B.cell(i, j))
+
+
+def test_only_groupoid_py_subscripts_class_data_memo_entries():
+    # the automorphism groups and connectors are filled lazily by
+    # `groupoid._auts` and `groupoid._connector`: no other module
+    # subscripts a memo, under any name, with an ("auts", ...) or
+    # ("connector", ...) key
+    def class_data_keys(module):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                and node.slice.elts and isinstance(node.slice.elts[0], ast.Constant)
+                and node.slice.elts[0].value in ("auts", "connector")]
+
+    assert class_data_keys(groupoid)   # the check sees groupoid.py's own entries
+    for info in pkgutil.iter_modules(moebiuskit.__path__):
+        if info.name != "groupoid":
+            module = importlib.import_module(f"moebiuskit.{info.name}")
+            assert class_data_keys(module) == [], info.name
 
 
 # every level of I and C for g <= 4, except C_5 and C_6 at g = 4, whose
@@ -477,10 +536,12 @@ def test_an_orbit_table_counts_relabelings_outside_its_groupoid():
     # still m! over the whole orbit
     level = layered_posets(3).level(2)
     objects = [a for k, a in enumerate(level.objects) if k % 3 != 1]
-    table, whole = examples.layered_groupoid(objects).iso_classes(), level.iso_classes()
+    G = examples.layered_groupoid(objects)
+    table, whole = G.iso_classes(), level.iso_classes()
     assert any(len(table.members[rep]) < len(whole.members[whole.class_of(rep)])
                for rep in table.reps)
     _assert_orbit_table(objects)
+    _assert_hom_sets(G)
 
 
 def test_layered_class_tables_compute_no_canonical_form(monkeypatch):
@@ -497,9 +558,10 @@ def test_layered_class_tables_compute_no_canonical_form(monkeypatch):
 
 def test_check_layered_computes_canonical_forms_only_for_the_hom_sets_it_reads(monkeypatch, capsys):
     # the two CLI calls of the check-layered benchmark on fresh levels and a
-    # fresh canonical-form cache: only the hom-sets the checks read compute
-    # canonical forms, not those recorded by the class tables (2,261 when
-    # each level's class table computed one per labelled object)
+    # fresh canonical-form cache: the class tables and the hom-sets the
+    # checks read both come from relabeling orbits, so no canonical form is
+    # computed (419 when each hom-set read compared canonical forms, 2,261
+    # when each level's class table computed one per labelled object)
     for n in range(6):
         examples._level_objects(0, n, 3)   # the enumeration itself is not counted
     for name in ("_layered_level", "_layered_space"):
@@ -510,4 +572,4 @@ def test_check_layered_computes_canonical_forms_only_for_the_hom_sets_it_reads(m
     assert cli.main(base + ["--profile", "decomposition", "--max-level", "2"]) == 0
     assert cli.main(base + ["--profile", "segal", "--max-level", "1"]) == 1
     capsys.readouterr()
-    assert forms.cache_info().misses == 419
+    assert forms.cache_info().misses == 0

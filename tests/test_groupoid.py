@@ -389,19 +389,18 @@ def test_strict_commutation_maps_only_what_a_one_element_hom_set_leaves_open(mon
 def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     # fresh levels and spaces, so that the count does not depend on which
     # tests ran before.  A layered level's orbit-built class table reads no
-    # hom-set and records, in each class with a trivial Aut, the Aut of the
-    # representative and the connector of each other member.  Aut(a) and
-    # the connector of a are kept in the groupoid's memo, so the levels
-    # that the 25 squares share are read once, not once per check
+    # hom-set.  Aut(a) and the connector of a are read from hom-sets into
+    # the groupoid's memo, so the levels that the 25 squares share are read
+    # once, not once per check
     for name in ("_layered_level", "_layered_space"):
         monkeypatch.setattr(examples, name, functools.cache(getattr(examples, name).__wrapped__))
-    isos, precheck = examples._isos, groupoid.functors_equal
+    hom, precheck = groupoid.FiniteGroupoid.hom, groupoid.functors_equal
     open_calls, calls = [], []
 
-    def counted_isos(a, b):
+    def counted_hom(G, a, b):
         if open_calls:
             open_calls[-1] += 1
-        return isos(a, b)
+        return hom(G, a, b)
 
     def counted_precheck(F, G):
         open_calls.append(0)
@@ -410,7 +409,7 @@ def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
         finally:
             calls.append((open_calls.pop(), F.source))
 
-    monkeypatch.setattr(examples, "_isos", counted_isos)
+    monkeypatch.setattr(groupoid.FiniteGroupoid, "hom", counted_hom)
     monkeypatch.setattr(groupoid, "functors_equal", counted_precheck)
     X = examples.layered_posets(3)
     assert check_axioms(X, "decomposition", 2).passed
@@ -418,13 +417,15 @@ def test_strict_commutation_reads_one_hom_set_per_object(monkeypatch):
     assert len(calls) == 25
     for homs, W in calls:
         assert homs <= len(W.objects) + len(W.iso_classes().reps)
-    # 86 automorphism groups, of class images in the shared target that are
-    # no representative and of representatives with a nontrivial Aut, and
-    # 216 connectors in classes with a nontrivial Aut (996 when each table
-    # read one Aut per class and every connector was read; 12,931 reading
-    # each level once per check, 66,923 listing every morphism, 2,010
-    # comparing the classes whose image has a trivial Aut)
-    assert sum(homs for homs, _ in calls) == 302
+    # 147 automorphism groups, of class images in the shared target and of
+    # representatives with a nontrivial Aut, and 700 connectors, one per
+    # other member of a class the check does not skip (302 when each table
+    # recorded the Aut and the connectors of its classes with a trivial Aut
+    # as it was built; 996 when each table read one Aut per class and every
+    # connector was read; 12,931 reading each level once per check, 66,923
+    # listing every morphism, 2,010 comparing the classes whose image has a
+    # trivial Aut)
+    assert sum(homs for homs, _ in calls) == 847
 
 
 def test_a_conjugated_face_fails_the_identities_on_both_checks(monkeypatch):
@@ -1594,13 +1595,16 @@ def _z3(table=None, identity=lambda a: Mor(a, a, 0)):
 
 
 @pytest.mark.parametrize("broken, message", [
-    (cluster_groupoid([("a", 1, 1), ("b", 1, 1)]), "label 0 reused across hom-sets"),
+    # hom("x", "y") holds the identity of "x"
+    (FiniteGroupoid(["x", "y"], lambda a, b: (Mor(a, a, 0),), lambda g, f: f,
+                    lambda a: Mor(a, a, 0)),
+     "Mor('x' -> 'x': 0) in hom('x','y') has other ends"),
     (_z3(identity=lambda a: Mor(a, "elsewhere", 0)), "identity of '*' is not an endomorphism"),
     (_z3(identity=lambda a: Mor(a, a, 3)), "identity of '*' missing from hom('*','*')"),
     (_z3({(0, 1): 2}), "right unit law fails at Mor('*' -> '*': 1)"),
     (_z3({(1, 0): 2}), "left unit law fails at Mor('*' -> '*': 1)"),
-    # the inverse law cannot fail: `inverse` returns only a g with g . f
-    # the identity, and refuses an f that has none
+    # `inverse` returns only a g with g . f the identity, and refuses an f
+    # that has none: that refusal is the inverse law's
     (_z3({(1, 2): 1}), "no inverse found for Mor('*' -> '*': 1)"),
     (_z3({(1, 1): 3}), "composite Mor('*' -> '*': 3) escapes its hom-set"),
     (_z3({(1, 1): 0}), "associativity fails at Mor('*' -> '*': 1), Mor('*' -> '*': 1), "
@@ -1608,5 +1612,9 @@ def _z3(table=None, identity=lambda a: Mor(a, a, 0)):
 ])
 def test_validate_refuses_each_broken_groupoid_law(broken, message):
     _z3().validate()
+    # a label names a morphism within its hom-set only, so two hom-sets
+    # may share one
+    cluster_groupoid([("a", 1, 1), ("b", 1, 1)]).validate()
+    discrete_groupoid([0, 1]).validate()
     with pytest.raises(StructureError, match="^" + re.escape(message) + "$"):
         broken.validate()

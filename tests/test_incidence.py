@@ -436,7 +436,7 @@ def test_phi_refuses_levels_beyond_the_truncation():
 def test_phi_refuses_a_space_without_a_fiber_generator():
     # a grid row has no Phi count: Phi_n for n >= 1 is refused, naming it
     row = total_decalage(nerve(chain_poset(3), max_level=6), 2, 2).row(0)
-    assert row.name == "TotalDec(N()).row(0)"
+    assert row.name == "TotalDec(N).row(0)"
     for f in row.level(1).iso_classes().reps:
         for n in (1, 2, 3):
             with pytest.raises(DomainError, match=re.escape(f"{row.name} has no Phi count")):
